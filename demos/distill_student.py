@@ -10,9 +10,9 @@ Run with: python3 demos/distill_student.py  (about a minute)
 """
 
 from mimicrank.corpus import annotate_queries, build_index
-from mimicrank.distill import distill
+from mimicrank.distill import distill, model_labels
 from mimicrank.evaluation import evaluate, format_metric_table
-from mimicrank.pipeline import bm25_run, model_run, model_scorer
+from mimicrank.pipeline import bm25_run, model_run
 from mimicrank.ranker import RankModelConfig, init_params, train
 from mimicrank.toydata import synthetic_collection
 
@@ -41,10 +41,11 @@ print(f"held-out label agreement: {result.fidelity:.4f}")
 
 runs = {
     "bm25": bm25_run(index, collection.eval_queries, cutoff=100),
-    "teacher": model_run(index, collection.eval_queries, model_scorer(teacher),
+    "teacher": model_run(index, collection.eval_queries,
+                         model_labels(teacher, index),
                          pool_size=100, cutoff=100),
     "student": model_run(index, collection.eval_queries,
-                         model_scorer(result.student),
+                         model_labels(result.student, index),
                          pool_size=100, cutoff=100),
 }
 rows = [(name, evaluate(run, collection.qrels)) for name, run in runs.items()]

@@ -20,27 +20,18 @@ from .corpus import (
     save_index,
     write_annotations,
 )
-from .distill import distill
+from .distill import distill, model_labels
 from .evaluation import evaluate_run, format_metric_table, write_run
 from .pipeline import (
     MODES,
     ConfigError,
     bm25_run,
     model_run,
-    model_scorer,
     parse_config,
     read_model_configs,
     run_pipeline,
 )
-from .private import (
-    PrivacyConfig,
-    file_sha256,
-    load_ensemble,
-    partition_data,
-    pate_distill,
-    save_ensemble,
-    train_teachers,
-)
+from .private import PrivacyConfig, load_ensemble, pate_distill, train_ensemble
 from .ranker import (
     STUDENT_CONFIG,
     TEACHER_CONFIG,
@@ -147,28 +138,16 @@ def cmd_pate(args):
         instances, _ = _load_training_pairs(
             index, args.train_queries, args.annotations
         )
-        shards = partition_data(instances, args.n_partitions, args.seed)
-        shard_dir = out / "shards"
-        shard_dir.mkdir(exist_ok=True)
-        hashes = []
-        for i, shard in enumerate(shards):
-            shard_path = shard_dir / f"shard_{i:02d}.tsv"
-            write_annotations(shard_path, shard)
-            hashes.append(file_sha256(shard_path))
         privacy = PrivacyConfig(
             n_partitions=args.n_partitions, noise_scale=args.noise_scale,
             seed=args.seed,
         )
-        ensemble = train_teachers(
-            shards, teacher_config, index, args.teacher_epochs,
-            base_seed=args.seed, embedding_file=args.embeddings,
-            privacy_config=privacy,
+        ensemble, _, _ = train_ensemble(
+            instances, teacher_config, index, args.teacher_epochs, privacy,
+            partition_seed=args.seed, base_seed=args.seed,
+            shard_dir=out / "shards", ensemble_dir=out / "ensemble",
+            embedding_file=args.embeddings,
         )
-        seeds = [args.seed + i for i in range(args.n_partitions)]
-        save_ensemble(out / "ensemble", ensemble,
-                      teacher_seeds=seeds, shard_hashes=hashes)
-        # downstream consumes the persisted artifact, not the in-memory one
-        ensemble, _ = load_ensemble(out / "ensemble")
 
     result = pate_distill(
         ensemble, student_config, unlabeled, index,
@@ -190,7 +169,7 @@ def cmd_rank(args):
     queries = read_queries(args.queries)
     if args.model:
         params = load_model(args.model)
-        run = model_run(index, queries, model_scorer(params),
+        run = model_run(index, queries, model_labels(params, index),
                         args.pool_size, args.cutoff, args.jobs)
     else:
         run = bm25_run(index, queries, args.cutoff)

@@ -9,7 +9,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,10 +185,6 @@ class InvertedIndex:
         top = scored[:k]
         return [d for d, _ in top], [s for _, s in top]
 
-    def doc_term_arrays(self, doc_index):
-        """(term indices, term frequencies) for one document, as arrays."""
-        return self._doc_term_idx[doc_index], self._doc_term_tf[doc_index]
-
     def doc_terms(self, doc_index):
         """Document term list in canonical order (by term index, tf-expanded)."""
         idx, tf = self._doc_term_idx[doc_index], self._doc_term_tf[doc_index]
@@ -249,15 +245,6 @@ class AnnotationReport:
         }
 
 
-def query_rng(seed, query_position, stream=0):
-    """Per-query random stream keyed by (seed, query position, stream tag).
-
-    Per-item derivation keeps annotation output independent of how queries
-    are distributed over workers.
-    """
-    return seeding.rng(seed, query_position, stream)
-
-
 def _sample_scored_pairs(n_pool, labels, pairs_per_query, rng, max_attempts):
     """Sample unordered index pairs with distinct labels, without replacement.
 
@@ -307,7 +294,7 @@ def annotate_pools(index, queries, label_fn, pool_size, pairs_per_query, seed,
         if len(pool) < 2:
             return qpos, None, 0
         labels = label_fn(query, pool, qpos)
-        rng = query_rng(seed, qpos)
+        rng = seeding.rng(seed, qpos, 0)
         pairs, ties = _sample_scored_pairs(
             len(pool), labels, pairs_per_query, rng, max_attempts
         )

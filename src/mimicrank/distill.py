@@ -27,19 +27,6 @@ TRAIN_TAG = 3
 
 
 @dataclass
-class AnnotationJob:
-    teacher: RankModelParams
-    unlabeled: list
-    pool_size: int = DEFAULT_POOL_SIZE
-    pairs_per_query: int = DEFAULT_PAIRS_PER_QUERY
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.pool_size < 2:
-            raise ValueError("pool_size must be at least 2")
-
-
-@dataclass
 class DistillResult:
     student: RankModelParams
     fidelity: float  # held-out sign agreement with the labels; None if no holdout
@@ -50,27 +37,17 @@ class DistillResult:
     instances: list  # the soft-labeled instances the student trained on
 
 
-def _resolve_teacher(teacher):
-    if isinstance(teacher, (str, Path)):
-        return load_model(teacher)
-    return teacher
+def model_labels(params, index):
+    """Labeler that scores each pool document with one model.
 
-
-def teacher_annotate(job, index):
-    """Label BM25-pooled candidates with teacher scores; sample pairs.
-
-    Tied teacher scores within a sampled pair discard the pair (counted in
-    the report), exactly as BM25 annotation discards tied BM25 scores.
+    Returns label_fn(query, pool doc indices, query position) -> score list,
+    the protocol of annotate_pools and pipeline.model_run.
     """
-    teacher = _resolve_teacher(job.teacher)
 
-    def teacher_labels(query, pool, qpos):
-        return [score(teacher, query.terms, index.doc_terms(d)) for d in pool]
+    def labels(query, pool, qpos):
+        return [score(params, query.terms, index.doc_terms(d)) for d in pool]
 
-    return annotate_pools(
-        index, job.unlabeled, teacher_labels, job.pool_size,
-        job.pairs_per_query, job.seed,
-    )
+    return labels
 
 
 def _split_holdout(instances, fraction, seed):
@@ -150,13 +127,10 @@ def distill(teacher, student_config, unlabeled, index, epochs, seed,
     teacher: RankModelParams or a checkpoint path. The fidelity field of
     the result is the held-out pair agreement between student and teacher.
     """
-    teacher_params = _resolve_teacher(teacher)
-
-    def teacher_labels(query, pool, qpos):
-        return [score(teacher_params, query.terms, index.doc_terms(d)) for d in pool]
-
+    if isinstance(teacher, (str, Path)):
+        teacher = load_model(teacher)
     return mimic_train(
-        teacher_labels, student_config, unlabeled, index, epochs, seed,
-        pool_size=pool_size, pairs_per_query=pairs_per_query,
+        model_labels(teacher, index), student_config, unlabeled, index, epochs,
+        seed, pool_size=pool_size, pairs_per_query=pairs_per_query,
         heldout_fraction=heldout_fraction, embedding_file=embedding_file,
     )

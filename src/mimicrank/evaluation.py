@@ -135,11 +135,16 @@ def read_run(path):
 
 
 def write_run(path, run, tag):
-    """Write rank-ordered (doc_id, score) lists; scores with 6 decimals."""
+    """Write rank-ordered (doc_id, score) lists.
+
+    Scores are printed at round-trip precision, so two printed scores are
+    equal only when the floats are, and read_run accepts the doc_id order
+    that rank_by_scores gave their tie.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         for qid, entries in run.items():
             for rank, (doc_id, score) in enumerate(entries, start=1):
-                fh.write(f"{qid} Q0 {doc_id} {rank} {score:.6f} {tag}\n")
+                fh.write(f"{qid} Q0 {doc_id} {rank} {float(score)!r} {tag}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .serialize import read_container, write_container
-
 ACTIVATIONS = ("relu", "tanh", "identity")
-
-NETWORK_MAGIC = b"MRNN"
-NETWORK_VERSION = 1
 
 
 @dataclass
@@ -283,24 +278,6 @@ def finite_difference_check(loss_fn, params, analytic_grads, h=1e-5,
 
 # ---------------------------------------------------------------------------
 # Checkpoint format
-
-
-def save_network(path, layers):
-    """Write the dense stack to the shared container format (byte-stable)."""
-    meta = {
-        "kind": "dense-network",
-        "activations": [layer.activation for layer in layers],
-    }
-    arrays = []
-    for i, layer in enumerate(layers):
-        arrays.append((f"weights_{i:02d}", layer.weights))
-        arrays.append((f"bias_{i:02d}", layer.bias))
-    write_container(path, NETWORK_MAGIC, NETWORK_VERSION, meta, arrays)
-
-
-def load_network(path):
-    _, meta, arrays = read_container(path, NETWORK_MAGIC, NETWORK_VERSION)
-    return layers_from_arrays(meta["activations"], arrays)
 
 
 def layers_from_arrays(activations, arrays, prefix=""):

@@ -27,20 +27,17 @@ from .corpus import (
     save_index,
     write_annotations,
 )
-from .distill import distill
+from .distill import distill, model_labels
 from .evaluation import evaluate, format_metric_table, read_qrels, write_run
-from .nn import NETWORK_VERSION
 from .private import (
     PrivacyConfig,
+    ensemble_labels,
     file_sha256,
-    load_ensemble,
     noisy_aggregate,
     pairwise_agreement,
-    partition_data,
     pate_distill,
-    save_ensemble,
     teacher_mean,
-    train_teachers,
+    train_ensemble,
 )
 from .ranker import (
     MODEL_VERSION,
@@ -51,7 +48,6 @@ from .ranker import (
     load_model,
     rank_by_scores,
     save_model,
-    score,
     train,
 )
 
@@ -293,20 +289,19 @@ def bm25_run(index, queries, cutoff):
     return run
 
 
-def model_run(index, queries, scorer, pool_size, cutoff, jobs=1):
-    """BM25 recall pool re-ranked by scorer(query_terms, doc_terms, qpos).
+def model_run(index, queries, label_fn, pool_size, cutoff, jobs=1):
+    """BM25 recall pool re-ranked by label_fn(query, pool, query position).
 
-    Results are independent of jobs as long as the scorer is a pure function
-    of its arguments (each query is scored whole by one worker).
+    label_fn is the labeler protocol of annotate_pools; results are
+    independent of jobs as long as it is a pure function of its arguments
+    (each query is scored whole by one worker).
     """
 
     def one(args):
         qpos, q = args
         pool, _ = index.search(q.terms, pool_size)
-        scored = [
-            (index.doc_ids[d], scorer(q.terms, index.doc_terms(d), qpos))
-            for d in pool
-        ]
+        labels = label_fn(q, pool, qpos)
+        scored = [(index.doc_ids[d], s) for d, s in zip(pool, labels)]
         return q.query_id, rank_by_scores(scored, cutoff)
 
     if jobs > 1:
@@ -317,10 +312,6 @@ def model_run(index, queries, scorer, pool_size, cutoff, jobs=1):
     else:
         pairs = [one(item) for item in enumerate(queries)]
     return dict(pairs)
-
-
-def model_scorer(params):
-    return lambda q_terms, d_terms, qpos: score(params, q_terms, d_terms)
 
 
 def _eval_pairs(index, queries, depth=6):
@@ -345,10 +336,8 @@ def run_pipeline(config, mode, jobs=1):
     """Execute one pipeline mode into config.out; returns the report dict."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    _require(config, mode, "queries_eval", "qrels")
-    if mode in ("weak", "supervised", "distill", "pate"):
-        _require(config, mode, "queries_train")
-    if mode in ("supervised", "distill", "pate"):
+    _require(config, mode, "queries_eval", "qrels", "queries_train")
+    if mode != "weak":
         _require(config, mode, "queries_unlabeled")
 
     out = Path(config.out)
@@ -387,7 +376,6 @@ def run_pipeline(config, mode, jobs=1):
             "package": __version__,
             "index_format": INDEX_VERSION,
             "model_format": MODEL_VERSION,
-            "network_format": NETWORK_VERSION,
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
@@ -406,9 +394,16 @@ def run_pipeline(config, mode, jobs=1):
 
     index = stages.run("build-index", build)
 
-    train_queries = read_queries(config.queries_train)
-    eval_queries = read_queries(config.queries_eval)
-    qrels = read_qrels(config.qrels)
+    # a stage of its own, so that a malformed input file leaves a FAILED marker
+    def read_inputs():
+        unlabeled = None
+        if mode != "weak":
+            unlabeled = read_queries(config.queries_unlabeled)
+        return (read_queries(config.queries_train), unlabeled,
+                read_queries(config.queries_eval), read_qrels(config.qrels))
+
+    train_queries, unlabeled, eval_queries, qrels = stages.run(
+        "read-inputs", read_inputs)
 
     # teacher training pairs
     def annotate():
@@ -440,55 +435,45 @@ def run_pipeline(config, mode, jobs=1):
     instances = stages.run("annotate", annotate)
 
     # teachers
-    ensemble = None
-
     def train_single_teacher():
-        shard = partition_data(instances, 1, plan["partition"])[0]
+        # the order a one-way partition_data split gives, so that a pate run
+        # with one teacher trains that teacher on the same pairs in the same
+        # order
+        order = seeding.rng(plan["partition"]).permutation(len(instances))
         params = init_params(
             config.teacher, index.vocabulary, index,
             embedding_file=config.embeddings, seed=plan["teacher_base"],
         )
-        result = train(params, config.teacher, shard, config.teacher_epochs,
-                       seed=plan["teacher_base"])
+        result = train(params, config.teacher, [instances[i] for i in order],
+                       config.teacher_epochs, seed=plan["teacher_base"])
         save_model(out / "checkpoints" / "teacher.ckpt", params)
         report["teacher_epoch_losses"] = result.epoch_losses
         return load_model(out / "checkpoints" / "teacher.ckpt")
 
-    def train_ensemble():
-        n = config.n_partitions
-        shards = partition_data(instances, n, plan["partition"])
-        (out / "shards").mkdir(exist_ok=True)
-        hashes = []
-        for i, shard in enumerate(shards):
-            shard_path = out / "shards" / f"shard_{i:02d}.tsv"
-            write_annotations(shard_path, shard)
-            hashes.append(file_sha256(shard_path))
-        privacy = PrivacyConfig(n_partitions=n, noise_scale=config.noise_scale,
+    def train_teacher_ensemble():
+        privacy = PrivacyConfig(n_partitions=config.n_partitions,
+                                noise_scale=config.noise_scale,
                                 seed=plan["privacy_noise"])
-        ens = train_teachers(
-            shards, config.teacher, index, config.teacher_epochs,
-            base_seed=plan["teacher_base"], embedding_file=config.embeddings,
-            privacy_config=privacy,
+        ens, report["shard_sizes"], report["shard_hashes"] = train_ensemble(
+            instances, config.teacher, index, config.teacher_epochs, privacy,
+            partition_seed=plan["partition"], base_seed=plan["teacher_base"],
+            shard_dir=out / "shards", ensemble_dir=out / "checkpoints" / "ensemble",
+            embedding_file=config.embeddings,
         )
-        seeds = [plan["teacher_base"] + i for i in range(n)]
-        save_ensemble(out / "checkpoints" / "ensemble", ens,
-                      teacher_seeds=seeds, shard_hashes=hashes)
-        report["shard_sizes"] = [len(s) for s in shards]
-        report["shard_hashes"] = hashes
-        # reload from disk: downstream consumes the persisted artifact
-        loaded, _ = load_ensemble(out / "checkpoints" / "ensemble")
-        return loaded
+        return ens
 
     if mode == "pate":
-        ensemble = stages.run("train-teachers", train_ensemble)
+        ensemble = stages.run("train-teachers", train_teacher_ensemble)
+        quiet_ensemble = dataclasses.replace(
+            ensemble, config=dataclasses.replace(ensemble.config, noise_scale=0.0))
         teacher = None
     else:
+        ensemble = None
         teacher = stages.run("train-teacher", train_single_teacher)
 
     # student
     student = None
-    if mode in ("supervised", "distill", "pate"):
-        unlabeled = read_queries(config.queries_unlabeled)
+    if mode != "weak":
 
         def distill_student():
             if mode == "pate":
@@ -523,49 +508,26 @@ def run_pipeline(config, mode, jobs=1):
 
     # run files
     def write_runs():
-        runs = {}
-        runs["bm25"] = bm25_run(index, eval_queries, config.rank_cutoff)
+        def rerank(label_fn):
+            return model_run(index, eval_queries, label_fn,
+                             config.rank_pool_size, config.rank_cutoff, jobs)
+
+        runs = {"bm25": bm25_run(index, eval_queries, config.rank_cutoff)}
         if teacher is not None:
-            runs["teacher"] = model_run(
-                index, eval_queries, model_scorer(teacher),
-                config.rank_pool_size, config.rank_cutoff, jobs,
-            )
+            runs["teacher"] = rerank(model_labels(teacher, index))
         if ensemble is not None:
             for i, t in enumerate(ensemble.teachers):
-                runs[f"teacher_{i:02d}"] = model_run(
-                    index, eval_queries, model_scorer(t),
-                    config.rank_pool_size, config.rank_cutoff, jobs,
-                )
-            runs["aggregate"] = model_run(
-                index, eval_queries,
-                lambda q, d, qpos: teacher_mean(ensemble, q, d),
-                config.rank_pool_size, config.rank_cutoff, jobs,
-            )
-
-            # one noise stream per eval query; draws advance positionally
-            # through the query's candidate pool, so this run is sequential
-            rngs = {}
-
-            def noisy_scorer(q_terms, d_terms, qpos):
-                rng = rngs.get(qpos)
-                if rng is None:
-                    rng = rngs[qpos] = seeding.rng(
-                        plan["privacy_noise"], qpos, EVAL_NOISE_TAG
-                    )
-                return noisy_aggregate(ensemble, q_terms, d_terms, rng)
-
+                runs[f"teacher_{i:02d}"] = rerank(model_labels(t, index))
+            # noise-free, the aggregate sums exactly like teacher_mean
+            runs["aggregate"] = rerank(
+                ensemble_labels(quiet_ensemble, index, EVAL_NOISE_TAG))
             if ensemble.config.noise_scale > 0:
-                runs["aggregate_noisy"] = model_run(
-                    index, eval_queries, noisy_scorer,
-                    config.rank_pool_size, config.rank_cutoff, jobs=1,
-                )
+                runs["aggregate_noisy"] = rerank(
+                    ensemble_labels(ensemble, index, EVAL_NOISE_TAG))
             else:
                 runs["aggregate_noisy"] = runs["aggregate"]
         if student is not None:
-            runs["student"] = model_run(
-                index, eval_queries, model_scorer(student),
-                config.rank_pool_size, config.rank_cutoff, jobs,
-            )
+            runs["student"] = rerank(model_labels(student, index))
         for name, run in runs.items():
             write_run(out / "runs" / f"{name}.run", run, tag=name)
         return runs
@@ -603,11 +565,6 @@ def run_pipeline(config, mode, jobs=1):
             # exactness property: the noise-free aggregate must order pairs
             # exactly like the plain teacher mean
             pairs = _eval_pairs(index, eval_queries)
-            quiet = PrivacyConfig(
-                n_partitions=ensemble.config.n_partitions, noise_scale=0.0,
-                seed=ensemble.config.seed,
-            )
-            quiet_ensemble = dataclasses.replace(ensemble, config=quiet)
             report["agreement_nonnoisy_vs_mean"] = pairwise_agreement(
                 lambda q, d: noisy_aggregate(quiet_ensemble, q, d),
                 lambda q, d: teacher_mean(ensemble, q, d),

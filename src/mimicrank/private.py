@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import seeding
+from .corpus import write_annotations
 from .distill import (
     DEFAULT_PAIRS_PER_QUERY,
     DEFAULT_POOL_SIZE,
@@ -91,6 +92,36 @@ def train_teachers(shards, model_config, index, epochs, base_seed,
     return TeacherEnsemble(teachers=teachers, config=privacy_config)
 
 
+def train_ensemble(instances, model_config, index, epochs, privacy_config,
+                   partition_seed, base_seed, shard_dir, ensemble_dir,
+                   embedding_file=None):
+    """Shard the pairs, train one teacher per shard, and save the ensemble.
+
+    Each shard is written to shard_dir as shard_NN.tsv and hashed; teacher i
+    is seeded base_seed + i. Returns (ensemble, shard sizes, shard hashes),
+    where the ensemble is reloaded from ensemble_dir so that callers consume
+    the persisted artifact, not the in-memory one.
+    """
+    n = privacy_config.n_partitions
+    shards = partition_data(instances, n, partition_seed)
+    shard_dir = Path(shard_dir)
+    shard_dir.mkdir(exist_ok=True)
+    hashes = []
+    for i, shard in enumerate(shards):
+        shard_path = shard_dir / f"shard_{i:02d}.tsv"
+        write_annotations(shard_path, shard)
+        hashes.append(file_sha256(shard_path))
+    ensemble = train_teachers(
+        shards, model_config, index, epochs, base_seed=base_seed,
+        embedding_file=embedding_file, privacy_config=privacy_config,
+    )
+    save_ensemble(ensemble_dir, ensemble,
+                  teacher_seeds=[base_seed + i for i in range(n)],
+                  shard_hashes=hashes)
+    loaded, _ = load_ensemble(ensemble_dir)
+    return loaded, [len(s) for s in shards], hashes
+
+
 # ---------------------------------------------------------------------------
 # Laplace mechanism
 
@@ -121,28 +152,21 @@ def draw_uniform(rng):
     return u
 
 
-def noisy_teacher_scores(ensemble, query_terms, doc_terms, rng=None):
-    """Per-teacher scores with per-teacher noise, in teacher order."""
+def noisy_aggregate(ensemble, query_terms, doc_terms, rng=None):
+    """(1/n)·Σ_i (score_i + Laplace(scale)); noise injected before the mean.
+
+    Noise is drawn per teacher, in teacher order. Summation is left to right
+    over teacher index, so with noise_scale 0 the result equals teacher_mean
+    bitwise.
+    """
     scale = ensemble.config.noise_scale
     if scale > 0.0 and rng is None:
         raise ValueError("noise_scale > 0 requires an rng")
-    out = []
+    acc = 0.0
     for teacher in ensemble.teachers:
         s = score(teacher, query_terms, doc_terms)
         if scale > 0.0:
             s = s + laplace_sample(scale, draw_uniform(rng))
-        out.append(s)
-    return out
-
-
-def noisy_aggregate(ensemble, query_terms, doc_terms, rng=None):
-    """(1/n)·Σ_i (score_i + Laplace(scale)); noise injected before the mean.
-
-    Summation is left to right over teacher index, so with noise_scale 0
-    the result equals teacher_mean bitwise.
-    """
-    acc = 0.0
-    for s in noisy_teacher_scores(ensemble, query_terms, doc_terms, rng):
         acc += s
     return acc / len(ensemble.teachers)
 
@@ -183,29 +207,40 @@ def _pref(s1, s2):
 # Private distillation
 
 
+def ensemble_labels(ensemble, index, tag):
+    """Labeler that scores each pool document with the noisy aggregate.
+
+    Returns label_fn(query, pool doc indices, query position) -> score list,
+    the protocol of annotate_pools and pipeline.model_run. Each call draws
+    its noise from its own stream, seeding.rng(privacy seed, query position,
+    tag), walked over the pool in order, so the labels depend neither on
+    the order in which queries are labeled nor on how they are split over
+    workers.
+    """
+
+    def labels(query, pool, qpos):
+        rng = seeding.rng(ensemble.config.seed, qpos, tag)
+        return [
+            noisy_aggregate(ensemble, query.terms, index.doc_terms(d), rng)
+            for d in pool
+        ]
+
+    return labels
+
+
 def pate_distill(ensemble, student_config, unlabeled, index, epochs, seed,
                  pool_size=DEFAULT_POOL_SIZE,
                  pairs_per_query=DEFAULT_PAIRS_PER_QUERY,
                  heldout_fraction=0.1, embedding_file=None):
     """distill() with the noisy ensemble as the labeler.
 
-    Per-query noise streams are derived from (privacy seed, query position),
-    so annotation order and worker scheduling cannot change the labels.
     Pairs whose noisy scores tie are discarded exactly like any other tie.
     """
-    privacy_seed = ensemble.config.seed
-
-    def noisy_labels(query, pool, qpos):
-        rng = seeding.rng(privacy_seed, qpos, NOISE_TAG)
-        return [
-            noisy_aggregate(ensemble, query.terms, index.doc_terms(d), rng)
-            for d in pool
-        ]
-
     return mimic_train(
-        noisy_labels, student_config, unlabeled, index, epochs, seed,
-        pool_size=pool_size, pairs_per_query=pairs_per_query,
-        heldout_fraction=heldout_fraction, embedding_file=embedding_file,
+        ensemble_labels(ensemble, index, NOISE_TAG), student_config, unlabeled,
+        index, epochs, seed, pool_size=pool_size,
+        pairs_per_query=pairs_per_query, heldout_fraction=heldout_fraction,
+        embedding_file=embedding_file,
     )
 
 

@@ -294,24 +294,12 @@ def train(params, config, instances, epochs, seed):
     return TrainResult(params, epoch_losses)
 
 
-def rank_by_scores(scored, cutoff, score_transform=None):
+def rank_by_scores(scored, cutoff):
     """Order (doc_id, score) pairs: score desc, doc_id asc; truncate.
 
-    score_transform, when given, must be strictly increasing; it is applied
-    only at the comparison site, so any such transform yields the same
-    permutation (the ordering depends on score order alone).
+    cutoff None keeps every pair.
     """
-    key = score_transform if score_transform is not None else (lambda s: s)
-    ordered = sorted(scored, key=lambda pair: (-key(pair[1]), pair[0]))
-    return ordered[:cutoff] if cutoff is not None else ordered
-
-
-def rank(params, query_terms, candidates, cutoff=None, score_transform=None):
-    """Score candidates (doc_id, terms) pointwise and order them."""
-    if not candidates:
-        raise ValueError("no candidates to rank")
-    scored = [(doc_id, score(params, query_terms, terms)) for doc_id, terms in candidates]
-    return rank_by_scores(scored, cutoff, score_transform)
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:cutoff]
 
 
 # ---------------------------------------------------------------------------

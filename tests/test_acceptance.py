@@ -16,7 +16,7 @@ import pytest
 
 from mimicrank.cli import main
 from mimicrank.corpus import Document, TrainingInstance, annotate_queries, build_index
-from mimicrank.distill import distill
+from mimicrank.distill import distill, model_labels
 from mimicrank.evaluation import (
     average_precision,
     evaluate,
@@ -24,7 +24,7 @@ from mimicrank.evaluation import (
     precision_at_k,
 )
 from mimicrank.nn import finite_difference_check
-from mimicrank.pipeline import RunConfig, model_run, model_scorer, run_pipeline
+from mimicrank.pipeline import RunConfig, model_run, run_pipeline
 from mimicrank.private import draw_uniform, laplace_sample
 from mimicrank.ranker import RankModelConfig, compute_loss_and_grads, init_params, train
 from mimicrank.toydata import mini_collection, synthetic_collection, write_collection
@@ -248,10 +248,10 @@ def test_criterion_4_distillation_fidelity():
 
     assert result.fidelity >= 0.85, result.fidelity
 
-    teacher_run = model_run(index, coll.eval_queries, model_scorer(teacher),
-                            100, 30)
+    teacher_run = model_run(index, coll.eval_queries,
+                            model_labels(teacher, index), 100, 30)
     student_run = model_run(index, coll.eval_queries,
-                            model_scorer(result.student), 100, 30)
+                            model_labels(result.student, index), 100, 30)
     teacher_map = evaluate(teacher_run, coll.qrels).mean_ap
     student_map = evaluate(student_run, coll.qrels).mean_ap
     assert teacher_map > 0.0

@@ -5,14 +5,8 @@ import inspect
 import numpy as np
 import pytest
 
-from mimicrank.corpus import Query, annotate_queries, write_annotations
-from mimicrank.distill import (
-    AnnotationJob,
-    distill,
-    label_agreement,
-    mimic_train,
-    teacher_annotate,
-)
+from mimicrank.corpus import Query, annotate_pools, annotate_queries, write_annotations
+from mimicrank.distill import distill, label_agreement, mimic_train, model_labels
 from mimicrank.ranker import init_params, save_model, score, train
 from tests.conftest import MICRO_STUDENT_CONFIG, MICRO_TEACHER_CONFIG
 
@@ -25,21 +19,23 @@ def test_zero_teacher_annotates_nothing(micro_collection, micro_index):
     for layer in params.layers:
         layer.weights[:] = 0.0
         layer.bias[:] = 0.0
-    job = AnnotationJob(teacher=params,
-                        unlabeled=micro_collection.unlabeled_queries,
-                        pool_size=10, pairs_per_query=5, seed=3)
-    instances, report = teacher_annotate(job, micro_index)
+    instances, report = annotate_pools(
+        micro_index, micro_collection.unlabeled_queries,
+        model_labels(params, micro_index), pool_size=10, pairs_per_query=5, seed=3)
     assert instances == []
     assert report.pairs_emitted == 0
     assert report.ties_discarded > 0
+    with pytest.raises(ValueError, match="tied pairs discarded"):
+        distill(params, MICRO_STUDENT_CONFIG, micro_collection.unlabeled_queries,
+                micro_index, epochs=1, seed=3, pool_size=10, pairs_per_query=5)
 
 
 def test_annotation_signs_match_teacher_preferences(micro_collection, micro_index,
                                                     micro_teacher):
-    job = AnnotationJob(teacher=micro_teacher,
-                        unlabeled=micro_collection.unlabeled_queries,
-                        pool_size=15, pairs_per_query=8, seed=11)
-    instances, report = teacher_annotate(job, micro_index)
+    result = distill(micro_teacher, MICRO_STUDENT_CONFIG,
+                     micro_collection.unlabeled_queries, micro_index,
+                     epochs=0, seed=11, pool_size=15, pairs_per_query=8)
+    instances, report = result.instances, result.annotation
     assert report.pairs_emitted == len(instances) > 0
     pos = {doc_id: i for i, doc_id in enumerate(micro_index.doc_ids)}
     for inst in instances:
@@ -54,31 +50,34 @@ def test_annotation_signs_match_teacher_preferences(micro_collection, micro_inde
 
 
 def test_annotate_empty_queryset(micro_index, micro_teacher):
-    job = AnnotationJob(teacher=micro_teacher, unlabeled=[], pool_size=5,
-                        pairs_per_query=3, seed=0)
-    instances, report = teacher_annotate(job, micro_index)
+    instances, report = annotate_pools(micro_index, [],
+                                       model_labels(micro_teacher, micro_index),
+                                       pool_size=5, pairs_per_query=3, seed=0)
     assert instances == []
     assert report.queries_total == 0
+    with pytest.raises(ValueError, match="0 of 0 queries skipped"):
+        distill(micro_teacher, MICRO_STUDENT_CONFIG, [], micro_index,
+                epochs=1, seed=0, pool_size=5, pairs_per_query=3)
 
 
-def test_annotation_job_validates_pool_size(micro_teacher):
-    with pytest.raises(ValueError):
-        AnnotationJob(teacher=micro_teacher, unlabeled=[], pool_size=1)
+def test_distill_validates_pool_size(micro_collection, micro_index, micro_teacher):
+    with pytest.raises(ValueError, match="pool_size"):
+        distill(micro_teacher, MICRO_STUDENT_CONFIG,
+                micro_collection.unlabeled_queries, micro_index,
+                epochs=1, seed=0, pool_size=1)
 
 
 def test_teacher_loadable_from_checkpoint_path(tmp_path, micro_collection,
                                                micro_index, micro_teacher):
     path = tmp_path / "teacher.ckpt"
     save_model(path, micro_teacher)
-    job_mem = AnnotationJob(teacher=micro_teacher,
-                            unlabeled=micro_collection.unlabeled_queries[:4],
-                            pool_size=10, pairs_per_query=4, seed=5)
-    job_disk = AnnotationJob(teacher=path,
-                             unlabeled=micro_collection.unlabeled_queries[:4],
-                             pool_size=10, pairs_per_query=4, seed=5)
-    mem, _ = teacher_annotate(job_mem, micro_index)
-    disk, _ = teacher_annotate(job_disk, micro_index)
-    assert mem == disk
+    mem, disk = (
+        distill(teacher, MICRO_STUDENT_CONFIG,
+                micro_collection.unlabeled_queries[:4], micro_index,
+                epochs=0, seed=5, pool_size=10, pairs_per_query=4)
+        for teacher in (micro_teacher, path)
+    )
+    assert mem.instances == disk.instances
 
 
 def test_distill_zero_epochs_returns_initialization(micro_collection, micro_index,
@@ -165,7 +164,7 @@ def test_distill_independent_of_teacher_training_files(tmp_path, micro_collectio
 def test_student_path_has_no_qrels_parameter():
     # structural privacy property: nothing on the annotation/distill path
     # can even accept relevance judgments
-    for fn in (teacher_annotate, distill, mimic_train):
+    for fn in (model_labels, distill, mimic_train):
         names = set(inspect.signature(fn).parameters)
         assert not any("qrel" in n or "judg" in n for n in names), fn.__name__
 

@@ -17,6 +17,7 @@ from mimicrank.evaluation import (
     read_run,
     write_run,
 )
+from mimicrank.ranker import rank_by_scores
 
 # ---------------------------------------------------------------------------
 # Brute-force reference implementations (kept deliberately naive and
@@ -200,6 +201,14 @@ def test_read_run_round_trip(tmp_path):
     back = read_run(p)
     assert list(back) == ["q1", "q2"]
     assert back["q1"] == [("d2", 0.9), ("d1", 0.5)]
+
+
+def test_write_run_keeps_near_ties_readable(tmp_path):
+    # equal at 6 decimals, unequal as floats: d2 ranks first on score alone
+    ranked = rank_by_scores([("d1", 0.5000001), ("d2", 0.5000002)], None)
+    p = tmp_path / "near.run"
+    write_run(p, {"q1": ranked}, tag="sys")
+    assert read_run(p)["q1"] == ranked
 
 
 def test_read_run_validates_rank_sequence(tmp_path):

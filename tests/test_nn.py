@@ -12,10 +12,11 @@ from mimicrank.nn import (
     finite_difference_check,
     forward,
     init_layers,
-    load_network,
+    layers_from_arrays,
+    layers_to_arrays,
     optimizer_step,
-    save_network,
 )
+from mimicrank.serialize import read_container, write_container
 
 
 def layer(w, b, act):
@@ -321,16 +322,21 @@ def test_layer_validation():
 
 
 def test_network_checkpoint_round_trip(tmp_path):
+    # the dense stack's checkpoint arrays, as save_model/load_model store them
     rng = np.random.default_rng(9)
     layers = init_layers([3, 4, 1], ["relu", "tanh"], rng)
+    activations = [lay.activation for lay in layers]
     path = tmp_path / "net.ckpt"
-    save_network(path, layers)
-    loaded = load_network(path)
+    write_container(path, b"TEST", 1, {"activations": activations},
+                    layers_to_arrays(layers, prefix="layer_"))
+    _, meta, arrays = read_container(path, b"TEST", 1)
+    loaded = layers_from_arrays(meta["activations"], arrays, prefix="layer_")
     assert len(loaded) == len(layers)
     for a, b in zip(layers, loaded):
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
         assert a.activation == b.activation
     path2 = tmp_path / "net2.ckpt"
-    save_network(path2, loaded)
+    write_container(path2, b"TEST", 1, {"activations": activations},
+                    layers_to_arrays(loaded, prefix="layer_"))
     assert path.read_bytes() == path2.read_bytes()

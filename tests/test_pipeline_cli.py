@@ -249,6 +249,9 @@ def test_pate_mode_writes_four_row_report_and_shards(workspace, tmp_path):
         assert (out / "runs" / f"teacher_{i:02d}.run").is_file()
     assert (out / "runs" / "aggregate.run").is_file()
     assert (out / "runs" / "aggregate_noisy.run").is_file()
+    for run_file in (out / "runs").glob("*.run"):
+        assert main(["evaluate", "--run", str(run_file),
+                     "--qrels", str(workspace / "qrels.txt")]) == 0, run_file
     saved = read_json(out / "report.json")
     assert saved["agreement_nonnoisy_vs_mean"] == 1.0
     assert "noisy_vs_nonnoisy" in saved
@@ -290,6 +293,18 @@ def test_pipeline_failure_leaves_marker_and_partial_artifacts(workspace, tmp_pat
     # a successful rerun clears the marker
     run_pipeline(base_config(workspace, out), "weak")
     assert not (out / "FAILED").exists()
+
+
+def test_pipeline_malformed_input_leaves_marker(workspace, tmp_path):
+    out = tmp_path / "malformed"
+    run_pipeline(base_config(workspace, out), "weak")
+    bad = tmp_path / "queries_eval.tsv"
+    bad.write_text("qe1\tfine\nno tab here\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="queries_eval.tsv:2"):
+        run_pipeline(base_config(workspace, out, queries_eval=bad), "weak")
+    marker = (out / "FAILED").read_text()
+    assert "stage: read-inputs" in marker
+    assert "completed: build-index\n" in marker
 
 
 def test_pipeline_rejects_unknown_mode_and_missing_inputs(workspace, tmp_path):

@@ -20,7 +20,6 @@ from mimicrank.ranker import (
     init_params,
     load_embedding_file,
     load_model,
-    rank,
     rank_by_scores,
     represent,
     save_model,
@@ -376,9 +375,13 @@ def test_train_aborts_on_divergence_with_last_good():
 # Ranking
 
 
+def scored(params, query_terms, candidates):
+    return [(doc_id, score(params, query_terms, terms)) for doc_id, terms in candidates]
+
+
 def test_rank_single_candidate():
     _, params = random_corpus_params(29)
-    out = rank(params, ("a",), [("dX", ("b", "c"))])
+    out = rank_by_scores(scored(params, ("a",), [("dX", ("b", "c"))]), None)
     assert len(out) == 1
     assert out[0][0] == "dX"
 
@@ -389,7 +392,7 @@ def test_rank_zero_params_sorts_by_doc_id():
         layer.weights[:] = 0.0
         layer.bias[:] = 0.0
     cands = [("dz", ("a",)), ("da", ("b",)), ("dm", ("c",))]
-    out = rank(params, ("a",), cands)
+    out = rank_by_scores(scored(params, ("a",), cands), None)
     assert [doc_id for doc_id, _ in out] == ["da", "dm", "dz"]
     assert all(s == 0.0 for _, s in out)
 
@@ -397,29 +400,15 @@ def test_rank_zero_params_sorts_by_doc_id():
 def test_rank_input_order_invariance():
     _, params = random_corpus_params(31)
     cands = [("d1", ("a", "b")), ("d2", ("c",)), ("d3", ("d", "e")), ("d4", ("f",))]
-    fwd = rank(params, ("a", "c"), cands)
-    rev = rank(params, ("a", "c"), list(reversed(cands)))
+    fwd = rank_by_scores(scored(params, ("a", "c"), cands), None)
+    rev = rank_by_scores(scored(params, ("a", "c"), list(reversed(cands))), None)
     assert fwd == rev
 
 
 def test_rank_cutoff():
     _, params = random_corpus_params(32)
     cands = [(f"d{i}", ("a", "b")) for i in range(5)]
-    assert len(rank(params, ("a",), cands, cutoff=3)) == 3
-
-
-def test_rank_invariant_under_monotone_transform():
-    scored = [("d1", 0.3), ("d2", -0.5), ("d3", 0.9), ("d4", 0.3), ("d5", 0.0)]
-    plain = rank_by_scores(scored, None)
-    for transform in (lambda s: math.atan(3 * s) + s**3, lambda s: 100 * s + 7):
-        warped = rank_by_scores(scored, None, score_transform=transform)
-        assert [d for d, _ in warped] == [d for d, _ in plain]
-
-
-def test_rank_rejects_empty_candidates():
-    _, params = random_corpus_params(33)
-    with pytest.raises(ValueError):
-        rank(params, ("a",), [])
+    assert len(rank_by_scores(scored(params, ("a",), cands), 3)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +498,10 @@ def test_model_checkpoint_round_trip(tmp_path):
     assert loaded.vocabulary == params.vocabulary
     assert np.array_equal(loaded.embedding, params.embedding)
     assert np.array_equal(loaded.term_weights, params.term_weights)
+    assert len(loaded.layers) == len(params.layers)
     for a, b in zip(loaded.layers, params.layers):
         assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.bias, b.bias)
         assert a.activation == b.activation
     # scores from the reloaded model are bit-identical
     assert score(loaded, ("a",), ("b", "c")) == score(params, ("a",), ("b", "c"))
