@@ -1,5 +1,11 @@
 """Tokenization, inverted index, BM25 scoring, and pair annotation.
 
+The index keeps its postings in CSR form, the same arrays index.bin
+stores: one flat int64 array of (doc index, tf) pairs grouped by term
+index and sorted by doc index within a term, plus |V| + 1 term offsets
+into it. BM25 search reads them term at a time into a dense score
+accumulator.
+
 The index is built once and then treated as immutable; scoring and
 annotation only read it, so they can safely run concurrently across
 queries.
@@ -8,6 +14,7 @@ queries.
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -107,48 +114,46 @@ class Vocabulary:
 
 
 class InvertedIndex:
-    """Postings plus the corpus statistics backing IDF and BM25.
+    """CSR postings plus the corpus statistics backing IDF and BM25.
 
-    postings[t] is a list of (doc index, term frequency) pairs sorted by doc
-    index. A per-document transpose (term indices and counts as arrays) is
-    kept alongside so scorers can build document representations without
-    walking the full vocabulary.
+    postings is an (nnz, 2) int64 array of (doc index, term frequency) rows
+    grouped by term index and sorted by doc index within a term; term t owns
+    rows offsets[t]:offsets[t + 1]. A doc-major copy of the rows (each
+    document's term indices and counts, by term index) backs bm25_score and
+    doc_terms.
     """
 
-    def __init__(self, vocabulary, postings, doc_ids, doc_lengths):
+    def __init__(self, vocabulary, postings, offsets, doc_ids, doc_lengths):
         self.vocabulary = vocabulary
         self.postings = postings
+        self.offsets = offsets
         self.doc_ids = list(doc_ids)
-        self.doc_lengths = list(doc_lengths)
+        self.doc_lengths = doc_lengths
         self.doc_count = len(self.doc_ids)
         self.avg_doc_length = (
-            sum(self.doc_lengths) / self.doc_count if self.doc_count else 0.0
+            int(doc_lengths.sum()) / self.doc_count if self.doc_count else 0.0
         )
-        self._doc_term_idx = [[] for _ in range(self.doc_count)]
-        self._doc_term_tf = [[] for _ in range(self.doc_count)]
-        for t, plist in enumerate(postings):
-            for d, tf in plist:
-                self._doc_term_idx[d].append(t)
-                self._doc_term_tf[d].append(tf)
-        self._doc_term_idx = [np.asarray(a, dtype=np.int64) for a in self._doc_term_idx]
-        self._doc_term_tf = [np.asarray(a, dtype=np.float64) for a in self._doc_term_tf]
+        by_doc = np.argsort(postings[:, 0], kind="stable")
+        row_terms = np.repeat(np.arange(len(vocabulary)), np.diff(offsets))
+        self._doc_term_idx, self._doc_term_tf = row_terms[by_doc], postings[by_doc, 1]
+        self._doc_offsets = np.searchsorted(postings[by_doc, 0],
+                                            np.arange(self.doc_count + 1))
+        # each document's position in ascending doc_id order breaks score ties
+        self._id_rank = np.argsort(
+            sorted(range(self.doc_count), key=self.doc_ids.__getitem__))
 
     def df(self, term):
         idx = self.vocabulary.index_of(term)
-        return len(self.postings[idx]) if idx is not None else 0
+        return int(self.offsets[idx + 1] - self.offsets[idx]) if idx is not None else 0
 
     def idf(self, term):
         """Smoothed inverse document frequency, ln((N + 1) / (df + 1))."""
         return math.log((self.doc_count + 1) / (self.df(term) + 1))
 
-    def term_frequency(self, term, doc_index):
-        idx = self.vocabulary.index_of(term)
-        if idx is None:
-            return 0
-        for d, tf in self.postings[idx]:
-            if d == doc_index:
-                return tf
-        return 0
+    def _doc_rows(self, doc_index):
+        """Term indices (ascending) and their counts in one document."""
+        lo, hi = self._doc_offsets[doc_index], self._doc_offsets[doc_index + 1]
+        return self._doc_term_idx[lo:hi], self._doc_term_tf[lo:hi]
 
     def bm25_score(self, query_terms, doc_index, k1=BM25_K1, b=BM25_B):
         """Okapi BM25 with +1-smoothed idf; repeated query terms add up."""
@@ -156,13 +161,16 @@ class InvertedIndex:
             raise ValueError(
                 f"doc_index {doc_index} out of range for {self.doc_count} documents"
             )
-        dl = self.doc_lengths[doc_index]
+        dl = int(self.doc_lengths[doc_index])
         norm = k1 * (1.0 - b + b * dl / self.avg_doc_length) if self.avg_doc_length else k1
+        terms, tfs = self._doc_rows(doc_index)
         score = 0.0
         for term in query_terms:
-            tf = self.term_frequency(term, doc_index)
-            if tf == 0:
+            idx = self.vocabulary.index_of(term)
+            pos = int(np.searchsorted(terms, idx)) if idx is not None else len(terms)
+            if pos == len(terms) or terms[pos] != idx:
                 continue
+            tf = int(tfs[pos])
             df = self.df(term)
             idf = math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
             score += idf * tf * (k1 + 1.0) / (tf + norm)
@@ -172,34 +180,41 @@ class InvertedIndex:
         """Top-k documents containing at least one query term.
 
         Returns (doc_indices, scores) ranked by BM25 descending, ties broken
-        by ascending doc_id. Scores are computed with bm25_score so they are
+        by ascending doc_id. Scores are accumulated term at a time, in query
+        term order and with bm25_score's expression order, so they are
         bit-identical to a direct per-document evaluation.
         """
-        candidates = set()
-        for term in set(query_terms):
+        scores = np.zeros(self.doc_count)
+        hit = np.zeros(self.doc_count, dtype=bool)
+        for term in query_terms:
             idx = self.vocabulary.index_of(term)
-            if idx is not None:
-                candidates.update(d for d, _ in self.postings[idx])
-        scored = [(d, self.bm25_score(query_terms, d)) for d in sorted(candidates)]
-        scored.sort(key=lambda pair: (-pair[1], self.doc_ids[pair[0]]))
-        top = scored[:k]
-        return [d for d, _ in top], [s for _, s in top]
+            if idx is None:
+                continue
+            docs, tf = self.postings[self.offsets[idx]:self.offsets[idx + 1]].T
+            norm = BM25_K1 * (1.0 - BM25_B + BM25_B * self.doc_lengths[docs]
+                              / self.avg_doc_length)
+            df = len(docs)
+            idf = math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
+            scores[docs] += idf * tf * (BM25_K1 + 1.0) / (tf + norm)
+            hit[docs] = True
+        found = np.flatnonzero(hit)
+        top = found[np.lexsort((self._id_rank[found], -scores[found]))][:k]
+        return top.tolist(), scores[top].tolist()
 
     def doc_terms(self, doc_index):
         """Document term list in canonical order (by term index, tf-expanded)."""
-        idx, tf = self._doc_term_idx[doc_index], self._doc_term_tf[doc_index]
+        terms, tfs = self._doc_rows(doc_index)
         out = []
-        for t, n in zip(idx, tf):
-            out.extend([self.vocabulary.term(int(t))] * int(n))
+        for t, n in zip(terms.tolist(), tfs.tolist()):
+            out.extend([self.vocabulary.term(t)] * n)
         return tuple(out)
 
 
 def build_index(documents):
     """Tokenize documents and build the inverted index with exact statistics."""
     vocabulary = Vocabulary()
-    postings = []
-    doc_ids = []
-    doc_lengths = []
+    doc_ids, doc_lengths = [], []
+    terms_col, docs_col, tfs_col = [], [], []
     seen = set()
     for d, doc in enumerate(documents):
         if doc.doc_id in seen:
@@ -208,15 +223,16 @@ def build_index(documents):
         doc_ids.append(doc.doc_id)
         terms = tokenize(doc.text)
         doc_lengths.append(len(terms))
-        counts = {}
-        for t in terms:
-            idx = vocabulary.add(t)
-            counts[idx] = counts.get(idx, 0) + 1
-        while len(postings) < len(vocabulary):
-            postings.append([])
-        for idx in sorted(counts):
-            postings[idx].append((d, counts[idx]))
-    return InvertedIndex(vocabulary, postings, doc_ids, doc_lengths)
+        counts = Counter(vocabulary.add(t) for t in terms)
+        terms_col.extend(counts)
+        docs_col.extend([d] * len(counts))
+        tfs_col.extend(counts.values())
+    terms_col = np.asarray(terms_col, dtype=np.int64)
+    by_term = np.argsort(terms_col, kind="stable")  # a term's rows stay in doc order
+    postings = np.array([docs_col, tfs_col], dtype=np.int64).T[by_term]
+    offsets = np.searchsorted(terms_col[by_term], np.arange(len(vocabulary) + 1))
+    return InvertedIndex(vocabulary, postings, offsets, doc_ids,
+                         np.asarray(doc_lengths, dtype=np.int64))
 
 
 @dataclass
@@ -447,37 +463,51 @@ def read_annotations(path, queries, index):
 
 def save_index(path, index):
     """Serialize the index to a versioned binary artifact (byte-stable)."""
-    flat = []
-    offsets = [0]
-    for plist in index.postings:
-        for d, tf in plist:
-            flat.extend((d, tf))
-        offsets.append(len(flat) // 2)
     meta = {
         "kind": "inverted-index",
         "doc_ids": index.doc_ids,
         "vocabulary": list(index.vocabulary.terms),
     }
     arrays = [
-        ("doc_lengths", np.asarray(index.doc_lengths, dtype=np.int64)),
-        ("postings_flat", np.asarray(flat, dtype=np.int64)),
-        ("postings_offsets", np.asarray(offsets, dtype=np.int64)),
+        ("doc_lengths", index.doc_lengths),
+        ("postings_flat", index.postings.reshape(-1)),
+        ("postings_offsets", index.offsets),
     ]
     write_container(path, INDEX_MAGIC, INDEX_VERSION, meta, arrays)
 
 
 def load_index(path):
+    """Read an index written by save_index; malformed arrays raise ValueError."""
     _, meta, arrays = read_container(path, INDEX_MAGIC, INDEX_VERSION)
     vocabulary = Vocabulary(meta["vocabulary"])
-    flat = arrays["postings_flat"].reshape(-1, 2)
-    offsets = arrays["postings_offsets"]
-    postings = []
-    for t in range(len(vocabulary)):
-        lo, hi = offsets[t], offsets[t + 1]
-        postings.append([(int(d), int(tf)) for d, tf in flat[lo:hi]])
-    return InvertedIndex(
-        vocabulary,
-        postings,
-        meta["doc_ids"],
-        [int(x) for x in arrays["doc_lengths"]],
-    )
+    _check_index_arrays(path, len(vocabulary), len(meta["doc_ids"]), arrays)
+    return InvertedIndex(vocabulary, arrays["postings_flat"].reshape(-1, 2),
+                         arrays["postings_offsets"], meta["doc_ids"], arrays["doc_lengths"])
+
+
+def _check_index_arrays(path, n_terms, n_docs, arrays):
+    """Reject arrays that fancy indexing would misread (negative docs wrap)."""
+    flat, offsets = arrays["postings_flat"], arrays["postings_offsets"]
+
+    def require(ok, array, problem):
+        if not ok:
+            raise ValueError(f"{path}: malformed {array}: {problem}")
+
+    require(flat.ndim == 1 and flat.size % 2 == 0, "postings_flat",
+            "expected a flat run of (doc, tf) pairs")
+    docs, tfs = flat[0::2], flat[1::2]
+    nnz = len(docs)
+    require(offsets.shape == (n_terms + 1,) and offsets[0] == 0 and offsets[-1] == nnz
+            and np.all(np.diff(offsets) >= 0), "postings_offsets",
+            f"expected {n_terms + 1} nondecreasing offsets from 0 to {nnz}")
+    require(np.all((docs >= 0) & (docs < n_docs)), "postings_flat",
+            f"doc index outside [0, {n_docs})")
+    term_start = np.zeros(nnz + 1, dtype=bool)
+    term_start[offsets] = True
+    require(np.all((np.diff(docs) > 0) | term_start[1:nnz]), "postings_flat",
+            "doc indices not strictly increasing within a term")
+    require(np.all(tfs >= 1), "postings_flat", "term frequency below 1")
+    lengths = arrays["doc_lengths"]
+    require(lengths.shape == (n_docs,) and np.array_equal(
+        np.bincount(docs, weights=tfs, minlength=n_docs), lengths), "doc_lengths",
+        f"expected {n_docs} lengths, each the tf sum of its document")

@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 import platform
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +53,12 @@ from .ranker import (
 )
 
 MODES = ("weak", "supervised", "distill", "pate")
+
+# every name run_pipeline writes into its output directory; a run removes
+# them all first so that no artifact of an earlier run outlives it
+_RUN_FILES = ("index.bin", "manifest.json", "metrics.txt", "metrics.json",
+              "report.json", "FAILED")
+_RUN_DIRS = ("annotations", "checkpoints", "runs", "shards")
 
 # component seeds = master seed + fixed offset (recorded in the manifest)
 SEED_OFFSETS = {
@@ -342,11 +349,13 @@ def run_pipeline(config, mode, jobs=1):
 
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    failed_marker = out / "FAILED"
-    if failed_marker.exists():
-        failed_marker.unlink()
+    for name in _RUN_FILES:
+        (out / name).unlink(missing_ok=True)
+    for name in _RUN_DIRS:
+        if (out / name).exists():
+            shutil.rmtree(out / name)
     for sub in ("annotations", "checkpoints", "runs"):
-        (out / sub).mkdir(exist_ok=True)
+        (out / sub).mkdir()
 
     plan = seed_plan(config.seed)
     input_hashes = {

@@ -3,11 +3,14 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimicrank.corpus import (
+    INDEX_MAGIC,
+    INDEX_VERSION,
     Document,
     Query,
     TrainingInstance,
@@ -21,6 +24,7 @@ from mimicrank.corpus import (
     tokenize,
     write_annotations,
 )
+from mimicrank.serialize import read_container, write_container
 
 
 def docs(*texts):
@@ -43,8 +47,12 @@ def test_build_index_hand_counts():
     index = build_index(docs("a b", "b b c"))
     assert index.doc_count == 2
     assert index.avg_doc_length == 2.5
-    b = index.vocabulary.index_of("b")
-    assert index.postings[b] == [(0, 1), (1, 2)]
+    assert index.doc_lengths.tolist() == [2, 3]
+    assert index.vocabulary.terms == ("a", "b", "c")
+    # (doc, tf) rows grouped by term: a | b b | c
+    assert index.postings.tolist() == [[0, 1], [0, 1], [1, 2], [1, 1]]
+    assert index.offsets.tolist() == [0, 1, 3, 4]
+    assert index.df("b") == 2
 
 
 def test_build_index_empty_corpus():
@@ -55,8 +63,9 @@ def test_build_index_empty_corpus():
 
 def test_build_index_single_doc_repeated_term():
     index = build_index(docs("x x x"))
-    x = index.vocabulary.index_of("x")
-    assert index.postings[x] == [(0, 3)]
+    assert index.postings.tolist() == [[0, 3]]
+    assert index.offsets.tolist() == [0, 1]
+    assert index.doc_terms(0) == ("x", "x", "x")
     assert index.avg_doc_length == 3
 
 
@@ -184,12 +193,14 @@ def test_bm25_additive_over_query_terms(token_lists, q1, q2):
 def test_posting_frequencies_match_naive_recount(token_lists):
     texts = [" ".join(toks) for toks in token_lists]
     index = build_index([Document(f"d{i}", t) for i, t in enumerate(texts)])
-    naive = Counter()
-    for t in texts:
-        naive.update(tokenize(t))
-    for term, total in naive.items():
-        idx = index.vocabulary.index_of(term)
-        assert sum(tf for _, tf in index.postings[idx]) == total
+    naive = {}
+    for d, t in enumerate(texts):
+        for term, tf in Counter(tokenize(t)).items():
+            naive.setdefault(index.vocabulary.index_of(term), []).append([d, tf])
+    assert index.offsets[0] == 0
+    for idx in range(len(index.vocabulary)):
+        rows = index.postings[index.offsets[idx]:index.offsets[idx + 1]]
+        assert rows.tolist() == naive[idx]  # doc indices ascending
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +227,26 @@ def test_search_truncates_to_k():
     assert scores == sorted(scores, reverse=True)
 
 
-def test_search_scores_match_direct_evaluation():
-    index = build_index(docs("a b c", "a a", "b c d", "zzz"))
-    query = ["a", "b"]
-    ids, scores = index.search(query, 10)
-    for d, s in zip(ids, scores):
-        assert s == index.bm25_score(query, d)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from("abcd"), max_size=5), min_size=1, max_size=12),
+    st.lists(st.sampled_from("abcdz"), max_size=6),
+    st.data(),
+)
+def test_search_scores_match_direct_evaluation(token_lists, query, data):
+    # shuffled ids put doc_id order apart from doc index order, and the small
+    # alphabet makes equal documents, hence exact score ties, common
+    ids = data.draw(st.permutations(range(len(token_lists))))
+    index = build_index(
+        [Document(f"d{i}", " ".join(toks)) for i, toks in zip(ids, token_lists)])
+    k = data.draw(st.integers(min_value=0, max_value=len(token_lists) + 2))
+    holders = [d for d in range(index.doc_count) if set(query) & set(index.doc_terms(d))]
+    expected = sorted(holders, key=lambda d: (-index.bm25_score(query, d),
+                                               index.doc_ids[d]))[:k]
+    got, scores = index.search(query, k)
+    assert got == expected
+    assert scores == [index.bm25_score(query, d) for d in expected]
+    assert all(type(d) is int for d in got) and all(type(s) is float for s in scores)
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +398,60 @@ def test_index_save_load_round_trip(tmp_path):
     index = build_index(docs("a b c", "a a d", "b d", ""))
     path = tmp_path / "index.bin"
     save_index(path, index)
+    # the on-disk layout, counted by hand: (doc, tf) pairs of a | b | c | d
+    _, meta, arrays = read_container(path, INDEX_MAGIC, INDEX_VERSION)
+    assert meta["vocabulary"] == ["a", "b", "c", "d"]
+    assert arrays["postings_flat"].tolist() == [0, 1, 1, 2, 0, 1, 2, 1, 0, 1, 1, 1, 2, 1]
+    assert arrays["postings_offsets"].tolist() == [0, 2, 4, 5, 7]
+    assert arrays["doc_lengths"].tolist() == [3, 3, 2, 0]
     loaded = load_index(path)
     assert loaded.doc_ids == index.doc_ids
-    assert loaded.doc_lengths == index.doc_lengths
+    assert np.array_equal(loaded.doc_lengths, index.doc_lengths)
     assert loaded.vocabulary == index.vocabulary
-    assert loaded.postings == index.postings
+    assert np.array_equal(loaded.postings, index.postings)
+    assert np.array_equal(loaded.offsets, index.offsets)
     assert loaded.avg_doc_length == index.avg_doc_length
+    assert [loaded.doc_terms(d) for d in range(4)] == [index.doc_terms(d) for d in range(4)]
     # rewriting the loaded index reproduces the file byte for byte
     path2 = tmp_path / "index2.bin"
     save_index(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _set(position, value):
+    def edit(arr):
+        arr = arr.copy()
+        arr[position] = value
+        return arr
+
+    return edit
+
+
+# index of docs("a b c", "a a d", "b d"): postings_flat pairs a (0,1) (1,2) |
+# b (0,1) (2,1) | c (0,1) | d (1,1) (2,1), offsets [0, 2, 4, 5, 7], lengths
+# [3, 3, 2]; each corruption breaks one rule and the load names the array
+@pytest.mark.parametrize("array, edit", [
+    ("postings_offsets", lambda a: np.append(a, 7)),  # |V| + 2 entries
+    ("postings_offsets", _set(0, 1)),  # does not start at 0
+    ("postings_offsets", _set(1, 5)),  # decreases
+    ("postings_offsets", _set(4, 6)),  # does not end at nnz
+    ("postings_flat", lambda a: a[:-1]),  # not (doc, tf) pairs
+    ("postings_flat", _set(0, -1)),  # negative doc index
+    ("postings_flat", _set(2, 3)),  # doc index == N
+    ("postings_flat", lambda a: np.concatenate([a[2:4], a[0:2], a[4:]])),  # a's docs 1, 0
+    ("postings_flat", _set(6, 0)),  # b's docs 0, 0
+    ("postings_flat", _set(1, 0)),  # tf 0
+    ("doc_lengths", lambda a: np.append(a, 0)),  # N + 1 entries
+    ("doc_lengths", _set(1, 4)),  # not the tf sum of doc 1
+], ids=["offsets-length", "offsets-start", "offsets-decrease", "offsets-end",
+        "flat-odd", "doc-negative", "doc-too-large", "docs-unsorted",
+        "docs-repeated", "tf-zero", "lengths-count", "lengths-sum"])
+def test_load_index_rejects_corrupt_arrays(tmp_path, array, edit):
+    path = tmp_path / "index.bin"
+    save_index(path, build_index(docs("a b c", "a a d", "b d")))
+    version, meta, arrays = read_container(path, INDEX_MAGIC, INDEX_VERSION)
+    arrays[array] = edit(arrays[array])
+    write_container(path, INDEX_MAGIC, version, meta, list(arrays.items()))
+    with pytest.raises(ValueError) as err:
+        load_index(path)
+    assert str(path) in str(err.value) and array in str(err.value)

@@ -295,6 +295,24 @@ def test_pipeline_failure_leaves_marker_and_partial_artifacts(workspace, tmp_pat
     assert not (out / "FAILED").exists()
 
 
+def test_rerun_in_another_mode_leaves_only_its_own_artifacts(workspace, tmp_path):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    reused.mkdir()
+    (reused / "notes.txt").write_text("not a run artifact\n", encoding="utf-8")
+    run_pipeline(base_config(workspace, reused), "pate")
+    run_pipeline(base_config(workspace, reused), "weak")
+    run_pipeline(base_config(workspace, fresh), "weak")
+
+    def tree(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()}
+
+    left, expected = tree(reused), tree(fresh)
+    assert left.pop("notes.txt") == b"not a run artifact\n"
+    assert sorted(left) == sorted(expected)
+    assert left == expected
+
+
 def test_pipeline_malformed_input_leaves_marker(workspace, tmp_path):
     out = tmp_path / "malformed"
     run_pipeline(base_config(workspace, out), "weak")
