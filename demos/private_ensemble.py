@@ -43,19 +43,28 @@ privacy = PrivacyConfig(n_partitions=3, noise_scale=0.2, seed=5)
 ensemble = train_teachers(shards, model_config, index, epochs=8,
                           base_seed=5, privacy_config=privacy)
 
-# pairs to probe agreement on: the annotated pools themselves
-pairs = [(i.query_terms, i.doc1_terms, i.doc2_terms) for i in instances[:400]]
+# pairs to probe agreement on: the annotated pairs, in the BM25 pools they
+# were drawn from; every scorer scores a whole pool at once
+pools = []
+for query in collection.train_queries:
+    pool, _ = index.search(query.terms, 30)
+    at = {index.doc_ids[d]: i for i, d in enumerate(pool)}
+    pairs = [(at[i.doc1_id], at[i.doc2_id])
+             for i in instances if i.query_id == query.query_id]
+    pools.append((query.terms, [index.doc_rows(d) for d in pool], pairs))
+print("probe pairs:", sum(len(pairs) for _, _, pairs in pools))
+
 quiet = dataclasses.replace(
     ensemble, config=PrivacyConfig(n_partitions=3, noise_scale=0.0, seed=5))
 exact = pairwise_agreement(
-    lambda q, d: noisy_aggregate(quiet, q, d),
-    lambda q, d: teacher_mean(ensemble, q, d), pairs)
+    lambda q, rows: noisy_aggregate(quiet, q, rows),
+    lambda q, rows: teacher_mean(ensemble, q, rows), pools)
 print(f"aggregate vs mean, noise 0.0: agreement {exact}")
 
 rng = np.random.default_rng(11)
 noisy = pairwise_agreement(
-    lambda q, d: noisy_aggregate(ensemble, q, d, rng),
-    lambda q, d: teacher_mean(ensemble, q, d), pairs)
+    lambda q, rows: noisy_aggregate(ensemble, q, rows, rng),
+    lambda q, rows: teacher_mean(ensemble, q, rows), pools)
 print(f"aggregate vs mean, noise {privacy.noise_scale}: agreement {noisy:.4f}")
 
 result = pate_distill(ensemble, model_config, collection.unlabeled_queries,

@@ -119,8 +119,8 @@ class InvertedIndex:
     postings is an (nnz, 2) int64 array of (doc index, term frequency) rows
     grouped by term index and sorted by doc index within a term; term t owns
     rows offsets[t]:offsets[t + 1]. A doc-major copy of the rows (each
-    document's term indices and counts, by term index) backs bm25_score and
-    doc_terms.
+    document's term indices and counts, by term index) backs doc_rows,
+    bm25_score and doc_terms.
     """
 
     def __init__(self, vocabulary, postings, offsets, doc_ids, doc_lengths):
@@ -150,8 +150,12 @@ class InvertedIndex:
         """Smoothed inverse document frequency, ln((N + 1) / (df + 1))."""
         return math.log((self.doc_count + 1) / (self.df(term) + 1))
 
-    def _doc_rows(self, doc_index):
-        """Term indices (ascending) and their counts in one document."""
+    def doc_rows(self, doc_index):
+        """Term indices (ascending, unique) and their counts in one document.
+
+        These are the (indices, counts) that ranker.term_index_counts gives
+        for doc_terms(doc_index) under this index's vocabulary.
+        """
         lo, hi = self._doc_offsets[doc_index], self._doc_offsets[doc_index + 1]
         return self._doc_term_idx[lo:hi], self._doc_term_tf[lo:hi]
 
@@ -163,7 +167,7 @@ class InvertedIndex:
             )
         dl = int(self.doc_lengths[doc_index])
         norm = k1 * (1.0 - b + b * dl / self.avg_doc_length) if self.avg_doc_length else k1
-        terms, tfs = self._doc_rows(doc_index)
+        terms, tfs = self.doc_rows(doc_index)
         score = 0.0
         for term in query_terms:
             idx = self.vocabulary.index_of(term)
@@ -203,7 +207,7 @@ class InvertedIndex:
 
     def doc_terms(self, doc_index):
         """Document term list in canonical order (by term index, tf-expanded)."""
-        terms, tfs = self._doc_rows(doc_index)
+        terms, tfs = self.doc_rows(doc_index)
         out = []
         for t, n in zip(terms.tolist(), tfs.tolist()):
             out.extend([self.vocabulary.term(t)] * n)
@@ -443,6 +447,8 @@ def read_annotations(path, queries, index):
                 s1, s2 = float(s1_raw), float(s2_raw)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed score") from exc
+            if not (math.isfinite(s1) and math.isfinite(s2)):
+                raise ValueError(f"{path}:{lineno}: non-finite score")
             if s1 == s2:
                 dropped_ties += 1
                 continue

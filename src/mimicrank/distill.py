@@ -12,9 +12,20 @@ construction up to the labeling function.
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import seeding
 from .corpus import annotate_pools
-from .ranker import RankModelParams, init_params, load_model, score, train
+from .ranker import (
+    RankModelParams,
+    check_index_vocabulary,
+    init_params,
+    load_model,
+    represent,
+    score_batch,
+    score_pool,
+    train,
+)
 
 DEFAULT_POOL_SIZE = 100
 DEFAULT_PAIRS_PER_QUERY = 20
@@ -38,14 +49,17 @@ class DistillResult:
 
 
 def model_labels(params, index):
-    """Labeler that scores each pool document with one model.
+    """Labeler that scores a whole pool with one forward of one model.
 
-    Returns label_fn(query, pool doc indices, query position) -> score list,
-    the protocol of annotate_pools and pipeline.model_run.
+    Returns label_fn(query, pool doc indices, query position) -> score
+    array, the protocol of annotate_pools and pipeline.model_run. Pool
+    documents are the index's CSR rows, so the model must share the
+    index's vocabulary; a mismatch raises ValueError here.
     """
+    check_index_vocabulary(params, index)
 
     def labels(query, pool, qpos):
-        return [score(params, query.terms, index.doc_terms(d)) for d in pool]
+        return score_pool(params, query.terms, [index.doc_rows(d) for d in pool])
 
     return labels
 
@@ -67,17 +81,19 @@ def label_agreement(params, instances):
     """Fraction of instances whose label preference the model reproduces.
 
     Model ties count as disagreement (the model expresses no preference).
+    Both documents of every instance are scored in one forward.
     """
     if not instances:
         return None
-    agree = 0
-    for inst in instances:
-        s1 = score(params, inst.query_terms, inst.doc1_terms)
-        s2 = score(params, inst.query_terms, inst.doc2_terms)
-        label_prefers_first = inst.s1 > inst.s2
-        if s1 != s2 and (s1 > s2) == label_prefers_first:
-            agree += 1
-    return agree / len(instances)
+    n = len(instances)
+    queries = [represent(params, inst.query_terms) for inst in instances]
+    docs = ([represent(params, inst.doc1_terms) for inst in instances]
+            + [represent(params, inst.doc2_terms) for inst in instances])
+    scores = score_batch(params, np.array(queries * 2), np.array(docs))
+    s1, s2 = scores[:n], scores[n:]
+    label_prefers_first = np.array([inst.s1 > inst.s2 for inst in instances])
+    agree = (s1 != s2) & ((s1 > s2) == label_prefers_first)
+    return int(agree.sum()) / n
 
 
 def mimic_train(label_fn, student_config, unlabeled, index, epochs, seed,
@@ -86,7 +102,7 @@ def mimic_train(label_fn, student_config, unlabeled, index, epochs, seed,
                 heldout_fraction=0.1, embedding_file=None):
     """Generic mimic pipeline: label pools, hold out pairs, train a student.
 
-    label_fn(query, pool doc indices, query position) -> score list. Every
+    label_fn(query, pool doc indices, query position) -> scores. Every
     sub-stage derives its randomness from `seed` plus a fixed tag, so two
     labelers that return identical scores produce byte-identical students.
     """

@@ -308,7 +308,7 @@ def model_run(index, queries, label_fn, pool_size, cutoff, jobs=1):
         qpos, q = args
         pool, _ = index.search(q.terms, pool_size)
         labels = label_fn(q, pool, qpos)
-        scored = [(index.doc_ids[d], s) for d, s in zip(pool, labels)]
+        scored = [(index.doc_ids[d], float(s)) for d, s in zip(pool, labels)]
         return q.query_id, rank_by_scores(scored, cutoff)
 
     if jobs > 1:
@@ -322,15 +322,15 @@ def model_run(index, queries, label_fn, pool_size, cutoff, jobs=1):
 
 
 def _eval_pairs(index, queries, depth=6):
-    """Deterministic (q, d1, d2) sample: adjacent docs in each BM25 pool."""
-    pairs = []
+    """Deterministic pools for pairwise_agreement: each query's BM25 top
+    `depth` documents as index rows, paired with their neighbours."""
+    pools = []
     for q in queries:
         pool, _ = index.search(q.terms, depth)
-        for i in range(len(pool) - 1):
-            pairs.append(
-                (q.terms, index.doc_terms(pool[i]), index.doc_terms(pool[i + 1]))
-            )
-    return pairs
+        if len(pool) > 1:
+            pools.append((q.terms, [index.doc_rows(d) for d in pool],
+                          [(i, i + 1) for i in range(len(pool) - 1)]))
+    return pools
 
 
 def _write_json(path, payload):
@@ -573,11 +573,10 @@ def run_pipeline(config, mode, jobs=1):
             ]
             # exactness property: the noise-free aggregate must order pairs
             # exactly like the plain teacher mean
-            pairs = _eval_pairs(index, eval_queries)
             report["agreement_nonnoisy_vs_mean"] = pairwise_agreement(
-                lambda q, d: noisy_aggregate(quiet_ensemble, q, d),
-                lambda q, d: teacher_mean(ensemble, q, d),
-                pairs,
+                lambda q, rows: noisy_aggregate(quiet_ensemble, q, rows),
+                lambda q, rows: teacher_mean(ensemble, q, rows),
+                _eval_pairs(index, eval_queries),
             )
             report["noisy_vs_nonnoisy"] = {
                 "map_delta": reports["aggregate_noisy"].mean_ap

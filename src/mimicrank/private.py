@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import seeding
 from .corpus import write_annotations
 from .distill import (
@@ -20,7 +22,14 @@ from .distill import (
     DEFAULT_POOL_SIZE,
     mimic_train,
 )
-from .ranker import init_params, load_model, save_model, score, train
+from .ranker import (
+    check_index_vocabulary,
+    init_params,
+    load_model,
+    save_model,
+    score_pool,
+    train,
+)
 
 NOISE_TAG = 7  # extends (seed, query position) into the per-query noise stream
 
@@ -152,47 +161,55 @@ def draw_uniform(rng):
     return u
 
 
-def noisy_aggregate(ensemble, query_terms, doc_terms, rng=None):
-    """(1/n)·Σ_i (score_i + Laplace(scale)); noise injected before the mean.
+def noisy_aggregate(ensemble, query_terms, doc_rows, rng=None):
+    """(1/n)·Σ_i (score_i + Laplace(scale)) for every document of a pool.
 
-    Noise is drawn per teacher, in teacher order. Summation is left to right
-    over teacher index, so with noise_scale 0 the result equals teacher_mean
-    bitwise.
+    doc_rows: the pool's (term indices, counts) rows; each teacher scores
+    the pool in one forward. Noise is drawn per (document, teacher),
+    document-major and teacher-minor. Teacher contributions are summed
+    left to right from 0.0, so with noise_scale 0 the result equals
+    teacher_mean bitwise. Returns an array of pool scores.
     """
     scale = ensemble.config.noise_scale
     if scale > 0.0 and rng is None:
         raise ValueError("noise_scale > 0 requires an rng")
-    acc = 0.0
-    for teacher in ensemble.teachers:
-        s = score(teacher, query_terms, doc_terms)
+    n_teachers = len(ensemble.teachers)
+    if scale > 0.0:
+        noise = np.array([laplace_sample(scale, draw_uniform(rng))
+                          for _ in range(len(doc_rows) * n_teachers)])
+        noise = noise.reshape(len(doc_rows), n_teachers)
+    acc = np.zeros(len(doc_rows))
+    for i, teacher in enumerate(ensemble.teachers):
+        s = score_pool(teacher, query_terms, doc_rows)
         if scale > 0.0:
-            s = s + laplace_sample(scale, draw_uniform(rng))
-        acc += s
-    return acc / len(ensemble.teachers)
+            s = s + noise[:, i]
+        acc = acc + s
+    return acc / n_teachers
 
 
-def teacher_mean(ensemble, query_terms, doc_terms):
-    """Noise-free mean of teacher scores, same summation order."""
-    acc = 0.0
+def teacher_mean(ensemble, query_terms, doc_rows):
+    """Noise-free mean of teacher pool scores, same summation order."""
+    acc = np.zeros(len(doc_rows))
     for teacher in ensemble.teachers:
-        acc += score(teacher, query_terms, doc_terms)
+        acc = acc + score_pool(teacher, query_terms, doc_rows)
     return acc / len(ensemble.teachers)
 
 
-def pairwise_agreement(score_a, score_b, pairs):
-    """Fraction of (q, d1, d2) triples where two scorers order the pair alike.
+def pairwise_agreement(score_a, score_b, pools):
+    """Fraction of document pairs that two pool scorers order alike.
 
-    A tie from either scorer counts as disagreement unless both tie.
+    pools: (query terms, doc rows, pairs) triples, where pairs holds (i, j)
+    positions into the pool; each scorer(query terms, doc rows) -> scores
+    runs once per pool. A tie from either scorer counts as disagreement
+    unless both tie. None when there are no pairs.
     """
-    if not pairs:
-        return None
-    agree = 0
-    for q, d1, d2 in pairs:
-        pref_a = _pref(score_a(q, d1), score_a(q, d2))
-        pref_b = _pref(score_b(q, d1), score_b(q, d2))
-        if pref_a == pref_b:
-            agree += 1
-    return agree / len(pairs)
+    agree = total = 0
+    for query_terms, doc_rows, pairs in pools:
+        a, b = score_a(query_terms, doc_rows), score_b(query_terms, doc_rows)
+        for i, j in pairs:
+            agree += _pref(a[i], a[j]) == _pref(b[i], b[j])
+        total += len(pairs)
+    return agree / total if total else None
 
 
 def _pref(s1, s2):
@@ -208,22 +225,22 @@ def _pref(s1, s2):
 
 
 def ensemble_labels(ensemble, index, tag):
-    """Labeler that scores each pool document with the noisy aggregate.
+    """Labeler that scores a whole pool with the noisy aggregate.
 
-    Returns label_fn(query, pool doc indices, query position) -> score list,
-    the protocol of annotate_pools and pipeline.model_run. Each call draws
-    its noise from its own stream, seeding.rng(privacy seed, query position,
-    tag), walked over the pool in order, so the labels depend neither on
-    the order in which queries are labeled nor on how they are split over
-    workers.
+    Returns label_fn(query, pool doc indices, query position) -> score
+    array, the protocol of annotate_pools and pipeline.model_run. Each call
+    draws its noise from its own stream, seeding.rng(privacy seed, query
+    position, tag), walked over the pool in order, so the labels depend
+    neither on the order in which queries are labeled nor on how they are
+    split over workers. The teachers must share the index's vocabulary; a
+    mismatch raises ValueError here.
     """
+    check_index_vocabulary(ensemble.teachers[0], index)
 
     def labels(query, pool, qpos):
         rng = seeding.rng(ensemble.config.seed, qpos, tag)
-        return [
-            noisy_aggregate(ensemble, query.terms, index.doc_terms(d), rng)
-            for d in pool
-        ]
+        return noisy_aggregate(ensemble, query.terms,
+                               [index.doc_rows(d) for d in pool], rng)
 
     return labels
 

@@ -3,7 +3,8 @@
 A query or document is represented as the weighted sum of its term
 embeddings (per-term scalar weights initialized from IDF). The scorer is a
 dense ReLU stack over [query repr ‖ doc repr] ending in a single tanh unit,
-trained on score-labeled document pairs and applied pointwise at inference.
+trained on score-labeled document pairs and applied pointwise at inference,
+where a whole candidate pool goes through the stack in one forward.
 """
 
 import dataclasses
@@ -122,20 +123,60 @@ def term_index_counts(vocabulary, terms, _cache=None):
     return pair
 
 
-def represent(params, terms, _cache=None):
-    """Weighted bag of embeddings: Σ count(t)·ω(t)·ε(t); empty/OOV → zeros."""
-    idx, counts = term_index_counts(params.vocabulary, tuple(terms), _cache)
-    if idx.size == 0:
-        return np.zeros(params.config.embedding_dim)
-    w = counts * params.term_weights[idx]
-    return w @ params.embedding[idx]
+def represent_rows(params, rows):
+    """Bag-of-embeddings matrix, one row per (term indices, counts) pair.
+
+    Each row is Σ count(t)·ω(t)·ε(t) over its terms, summed in the order
+    given (ascending unique indices in every caller); no terms give zeros.
+    """
+    out = np.zeros((len(rows), params.config.embedding_dim))
+    for i, (idx, counts) in enumerate(rows):
+        if idx.size:
+            out[i] = (counts * params.term_weights[idx]) @ params.embedding[idx]
+    return out
+
+
+def represent(params, terms):
+    """Weighted bag of embeddings of a term multiset; empty/OOV → zeros."""
+    pair = term_index_counts(params.vocabulary, tuple(terms))
+    return represent_rows(params, [pair])[0]
+
+
+def score_batch(params, query_reps, doc_reps):
+    """Scores in (−1, 1) of [query ‖ doc] rows with one forward, no dropout.
+
+    query_reps broadcasts against doc_reps (n, m), so one query
+    representation serves a whole pool. Returns a 1-D array of n scores.
+    """
+    x = np.concatenate([np.broadcast_to(query_reps, doc_reps.shape), doc_reps], axis=1)
+    out, _ = nn.forward(params.layers, x)
+    return out[:, 0]
+
+
+def score_pool(params, query_terms, doc_rows):
+    """Scores of one query against a pool of (term indices, counts) rows.
+
+    The rows must index params.vocabulary, as InvertedIndex.doc_rows does
+    when the model was built on that index (see check_index_vocabulary).
+    """
+    return score_batch(params, represent(params, query_terms),
+                       represent_rows(params, doc_rows))
 
 
 def score(params, query_terms, doc_terms):
-    """Pointwise score in (−1, 1); inference only, no dropout."""
-    x = np.concatenate([represent(params, query_terms), represent(params, doc_terms)])
-    out, _ = nn.forward(params.layers, x)
-    return float(out[0])
+    """Pointwise score in (−1, 1) of one (query, document) pair: a one-row pool."""
+    rows = [term_index_counts(params.vocabulary, tuple(doc_terms))]
+    return float(score_pool(params, query_terms, rows)[0])
+
+
+def check_index_vocabulary(params, index):
+    """Raise ValueError unless the model indexes terms as the index does."""
+    if params.vocabulary != index.vocabulary:
+        raise ValueError(
+            f"model vocabulary ({len(params.vocabulary)} terms) differs from "
+            f"the index vocabulary ({len(index.vocabulary)} terms); the model "
+            "was built on another index"
+        )
 
 
 def hinge_loss(instances, pair_scores):
@@ -171,15 +212,9 @@ def compute_loss_and_grads(params, batch, train=False, rng=None, _cache=None):
     d1_arrays = [term_index_counts(params.vocabulary, inst.doc1_terms, _cache) for inst in batch]
     d2_arrays = [term_index_counts(params.vocabulary, inst.doc2_terms, _cache) for inst in batch]
 
-    def rep(pair):
-        idx, counts = pair
-        if idx.size == 0:
-            return np.zeros(m)
-        return (counts * params.term_weights[idx]) @ params.embedding[idx]
-
-    q_reps = np.stack([rep(p) for p in q_arrays])
-    x1 = np.concatenate([q_reps, np.stack([rep(p) for p in d1_arrays])], axis=1)
-    x2 = np.concatenate([q_reps, np.stack([rep(p) for p in d2_arrays])], axis=1)
+    q_reps = represent_rows(params, q_arrays)
+    x1 = np.concatenate([q_reps, represent_rows(params, d1_arrays)], axis=1)
+    x2 = np.concatenate([q_reps, represent_rows(params, d2_arrays)], axis=1)
 
     keep = params.config.dropout_keep if train else 1.0
     out1, cache1 = nn.forward(params.layers, x1, dropout_keep=keep, train=train, rng=rng)

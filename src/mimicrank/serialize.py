@@ -51,24 +51,40 @@ def write_container(path, magic, version, meta, arrays):
 def read_container(path, magic, expect_version=None):
     """Read a container written by write_container.
 
-    Returns (version, meta, dict name -> ndarray).
+    Returns (version, meta, dict name -> ndarray). A file cut short anywhere,
+    a header that is not the JSON write_container writes, or bytes after the
+    last array raise ValueError naming the file.
     """
     with open(path, "rb") as fh:
+
+        def read(size, what):
+            buf = fh.read(size)
+            if len(buf) != size:
+                raise ValueError(f"{path}: truncated {what}")
+            return buf
+
         got = fh.read(4)
         if got != magic:
             raise ValueError(f"{path}: bad magic {got!r}, expected {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", read(4, "format version"))
         if expect_version is not None and version != expect_version:
             raise ValueError(f"{path}: unsupported format version {version}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        (header_len,) = struct.unpack("<Q", read(8, "header length"))
+        try:
+            header = json.loads(read(header_len, "header").decode("utf-8"))
+            meta, entries = header["meta"], header["arrays"]
+        except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as exc:
+            raise ValueError(f"{path}: malformed header: {exc}") from exc
         arrays = {}
-        for entry in header["arrays"]:
-            dtype = np.dtype(_DTYPE_TAGS[entry["dtype"]])
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            buf = fh.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
-                raise ValueError(f"{path}: truncated payload for array {entry['name']!r}")
+        for entry in entries:
+            try:
+                name, dtype = entry["name"], np.dtype(_DTYPE_TAGS[entry["dtype"]])
+                count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: malformed array entry {entry!r}") from exc
+            buf = read(count * dtype.itemsize, f"payload for array {name!r}")
             arr = np.frombuffer(buf, dtype=dtype).reshape(entry["shape"])
-            arrays[entry["name"]] = arr.copy()  # writable, native layout
-    return version, header["meta"], arrays
+            arrays[name] = arr.copy()  # writable, native layout
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last array")
+    return version, meta, arrays

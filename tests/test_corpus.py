@@ -394,6 +394,18 @@ def test_read_annotations_rejects_unknown_ids(tmp_path):
         read_annotations(path, queries, index)
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN"])
+def test_read_annotations_rejects_non_finite_scores(tmp_path, score):
+    index = build_index(docs("a b", "a c"))
+    queries = [Query("q1", ("a",))]
+    path = tmp_path / "ann.tsv"
+    for line in (f"q1\td0\td1\t{score}\t1.000000\n",
+                 f"q1\td0\td1\t1.000000\t{score}\n"):
+        path.write_text("q1\td0\td1\t1.000000\t2.000000\n" + line)
+        with pytest.raises(ValueError, match=f"{path}:2: non-finite score"):
+            read_annotations(path, queries, index)
+
+
 def test_index_save_load_round_trip(tmp_path):
     index = build_index(docs("a b c", "a a d", "b d", ""))
     path = tmp_path / "index.bin"

@@ -7,7 +7,7 @@ import pytest
 
 from mimicrank.corpus import Query, annotate_pools, annotate_queries, write_annotations
 from mimicrank.distill import distill, label_agreement, mimic_train, model_labels
-from mimicrank.ranker import init_params, save_model, score, train
+from mimicrank.ranker import init_params, save_model, score_pool, train
 from tests.conftest import MICRO_STUDENT_CONFIG, MICRO_TEACHER_CONFIG
 
 
@@ -37,13 +37,19 @@ def test_annotation_signs_match_teacher_preferences(micro_collection, micro_inde
                      epochs=0, seed=11, pool_size=15, pairs_per_query=8)
     instances, report = result.instances, result.annotation
     assert report.pairs_emitted == len(instances) > 0
-    pos = {doc_id: i for i, doc_id in enumerate(micro_index.doc_ids)}
+    queries = {q.query_id: q for q in micro_collection.unlabeled_queries}
+    rescored = {}
     for inst in instances:
-        # independent rescoring with the same checkpoint, bit-identical path
-        r1 = score(micro_teacher, inst.query_terms,
-                   micro_index.doc_terms(pos[inst.doc1_id]))
-        r2 = score(micro_teacher, inst.query_terms,
-                   micro_index.doc_terms(pos[inst.doc2_id]))
+        # independent rescoring of the query's whole pool with the same
+        # checkpoint, through the pool path the labeler uses: bit-identical
+        if inst.query_id not in rescored:
+            pool, _ = micro_index.search(queries[inst.query_id].terms, 15)
+            scores = score_pool(micro_teacher, inst.query_terms,
+                                [micro_index.doc_rows(d) for d in pool])
+            rescored[inst.query_id] = {
+                micro_index.doc_ids[d]: s for d, s in zip(pool, scores)}
+        r1 = rescored[inst.query_id][inst.doc1_id]
+        r2 = rescored[inst.query_id][inst.doc2_id]
         assert inst.s1 == r1
         assert inst.s2 == r2
         assert (inst.s1 > inst.s2) == (r1 > r2)

@@ -340,3 +340,26 @@ def test_network_checkpoint_round_trip(tmp_path):
     write_container(path2, b"TEST", 1, {"activations": activations},
                     layers_to_arrays(loaded, prefix="layer_"))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _container_bytes(tmp_path):
+    path = tmp_path / "whole.ckpt"
+    write_container(path, b"TEST", 1, {"k": 1}, [("a", np.arange(3.0))])
+    return path.read_bytes()
+
+
+# byte offsets: magic 0-4, version 4-8, header length 8-16, header, payload
+@pytest.mark.parametrize("cut, fragment", [
+    (lambda b: b[:6], "truncated format version"),
+    (lambda b: b[:12], "truncated header length"),
+    (lambda b: b[:20], "truncated header"),
+    (lambda b: b[:-1], "truncated payload for array 'a'"),
+    (lambda b: b + b"\0", "trailing bytes"),
+    (lambda b: b.replace(b'"f8"', b'"f4"'), "malformed array entry"),
+], ids=["version", "header-length", "header", "payload", "trailing", "dtype"])
+def test_read_container_rejects_damaged_files(tmp_path, cut, fragment):
+    path = tmp_path / "damaged.ckpt"
+    path.write_bytes(cut(_container_bytes(tmp_path)))
+    with pytest.raises(ValueError) as err:
+        read_container(path, b"TEST", 1)
+    assert str(path) in str(err.value) and fragment in str(err.value)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from mimicrank.cli import build_parser, main
+from mimicrank.corpus import load_index
 from mimicrank.pipeline import (
     ConfigError,
     RunConfig,
@@ -18,7 +19,13 @@ from mimicrank.pipeline import (
     run_pipeline,
     seed_plan,
 )
-from mimicrank.ranker import RankModelConfig, STUDENT_CONFIG, TEACHER_CONFIG
+from mimicrank.ranker import (
+    RankModelConfig,
+    STUDENT_CONFIG,
+    TEACHER_CONFIG,
+    init_params,
+    save_model,
+)
 from mimicrank.toydata import mini_collection, write_collection
 
 TINY_TEACHER = RankModelConfig(embedding_dim=8, hidden_layers=1, hidden_size=16,
@@ -379,6 +386,31 @@ def test_cli_rank_without_model_uses_bm25(workspace, tmp_path):
                  "--out", str(runf), "--cutoff", "10", "--tag", "bm25"]) == 0
     first = runf.read_text().splitlines()[0].split()
     assert first[1] == "Q0" and first[3] == "1" and first[5] == "bm25"
+
+
+def test_cli_rank_rejects_checkpoint_of_another_index(workspace, tmp_path, capsys):
+    # a model built on ten documents indexes fewer terms than the full
+    # index: ranking with it must fail, not remap terms silently
+    idx, few_idx = tmp_path / "index.bin", tmp_path / "few.bin"
+    few_corpus = tmp_path / "few.jsonl"
+    lines = (workspace / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    few_corpus.write_text("\n".join(lines[:10]) + "\n", encoding="utf-8")
+    assert main(["build-index", "--corpus", str(workspace / "corpus.jsonl"),
+                 "--out", str(idx)]) == 0
+    assert main(["build-index", "--corpus", str(few_corpus),
+                 "--out", str(few_idx)]) == 0
+    few = load_index(few_idx)
+    ckpt = tmp_path / "few.ckpt"
+    save_model(ckpt, init_params(TINY_TEACHER, few.vocabulary, few, seed=1))
+    capsys.readouterr()
+    code = main(["rank", "--index", str(idx),
+                 "--queries", str(workspace / "queries_eval.tsv"),
+                 "--model", str(ckpt), "--out", str(tmp_path / "x.run")])
+    assert code != 0
+    err = capsys.readouterr().err
+    assert f"({len(few.vocabulary)} terms)" in err
+    assert f"({len(load_index(idx).vocabulary)} terms)" in err
+    assert not (tmp_path / "x.run").exists()
 
 
 def test_cli_rebuild_is_byte_stable(workspace, tmp_path):

@@ -7,12 +7,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mimicrank.corpus import annotate_queries
-from mimicrank.distill import distill
+from mimicrank import nn
+from mimicrank.corpus import annotate_queries, build_index
+from mimicrank.distill import distill, model_labels
 from mimicrank.private import (
+    NOISE_TAG,
     PrivacyConfig,
     TeacherEnsemble,
     draw_uniform,
+    ensemble_labels,
     file_sha256,
     laplace_sample,
     load_ensemble,
@@ -24,7 +27,7 @@ from mimicrank.private import (
     teacher_mean,
     train_teachers,
 )
-from mimicrank.ranker import init_params, save_model, score, train
+from mimicrank.ranker import init_params, save_model, score_pool, train
 from tests.conftest import MICRO_STUDENT_CONFIG, MICRO_TEACHER_CONFIG
 
 
@@ -177,17 +180,24 @@ def test_ensemble_validates_shape(micro_ensemble):
                         config=PrivacyConfig(3, 0.0, 0))
 
 
+def _pool(micro_index, query, depth=10):
+    pool, _ = micro_index.search(query.terms, depth)
+    assert len(pool) > 1
+    return [micro_index.doc_rows(d) for d in pool]
+
+
 def test_noise_free_aggregate_is_exact_mean(micro_collection, micro_index,
                                             micro_ensemble):
-    q = micro_collection.eval_queries[0].terms
-    d = micro_index.doc_terms(0)
-    agg = noisy_aggregate(micro_ensemble, q, d)
-    # left-to-right reference with the same scoring path
+    query = micro_collection.eval_queries[0]
+    rows = _pool(micro_index, query)
+    agg = noisy_aggregate(micro_ensemble, query.terms, rows)
+    assert agg.shape == (len(rows),)
+    # left-to-right reference with the same pool scoring path
     acc = 0.0
     for t in micro_ensemble.teachers:
-        acc += score(t, q, d)
-    assert agg == acc / 3
-    assert agg == teacher_mean(micro_ensemble, q, d)
+        acc += score_pool(t, query.terms, rows)
+    assert np.array_equal(agg, acc / 3)
+    assert np.array_equal(agg, teacher_mean(micro_ensemble, query.terms, rows))
 
 
 def test_aggregate_hand_mean():
@@ -205,9 +215,10 @@ def test_single_teacher_aggregate_identity(micro_instances, micro_index,
     ens = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=1,
                          base_seed=107,
                          privacy_config=PrivacyConfig(1, 0.0, seed=0))
-    q = micro_collection.eval_queries[0].terms
-    d = micro_index.doc_terms(5)
-    assert noisy_aggregate(ens, q, d) == score(ens.teachers[0], q, d)
+    query = micro_collection.eval_queries[0]
+    rows = _pool(micro_index, query)
+    assert np.array_equal(noisy_aggregate(ens, query.terms, rows),
+                          score_pool(ens.teachers[0], query.terms, rows))
 
 
 def test_noisy_aggregate_reproducible(micro_collection, micro_index,
@@ -216,33 +227,69 @@ def test_noisy_aggregate_reproducible(micro_collection, micro_index,
     ens = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=1,
                          base_seed=109,
                          privacy_config=PrivacyConfig(3, 0.05, seed=0))
-    q = micro_collection.eval_queries[0].terms
-    d = micro_index.doc_terms(7)
-    a = noisy_aggregate(ens, q, d, np.random.default_rng(99))
-    b = noisy_aggregate(ens, q, d, np.random.default_rng(99))
-    c = noisy_aggregate(ens, q, d, np.random.default_rng(100))
-    assert a == b
-    assert a != c
-    assert a != teacher_mean(ens, q, d)
+    query = micro_collection.eval_queries[0]
+    q, rows = query.terms, _pool(micro_index, query)
+    a = noisy_aggregate(ens, q, rows, np.random.default_rng(99))
+    b = noisy_aggregate(ens, q, rows, np.random.default_rng(99))
+    c = noisy_aggregate(ens, q, rows, np.random.default_rng(100))
+    assert np.array_equal(a, b)
+    assert not np.any(a == c)
+    assert not np.any(a == teacher_mean(ens, q, rows))
     with pytest.raises(ValueError, match="rng"):
-        noisy_aggregate(ens, q, d)
+        noisy_aggregate(ens, q, rows)
+
+
+def test_noisy_aggregate_draws_document_major(micro_collection, micro_index,
+                                              micro_instances):
+    # noise per (document, teacher), documents outer and teachers inner,
+    # added to each teacher's score before the left-to-right mean
+    shards = partition_data(micro_instances, 3, seed=71)
+    ens = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=1,
+                         base_seed=109,
+                         privacy_config=PrivacyConfig(3, 0.05, seed=0))
+    query = micro_collection.eval_queries[0]
+    q, rows = query.terms, _pool(micro_index, query)
+    got = noisy_aggregate(ens, q, rows, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    noise = [[laplace_sample(0.05, draw_uniform(rng)) for _ in range(3)]
+             for _ in rows]
+    clean = [score_pool(t, q, rows) for t in ens.teachers]
+    for d in range(len(rows)):
+        acc = 0.0
+        for i in range(3):
+            acc += clean[i][d] + noise[d][i]
+        assert got[d] == acc / 3
 
 
 def test_pairwise_agreement_nonnoisy_vs_mean_is_exactly_one(micro_collection,
                                                             micro_index,
                                                             micro_ensemble):
-    pairs = []
+    pools = []
     for q in micro_collection.eval_queries:
         pool, _ = micro_index.search(q.terms, 6)
-        for i in range(len(pool) - 1):
-            pairs.append((q.terms, micro_index.doc_terms(pool[i]),
-                          micro_index.doc_terms(pool[i + 1])))
+        pools.append((q.terms, [micro_index.doc_rows(d) for d in pool],
+                      [(i, i + 1) for i in range(len(pool) - 1)]))
+    calls = []
+
+    def mean(q, rows):
+        calls.append(len(rows))
+        return teacher_mean(micro_ensemble, q, rows)
+
     agreement = pairwise_agreement(
-        lambda q, d: noisy_aggregate(micro_ensemble, q, d),
-        lambda q, d: teacher_mean(micro_ensemble, q, d),
-        pairs,
-    )
+        lambda q, rows: noisy_aggregate(micro_ensemble, q, rows), mean, pools)
     assert agreement == 1.0
+    assert calls == [len(rows) for _, rows, _ in pools]  # one call per pool
+
+
+def test_pairwise_agreement_counts_ties_and_opposites():
+    pools = [((), [None] * 3, [(0, 1), (1, 2), (0, 2)])]
+    a = np.array([0.3, 0.3, 0.1])
+    b = np.array([0.2, 0.3, 0.1])
+    # (0, 1): tie vs below, (1, 2): both above, (0, 2): both above
+    assert pairwise_agreement(lambda q, r: a, lambda q, r: b, pools) == 2 / 3
+    assert pairwise_agreement(lambda q, r: a, lambda q, r: a, pools) == 1.0
+    assert pairwise_agreement(lambda q, r: a, lambda q, r: b,
+                              [((), [], [])]) is None
 
 
 def test_ensemble_save_load_round_trip(tmp_path, micro_ensemble, micro_collection,
@@ -253,14 +300,49 @@ def test_ensemble_save_load_round_trip(tmp_path, micro_ensemble, micro_collectio
     loaded, manifest = load_ensemble(out)
     assert manifest["n_partitions"] == 3
     assert manifest["teacher_seeds"] == [73, 74, 75]
-    q = micro_collection.eval_queries[0].terms
-    d = micro_index.doc_terms(3)
-    assert noisy_aggregate(loaded, q, d) == noisy_aggregate(micro_ensemble, q, d)
+    query = micro_collection.eval_queries[0]
+    rows = _pool(micro_index, query)
+    assert np.array_equal(noisy_aggregate(loaded, query.terms, rows),
+                          noisy_aggregate(micro_ensemble, query.terms, rows))
     # manifest rewrite is byte-stable
     before = (out / "manifest.json").read_bytes()
     save_ensemble(out, loaded, teacher_seeds=[73, 74, 75],
                   shard_hashes=["x", "y", "z"])
     assert (out / "manifest.json").read_bytes() == before
+
+
+def test_pool_labelers_run_one_forward_per_pool_and_model(
+        monkeypatch, micro_collection, micro_index, micro_teacher, micro_ensemble):
+    rows_per_call = []
+    forward = nn.forward
+
+    def counting_forward(layers, x, *args, **kwargs):
+        rows_per_call.append(len(x))
+        return forward(layers, x, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", counting_forward)
+    pools = []
+    for qpos, query in enumerate(micro_collection.eval_queries):
+        pool, _ = micro_index.search(query.terms, 12)
+        pools.append((query, pool, qpos))
+    for labeler, n_models in (
+            (model_labels(micro_teacher, micro_index), 1),
+            (ensemble_labels(micro_ensemble, micro_index, NOISE_TAG), 3)):
+        rows_per_call.clear()
+        for query, pool, qpos in pools:
+            assert len(labeler(query, pool, qpos)) == len(pool)
+        assert rows_per_call == [len(pool) for _, pool, _ in pools
+                                 for _ in range(n_models)]
+
+
+def test_pool_labelers_reject_another_vocabulary(micro_collection, micro_index,
+                                                 micro_teacher, micro_ensemble):
+    other = build_index(micro_collection.documents[:30])
+    sizes = f"({len(micro_index.vocabulary)} terms).*({len(other.vocabulary)} terms)"
+    with pytest.raises(ValueError, match=sizes):
+        model_labels(micro_teacher, other)
+    with pytest.raises(ValueError, match=sizes):
+        ensemble_labels(micro_ensemble, other, NOISE_TAG)
 
 
 def test_file_sha256(tmp_path):

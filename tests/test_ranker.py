@@ -22,8 +22,10 @@ from mimicrank.ranker import (
     load_model,
     rank_by_scores,
     represent,
+    represent_rows,
     save_model,
     score,
+    score_pool,
     train,
 )
 
@@ -176,6 +178,27 @@ def test_represent_linear_in_weights_and_additive(terms1, terms2, c):
 
 # ---------------------------------------------------------------------------
 # Scoring
+
+
+@pytest.mark.parametrize("dims", [(8, 16), (64, 128)])
+def test_pool_scores_match_one_row_scores(micro_collection, micro_index, dims):
+    emb, hidden = dims
+    cfg = RankModelConfig(embedding_dim=emb, hidden_layers=2, hidden_size=hidden,
+                          dropout_keep=1.0, learning_rate=1e-3, batch_size=4)
+    params = init_params(cfg, micro_index.vocabulary, micro_index, seed=31)
+    for query in micro_collection.eval_queries:
+        pool, _ = micro_index.search(query.terms, 30)
+        rows = [micro_index.doc_rows(d) for d in pool]
+        # index rows give the representation of the tf-expanded terms, bitwise
+        assert np.array_equal(
+            represent_rows(params, rows),
+            np.array([represent(params, micro_index.doc_terms(d)) for d in pool]))
+        pooled = score_pool(params, query.terms, rows)
+        one_by_one = [score(params, query.terms, micro_index.doc_terms(d))
+                      for d in pool]
+        assert pooled.shape == (len(pool),)
+        assert np.allclose(pooled, one_by_one, rtol=0.0, atol=1e-12)
+    assert score_pool(params, ("q",), []).shape == (0,)
 
 
 def test_score_zero_dense_params_is_zero():
