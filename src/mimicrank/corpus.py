@@ -15,7 +15,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +55,9 @@ class TrainingInstance:
     The label scores s1/s2 come from whichever annotator produced the
     instance (BM25, a trained model, or a noisy ensemble); only the sign of
     their difference drives the hinge loss, so ties are rejected outright.
+    Query and documents are (term indices, counts) rows over the index
+    vocabulary (InvertedIndex.doc_rows views, term_index_counts for the
+    query); they take no part in == or hash, which compare ids and labels.
     """
 
     query_id: str
@@ -62,17 +65,15 @@ class TrainingInstance:
     doc2_id: str
     s1: float
     s2: float
-    query_terms: tuple
-    doc1_terms: tuple
-    doc2_terms: tuple
+    query_rows: tuple = field(compare=False, repr=False)
+    doc1_rows: tuple = field(compare=False, repr=False)
+    doc2_rows: tuple = field(compare=False, repr=False)
 
     def __post_init__(self):
         if self.s1 == self.s2:
             raise ValueError(
                 f"tied label scores for query {self.query_id!r}: {self.s1!r}"
             )
-        if not self.query_terms:
-            raise ValueError(f"query {self.query_id!r} has no terms")
 
 
 class Vocabulary:
@@ -111,6 +112,19 @@ class Vocabulary:
 
     def __eq__(self, other):
         return isinstance(other, Vocabulary) and self._terms == other._terms
+
+
+def term_index_counts(vocabulary, terms):
+    """Canonical (sorted unique term indices, counts) for a term multiset.
+
+    OOV terms are dropped. The sorted-unique form fixes the summation order
+    so representations are bit-identical regardless of input term order.
+    """
+    idx = [i for i in map(vocabulary.index_of, terms) if i is not None]
+    if not idx:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    uniq, counts = np.unique(np.asarray(idx, dtype=np.int64), return_counts=True)
+    return uniq, counts.astype(np.float64)
 
 
 class InvertedIndex:
@@ -153,8 +167,8 @@ class InvertedIndex:
     def doc_rows(self, doc_index):
         """Term indices (ascending, unique) and their counts in one document.
 
-        These are the (indices, counts) that ranker.term_index_counts gives
-        for doc_terms(doc_index) under this index's vocabulary.
+        Views into the index's doc-major arrays, not copies: what
+        term_index_counts gives for this document's doc_terms, int64 counts.
         """
         lo, hi = self._doc_offsets[doc_index], self._doc_offsets[doc_index + 1]
         return self._doc_term_idx[lo:hi], self._doc_term_tf[lo:hi]
@@ -186,8 +200,11 @@ class InvertedIndex:
         Returns (doc_indices, scores) ranked by BM25 descending, ties broken
         by ascending doc_id. Scores are accumulated term at a time, in query
         term order and with bm25_score's expression order, so they are
-        bit-identical to a direct per-document evaluation.
+        bit-identical to a direct per-document evaluation. k None keeps every
+        hit; a k below 1 raises ValueError.
         """
+        if k is not None and k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         scores = np.zeros(self.doc_count)
         hit = np.zeros(self.doc_count, dtype=bool)
         for term in query_terms:
@@ -318,6 +335,7 @@ def annotate_pools(index, queries, label_fn, pool_size, pairs_per_query, seed,
         pairs, ties = _sample_scored_pairs(
             len(pool), labels, pairs_per_query, rng, max_attempts
         )
+        query_rows = term_index_counts(index.vocabulary, query.terms)
         emitted = []
         for a, b in pairs:
             d1, d2 = pool[a], pool[b]
@@ -328,9 +346,9 @@ def annotate_pools(index, queries, label_fn, pool_size, pairs_per_query, seed,
                     doc2_id=index.doc_ids[d2],
                     s1=float(labels[a]),
                     s2=float(labels[b]),
-                    query_terms=query.terms,
-                    doc1_terms=index.doc_terms(d1),
-                    doc2_terms=index.doc_terms(d2),
+                    query_rows=query_rows,
+                    doc1_rows=index.doc_rows(d1),
+                    doc2_rows=index.doc_rows(d2),
                 )
             )
         return qpos, emitted, ties
@@ -420,12 +438,13 @@ def write_annotations(path, instances):
 def read_annotations(path, queries, index):
     """Rebuild training instances from an annotation file.
 
-    Query terms come from the query set and document terms from the index,
+    Query rows come from the query set and document rows from the index,
     so an annotation file plus the corpus artifacts fully reconstruct the
-    training data. Pairs whose scores collapsed to a tie under the 6-decimal
-    file format are dropped; the count of such pairs is returned alongside.
+    training data; a query with no indexed term is rejected. Pairs whose
+    scores tie at the file's 6 decimals are dropped and counted alongside.
     """
-    by_qid = {q.query_id: q for q in queries}
+    query_rows = {q.query_id: term_index_counts(index.vocabulary, q.terms)
+                  for q in queries}
     doc_pos = {doc_id: i for i, doc_id in enumerate(index.doc_ids)}
     instances = []
     dropped_ties = 0
@@ -438,8 +457,10 @@ def read_annotations(path, queries, index):
             if len(parts) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
             qid, d1, d2, s1_raw, s2_raw = parts
-            if qid not in by_qid:
+            if qid not in query_rows:
                 raise ValueError(f"{path}:{lineno}: unknown query_id {qid!r}")
+            if not query_rows[qid][0].size:
+                raise ValueError(f"{path}:{lineno}: query {qid!r} has no indexed term")
             for did in (d1, d2):
                 if did not in doc_pos:
                     raise ValueError(f"{path}:{lineno}: unknown doc_id {did!r}")
@@ -459,9 +480,9 @@ def read_annotations(path, queries, index):
                     doc2_id=d2,
                     s1=s1,
                     s2=s2,
-                    query_terms=by_qid[qid].terms,
-                    doc1_terms=index.doc_terms(doc_pos[d1]),
-                    doc2_terms=index.doc_terms(doc_pos[d2]),
+                    query_rows=query_rows[qid],
+                    doc1_rows=index.doc_rows(doc_pos[d1]),
+                    doc2_rows=index.doc_rows(doc_pos[d2]),
                 )
             )
     return instances, dropped_ties

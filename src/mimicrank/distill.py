@@ -2,11 +2,11 @@
 a fresh (usually smaller) model learns from those labels.
 
 The student path deliberately has no access to relevance judgments or to
-the teacher's original training data: everything it sees is (query terms,
-document terms, label scores), where the labels come from whatever labeler
-is plugged in. The private-aggregation variant reuses the same machinery
-with a noisy ensemble labeler, so the two paths are identical by
-construction up to the labeling function.
+the teacher's original training data: everything it sees is (query,
+document, document, label scores) tuples of index rows, where the labels
+come from whatever labeler is plugged in. The private-aggregation variant
+reuses the same machinery with a noisy ensemble labeler, so the two paths
+are identical by construction up to the labeling function.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from .ranker import (
     check_index_vocabulary,
     init_params,
     load_model,
-    represent,
+    represent_rows,
     score_batch,
     score_pool,
     train,
@@ -86,10 +86,10 @@ def label_agreement(params, instances):
     if not instances:
         return None
     n = len(instances)
-    queries = [represent(params, inst.query_terms) for inst in instances]
-    docs = ([represent(params, inst.doc1_terms) for inst in instances]
-            + [represent(params, inst.doc2_terms) for inst in instances])
-    scores = score_batch(params, np.array(queries * 2), np.array(docs))
+    queries = represent_rows(params, [inst.query_rows for inst in instances])
+    docs = represent_rows(params, [inst.doc1_rows for inst in instances]
+                          + [inst.doc2_rows for inst in instances])
+    scores = score_batch(params, np.concatenate([queries, queries]), docs)
     s1, s2 = scores[:n], scores[n:]
     label_prefers_first = np.array([inst.s1 > inst.s2 for inst in instances])
     agree = (s1 != s2) & ((s1 > s2) == label_prefers_first)

@@ -9,6 +9,7 @@ timestamps or machine-local paths, so reruns are byte-identical.
 import dataclasses
 import hashlib
 import json
+import math
 import platform
 import shutil
 from dataclasses import dataclass
@@ -175,10 +176,7 @@ def _resolve(raw, base):
                 field = key[len(prefix):]
                 if field not in _MODEL_FIELDS:
                     raise ConfigError(f"unknown config key {key!r}")
-                try:
-                    sink[field] = _MODEL_FIELDS[field](value)
-                except ValueError as exc:
-                    raise ConfigError(f"{key}: {exc}") from exc
+                sink[field] = _convert(_MODEL_FIELDS[field], value, key)
                 break
         else:
             if key not in _SCHEMA:
@@ -191,11 +189,19 @@ def _resolve(raw, base):
             elif kind is bool:
                 kwargs[dest] = _parse_bool(value, key)
             else:
-                try:
-                    kwargs[dest] = kind(value)
-                except ValueError as exc:
-                    raise ConfigError(f"{key}: {exc}") from exc
+                kwargs[dest] = _convert(kind, value, key)
     return kwargs, teacher_kwargs, student_kwargs
+
+
+def _convert(kind, raw, key):
+    """int or float of a config value; NaN and infinities are rejected."""
+    try:
+        value = kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config(path, overrides=None):

@@ -45,8 +45,9 @@ class PrivacyConfig:
     def __post_init__(self):
         if self.n_partitions < 1:
             raise ValueError("n_partitions must be at least 1")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be non-negative")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError(f"noise_scale must be finite and non-negative, "
+                             f"got {self.noise_scale!r}")
 
 
 @dataclass

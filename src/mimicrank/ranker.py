@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn, seeding
 from .serialize import read_container, write_container
-from .corpus import Vocabulary
+from .corpus import Vocabulary, term_index_counts
 
 MODEL_MAGIC = b"MRMD"
 MODEL_VERSION = 1
@@ -36,8 +36,9 @@ class RankModelConfig:
         for name in ("embedding_dim", "hidden_layers", "hidden_size", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate!r}")
         if not 0.0 < self.dropout_keep <= 1.0:
             raise ValueError("dropout_keep must be in (0, 1]")
 
@@ -103,31 +104,13 @@ class TrainingDiverged(RuntimeError):
         self.epoch = epoch
 
 
-def term_index_counts(vocabulary, terms, _cache=None):
-    """Canonical (sorted unique term indices, counts) for a term multiset.
-
-    OOV terms are dropped. The sorted-unique form fixes the summation order
-    so representations are bit-identical regardless of input term order.
-    """
-    if _cache is not None and terms in _cache:
-        return _cache[terms]
-    idx = [vocabulary.index_of(t) for t in terms]
-    idx = [i for i in idx if i is not None]
-    if idx:
-        uniq, counts = np.unique(np.asarray(idx, dtype=np.int64), return_counts=True)
-        pair = (uniq, counts.astype(np.float64))
-    else:
-        pair = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-    if _cache is not None:
-        _cache[terms] = pair
-    return pair
-
-
 def represent_rows(params, rows):
     """Bag-of-embeddings matrix, one row per (term indices, counts) pair.
 
     Each row is Σ count(t)·ω(t)·ε(t) over its terms, summed in the order
     given (ascending unique indices in every caller); no terms give zeros.
+    Rows are InvertedIndex.doc_rows views or term_index_counts output; their
+    int64 and float64 counts give the same floats.
     """
     out = np.zeros((len(rows), params.config.embedding_dim))
     for i, (idx, counts) in enumerate(rows):
@@ -138,7 +121,7 @@ def represent_rows(params, rows):
 
 def represent(params, terms):
     """Weighted bag of embeddings of a term multiset; empty/OOV → zeros."""
-    pair = term_index_counts(params.vocabulary, tuple(terms))
+    pair = term_index_counts(params.vocabulary, terms)
     return represent_rows(params, [pair])[0]
 
 
@@ -165,7 +148,7 @@ def score_pool(params, query_terms, doc_rows):
 
 def score(params, query_terms, doc_terms):
     """Pointwise score in (−1, 1) of one (query, document) pair: a one-row pool."""
-    rows = [term_index_counts(params.vocabulary, tuple(doc_terms))]
+    rows = [term_index_counts(params.vocabulary, doc_terms)]
     return float(score_pool(params, query_terms, rows)[0])
 
 
@@ -195,22 +178,20 @@ def hinge_loss(instances, pair_scores):
     return float(terms.mean())
 
 
-def compute_loss_and_grads(params, batch, train=False, rng=None, _cache=None):
+def compute_loss_and_grads(params, batch, train=False, rng=None):
     """Shared-parameter forward on (q,d1) and (q,d2), hinge loss, gradients.
 
-    Returns (loss, grads) where grads is a dict with d_embedding,
-    d_term_weights, and d_layers (a GradientStore-shaped pair of lists).
-    Dropout runs only when train=True.
+    The instances' rows must index params.vocabulary. Returns (loss, grads)
+    where grads is a dict with d_embedding, d_term_weights, and d_layers
+    (a GradientStore-shaped pair of lists). Dropout runs only when train=True.
     """
     n = len(batch)
     if n == 0:
         raise ValueError("empty batch")
     m = params.config.embedding_dim
-    if _cache is None:
-        _cache = {}
-    q_arrays = [term_index_counts(params.vocabulary, inst.query_terms, _cache) for inst in batch]
-    d1_arrays = [term_index_counts(params.vocabulary, inst.doc1_terms, _cache) for inst in batch]
-    d2_arrays = [term_index_counts(params.vocabulary, inst.doc2_terms, _cache) for inst in batch]
+    q_arrays = [inst.query_rows for inst in batch]
+    d1_arrays = [inst.doc1_rows for inst in batch]
+    d2_arrays = [inst.doc2_rows for inst in batch]
 
     q_reps = represent_rows(params, q_arrays)
     x1 = np.concatenate([q_reps, represent_rows(params, d1_arrays)], axis=1)
@@ -306,7 +287,6 @@ def train(params, config, instances, epochs, seed):
     _, arrays = _trainable(params)
     state = nn.adam_state(arrays, learning_rate=config.learning_rate)
     epoch_losses = []
-    cache = {}
     n = len(instances)
     last_good = params.copy()
     for epoch in range(epochs):
@@ -315,9 +295,8 @@ def train(params, config, instances, epochs, seed):
         total = 0.0
         for start in range(0, n, config.batch_size):
             batch = [instances[i] for i in order[start:start + config.batch_size]]
-            loss, grads = compute_loss_and_grads(
-                params, batch, train=True, rng=dropout_rng, _cache=cache
-            )
+            loss, grads = compute_loss_and_grads(params, batch, train=True,
+                                                 rng=dropout_rng)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}", last_good, epoch
@@ -332,8 +311,10 @@ def train(params, config, instances, epochs, seed):
 def rank_by_scores(scored, cutoff):
     """Order (doc_id, score) pairs: score desc, doc_id asc; truncate.
 
-    cutoff None keeps every pair.
+    cutoff None keeps every pair; a cutoff below 1 raises ValueError.
     """
+    if cutoff is not None and cutoff < 1:
+        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
     return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:cutoff]
 
 
@@ -365,6 +346,8 @@ def load_embedding_file(path):
                 vec = np.array([float(v) for v in values])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed vector") from exc
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}:{lineno}: non-finite vector entry")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:
@@ -427,6 +410,9 @@ def save_model(path, params):
 
 def load_model(path):
     _, meta, arrays = read_container(path, MODEL_MAGIC, MODEL_VERSION)
+    for name, array in arrays.items():
+        if not np.isfinite(array).all():
+            raise ValueError(f"{path}: non-finite {name}")
     config = RankModelConfig(**meta["config"])
     layers = nn.layers_from_arrays(meta["activations"], arrays, prefix="layer_")
     return RankModelParams(

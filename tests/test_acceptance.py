@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from mimicrank.cli import main
-from mimicrank.corpus import Document, TrainingInstance, annotate_queries, build_index
+from mimicrank.corpus import (Document, TrainingInstance, annotate_queries, build_index,
+                              term_index_counts)
 from mimicrank.distill import distill, model_labels
 from mimicrank.evaluation import (
     average_precision,
@@ -111,8 +112,9 @@ def test_criterion_1_gradient_check():
             batch.append(TrainingInstance(
                 query_id=f"q{k}", doc1_id=index.doc_ids[d1],
                 doc2_id=index.doc_ids[d2], s1=1.0 + k, s2=0.5,
-                query_terms=tuple(str(t) for t in rng.choice(letters, size=3)),
-                doc1_terms=index.doc_terms(d1), doc2_terms=index.doc_terms(d2),
+                query_rows=term_index_counts(
+                    index.vocabulary, [str(t) for t in rng.choice(letters, size=3)]),
+                doc1_rows=index.doc_rows(d1), doc2_rows=index.doc_rows(d2),
             ))
 
         loss, grads = compute_loss_and_grads(params, batch)

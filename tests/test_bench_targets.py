@@ -6,6 +6,7 @@ the program would crash the traced benchmark run. This test reads the
 benchmark's own list and changes nothing under bench/.
 """
 
+import dataclasses
 import importlib.util
 import inspect
 import sys
@@ -39,3 +40,10 @@ def test_parameters_the_benchmark_binds_by_name():
     assert {"index", "queries", "label_fn"} <= params(corpus.annotate_pools)
     assert {"instances", "epochs"} <= params(ranker.train)
     assert "jobs" in params(pipeline.run_pipeline)
+
+
+def test_instance_fields_the_benchmark_reads():
+    # around_annotate_pools reads these from every instance annotate_pools
+    # returns; a change of the instance format must keep them
+    fields = {f.name for f in dataclasses.fields(corpus.TrainingInstance)}
+    assert {"query_id", "doc1_id", "doc2_id"} <= fields

@@ -1,6 +1,7 @@
 """Index construction, BM25, and annotation behavior."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,8 @@ from mimicrank.corpus import (
     Document,
     Query,
     TrainingInstance,
+    Vocabulary,
+    annotate_pools,
     annotate_queries,
     build_index,
     load_index,
@@ -21,6 +24,7 @@ from mimicrank.corpus import (
     read_corpus,
     read_queries,
     save_index,
+    term_index_counts,
     tokenize,
     write_annotations,
 )
@@ -225,6 +229,11 @@ def test_search_truncates_to_k():
     ids, scores = index.search(["a"], 2)
     assert len(ids) == 2
     assert scores == sorted(scores, reverse=True)
+    # a negative k used to slice hits off the end of the ranking
+    for k in (0, -1, -3):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            index.search(["a"], k)
+    assert len(index.search(["a"], None)[0]) == 3
 
 
 @settings(max_examples=150, deadline=None)
@@ -239,7 +248,8 @@ def test_search_scores_match_direct_evaluation(token_lists, query, data):
     ids = data.draw(st.permutations(range(len(token_lists))))
     index = build_index(
         [Document(f"d{i}", " ".join(toks)) for i, toks in zip(ids, token_lists)])
-    k = data.draw(st.integers(min_value=0, max_value=len(token_lists) + 2))
+    # k below 1 raises (test_search_truncates_to_k); None keeps every hit
+    k = data.draw(st.none() | st.integers(min_value=1, max_value=len(token_lists) + 2))
     holders = [d for d in range(index.doc_count) if set(query) & set(index.doc_terms(d))]
     expected = sorted(holders, key=lambda d: (-index.bm25_score(query, d),
                                                index.doc_ids[d]))[:k]
@@ -281,6 +291,33 @@ def test_annotate_deterministic_across_runs():
     first, _ = annotate_queries(index, queries, pool_size=5, pairs_per_query=3, seed=42)
     second, _ = annotate_queries(index, queries, pool_size=5, pairs_per_query=3, seed=42)
     assert first == second
+    # the index rows take no part in == or hash
+    assert [hash(inst) for inst in first] == [hash(inst) for inst in second]
+
+
+def rows_equal(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+def test_instances_carry_index_rows(tmp_path):
+    index = build_index(docs("a b c", "a a d", "b d", "c c a", "e f"))
+    queries = [Query("q1", ("a", "b", "zzz", "a")), Query("q2", ("c", "e"))]
+    built, _ = annotate_pools(index, queries, lambda q, pool, qpos: [float(d) for d in pool],
+                              pool_size=5, pairs_per_query=4, seed=1)
+    path = tmp_path / "ann.tsv"
+    write_annotations(path, built)
+    read, _ = read_annotations(path, queries, index)
+    assert built and read == built
+    terms = {q.query_id: q.terms for q in queries}
+    doc_pos = {doc_id: d for d, doc_id in enumerate(index.doc_ids)}
+    for inst in built + read:
+        assert rows_equal(inst.query_rows,
+                          term_index_counts(index.vocabulary, terms[inst.query_id]))
+        for doc_id, rows in ((inst.doc1_id, inst.doc1_rows), (inst.doc2_id, inst.doc2_rows)):
+            want = term_index_counts(index.vocabulary, index.doc_terms(doc_pos[doc_id]))
+            assert rows_equal(rows, want)
+            assert not any(a.flags.owndata for a in rows)  # views into the index
+    assert "rows" not in repr(built[0])
 
 
 def test_annotate_skips_thin_pools():
@@ -313,7 +350,7 @@ def test_annotate_rejects_tiny_pool_size():
 
 def test_training_instance_rejects_ties():
     with pytest.raises(ValueError):
-        TrainingInstance("q", "d1", "d2", 1.0, 1.0, ("a",), ("x",), ("y",))
+        TrainingInstance("q", "d1", "d2", 1.0, 1.0, *[term_index_counts(Vocabulary(), ())] * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +405,8 @@ def test_annotation_file_round_trip(tmp_path):
         assert (rt.doc1_id, rt.doc2_id) == (orig.doc1_id, orig.doc2_id)
         # 6-decimal format bounds the score error
         assert rt.s1 == pytest.approx(orig.s1, abs=5e-7)
-        assert rt.doc1_terms == orig.doc1_terms
-        assert rt.query_terms == orig.query_terms
+        assert rows_equal(rt.doc1_rows, orig.doc1_rows)
+        assert rows_equal(rt.query_rows, orig.query_rows)
 
 
 def test_read_annotations_drops_rounded_ties(tmp_path):
@@ -392,6 +429,18 @@ def test_read_annotations_rejects_unknown_ids(tmp_path):
     path.write_text("q1\tnope\td1\t1.000000\t2.000000\n")
     with pytest.raises(ValueError, match="nope"):
         read_annotations(path, queries, index)
+
+
+def test_read_annotations_rejects_query_without_indexed_terms(tmp_path):
+    index = build_index(docs("a b", "a c"))
+    queries = [Query("q1", ("a",)), Query("q2", ("zzz",)), Query("q3", ())]
+    path = tmp_path / "ann.tsv"
+    for qid in ("q2", "q3"):
+        path.write_text(f"q1\td0\td1\t1.000000\t2.000000\n"
+                        f"{qid}\td0\td1\t1.000000\t2.000000\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:2: query {qid!r} has no indexed term")):
+            read_annotations(path, queries, index)
 
 
 @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN"])

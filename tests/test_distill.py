@@ -44,7 +44,7 @@ def test_annotation_signs_match_teacher_preferences(micro_collection, micro_inde
         # checkpoint, through the pool path the labeler uses: bit-identical
         if inst.query_id not in rescored:
             pool, _ = micro_index.search(queries[inst.query_id].terms, 15)
-            scores = score_pool(micro_teacher, inst.query_terms,
+            scores = score_pool(micro_teacher, queries[inst.query_id].terms,
                                 [micro_index.doc_rows(d) for d in pool])
             rescored[inst.query_id] = {
                 micro_index.doc_ids[d]: s for d, s in zip(pool, scores)}

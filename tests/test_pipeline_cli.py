@@ -124,6 +124,10 @@ def test_parse_config_defaults_match_published_architectures(tmp_path):
     ("seed = eleven", "seed"),
     ("evaluate.skip_empty = maybe", "boolean"),
     ("just a line without equals", "expected key = value"),
+    ("privacy.noise_scale = nan", "privacy.noise_scale: expected a finite number"),
+    ("privacy.noise_scale = inf", "privacy.noise_scale: expected a finite number"),
+    ("teacher.learning_rate = nan", "teacher.learning_rate: expected a finite number"),
+    ("distill.heldout_fraction = -inf", "heldout_fraction: expected a finite number"),
 ])
 def test_parse_config_rejects_bad_input(tmp_path, line, fragment):
     path = tmp_path / "bad.conf"
@@ -445,6 +449,62 @@ def test_cli_pipeline_seed_and_out_overrides(workspace, tmp_path, capsys):
     manifest = read_json(out / "manifest.json")
     assert manifest["seed"] == 21
     assert capsys.readouterr().out.startswith("system")
+
+
+def test_cli_pipeline_rejects_nan_noise_scale(tmp_path, capsys):
+    # a NaN noise scale used to release noise-free labels and write NaN,
+    # which is not JSON, into manifest.json
+    key = "privacy.noise_scale"
+    lines = [kept for kept in CONFIG_TEMPLATE.splitlines() if not kept.startswith(key)]
+    conf = tmp_path / "nan.conf"  # rejected before any path is opened
+    conf.write_text("\n".join(lines + [f"{key} = nan"]) + "\n")
+    out = tmp_path / "run"
+    assert main(["pipeline", "--mode", "pate", "--config", str(conf),
+                 "--out", str(out)]) == 2
+    assert f"{key}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_pate_rejects_non_finite_noise_scale(workspace, tmp_path, capsys):
+    idx, ann = tmp_path / "index.bin", tmp_path / "ann.tsv"
+    assert main(["build-index", "--corpus", str(workspace / "corpus.jsonl"),
+                 "--out", str(idx)]) == 0
+    assert main(["annotate", "--index", str(idx), "--out", str(ann),
+                 "--queries", str(workspace / "queries_train.tsv")]) == 0
+    capsys.readouterr()
+    code = main(["pate", "--index", str(idx), "--noise-scale", "nan",
+                 "--queries", str(workspace / "queries_unlabeled.tsv"),
+                 "--annotations", str(ann),
+                 "--train-queries", str(workspace / "queries_train.tsv"),
+                 "--out", str(tmp_path / "p")])
+    assert code == 1
+    assert "noise_scale must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "p" / "student.ckpt").exists()
+
+
+def test_cli_rank_rejects_cutoff_and_pool_size_below_one(workspace, tmp_path, capsys):
+    # a negative cutoff used to drop documents from the end of every ranking
+    idx, ckpt, run = tmp_path / "index.bin", tmp_path / "m.ckpt", tmp_path / "x.run"
+    assert main(["build-index", "--corpus", str(workspace / "corpus.jsonl"),
+                 "--out", str(idx)]) == 0
+    index = load_index(idx)
+    save_model(ckpt, init_params(TINY_TEACHER, index.vocabulary, index, seed=1))
+    base = ["rank", "--index", str(idx), "--out", str(run),
+            "--queries", str(workspace / "queries_eval.tsv")]
+    for flags, problem in ((["--cutoff", "-3"], "k must be"),  # BM25 search
+                           (["--cutoff", "0", "--model", str(ckpt)], "cutoff must be"),
+                           (["--pool-size", "-3", "--model", str(ckpt)], "k must be")):
+        capsys.readouterr()
+        assert main(base + flags) == 1, flags
+        assert problem in capsys.readouterr().err, flags
+        assert not run.exists()
+
+
+def test_pipeline_rejects_rank_cutoff_below_one(workspace, tmp_path):
+    out = tmp_path / "neg"
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        run_pipeline(base_config(workspace, out, rank_cutoff=-3), "weak")
+    assert "stage: rank" in (out / "FAILED").read_text()
 
 
 def test_cli_pate_annotations_require_train_queries(workspace, tmp_path, capsys):

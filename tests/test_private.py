@@ -55,6 +55,10 @@ def test_privacy_config_validation():
         PrivacyConfig(n_partitions=0)
     with pytest.raises(ValueError):
         PrivacyConfig(noise_scale=-0.1)
+    # NaN fails `scale > 0`, so it used to release the noise-free mean
+    for scale in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="noise_scale must be finite"):
+            PrivacyConfig(noise_scale=scale)
     cfg = PrivacyConfig()
     assert cfg.n_partitions == 3
     assert cfg.noise_scale == 0.05

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimicrank.corpus import Document, TrainingInstance, Vocabulary, build_index
+from mimicrank.corpus import (
+    Document,
+    TrainingInstance,
+    Vocabulary,
+    build_index,
+    term_index_counts,
+)
 from mimicrank.nn import DenseLayer, finite_difference_check
 from mimicrank.ranker import (
     RankModelConfig,
@@ -69,9 +75,10 @@ def random_instances(index, rng, n):
                 doc2_id=index.doc_ids[d2],
                 s1=1.0 + k,
                 s2=0.5,
-                query_terms=tuple(rng.choice(list("abcdefgh"), size=2)),
-                doc1_terms=index.doc_terms(d1),
-                doc2_terms=index.doc_terms(d2),
+                query_rows=term_index_counts(
+                    index.vocabulary, rng.choice(list("abcdefgh"), size=2).tolist()),
+                doc1_rows=index.doc_rows(d1),
+                doc2_rows=index.doc_rows(d2),
             )
         )
     return instances
@@ -99,6 +106,9 @@ def test_config_validation():
         RankModelConfig(dropout_keep=1.5)
     with pytest.raises(ValueError):
         RankModelConfig(learning_rate=-1.0)
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            RankModelConfig(learning_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +259,11 @@ def test_score_range_bounded():
 # Hinge loss
 
 
+NO_ROWS = (np.empty(0, dtype=np.int64), np.empty(0))  # the hinge reads only labels
+
+
 def make_instance(s1, s2):
-    return TrainingInstance("q", "d1", "d2", s1, s2, ("a",), ("x",), ("y",))
+    return TrainingInstance("q", "d1", "d2", s1, s2, NO_ROWS, NO_ROWS, NO_ROWS)
 
 
 def test_hinge_margin_exactly_met():
@@ -280,9 +293,9 @@ def test_hinge_rejects_label_ties():
     object.__setattr__(bad, "doc2_id", "d2")
     object.__setattr__(bad, "s1", 1.0)
     object.__setattr__(bad, "s2", 1.0)
-    object.__setattr__(bad, "query_terms", ("a",))
-    object.__setattr__(bad, "doc1_terms", ("x",))
-    object.__setattr__(bad, "doc2_terms", ("y",))
+    object.__setattr__(bad, "query_rows", NO_ROWS)
+    object.__setattr__(bad, "doc1_rows", NO_ROWS)
+    object.__setattr__(bad, "doc2_rows", NO_ROWS)
     with pytest.raises(ValueError, match="tied"):
         hinge_loss([good, bad], (np.array([0.1, 0.2]), np.array([0.0, 0.1])))
 
@@ -344,7 +357,8 @@ def separable_setup():
                           dropout_keep=1.0, learning_rate=1e-2, batch_size=4)
     params = init_params(cfg, index.vocabulary, index, seed=3)
     inst = TrainingInstance("q", "d0", "d1", 2.0, 1.0,
-                            ("apple",), ("apple", "banana"), ("cherry", "date"))
+                            term_index_counts(index.vocabulary, ("apple",)),
+                            index.doc_rows(0), index.doc_rows(1))
     return cfg, params, inst
 
 
@@ -400,6 +414,15 @@ def test_train_aborts_on_divergence_with_last_good():
 
 def scored(params, query_terms, candidates):
     return [(doc_id, score(params, query_terms, terms)) for doc_id, terms in candidates]
+
+
+def test_rank_by_scores_rejects_cutoff_below_one():
+    pairs = [("a", 0.5), ("b", 0.7), ("c", 0.1)]
+    for cutoff in (0, -1, -3):
+        with pytest.raises(ValueError, match="cutoff must be at least 1"):
+            rank_by_scores(pairs, cutoff)
+    assert [d for d, _ in rank_by_scores(pairs, None)] == ["b", "a", "c"]
+    assert rank_by_scores(pairs, 1) == [("b", 0.7)]
 
 
 def test_rank_single_candidate():
@@ -508,6 +531,14 @@ def test_load_embedding_file_rejects_ragged(tmp_path):
         load_embedding_file(path)
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "NaN"])
+def test_load_embedding_file_rejects_non_finite_entries(tmp_path, entry):
+    path = tmp_path / "emb.txt"
+    path.write_text(f"2 2\nalpha 1 2\nbeta 3 {entry}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="emb.txt:3: non-finite"):
+        load_embedding_file(path)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 
@@ -531,3 +562,16 @@ def test_model_checkpoint_round_trip(tmp_path):
     path2 = tmp_path / "model2.ckpt"
     save_model(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["embedding", "term_weights", "layer_bias_00"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_load_model_rejects_non_finite_parameters(tmp_path, name, value):
+    # a teacher with NaN term weights labels every pair NaN
+    _, params = random_corpus_params(37)
+    target = params.layers[0].bias if name == "layer_bias_00" else getattr(params, name)
+    target[0] = value
+    path = tmp_path / "model.ckpt"
+    save_model(path, params)
+    with pytest.raises(ValueError, match=f"model.ckpt: non-finite {name}"):
+        load_model(path)
