@@ -31,7 +31,13 @@ from .pipeline import (
     read_model_configs,
     run_pipeline,
 )
-from .private import PrivacyConfig, load_ensemble, pate_distill, train_ensemble
+from .private import (
+    PrivacyConfig,
+    load_ensemble,
+    pate_distill,
+    read_ensemble_manifest,
+    train_ensemble,
+)
 from .ranker import (
     STUDENT_CONFIG,
     TEACHER_CONFIG,
@@ -124,6 +130,17 @@ def cmd_distill(args):
 
 
 def cmd_pate(args):
+    if args.ensemble:  # checked before anything is loaded or written
+        saved, _ = read_ensemble_manifest(args.ensemble)
+        for flag, given, kept in (("--n-partitions", args.n_partitions, saved.n_partitions),
+                                  ("--noise-scale", args.noise_scale, saved.noise_scale)):
+            if given is not None and given != kept:
+                raise ConfigError(
+                    f"{flag} {given} differs from the saved ensemble's {kept}"
+                    f" ({args.ensemble}); omit it or train a new ensemble"
+                )
+    elif args.train_queries is None:
+        raise ConfigError("--annotations requires --train-queries")
     index = load_index(args.index)
     unlabeled = read_queries(args.queries)
     teacher_config, student_config = _model_configs(args)
@@ -133,14 +150,12 @@ def cmd_pate(args):
     if args.ensemble:
         ensemble, _ = load_ensemble(args.ensemble)
     else:
-        if args.train_queries is None:
-            raise ConfigError("--annotations requires --train-queries")
         instances, _ = _load_training_pairs(
             index, args.train_queries, args.annotations
         )
+        given = {"n_partitions": args.n_partitions, "noise_scale": args.noise_scale}
         privacy = PrivacyConfig(
-            n_partitions=args.n_partitions, noise_scale=args.noise_scale,
-            seed=args.seed,
+            seed=args.seed, **{k: v for k, v in given.items() if v is not None}
         )
         ensemble, _, _ = train_ensemble(
             instances, teacher_config, index, args.teacher_epochs, privacy,
@@ -287,9 +302,12 @@ def build_parser():
                         help="reuse an already trained ensemble directory")
     p.add_argument("--train-queries", default=None,
                    help="queries the annotations refer to (with --annotations)")
-    p.add_argument("--n-partitions", type=int, default=3)
-    p.add_argument("--noise-scale", type=float, default=0.05,
-                   help="Laplace scale added to each teacher score")
+    p.add_argument("--n-partitions", type=int, default=None,
+                   help="teachers to train (default 3); with --ensemble, "
+                        "must match the saved ensemble")
+    p.add_argument("--noise-scale", type=float, default=None,
+                   help="Laplace scale added to each teacher score (default "
+                        "0.05); with --ensemble, must match the saved ensemble")
     p.add_argument("--teacher-epochs", type=int, default=10)
     p.add_argument("--student-epochs", type=int, default=10)
     p.add_argument("--heldout-fraction", type=float, default=0.1)

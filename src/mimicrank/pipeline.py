@@ -221,6 +221,10 @@ def parse_config(path, overrides=None):
         raise ConfigError("config must set seed (or pass --seed)")
     if kwargs["seed"] < 0:
         raise ConfigError("seed must be non-negative")
+    for key in ("annotate.pool_size", "rank.pool_size", "rank.cutoff"):
+        value = kwargs.get(_SCHEMA[key][0])
+        if value is not None and value < 1:
+            raise ConfigError(f"{key}: must be at least 1, got {value}")
     if "out" not in kwargs:
         raise ConfigError("config must set out (or pass --out)")
     kwargs["teacher"] = dataclasses.replace(TEACHER_CONFIG, **teacher_kwargs)

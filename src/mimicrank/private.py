@@ -295,16 +295,21 @@ def save_ensemble(directory, ensemble, teacher_seeds=None, shard_hashes=None):
     return directory / ENSEMBLE_MANIFEST
 
 
-def load_ensemble(directory):
-    directory = Path(directory)
-    with open(directory / ENSEMBLE_MANIFEST, encoding="utf-8") as fh:
+def read_ensemble_manifest(directory):
+    """(PrivacyConfig, manifest dict) of a saved ensemble; no teacher is loaded."""
+    with open(Path(directory) / ENSEMBLE_MANIFEST, encoding="utf-8") as fh:
         manifest = json.load(fh)
     config = PrivacyConfig(
         n_partitions=manifest["n_partitions"],
         noise_scale=manifest["noise_scale"],
         seed=manifest["seed"],
     )
-    teachers = [load_model(directory / name) for name in manifest["teacher_files"]]
+    return config, manifest
+
+
+def load_ensemble(directory):
+    config, manifest = read_ensemble_manifest(directory)
+    teachers = [load_model(Path(directory) / name) for name in manifest["teacher_files"]]
     return TeacherEnsemble(teachers=teachers, config=config), manifest
 
 

@@ -19,6 +19,7 @@ from mimicrank.pipeline import (
     run_pipeline,
     seed_plan,
 )
+from mimicrank.private import PrivacyConfig, TeacherEnsemble, save_ensemble
 from mimicrank.ranker import (
     RankModelConfig,
     STUDENT_CONFIG,
@@ -500,11 +501,90 @@ def test_cli_rank_rejects_cutoff_and_pool_size_below_one(workspace, tmp_path, ca
         assert not run.exists()
 
 
+@pytest.mark.parametrize("key", ["rank.cutoff", "rank.pool_size", "annotate.pool_size"])
+def test_cli_pipeline_rejects_pool_and_cutoff_below_one(tmp_path, capsys, key):
+    # a rank.cutoff of -3 used to train the teacher and the student first
+    lines = [kept for kept in CONFIG_TEMPLATE.splitlines() if not kept.startswith(key)]
+    conf = tmp_path / "neg.conf"  # rejected before any path is opened
+    conf.write_text("\n".join(lines + [f"{key} = -3"]) + "\n")
+    out = tmp_path / "run"
+    assert main(["pipeline", "--mode", "weak", "--config", str(conf),
+                 "--out", str(out)]) == 2
+    assert f"{key}: must be at least 1, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_rejects_rank_cutoff_below_one(workspace, tmp_path):
     out = tmp_path / "neg"
     with pytest.raises(ValueError, match="k must be at least 1"):
         run_pipeline(base_config(workspace, out, rank_cutoff=-3), "weak")
     assert "stage: rank" in (out / "FAILED").read_text()
+
+
+@pytest.fixture(scope="module")
+def saved_ensemble(workspace, tmp_path_factory):
+    """Index and untrained 3-teacher, b = 0.05 ensemble directory."""
+    base = tmp_path_factory.mktemp("ensemble")
+    idx = base / "index.bin"
+    assert main(["build-index", "--corpus", str(workspace / "corpus.jsonl"),
+                 "--out", str(idx)]) == 0
+    index = load_index(idx)
+    teachers = [init_params(TINY_TEACHER, index.vocabulary, index, seed=s)
+                for s in range(3)]
+    save_ensemble(base / "ensemble",
+                  TeacherEnsemble(teachers, PrivacyConfig(n_partitions=3, noise_scale=0.05)))
+    return idx, base / "ensemble"
+
+
+def pate_with_ensemble(workspace, saved_ensemble, out, flags):
+    idx, ensemble = saved_ensemble
+    return main(["pate", "--index", str(idx), "--ensemble", str(ensemble),
+                 "--config", str(workspace / "run.conf"), "--student-epochs", "1",
+                 "--queries", str(workspace / "queries_unlabeled.tsv"),
+                 "--out", str(out)] + flags)
+
+
+@pytest.mark.parametrize("flags,problem", [
+    (["--noise-scale", "0.9"], "--noise-scale 0.9 differs from the saved ensemble's 0.05"),
+    (["--n-partitions", "5"], "--n-partitions 5 differs from the saved ensemble's 3"),
+], ids=["noise-scale", "n-partitions"])
+def test_cli_pate_ensemble_rejects_other_privacy_settings(workspace, saved_ensemble,
+                                                          tmp_path, capsys, flags, problem):
+    # these flags used to be ignored: asking for more noise got the saved level
+    capsys.readouterr()
+    assert pate_with_ensemble(workspace, saved_ensemble, tmp_path / "p", flags) == 2
+    assert problem in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    [], ["--noise-scale", "0.05", "--n-partitions", "3"], ["--noise-scale", "5e-2"],
+], ids=["omitted", "equal", "equal-spelled-otherwise"])
+def test_cli_pate_ensemble_keeps_saved_privacy_settings(workspace, saved_ensemble,
+                                                        tmp_path, capsys, flags):
+    capsys.readouterr()
+    assert pate_with_ensemble(workspace, saved_ensemble, tmp_path / "p", flags) == 0
+    assert "3 teachers (noise scale 0.05)" in capsys.readouterr().out
+    assert (tmp_path / "p" / "student.ckpt").is_file()
+
+
+@pytest.mark.parametrize("flags,expected", [
+    ([], (3, 0.05)), (["--n-partitions", "2", "--noise-scale", "0.5"], (2, 0.5)),
+], ids=["defaults", "given"])
+def test_cli_pate_privacy_flags_without_ensemble(workspace, saved_ensemble, tmp_path,
+                                                 flags, expected):
+    idx, _ = saved_ensemble
+    ann = tmp_path / "ann.tsv"
+    assert main(["annotate", "--index", str(idx), "--out", str(ann),
+                 "--queries", str(workspace / "queries_train.tsv")]) == 0
+    assert main(["pate", "--index", str(idx), "--annotations", str(ann),
+                 "--train-queries", str(workspace / "queries_train.tsv"),
+                 "--config", str(workspace / "run.conf"),
+                 "--teacher-epochs", "1", "--student-epochs", "1",
+                 "--queries", str(workspace / "queries_unlabeled.tsv"),
+                 "--out", str(tmp_path / "p")] + flags) == 0
+    manifest = read_json(tmp_path / "p" / "ensemble" / "manifest.json")
+    assert (manifest["n_partitions"], manifest["noise_scale"]) == expected
 
 
 def test_cli_pate_annotations_require_train_queries(workspace, tmp_path, capsys):

@@ -14,6 +14,7 @@ from mimicrank.corpus import (
     build_index,
     term_index_counts,
 )
+from mimicrank import nn, ranker
 from mimicrank.nn import DenseLayer, finite_difference_check
 from mimicrank.ranker import (
     RankModelConfig,
@@ -343,6 +344,133 @@ def test_gradients_flow_into_all_parameter_groups():
     assert np.abs(grads["d_term_weights"]).sum() > 0
     for dw in grads["d_layer_weights"]:
         assert np.abs(dw).sum() > 0
+
+
+def per_row_loss_and_grads(params, batch, train=False, rng=None):
+    """Reference for compute_loss_and_grads without a count matrix.
+
+    Rows are represented with represent_rows, and each (instance, row)
+    gradient is scattered back into the embedding and term weights alone.
+    """
+    n, m = len(batch), params.config.embedding_dim
+    q_rows = [inst.query_rows for inst in batch]
+    d1_rows = [inst.doc1_rows for inst in batch]
+    d2_rows = [inst.doc2_rows for inst in batch]
+    q_reps = represent_rows(params, q_rows)
+    x1 = np.concatenate([q_reps, represent_rows(params, d1_rows)], axis=1)
+    x2 = np.concatenate([q_reps, represent_rows(params, d2_rows)], axis=1)
+    keep = params.config.dropout_keep if train else 1.0
+    out1, cache1 = nn.forward(params.layers, x1, dropout_keep=keep, train=train, rng=rng)
+    out2, cache2 = nn.forward(params.layers, x2, dropout_keep=keep, train=train, rng=rng)
+    sign = np.array([1.0 if inst.s1 > inst.s2 else -1.0 for inst in batch])
+    margins = 1.0 - sign * (out1[:, 0] - out2[:, 0])
+    active = margins > 0.0
+    store1 = nn.backward(cache1, (np.where(active, -sign, 0.0) / n)[:, None])
+    store2 = nn.backward(cache2, (np.where(active, sign, 0.0) / n)[:, None])
+
+    d_embedding = np.zeros_like(params.embedding)
+    d_term_weights = np.zeros_like(params.term_weights)
+
+    def scatter(pair, d_rep):
+        idx, counts = pair
+        if idx.size:
+            d_embedding[idx] += (counts * params.term_weights[idx])[:, None] * d_rep
+            d_term_weights[idx] += counts * (params.embedding[idx] @ d_rep)
+
+    dx1, dx2 = store1.d_input, store2.d_input
+    for i in range(n):
+        scatter(q_rows[i], dx1[i, :m] + dx2[i, :m])
+        scatter(d1_rows[i], dx1[i, m:])
+        scatter(d2_rows[i], dx2[i, m:])
+    return float(np.maximum(0.0, margins).mean()), {
+        "d_embedding": d_embedding,
+        "d_term_weights": d_term_weights,
+        "d_layer_weights": [a + b for a, b in zip(store1.d_weights, store2.d_weights)],
+        "d_layer_biases": [a + b for a, b in zip(store1.d_biases, store2.d_biases)],
+    }
+
+
+def count_matrix_batch(seed, dropout_keep=1.0):
+    """Params and a batch with repeated terms, query terms in its documents,
+    one document as doc1 and as doc2 of different instances, and an empty
+    document row."""
+    rng = np.random.default_rng(seed)
+    docs = [Document("rep", "a a a b c c"), Document("empty", ""),
+            Document("x", "b d d e"), Document("y", "a e f f f g"),
+            Document("z", "g h h a")]
+    index = build_index(docs)
+    cfg = RankModelConfig(embedding_dim=6, hidden_layers=2, hidden_size=9,
+                          dropout_keep=dropout_keep, learning_rate=1e-3, batch_size=8)
+    params = init_params(cfg, index.vocabulary, index, seed=seed)
+    params.term_weights[:] = rng.uniform(0.2, 2.0, len(index.vocabulary))
+    for layer in params.layers:
+        layer.weights *= 3.0  # keep most hinges active
+    pairs = [("a a b", 0, 2), ("c", 2, 0), ("e e f", 1, 3), ("a g", 3, 1),
+             ("h h a", 4, 0), ("b d", 0, 4), ("zzz", 2, 3), ("f g a", 3, 2)]
+    batch = [
+        TrainingInstance(f"q{k}", index.doc_ids[d1], index.doc_ids[d2],
+                         float(rng.choice([-1.0, 1.0])) * (k + 1), 0.0,
+                         term_index_counts(index.vocabulary, text.split()),
+                         index.doc_rows(d1), index.doc_rows(d2))
+        for k, (text, d1, d2) in enumerate(pairs)
+    ]
+    return params, batch
+
+
+def assert_same_loss_and_grads(got, want):
+    assert got[0] == pytest.approx(want[0], rel=0, abs=1e-12)
+    for name in ("d_embedding", "d_term_weights"):
+        np.testing.assert_allclose(got[1][name], want[1][name], rtol=0, atol=1e-12)
+    for name in ("d_layer_weights", "d_layer_biases"):
+        assert len(got[1][name]) == len(want[1][name])
+        for a, b in zip(got[1][name], want[1][name]):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_count_matrix_gradients_match_per_row_reference(seed, block_rows, monkeypatch):
+    # 24 rows: blocks of 1 isolate the empty rows, blocks of 5 straddle the
+    # query/doc1/doc2 boundaries, one block of 64 holds them all
+    monkeypatch.setattr(ranker, "_BLOCK_ROWS", block_rows)
+    params, batch = count_matrix_batch(seed)
+    got = compute_loss_and_grads(params, batch)
+    assert got[0] > 0.0
+    assert np.abs(got[1]["d_embedding"]).sum() > 0.0
+    assert_same_loss_and_grads(got, per_row_loss_and_grads(params, batch))
+    # single instances and the batch minus its empty-row instances
+    for sub in ([batch[2]], [batch[0]], [inst for inst in batch if "empty" not in
+                                         (inst.doc1_id, inst.doc2_id)]):
+        assert_same_loss_and_grads(compute_loss_and_grads(params, sub),
+                                   per_row_loss_and_grads(params, sub))
+
+
+def test_count_blocks_grow_with_nonzeros_not_vocabulary():
+    # rows over a million-term vocabulary: each block's C is dense over its
+    # own terms only, and together the blocks hold exactly the rows
+    rng = np.random.default_rng(0)
+    rows = []
+    for k in range(150):
+        idx = np.unique(rng.integers(0, 1_000_000, size=k % 7))
+        rows.append((idx, rng.integers(1, 4, size=idx.size)))
+    seen = 0
+    for first, u, counts in ranker._count_blocks(rows):
+        part = rows[first:first + ranker._BLOCK_ROWS]
+        assert counts.shape == (len(part), u.size)
+        assert u.size <= sum(idx.size for idx, _ in part)
+        for i, (idx, c) in enumerate(part):
+            np.testing.assert_array_equal(u[counts[i] > 0], idx)
+            np.testing.assert_array_equal(counts[i][counts[i] > 0], c)
+        seen += len(part)
+    assert seen == len(rows)
+
+
+def test_count_matrix_keeps_the_dropout_mask_stream():
+    params, batch = count_matrix_batch(3, dropout_keep=0.7)
+    got = compute_loss_and_grads(params, batch, train=True, rng=np.random.default_rng(5))
+    want = per_row_loss_and_grads(params, batch, train=True, rng=np.random.default_rng(5))
+    assert got[0] == want[0]
+    assert_same_loss_and_grads(got, want)
 
 
 # ---------------------------------------------------------------------------
