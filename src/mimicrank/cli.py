@@ -212,6 +212,26 @@ def cmd_pipeline(args):
     print(report["metrics_table"], end="")
 
 
+def _int_at_least(least):
+    """argparse type: an integer no smaller than least."""
+    def parse(raw):
+        value = int(raw)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's message for a non-integer names the type
+    return parse
+
+
+def _fraction(raw):
+    """argparse type: a held-out fraction in [0, 1)."""
+    value = float(raw)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
+    return value
+
+
 def _add_seed(parser, default=0):
     parser.add_argument("--seed", type=int, default=default,
                         help="random seed (default %(default)s)")
@@ -225,7 +245,7 @@ def _add_jobs(parser):
 def _add_pool_flags(parser):
     parser.add_argument("--pool-size", type=int, default=100,
                         help="candidate pool size per query (default %(default)s)")
-    parser.add_argument("--pairs-per-query", type=int, default=20,
+    parser.add_argument("--pairs-per-query", type=_int_at_least(1), default=20,
                         help="labeled pairs sampled per query (default %(default)s)")
 
 
@@ -267,7 +287,7 @@ def build_parser():
                    help="queries the annotations refer to")
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", required=True, help="checkpoint file to write")
-    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--epochs", type=_int_at_least(0), default=10)
     _add_model_source(p)
     _add_seed(p)
     p.set_defaults(func=cmd_train_teacher)
@@ -281,8 +301,8 @@ def build_parser():
     p.add_argument("--out", required=True, help="student checkpoint to write")
     p.add_argument("--annotations-out", default=None,
                    help="optionally save the teacher-labeled pairs")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--heldout-fraction", type=float, default=0.1)
+    p.add_argument("--epochs", type=_int_at_least(0), default=10)
+    p.add_argument("--heldout-fraction", type=_fraction, default=0.1)
     _add_pool_flags(p)
     _add_model_source(p)
     _add_seed(p)
@@ -308,9 +328,9 @@ def build_parser():
     p.add_argument("--noise-scale", type=float, default=None,
                    help="Laplace scale added to each teacher score (default "
                         "0.05); with --ensemble, must match the saved ensemble")
-    p.add_argument("--teacher-epochs", type=int, default=10)
-    p.add_argument("--student-epochs", type=int, default=10)
-    p.add_argument("--heldout-fraction", type=float, default=0.1)
+    p.add_argument("--teacher-epochs", type=_int_at_least(0), default=10)
+    p.add_argument("--student-epochs", type=_int_at_least(0), default=10)
+    p.add_argument("--heldout-fraction", type=_fraction, default=0.1)
     _add_pool_flags(p)
     _add_model_source(p)
     _add_seed(p)

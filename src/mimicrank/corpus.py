@@ -377,10 +377,14 @@ def annotate_pools(index, queries, label_fn, pool_size, pairs_per_query, seed,
 
 def annotate_queries(index, queries, pool_size=100, pairs_per_query=20, seed=0,
                      jobs=1):
-    """BM25 weak supervision: pools and label scores both come from BM25."""
+    """BM25 weak supervision: pools and label scores both come from BM25.
+
+    The labels are the pool's own search scores, which equal bm25_score of
+    each pool document bit for bit.
+    """
 
     def bm25_labels(query, pool, qpos):
-        return [index.bm25_score(query.terms, d) for d in pool]
+        return index.search(query.terms, len(pool))[1]
 
     return annotate_pools(index, queries, bm25_labels, pool_size, pairs_per_query,
                           seed, jobs=jobs)

@@ -105,7 +105,11 @@ def mimic_train(label_fn, student_config, unlabeled, index, epochs, seed,
     label_fn(query, pool doc indices, query position) -> scores. Every
     sub-stage derives its randomness from `seed` plus a fixed tag, so two
     labelers that return identical scores produce byte-identical students.
+    heldout_fraction must lie in [0, 1).
     """
+    if not 0.0 <= heldout_fraction < 1.0:
+        raise ValueError(
+            f"heldout_fraction must be in [0, 1), got {heldout_fraction}")
     instances, report = annotate_pools(
         index, unlabeled, label_fn, pool_size, pairs_per_query,
         seeding.entropy(seed, ANNOTATE_TAG),

@@ -33,12 +33,12 @@ from .distill import distill, model_labels
 from .evaluation import evaluate, format_metric_table, read_qrels, write_run
 from .private import (
     PrivacyConfig,
-    ensemble_labels,
+    aggregate_scores,
     file_sha256,
-    noisy_aggregate,
     pairwise_agreement,
     pate_distill,
     teacher_mean,
+    teacher_scores,
     train_ensemble,
 )
 from .ranker import (
@@ -46,6 +46,7 @@ from .ranker import (
     RankModelConfig,
     STUDENT_CONFIG,
     TEACHER_CONFIG,
+    check_index_vocabulary,
     init_params,
     load_model,
     rank_by_scores,
@@ -221,10 +222,16 @@ def parse_config(path, overrides=None):
         raise ConfigError("config must set seed (or pass --seed)")
     if kwargs["seed"] < 0:
         raise ConfigError("seed must be non-negative")
-    for key in ("annotate.pool_size", "rank.pool_size", "rank.cutoff"):
+    for key, least in (("annotate.pool_size", 1), ("annotate.pairs_per_query", 1),
+                       ("rank.pool_size", 1), ("rank.cutoff", 1),
+                       ("epochs.teacher", 0), ("epochs.student", 0)):
         value = kwargs.get(_SCHEMA[key][0])
-        if value is not None and value < 1:
-            raise ConfigError(f"{key}: must be at least 1, got {value}")
+        if value is not None and value < least:
+            raise ConfigError(f"{key}: must be at least {least}, got {value}")
+    fraction = kwargs.get("heldout_fraction")
+    if fraction is not None and not 0.0 <= fraction < 1.0:
+        raise ConfigError(
+            f"distill.heldout_fraction: must be in [0, 1), got {fraction}")
     if "out" not in kwargs:
         raise ConfigError("config must set out (or pass --out)")
     kwargs["teacher"] = dataclasses.replace(TEACHER_CONFIG, **teacher_kwargs)
@@ -329,6 +336,41 @@ def model_run(index, queries, label_fn, pool_size, cutoff, jobs=1):
     else:
         pairs = [one(item) for item in enumerate(queries)]
     return dict(pairs)
+
+
+def _ensemble_run_labelers(ensemble, index):
+    """{run name: label_fn} of the teacher_NN, aggregate and (at a noise
+    scale above 0) aggregate_noisy runs of one query set and pool size.
+
+    The labelers share one teacher_scores array per query position, built
+    by whichever first reaches it, so each teacher scores each pool once.
+    aggregate_noisy draws from seeding.rng(privacy seed, query position,
+    EVAL_NOISE_TAG). A teacher vocabulary other than the index's raises
+    ValueError here.
+    """
+    check_index_vocabulary(ensemble.teachers[0], index)
+    # model_run scores each query in one worker, so no two threads fill
+    # the same entry
+    arrays = {}
+
+    def pool_scores(query, pool, qpos):
+        if qpos not in arrays:
+            arrays[qpos] = teacher_scores(ensemble, query.terms,
+                                          [index.doc_rows(d) for d in pool])
+        return arrays[qpos]
+
+    labelers = {
+        f"teacher_{i:02d}": lambda q, pool, qpos, i=i: pool_scores(q, pool, qpos)[:, i]
+        for i in range(len(ensemble.teachers))
+    }
+    labelers["aggregate"] = lambda q, pool, qpos: aggregate_scores(
+        pool_scores(q, pool, qpos), 0.0)
+    privacy = ensemble.config
+    if privacy.noise_scale > 0:
+        labelers["aggregate_noisy"] = lambda q, pool, qpos: aggregate_scores(
+            pool_scores(q, pool, qpos), privacy.noise_scale,
+            seeding.rng(privacy.seed, qpos, EVAL_NOISE_TAG))
+    return labelers
 
 
 def _eval_pairs(index, queries, depth=6):
@@ -483,8 +525,6 @@ def run_pipeline(config, mode, jobs=1):
 
     if mode == "pate":
         ensemble = stages.run("train-teachers", train_teacher_ensemble)
-        quiet_ensemble = dataclasses.replace(
-            ensemble, config=dataclasses.replace(ensemble.config, noise_scale=0.0))
         teacher = None
     else:
         ensemble = None
@@ -535,16 +575,11 @@ def run_pipeline(config, mode, jobs=1):
         if teacher is not None:
             runs["teacher"] = rerank(model_labels(teacher, index))
         if ensemble is not None:
-            for i, t in enumerate(ensemble.teachers):
-                runs[f"teacher_{i:02d}"] = rerank(model_labels(t, index))
-            # noise-free, the aggregate sums exactly like teacher_mean
-            runs["aggregate"] = rerank(
-                ensemble_labels(quiet_ensemble, index, EVAL_NOISE_TAG))
-            if ensemble.config.noise_scale > 0:
-                runs["aggregate_noisy"] = rerank(
-                    ensemble_labels(ensemble, index, EVAL_NOISE_TAG))
-            else:
-                runs["aggregate_noisy"] = runs["aggregate"]
+            # one model_run per run file; noise-free, the aggregate sums
+            # exactly like teacher_mean
+            for name, label_fn in _ensemble_run_labelers(ensemble, index).items():
+                runs[name] = rerank(label_fn)
+            runs.setdefault("aggregate_noisy", runs["aggregate"])
         if student is not None:
             runs["student"] = rerank(model_labels(student, index))
         for name, run in runs.items():
@@ -584,7 +619,7 @@ def run_pipeline(config, mode, jobs=1):
             # exactness property: the noise-free aggregate must order pairs
             # exactly like the plain teacher mean
             report["agreement_nonnoisy_vs_mean"] = pairwise_agreement(
-                lambda q, rows: noisy_aggregate(quiet_ensemble, q, rows),
+                lambda q, rows: aggregate_scores(teacher_scores(ensemble, q, rows), 0.0),
                 lambda q, rows: teacher_mean(ensemble, q, rows),
                 _eval_pairs(index, eval_queries),
             )

@@ -162,30 +162,44 @@ def draw_uniform(rng):
     return u
 
 
-def noisy_aggregate(ensemble, query_terms, doc_rows, rng=None):
-    """(1/n)·Σ_i (score_i + Laplace(scale)) for every document of a pool.
+def teacher_scores(ensemble, query_terms, doc_rows):
+    """(documents × teachers) array of a pool's teacher scores.
 
-    doc_rows: the pool's (term indices, counts) rows; each teacher scores
-    the pool in one forward. Noise is drawn per (document, teacher),
-    document-major and teacher-minor. Teacher contributions are summed
-    left to right from 0.0, so with noise_scale 0 the result equals
-    teacher_mean bitwise. Returns an array of pool scores.
+    doc_rows: the pool's (term indices, counts) rows. Column i is
+    score_pool(teachers[i], ...) exactly: each teacher scores the pool in
+    one forward.
     """
-    scale = ensemble.config.noise_scale
+    scores = np.empty((len(doc_rows), len(ensemble.teachers)))
+    for i, teacher in enumerate(ensemble.teachers):
+        scores[:, i] = score_pool(teacher, query_terms, doc_rows)
+    return scores
+
+
+def aggregate_scores(scores, scale, rng=None):
+    """(1/n)·Σ_i (scores[:, i] + Laplace(scale)) for every document.
+
+    scores: a teacher_scores array. Noise is drawn per (document, teacher),
+    document-major and teacher-minor. Teacher contributions are summed
+    left to right from 0.0, so at scale 0 the result equals teacher_mean
+    bitwise. Returns an array of pool scores.
+    """
     if scale > 0.0 and rng is None:
         raise ValueError("noise_scale > 0 requires an rng")
-    n_teachers = len(ensemble.teachers)
+    n_docs, n_teachers = scores.shape
     if scale > 0.0:
         noise = np.array([laplace_sample(scale, draw_uniform(rng))
-                          for _ in range(len(doc_rows) * n_teachers)])
-        noise = noise.reshape(len(doc_rows), n_teachers)
-    acc = np.zeros(len(doc_rows))
-    for i, teacher in enumerate(ensemble.teachers):
-        s = score_pool(teacher, query_terms, doc_rows)
-        if scale > 0.0:
-            s = s + noise[:, i]
-        acc = acc + s
+                          for _ in range(n_docs * n_teachers)])
+        scores = scores + noise.reshape(n_docs, n_teachers)
+    acc = np.zeros(n_docs)
+    for i in range(n_teachers):
+        acc = acc + scores[:, i]
     return acc / n_teachers
+
+
+def noisy_aggregate(ensemble, query_terms, doc_rows, rng=None):
+    """aggregate_scores of a pool's teacher_scores at the ensemble's scale."""
+    return aggregate_scores(teacher_scores(ensemble, query_terms, doc_rows),
+                            ensemble.config.noise_scale, rng)
 
 
 def teacher_mean(ensemble, query_terms, doc_rows):

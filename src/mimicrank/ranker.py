@@ -306,9 +306,12 @@ def train(params, config, instances, epochs, seed):
 
     Mutates params in place and also returns them. A non-finite loss aborts
     with TrainingDiverged carrying the last epoch-boundary snapshot.
+    epochs 0 trains nothing; a negative count raises ValueError.
     """
     if not instances:
         raise ValueError("no training instances")
+    if epochs < 0:
+        raise ValueError(f"epochs must be non-negative, got {epochs}")
     _, arrays = _trainable(params)
     state = nn.adam_state(arrays, learning_rate=config.learning_rate)
     epoch_losses = []

@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 
 from mimicrank import corpus, pipeline, ranker
+from mimicrank.toydata import mini_collection, write_collection
+from tests.conftest import MICRO_STUDENT_CONFIG, MICRO_TEACHER_CONFIG
 
 WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
 
@@ -47,3 +49,34 @@ def test_instance_fields_the_benchmark_reads():
     # returns; a change of the instance format must keep them
     fields = {f.name for f in dataclasses.fields(corpus.TrainingInstance)}
     assert {"query_id", "doc1_id", "doc2_id"} <= fields
+
+
+def test_pate_rank_work_stays_inside_one_model_run_call_per_run_file(
+        tmp_path, monkeypatch):
+    # rank_docs_per_s divides the documents of the pipeline.model_run calls
+    # by their time, so every model run file must come from its own call,
+    # looked up through the module, and return {query_id: [(doc_id, score)]}
+    write_collection(mini_collection(), tmp_path)
+    config = pipeline.RunConfig(
+        corpus=tmp_path / "corpus.jsonl", out=tmp_path / "run", seed=3,
+        queries_train=tmp_path / "queries_train.tsv",
+        queries_unlabeled=tmp_path / "queries_unlabeled.tsv",
+        queries_eval=tmp_path / "queries_eval.tsv", qrels=tmp_path / "qrels.txt",
+        teacher=MICRO_TEACHER_CONFIG, student=MICRO_STUDENT_CONFIG,
+        pool_size=20, pairs_per_query=10, teacher_epochs=2, student_epochs=2,
+        rank_pool_size=30, rank_cutoff=30, n_partitions=3, noise_scale=0.05)
+    model_run, runs = pipeline.model_run, []
+
+    def recorded(*args, **kwargs):
+        runs.append(model_run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(pipeline, "model_run", recorded)
+    pipeline.run_pipeline(config, "pate")
+    run_files = sorted(p.stem for p in (config.out / "runs").glob("*.run"))
+    assert len(runs) == len(run_files) - 1 == 6  # all but bm25.run
+    for run in runs:
+        assert run and all(isinstance(qid, str) for qid in run)
+        for entries in run.values():
+            assert all(isinstance(doc_id, str) and isinstance(score, float)
+                       for doc_id, score in entries)

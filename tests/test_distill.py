@@ -142,6 +142,17 @@ def test_distill_holdout_fraction_zero_has_no_fidelity(micro_collection,
     assert result.heldout_count == 0
 
 
+@pytest.mark.parametrize("fraction", [1.5, 1.0, -0.1])
+def test_mimic_train_rejects_heldout_fraction_outside_unit_interval(
+        micro_collection, micro_index, micro_teacher, fraction):
+    # 1.5 used to train the student on a single pair
+    with pytest.raises(ValueError, match=r"heldout_fraction must be in \[0, 1\)"):
+        mimic_train(model_labels(micro_teacher, micro_index), MICRO_STUDENT_CONFIG,
+                    micro_collection.unlabeled_queries, micro_index, epochs=1,
+                    seed=0, pool_size=10, pairs_per_query=4,
+                    heldout_fraction=fraction)
+
+
 def test_distill_raises_when_no_pairs(micro_index, micro_teacher):
     hopeless = [Query("qz", ("qqqq", "zzzz"))]  # OOV: retrieves nothing
     with pytest.raises(ValueError, match="no training pairs"):

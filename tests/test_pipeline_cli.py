@@ -4,28 +4,41 @@ import dataclasses
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from mimicrank import distill, pipeline, private
 from mimicrank.cli import build_parser, main
-from mimicrank.corpus import load_index
+from mimicrank.corpus import load_index, read_queries
+from mimicrank.distill import model_labels
+from mimicrank.evaluation import write_run
 from mimicrank.pipeline import (
+    EVAL_NOISE_TAG,
     ConfigError,
     RunConfig,
     SEED_OFFSETS,
     config_hash,
+    model_run,
     parse_config,
     read_model_configs,
     run_pipeline,
     seed_plan,
 )
-from mimicrank.private import PrivacyConfig, TeacherEnsemble, save_ensemble
+from mimicrank.private import (
+    PrivacyConfig,
+    TeacherEnsemble,
+    ensemble_labels,
+    load_ensemble,
+    save_ensemble,
+)
 from mimicrank.ranker import (
     RankModelConfig,
     STUDENT_CONFIG,
     TEACHER_CONFIG,
     init_params,
     save_model,
+    score_pool,
 )
 from mimicrank.toydata import mini_collection, write_collection
 
@@ -129,6 +142,12 @@ def test_parse_config_defaults_match_published_architectures(tmp_path):
     ("privacy.noise_scale = inf", "privacy.noise_scale: expected a finite number"),
     ("teacher.learning_rate = nan", "teacher.learning_rate: expected a finite number"),
     ("distill.heldout_fraction = -inf", "heldout_fraction: expected a finite number"),
+    ("distill.heldout_fraction = 1.5", r"distill.heldout_fraction: must be in \[0, 1\)"),
+    ("distill.heldout_fraction = 1", r"distill.heldout_fraction: must be in \[0, 1\)"),
+    ("distill.heldout_fraction = -0.1", r"distill.heldout_fraction: must be in \[0, 1\)"),
+    ("epochs.student = -2", "epochs.student: must be at least 0, got -2"),
+    ("epochs.teacher = -1", "epochs.teacher: must be at least 0, got -1"),
+    ("annotate.pairs_per_query = 0", "annotate.pairs_per_query: must be at least 1, got 0"),
 ])
 def test_parse_config_rejects_bad_input(tmp_path, line, fragment):
     path = tmp_path / "bad.conf"
@@ -269,6 +288,54 @@ def test_pate_mode_writes_four_row_report_and_shards(workspace, tmp_path):
     assert "noisy_vs_nonnoisy" in saved
     ensemble_manifest = read_json(out / "checkpoints" / "ensemble" / "manifest.json")
     assert ensemble_manifest["shard_hashes"] == report["shard_hashes"]
+
+
+def test_pate_rank_stage_scores_each_pool_once_per_model(workspace, tmp_path,
+                                                        monkeypatch):
+    # the teacher_NN, aggregate and aggregate_noisy runs share one teacher
+    # score array per pool, so every model scores every evaluation pool once
+    calls = Counter()
+    ranking = []
+
+    def in_rank_stage(*args, **kwargs):
+        ranking.append(True)
+        try:
+            return model_run(*args, **kwargs)
+        finally:
+            ranking.pop()
+
+    def counted(params, query_terms, doc_rows):
+        if ranking:
+            calls[id(params)] += 1
+        return score_pool(params, query_terms, doc_rows)
+
+    monkeypatch.setattr(pipeline, "model_run", in_rank_stage)
+    monkeypatch.setattr(private, "score_pool", counted)
+    monkeypatch.setattr(distill, "score_pool", counted)
+    run_pipeline(base_config(workspace, tmp_path / "pate"), "pate")
+    n_pools = len(read_queries(workspace / "queries_eval.tsv"))
+    assert sorted(calls.values()) == [n_pools] * 4  # three teachers, one student
+
+
+def test_pate_ensemble_runs_equal_their_labelers_runs(workspace, tmp_path):
+    out = tmp_path / "pate"
+    config = base_config(workspace, out)
+    run_pipeline(config, "pate")
+    index = load_index(out / "index.bin")
+    ensemble, _ = load_ensemble(out / "checkpoints" / "ensemble")
+    quiet = dataclasses.replace(
+        ensemble, config=dataclasses.replace(ensemble.config, noise_scale=0.0))
+    queries = read_queries(config.queries_eval)
+    labelers = {f"teacher_{i:02d}": model_labels(t, index)
+                for i, t in enumerate(ensemble.teachers)}
+    labelers["aggregate"] = ensemble_labels(quiet, index, EVAL_NOISE_TAG)
+    labelers["aggregate_noisy"] = ensemble_labels(ensemble, index, EVAL_NOISE_TAG)
+    for name, label_fn in labelers.items():
+        run = model_run(index, queries, label_fn, config.rank_pool_size,
+                        config.rank_cutoff)
+        write_run(tmp_path / f"{name}.run", run, tag=name)
+        assert (tmp_path / f"{name}.run").read_bytes() == \
+            (out / "runs" / f"{name}.run").read_bytes(), name
 
 
 def test_pate_single_teacher_without_noise_reduces_to_distill(workspace, tmp_path):
@@ -512,6 +579,48 @@ def test_cli_pipeline_rejects_pool_and_cutoff_below_one(tmp_path, capsys, key):
                  "--out", str(out)]) == 2
     assert f"{key}: must be at least 1, got -3" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_rejects_out_of_range_run_settings(tmp_path, capsys):
+    # each used to exit 0: a held-out fraction of 1.5 trained the student on
+    # one pair, -2 student epochs wrote an untrained student, and 0 pairs per
+    # query failed only after the index was built
+    out = tmp_path / "run"
+    for key, value, problem in (
+            ("distill.heldout_fraction", "1.5", "must be in [0, 1), got 1.5"),
+            ("epochs.student", "-2", "must be at least 0, got -2"),
+            ("epochs.teacher", "-2", "must be at least 0, got -2"),
+            ("annotate.pairs_per_query", "0", "must be at least 1, got 0")):
+        lines = [kept for kept in CONFIG_TEMPLATE.splitlines()
+                 if not kept.startswith(key)]
+        conf = tmp_path / "range.conf"  # rejected before any path is opened
+        conf.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        capsys.readouterr()
+        assert main(["pipeline", "--mode", "distill", "--config", str(conf),
+                     "--out", str(out)]) == 2, key
+        assert f"{key}: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+    pate = ["pate", "--index", "i", "--queries", "q", "--annotations", "a",
+            "--train-queries", "t", "--out", str(out)]
+    distill_cmd = ["distill", "--index", "i", "--teacher", "t", "--queries", "q",
+                   "--out", str(out)]
+    for argv, flag, value, problem in (
+            (distill_cmd, "--heldout-fraction", "1.5", "must be in [0, 1), got 1.5"),
+            (pate, "--heldout-fraction", "-0.5", "must be in [0, 1), got -0.5"),
+            (distill_cmd, "--epochs", "-2", "must be at least 0, got -2"),
+            (["train-teacher", "--index", "i", "--queries", "q", "--annotations",
+              "a", "--out", str(out)], "--epochs", "-1", "must be at least 0, got -1"),
+            (pate, "--teacher-epochs", "-1", "must be at least 0, got -1"),
+            (pate, "--student-epochs", "-2", "must be at least 0, got -2"),
+            (pate, "--pairs-per-query", "0", "must be at least 1, got 0"),
+            (["annotate", "--index", "i", "--queries", "q", "--out", str(out)],
+             "--pairs-per-query", "-1", "must be at least 1, got -1")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exited:
+            main(argv + [flag, value])
+        assert exited.value.code == 2, (argv[0], flag)
+        assert f"argument {flag}: {problem}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_pipeline_rejects_rank_cutoff_below_one(workspace, tmp_path):

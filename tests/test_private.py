@@ -1,5 +1,6 @@
 """Partitioning, Laplace mechanism, noisy aggregation, private distillation."""
 
+import dataclasses
 import inspect
 import math
 from collections import Counter
@@ -14,6 +15,7 @@ from mimicrank.private import (
     NOISE_TAG,
     PrivacyConfig,
     TeacherEnsemble,
+    aggregate_scores,
     draw_uniform,
     ensemble_labels,
     file_sha256,
@@ -25,6 +27,7 @@ from mimicrank.private import (
     pate_distill,
     save_ensemble,
     teacher_mean,
+    teacher_scores,
     train_teachers,
 )
 from mimicrank.ranker import init_params, save_model, score_pool, train
@@ -263,6 +266,25 @@ def test_noisy_aggregate_draws_document_major(micro_collection, micro_index,
         for i in range(3):
             acc += clean[i][d] + noise[d][i]
         assert got[d] == acc / 3
+
+
+def test_teacher_scores_columns_and_their_reduction(micro_collection, micro_index,
+                                                    micro_ensemble):
+    # the pate rank stage derives every ensemble run from this array, so
+    # each column must be that teacher's pool scores and the aggregate its
+    # reduction, bit for bit
+    noisy = dataclasses.replace(micro_ensemble, config=PrivacyConfig(3, 0.05, seed=0))
+    query = micro_collection.eval_queries[0]
+    q, rows = query.terms, _pool(micro_index, query)
+    scores = teacher_scores(noisy, q, rows)
+    assert scores.shape == (len(rows), 3)
+    for i, t in enumerate(noisy.teachers):
+        assert np.array_equal(scores[:, i], score_pool(t, q, rows))
+    assert np.array_equal(noisy_aggregate(noisy, q, rows, np.random.default_rng(5)),
+                          aggregate_scores(scores, 0.05, np.random.default_rng(5)))
+    assert np.array_equal(aggregate_scores(scores, 0.0), teacher_mean(noisy, q, rows))
+    with pytest.raises(ValueError, match="rng"):
+        aggregate_scores(scores, 0.05)
 
 
 def test_pairwise_agreement_nonnoisy_vs_mean_is_exactly_one(micro_collection,

@@ -526,6 +526,13 @@ def test_train_rejects_empty_instances():
         train(params, cfg, [], epochs=1, seed=0)
 
 
+def test_train_rejects_negative_epochs():
+    # -2 epochs used to return the untrained model with an empty loss list
+    cfg, params, inst = separable_setup()
+    with pytest.raises(ValueError, match="epochs must be non-negative, got -2"):
+        train(params, cfg, [inst], epochs=-2, seed=0)
+
+
 def test_train_aborts_on_divergence_with_last_good():
     cfg, params, inst = separable_setup()
     params.embedding[:] = np.nan
