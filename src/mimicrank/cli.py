@@ -74,7 +74,7 @@ def cmd_annotate(args):
     queries = read_queries(args.queries)
     instances, report = annotate_queries(
         index, queries, args.pool_size, args.pairs_per_query,
-        seed=args.seed, jobs=args.jobs,
+        seed=args.seed,
     )
     write_annotations(args.out, instances)
     print(
@@ -185,7 +185,7 @@ def cmd_rank(args):
     if args.model:
         params = load_model(args.model)
         run = model_run(index, queries, model_labels(params, index),
-                        args.pool_size, args.cutoff, args.jobs)
+                        args.pool_size, args.cutoff)
     else:
         run = bm25_run(index, queries, args.cutoff)
     write_run(args.out, run, tag=args.tag)
@@ -208,7 +208,7 @@ def cmd_pipeline(args):
     if args.out is not None:
         overrides["out"] = args.out
     config = parse_config(args.config, overrides)
-    report = run_pipeline(config, args.mode, jobs=args.jobs)
+    report = run_pipeline(config, args.mode)
     print(report["metrics_table"], end="")
 
 
@@ -232,18 +232,13 @@ def _fraction(raw):
     return value
 
 
-def _add_seed(parser, default=0):
-    parser.add_argument("--seed", type=int, default=default,
+def _add_seed(parser):
+    parser.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="random seed (default %(default)s)")
 
 
-def _add_jobs(parser):
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads; results do not depend on it")
-
-
 def _add_pool_flags(parser):
-    parser.add_argument("--pool-size", type=int, default=100,
+    parser.add_argument("--pool-size", type=_int_at_least(2), default=100,
                         help="candidate pool size per query (default %(default)s)")
     parser.add_argument("--pairs-per-query", type=_int_at_least(1), default=20,
                         help="labeled pairs sampled per query (default %(default)s)")
@@ -277,7 +272,6 @@ def build_parser():
     p.add_argument("--out", required=True, help="annotation TSV to write")
     _add_pool_flags(p)
     _add_seed(p)
-    _add_jobs(p)
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("train-teacher",
@@ -347,7 +341,6 @@ def build_parser():
     p.add_argument("--cutoff", type=int, default=100,
                    help="ranks kept per query")
     p.add_argument("--tag", default="mimicrank", help="run tag column")
-    _add_jobs(p)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("evaluate", help="score a run file against qrels")
@@ -363,10 +356,9 @@ def build_parser():
                        help="run a full config-driven experiment")
     p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
                    help="override the config's master seed")
     p.add_argument("--out", default=None, help="override the run directory")
-    _add_jobs(p)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

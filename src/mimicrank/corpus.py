@@ -5,10 +5,6 @@ stores: one flat int64 array of (doc index, tf) pairs grouped by term
 index and sorted by doc index within a term, plus |V| + 1 term offsets
 into it. BM25 search reads them term at a time into a dense score
 accumulator.
-
-The index is built once and then treated as immutable; scoring and
-annotation only read it, so they can safely run concurrently across
-queries.
 """
 
 import json
@@ -25,6 +21,9 @@ from .serialize import read_container, write_container
 
 BM25_K1 = 1.2
 BM25_B = 0.75
+
+# pair draws per requested pair before a query's sampling gives up
+MAX_ATTEMPTS_PER_PAIR = 50
 
 INDEX_MAGIC = b"MRIX"
 INDEX_VERSION = 1
@@ -173,14 +172,15 @@ class InvertedIndex:
         lo, hi = self._doc_offsets[doc_index], self._doc_offsets[doc_index + 1]
         return self._doc_term_idx[lo:hi], self._doc_term_tf[lo:hi]
 
-    def bm25_score(self, query_terms, doc_index, k1=BM25_K1, b=BM25_B):
+    def bm25_score(self, query_terms, doc_index):
         """Okapi BM25 with +1-smoothed idf; repeated query terms add up."""
         if not 0 <= doc_index < self.doc_count:
             raise ValueError(
                 f"doc_index {doc_index} out of range for {self.doc_count} documents"
             )
         dl = int(self.doc_lengths[doc_index])
-        norm = k1 * (1.0 - b + b * dl / self.avg_doc_length) if self.avg_doc_length else k1
+        norm = (BM25_K1 * (1.0 - BM25_B + BM25_B * dl / self.avg_doc_length)
+                if self.avg_doc_length else BM25_K1)
         terms, tfs = self.doc_rows(doc_index)
         score = 0.0
         for term in query_terms:
@@ -191,7 +191,7 @@ class InvertedIndex:
             tf = int(tfs[pos])
             df = self.df(term)
             idf = math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
-            score += idf * tf * (k1 + 1.0) / (tf + norm)
+            score += idf * tf * (BM25_K1 + 1.0) / (tf + norm)
         return score
 
     def search(self, query_terms, k):
@@ -263,23 +263,9 @@ class AnnotationReport:
     queries_total: int = 0
     queries_annotated: int = 0
     queries_skipped: int = 0
-    skipped_query_ids: list = None
+    skipped_query_ids: list = field(default_factory=list)
     pairs_emitted: int = 0
     ties_discarded: int = 0
-
-    def __post_init__(self):
-        if self.skipped_query_ids is None:
-            self.skipped_query_ids = []
-
-    def as_dict(self):
-        return {
-            "queries_total": self.queries_total,
-            "queries_annotated": self.queries_annotated,
-            "queries_skipped": self.queries_skipped,
-            "skipped_query_ids": list(self.skipped_query_ids),
-            "pairs_emitted": self.pairs_emitted,
-            "ties_discarded": self.ties_discarded,
-        }
 
 
 def _sample_scored_pairs(n_pool, labels, pairs_per_query, rng, max_attempts):
@@ -308,38 +294,36 @@ def _sample_scored_pairs(n_pool, labels, pairs_per_query, rng, max_attempts):
     return pairs, ties
 
 
-def annotate_pools(index, queries, label_fn, pool_size, pairs_per_query, seed,
-                   max_attempts_factor=50, jobs=1):
+def annotate_pools(index, queries, label_fn, pool_size, pairs_per_query, seed):
     """Shared pool-and-pair machinery behind every annotator.
 
     For each query the BM25 top-pool_size documents are retrieved, labeled
     by label_fn(query, pool doc indices, query position) -> score array, and
     pairs_per_query unordered pairs with distinct labels are sampled from
     the pool. Queries whose pool has fewer than two documents are skipped
-    and counted in the report.
-
-    All per-query randomness is keyed by (seed, query position), so jobs > 1
-    changes only wall-clock time, never the output.
+    and counted in the report. All per-query randomness is keyed by
+    (seed, query position).
     """
     if pool_size < 2:
         raise ValueError("pool_size must be at least 2")
-    max_attempts = max_attempts_factor * max(1, pairs_per_query)
-
-    def one(args):
-        qpos, query = args
+    max_attempts = MAX_ATTEMPTS_PER_PAIR * max(1, pairs_per_query)
+    instances = []
+    report = AnnotationReport(queries_total=len(queries))
+    for qpos, query in enumerate(queries):
         pool, _ = index.search(query.terms, pool_size)
         if len(pool) < 2:
-            return qpos, None, 0
+            report.queries_skipped += 1
+            report.skipped_query_ids.append(query.query_id)
+            continue
         labels = label_fn(query, pool, qpos)
         rng = seeding.rng(seed, qpos, 0)
         pairs, ties = _sample_scored_pairs(
             len(pool), labels, pairs_per_query, rng, max_attempts
         )
         query_rows = term_index_counts(index.vocabulary, query.terms)
-        emitted = []
         for a, b in pairs:
             d1, d2 = pool[a], pool[b]
-            emitted.append(
+            instances.append(
                 TrainingInstance(
                     query_id=query.query_id,
                     doc1_id=index.doc_ids[d1],
@@ -351,32 +335,13 @@ def annotate_pools(index, queries, label_fn, pool_size, pairs_per_query, seed,
                     doc2_rows=index.doc_rows(d2),
                 )
             )
-        return qpos, emitted, ties
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
-            results = list(pool_exec.map(one, enumerate(queries)))
-    else:
-        results = [one(item) for item in enumerate(queries)]
-
-    instances = []
-    report = AnnotationReport(queries_total=len(queries))
-    for qpos, emitted, ties in results:
-        if emitted is None:
-            report.queries_skipped += 1
-            report.skipped_query_ids.append(queries[qpos].query_id)
-            continue
         report.queries_annotated += 1
         report.ties_discarded += ties
-        instances.extend(emitted)
-        report.pairs_emitted += len(emitted)
+        report.pairs_emitted += len(pairs)
     return instances, report
 
 
-def annotate_queries(index, queries, pool_size=100, pairs_per_query=20, seed=0,
-                     jobs=1):
+def annotate_queries(index, queries, pool_size=100, pairs_per_query=20, seed=0):
     """BM25 weak supervision: pools and label scores both come from BM25.
 
     The labels are the pool's own search scores, which equal bm25_score of
@@ -387,7 +352,7 @@ def annotate_queries(index, queries, pool_size=100, pairs_per_query=20, seed=0,
         return index.search(query.terms, len(pool))[1]
 
     return annotate_pools(index, queries, bm25_labels, pool_size, pairs_per_query,
-                          seed, jobs=jobs)
+                          seed)
 
 
 # ---------------------------------------------------------------------------

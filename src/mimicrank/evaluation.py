@@ -161,16 +161,6 @@ class MetricReport:
     k: int
     warnings: list = field(default_factory=list)
 
-    def as_dict(self):
-        return {
-            "per_query": self.per_query,
-            "map": self.mean_ap,
-            f"p_at_{self.k}": self.mean_p_at_k,
-            f"ndcg_at_{self.k}": self.mean_ndcg_at_k,
-            "query_count": self.query_count,
-            "warnings": list(self.warnings),
-        }
-
 
 def evaluate(run, qrels, k=20, skip_empty=False):
     """Metrics for every query present in both run and qrels.

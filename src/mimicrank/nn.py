@@ -12,6 +12,13 @@ import numpy as np
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+# array-name prefix of the dense layers in a checkpoint
+LAYER_PREFIX = "layer_"
+
 
 @dataclass
 class DenseLayer:
@@ -164,21 +171,14 @@ def backward(cache, upstream):
 @dataclass
 class OptimizerState:
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_stability: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
 
-def adam_state(params, learning_rate, beta1=0.9, beta2=0.999, eps_stability=1e-8):
+def adam_state(params, learning_rate):
     return OptimizerState(
         learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        eps_stability=eps_stability,
-        step=0,
         m=[np.zeros_like(p) for p in params],
         v=[np.zeros_like(p) for p in params],
     )
@@ -208,7 +208,7 @@ def optimizer_step(params, grads, state):
             )
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, g, m, v in zip(params, grads, state.m, state.v):
         m *= b1
         m += (1.0 - b1) * g
@@ -216,7 +216,7 @@ def optimizer_step(params, grads, state):
         v += (1.0 - b2) * (g * g)
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps_stability)
+        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -280,22 +280,22 @@ def finite_difference_check(loss_fn, params, analytic_grads, h=1e-5,
 # Checkpoint format
 
 
-def layers_from_arrays(activations, arrays, prefix=""):
+def layers_from_arrays(activations, arrays):
     layers = []
     for i, act in enumerate(activations):
         layers.append(
             DenseLayer(
-                arrays[f"{prefix}weights_{i:02d}"],
-                arrays[f"{prefix}bias_{i:02d}"],
+                arrays[f"{LAYER_PREFIX}weights_{i:02d}"],
+                arrays[f"{LAYER_PREFIX}bias_{i:02d}"],
                 act,
             )
         )
     return layers
 
 
-def layers_to_arrays(layers, prefix=""):
+def layers_to_arrays(layers):
     arrays = []
     for i, layer in enumerate(layers):
-        arrays.append((f"{prefix}weights_{i:02d}", layer.weights))
-        arrays.append((f"{prefix}bias_{i:02d}", layer.bias))
+        arrays.append((f"{LAYER_PREFIX}weights_{i:02d}", layer.weights))
+        arrays.append((f"{LAYER_PREFIX}bias_{i:02d}", layer.bias))
     return arrays

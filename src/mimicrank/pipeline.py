@@ -8,12 +8,12 @@ timestamps or machine-local paths, so reruns are byte-identical.
 
 import dataclasses
 import hashlib
-import json
 import math
 import platform
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .ranker import (
     save_model,
     train,
 )
+from .serialize import write_json
 
 MODES = ("weak", "supervised", "distill", "pate")
 
@@ -73,6 +74,10 @@ SEED_OFFSETS = {
 }
 
 EVAL_NOISE_TAG = 8  # per-eval-query noise streams, distinct from annotation's
+
+# (metrics.json key, MetricReport attribute) of each mean in a metrics row
+_METRIC_KEYS = (("map", "mean_ap"), ("p_at_k", "mean_p_at_k"),
+                ("ndcg_at_k", "mean_ndcg_at_k"))
 
 
 class ConfigError(ValueError):
@@ -222,7 +227,7 @@ def parse_config(path, overrides=None):
         raise ConfigError("config must set seed (or pass --seed)")
     if kwargs["seed"] < 0:
         raise ConfigError("seed must be non-negative")
-    for key, least in (("annotate.pool_size", 1), ("annotate.pairs_per_query", 1),
+    for key, least in (("annotate.pool_size", 2), ("annotate.pairs_per_query", 1),
                        ("rank.pool_size", 1), ("rank.cutoff", 1),
                        ("epochs.teacher", 0), ("epochs.student", 0)):
         value = kwargs.get(_SCHEMA[key][0])
@@ -313,29 +318,18 @@ def bm25_run(index, queries, cutoff):
     return run
 
 
-def model_run(index, queries, label_fn, pool_size, cutoff, jobs=1):
+def model_run(index, queries, label_fn, pool_size, cutoff):
     """BM25 recall pool re-ranked by label_fn(query, pool, query position).
 
-    label_fn is the labeler protocol of annotate_pools; results are
-    independent of jobs as long as it is a pure function of its arguments
-    (each query is scored whole by one worker).
+    label_fn is the labeler protocol of annotate_pools.
     """
-
-    def one(args):
-        qpos, q = args
+    run = {}
+    for qpos, q in enumerate(queries):
         pool, _ = index.search(q.terms, pool_size)
         labels = label_fn(q, pool, qpos)
         scored = [(index.doc_ids[d], float(s)) for d, s in zip(pool, labels)]
-        return q.query_id, rank_by_scores(scored, cutoff)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            pairs = list(ex.map(one, enumerate(queries)))
-    else:
-        pairs = [one(item) for item in enumerate(queries)]
-    return dict(pairs)
+        run[q.query_id] = rank_by_scores(scored, cutoff)
+    return run
 
 
 def _ensemble_run_labelers(ensemble, index):
@@ -349,8 +343,6 @@ def _ensemble_run_labelers(ensemble, index):
     ValueError here.
     """
     check_index_vocabulary(ensemble.teachers[0], index)
-    # model_run scores each query in one worker, so no two threads fill
-    # the same entry
     arrays = {}
 
     def pool_scores(query, pool, qpos):
@@ -385,14 +377,19 @@ def _eval_pairs(index, queries, depth=6):
     return pools
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _metric_means(report):
+    return {key: getattr(report, attr) for key, attr in _METRIC_KEYS}
 
 
 def run_pipeline(config, mode, jobs=1):
-    """Execute one pipeline mode into config.out; returns the report dict."""
+    """Execute one pipeline mode into config.out; returns the report dict.
+
+    Work runs on one thread. jobs must be 1: any other value raises
+    ConfigError before anything is written. The keyword stays only while
+    bench/worker.py passes it, and goes when the benchmark stops doing so.
+    """
+    if jobs != 1:
+        raise ConfigError(f"jobs must be 1, got {jobs!r}")
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     _require(config, mode, "queries_eval", "qrels", "queries_train")
@@ -441,7 +438,7 @@ def run_pipeline(config, mode, jobs=1):
             "numpy": np.__version__,
         },
     }
-    _write_json(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
 
     stages = _StageRunner(out)
     report = {"mode": mode, "config_hash": manifest["config_hash"]}
@@ -475,19 +472,19 @@ def run_pipeline(config, mode, jobs=1):
 
             instances, ann_report = annotate_pools(
                 index, train_queries, grade_labels, config.pool_size,
-                config.pairs_per_query, plan["supervised_pairs"], jobs=jobs,
+                config.pairs_per_query, plan["supervised_pairs"],
             )
         else:
             instances, ann_report = annotate_queries(
                 index, train_queries, config.pool_size, config.pairs_per_query,
-                seed=plan["weak_annotation"], jobs=jobs,
+                seed=plan["weak_annotation"],
             )
         path = out / "annotations" / "train.tsv"
         write_annotations(path, instances)
         # the file is the artifact of record: reload it so training consumes
         # exactly what a later rerun would read
         loaded, dropped = read_annotations(path, train_queries, index)
-        report["annotation"] = ann_report.as_dict()
+        report["annotation"] = dataclasses.asdict(ann_report)
         report["annotation"]["rounded_ties_dropped"] = dropped
         if not loaded:
             raise ConfigError("annotation produced no usable training pairs")
@@ -555,7 +552,7 @@ def run_pipeline(config, mode, jobs=1):
                 )
             write_annotations(out / "annotations" / "soft.tsv", result.instances)
             save_model(out / "checkpoints" / "student.ckpt", result.student)
-            report["soft_annotation"] = result.annotation.as_dict()
+            report["soft_annotation"] = dataclasses.asdict(result.annotation)
             report["fidelity"] = result.fidelity
             report["student_epoch_losses"] = result.epoch_losses
             report["student_pairs"] = {
@@ -569,7 +566,7 @@ def run_pipeline(config, mode, jobs=1):
     def write_runs():
         def rerank(label_fn):
             return model_run(index, eval_queries, label_fn,
-                             config.rank_pool_size, config.rank_cutoff, jobs)
+                             config.rank_pool_size, config.rank_cutoff)
 
         runs = {"bm25": bm25_run(index, eval_queries, config.rank_cutoff)}
         if teacher is not None:
@@ -596,20 +593,13 @@ def run_pipeline(config, mode, jobs=1):
         }
         metrics = {}
         if ensemble is not None:
-            teacher_names = [f"teacher_{i:02d}" for i in range(len(ensemble.teachers))]
-            avg = _AvgRow(
-                mean_ap=sum(reports[n].mean_ap for n in teacher_names)
-                / len(teacher_names),
-                mean_p_at_k=sum(reports[n].mean_p_at_k for n in teacher_names)
-                / len(teacher_names),
-                mean_ndcg_at_k=sum(reports[n].mean_ndcg_at_k for n in teacher_names)
-                / len(teacher_names),
-            )
-            metrics["teachers_avg"] = {
-                "map": avg.mean_ap,
-                "p_at_k": avg.mean_p_at_k,
-                "ndcg_at_k": avg.mean_ndcg_at_k,
-            }
+            teachers = [reports[f"teacher_{i:02d}"]
+                        for i in range(len(ensemble.teachers))]
+            avg = SimpleNamespace(**{
+                attr: sum(getattr(rep, attr) for rep in teachers) / len(teachers)
+                for _, attr in _METRIC_KEYS
+            })
+            metrics["teachers_avg"] = _metric_means(avg)
             rows = [
                 ("teachers avg", avg),
                 ("aggregate non-noisy", reports["aggregate"]),
@@ -637,25 +627,13 @@ def run_pipeline(config, mode, jobs=1):
         table = format_metric_table(rows, k=config.eval_k)
         (out / "metrics.txt").write_text(table, encoding="utf-8")
         for name, rep in reports.items():
-            metrics[name] = {
-                "map": rep.mean_ap,
-                "p_at_k": rep.mean_p_at_k,
-                "ndcg_at_k": rep.mean_ndcg_at_k,
-                "query_count": rep.query_count,
-                "warnings": rep.warnings,
-            }
-        _write_json(out / "metrics.json", metrics)
+            metrics[name] = {**_metric_means(rep), "query_count": rep.query_count,
+                             "warnings": rep.warnings}
+        write_json(out / "metrics.json", metrics)
         report["metrics"] = metrics
-        _write_json(out / "report.json", report)
+        write_json(out / "report.json", report)
         return table
 
     table = stages.run("evaluate", evaluate_all)
     report["metrics_table"] = table
     return report
-
-
-@dataclass
-class _AvgRow:
-    mean_ap: float
-    mean_p_at_k: float
-    mean_ndcg_at_k: float

@@ -30,6 +30,7 @@ from .ranker import (
     score_pool,
     train,
 )
+from .serialize import write_json
 
 NOISE_TAG = 7  # extends (seed, query position) into the per-query noise stream
 
@@ -303,9 +304,7 @@ def save_ensemble(directory, ensemble, teacher_seeds=None, shard_hashes=None):
         "teacher_files": files,
         "shard_hashes": shard_hashes,
     }
-    with open(directory / ENSEMBLE_MANIFEST, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / ENSEMBLE_MANIFEST, manifest)
     return directory / ENSEMBLE_MANIFEST
 
 

@@ -432,7 +432,7 @@ def save_model(path, params):
         "activations": [layer.activation for layer in params.layers],
     }
     arrays = [("embedding", params.embedding), ("term_weights", params.term_weights)]
-    arrays.extend(nn.layers_to_arrays(params.layers, prefix="layer_"))
+    arrays.extend(nn.layers_to_arrays(params.layers))
     write_container(path, MODEL_MAGIC, MODEL_VERSION, meta, arrays)
 
 
@@ -442,7 +442,7 @@ def load_model(path):
         if not np.isfinite(array).all():
             raise ValueError(f"{path}: non-finite {name}")
     config = RankModelConfig(**meta["config"])
-    layers = nn.layers_from_arrays(meta["activations"], arrays, prefix="layer_")
+    layers = nn.layers_from_arrays(meta["activations"], arrays)
     return RankModelParams(
         config=config,
         vocabulary=Vocabulary(meta["vocabulary"]),

@@ -1,10 +1,12 @@
-"""Binary container used by index and model checkpoints.
+"""Binary container used by index and model checkpoints, and the JSON writer
+of manifests and reports.
 
-Layout: 4-byte magic, little-endian uint32 format version, little-endian
-uint64 header length, a JSON header (sorted keys, compact separators), then
-the raw array payloads in header-manifest order. Arrays are written as
-little-endian float64 or int64, so a write -> read round trip is bit-exact
-and repeated writes of the same data produce identical bytes.
+Container layout: 4-byte magic, little-endian uint32 format version,
+little-endian uint64 header length, a JSON header (sorted keys, compact
+separators), then the raw array payloads in header-manifest order. Arrays
+are written as little-endian float64 or int64, so a write -> read round
+trip is bit-exact and repeated writes of the same data produce identical
+bytes.
 """
 
 import json
@@ -48,12 +50,13 @@ def write_container(path, magic, version, meta, arrays):
             fh.write(chunk)
 
 
-def read_container(path, magic, expect_version=None):
+def read_container(path, magic, expect_version):
     """Read a container written by write_container.
 
-    Returns (version, meta, dict name -> ndarray). A file cut short anywhere,
-    a header that is not the JSON write_container writes, or bytes after the
-    last array raise ValueError naming the file.
+    Returns (version, meta, dict name -> ndarray). A version other than
+    expect_version, a file cut short anywhere, a header that is not the
+    JSON write_container writes, or bytes after the last array raise
+    ValueError naming the file.
     """
     with open(path, "rb") as fh:
 
@@ -67,7 +70,7 @@ def read_container(path, magic, expect_version=None):
         if got != magic:
             raise ValueError(f"{path}: bad magic {got!r}, expected {magic!r}")
         (version,) = struct.unpack("<I", read(4, "format version"))
-        if expect_version is not None and version != expect_version:
+        if version != expect_version:
             raise ValueError(f"{path}: unsupported format version {version}")
         (header_len,) = struct.unpack("<Q", read(8, "header length"))
         try:
@@ -88,3 +91,11 @@ def read_container(path, magic, expect_version=None):
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
     return version, meta, arrays
+
+
+def write_json(path, payload):
+    """JSON with sorted keys and 2-space indent, then a newline, so equal
+    payloads give equal bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

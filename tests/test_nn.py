@@ -328,9 +328,9 @@ def test_network_checkpoint_round_trip(tmp_path):
     activations = [lay.activation for lay in layers]
     path = tmp_path / "net.ckpt"
     write_container(path, b"TEST", 1, {"activations": activations},
-                    layers_to_arrays(layers, prefix="layer_"))
+                    layers_to_arrays(layers))
     _, meta, arrays = read_container(path, b"TEST", 1)
-    loaded = layers_from_arrays(meta["activations"], arrays, prefix="layer_")
+    loaded = layers_from_arrays(meta["activations"], arrays)
     assert len(loaded) == len(layers)
     for a, b in zip(layers, loaded):
         assert np.array_equal(a.weights, b.weights)
@@ -338,7 +338,7 @@ def test_network_checkpoint_round_trip(tmp_path):
         assert a.activation == b.activation
     path2 = tmp_path / "net2.ckpt"
     write_container(path2, b"TEST", 1, {"activations": activations},
-                    layers_to_arrays(loaded, prefix="layer_"))
+                    layers_to_arrays(loaded))
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -351,12 +351,13 @@ def _container_bytes(tmp_path):
 # byte offsets: magic 0-4, version 4-8, header length 8-16, header, payload
 @pytest.mark.parametrize("cut, fragment", [
     (lambda b: b[:6], "truncated format version"),
+    (lambda b: b[:4] + b"\2\0\0\0" + b[8:], "unsupported format version 2"),
     (lambda b: b[:12], "truncated header length"),
     (lambda b: b[:20], "truncated header"),
     (lambda b: b[:-1], "truncated payload for array 'a'"),
     (lambda b: b + b"\0", "trailing bytes"),
     (lambda b: b.replace(b'"f8"', b'"f4"'), "malformed array entry"),
-], ids=["version", "header-length", "header", "payload", "trailing", "dtype"])
+], ids=["version", "other-version", "header-length", "header", "payload", "trailing", "dtype"])
 def test_read_container_rejects_damaged_files(tmp_path, cut, fragment):
     path = tmp_path / "damaged.ckpt"
     path.write_bytes(cut(_container_bytes(tmp_path)))

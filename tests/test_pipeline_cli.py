@@ -256,14 +256,23 @@ def test_pipeline_rerun_is_byte_identical(workspace, tmp_path):
         assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
 
 
-def test_pipeline_results_do_not_depend_on_jobs(workspace, tmp_path):
-    serial = tmp_path / "serial"
-    threaded = tmp_path / "threaded"
-    run_pipeline(base_config(workspace, serial), "weak", jobs=1)
-    run_pipeline(base_config(workspace, threaded), "weak", jobs=4)
-    for rel in ("annotations/train.tsv", "checkpoints/teacher.ckpt",
-                "runs/teacher.run", "metrics.txt"):
-        assert (serial / rel).read_bytes() == (threaded / rel).read_bytes(), rel
+def test_pipeline_rejects_jobs_other_than_one(workspace, tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="jobs must be 1, got 2"):
+        run_pipeline(base_config(workspace, out), "weak", jobs=2)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["annotate", "--index", "i", "--queries", "q", "--out", "o"],
+    ["rank", "--index", "i", "--queries", "q", "--out", "o"],
+    ["pipeline", "--mode", "weak", "--config", "c"],
+], ids=lambda argv: argv[0])
+def test_cli_has_no_jobs_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv + ["--jobs", "1"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
 
 
 def test_pate_mode_writes_four_row_report_and_shards(workspace, tmp_path):
@@ -568,8 +577,10 @@ def test_cli_rank_rejects_cutoff_and_pool_size_below_one(workspace, tmp_path, ca
         assert not run.exists()
 
 
-@pytest.mark.parametrize("key", ["rank.cutoff", "rank.pool_size", "annotate.pool_size"])
-def test_cli_pipeline_rejects_pool_and_cutoff_below_one(tmp_path, capsys, key):
+@pytest.mark.parametrize("key, least", [("rank.cutoff", 1), ("rank.pool_size", 1),
+                                        ("annotate.pool_size", 2)],
+                         ids=["rank.cutoff", "rank.pool_size", "annotate.pool_size"])
+def test_cli_pipeline_rejects_pool_and_cutoff_below_one(tmp_path, capsys, key, least):
     # a rank.cutoff of -3 used to train the teacher and the student first
     lines = [kept for kept in CONFIG_TEMPLATE.splitlines() if not kept.startswith(key)]
     conf = tmp_path / "neg.conf"  # rejected before any path is opened
@@ -577,20 +588,22 @@ def test_cli_pipeline_rejects_pool_and_cutoff_below_one(tmp_path, capsys, key):
     out = tmp_path / "run"
     assert main(["pipeline", "--mode", "weak", "--config", str(conf),
                  "--out", str(out)]) == 2
-    assert f"{key}: must be at least 1, got -3" in capsys.readouterr().err
+    assert f"{key}: must be at least {least}, got -3" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_cli_rejects_out_of_range_run_settings(tmp_path, capsys):
     # each used to exit 0: a held-out fraction of 1.5 trained the student on
     # one pair, -2 student epochs wrote an untrained student, and 0 pairs per
-    # query failed only after the index was built
+    # query or a pool of 1 failed only after the index was built; a negative
+    # --seed failed in numpy without naming the flag
     out = tmp_path / "run"
     for key, value, problem in (
             ("distill.heldout_fraction", "1.5", "must be in [0, 1), got 1.5"),
             ("epochs.student", "-2", "must be at least 0, got -2"),
             ("epochs.teacher", "-2", "must be at least 0, got -2"),
-            ("annotate.pairs_per_query", "0", "must be at least 1, got 0")):
+            ("annotate.pairs_per_query", "0", "must be at least 1, got 0"),
+            ("annotate.pool_size", "1", "must be at least 2, got 1")):
         lines = [kept for kept in CONFIG_TEMPLATE.splitlines()
                  if not kept.startswith(key)]
         conf = tmp_path / "range.conf"  # rejected before any path is opened
@@ -604,17 +617,27 @@ def test_cli_rejects_out_of_range_run_settings(tmp_path, capsys):
             "--train-queries", "t", "--out", str(out)]
     distill_cmd = ["distill", "--index", "i", "--teacher", "t", "--queries", "q",
                    "--out", str(out)]
+    annotate = ["annotate", "--index", "i", "--queries", "q", "--out", str(out)]
+    train_teacher = ["train-teacher", "--index", "i", "--queries", "q",
+                     "--annotations", "a", "--out", str(out)]
+    pipeline_cmd = ["pipeline", "--mode", "weak", "--config", "c", "--out", str(out)]
     for argv, flag, value, problem in (
             (distill_cmd, "--heldout-fraction", "1.5", "must be in [0, 1), got 1.5"),
             (pate, "--heldout-fraction", "-0.5", "must be in [0, 1), got -0.5"),
             (distill_cmd, "--epochs", "-2", "must be at least 0, got -2"),
-            (["train-teacher", "--index", "i", "--queries", "q", "--annotations",
-              "a", "--out", str(out)], "--epochs", "-1", "must be at least 0, got -1"),
+            (train_teacher, "--epochs", "-1", "must be at least 0, got -1"),
             (pate, "--teacher-epochs", "-1", "must be at least 0, got -1"),
             (pate, "--student-epochs", "-2", "must be at least 0, got -2"),
             (pate, "--pairs-per-query", "0", "must be at least 1, got 0"),
-            (["annotate", "--index", "i", "--queries", "q", "--out", str(out)],
-             "--pairs-per-query", "-1", "must be at least 1, got -1")):
+            (annotate, "--pairs-per-query", "-1", "must be at least 1, got -1"),
+            (annotate, "--pool-size", "1", "must be at least 2, got 1"),
+            (distill_cmd, "--pool-size", "1", "must be at least 2, got 1"),
+            (pate, "--pool-size", "0", "must be at least 2, got 0"),
+            (annotate, "--seed", "-1", "must be at least 0, got -1"),
+            (train_teacher, "--seed", "-1", "must be at least 0, got -1"),
+            (distill_cmd, "--seed", "-1", "must be at least 0, got -1"),
+            (pate, "--seed", "-1", "must be at least 0, got -1"),
+            (pipeline_cmd, "--seed", "-1", "must be at least 0, got -1")):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exited:
             main(argv + [flag, value])
