@@ -474,7 +474,7 @@ def save_index(path, index):
 
 def load_index(path):
     """Read an index written by save_index; malformed arrays raise ValueError."""
-    _, meta, arrays = read_container(path, INDEX_MAGIC, INDEX_VERSION)
+    meta, arrays = read_container(path, INDEX_MAGIC, INDEX_VERSION)
     vocabulary = Vocabulary(meta["vocabulary"])
     _check_index_arrays(path, len(vocabulary), len(meta["doc_ids"]), arrays)
     return InvertedIndex(vocabulary, arrays["postings_flat"].reshape(-1, 2),

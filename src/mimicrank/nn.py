@@ -2,7 +2,11 @@
 
 Everything is float64. Parameter stores are plain numpy arrays owned by the
 caller; training steps mutate them in place, so a store must not be shared
-while a step runs.
+while a step runs. The passes work in place on arrays they allocate and
+never write to their inputs; forward's cache keeps only each layer's input,
+its boolean dropout mask and the output its activation's derivative reads.
+A caller that computes layer 0's pre-activation itself (to share part of it
+between rows) enters the stack there with forward(..., pre_activation=True).
 """
 
 import math
@@ -57,21 +61,14 @@ class GradientStore:
     d_input: np.ndarray
 
 
-def _activate(name, z):
+def _activate(name, z, owned):
+    """Layer activation of z, written into z when the caller owns it."""
+    out = z if owned else None
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     return z
-
-
-def _activation_grad(name, z, a):
-    if name == "relu":
-        # subgradient 0 at the kink
-        return (z > 0.0).astype(np.float64)
-    if name == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
 
 
 def init_layers(dims, activations, rng):
@@ -90,14 +87,26 @@ def init_layers(dims, activations, rng):
     return layers
 
 
-def forward(layers, x, dropout_keep=1.0, train=False, rng=None):
+def forward(layers, x, dropout_keep=1.0, train=False, rng=None,
+            pre_activation=False):
     """Run the stack; returns (output, cache for backward).
 
-    x may be a vector (in_dim,) or a batch (n, in_dim); the output mirrors
-    the input's rank. In train mode, inverted dropout runs after every
-    hidden activation (never after the last layer): mask/keep scaling at
-    train time, nothing at inference, so expectations match. dropout_keep=1
-    draws no masks at all.
+    x may be a vector or a batch (n, ·); the output mirrors the input's
+    rank. Normally x is the stack's input (in_dim of layer 0). With
+    pre_activation=True, x is layer 0's pre-activation x·W0 + b0 (out_dim
+    of layer 0), computed by the caller: layer 0's weights and bias are
+    not used, and backward returns the gradient at that pre-activation.
+    In train mode, inverted dropout runs after every hidden activation
+    (never after the last layer): mask/keep scaling at train time,
+    nothing at inference, so expectations match. dropout_keep=1 draws no
+    masks at all. x is never written to.
+
+    The cache holds, per layer, its input (None for a pre-activation
+    entry), its boolean dropout mask (or None), and the output backward
+    needs for the activation's derivative: tanh's activation before
+    dropout, ReLU's output after dropout (the next layer's input; h > 0
+    wherever the mask kept the unit, and the mask zeroes the rest), and
+    nothing for identity.
     """
     if not 0.0 < dropout_keep <= 1.0:
         raise ValueError(f"dropout_keep must be in (0, 1], got {dropout_keep}")
@@ -107,59 +116,92 @@ def forward(layers, x, dropout_keep=1.0, train=False, rng=None):
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     h = x.reshape(1, -1) if squeeze else x
-    inputs, pre_acts, acts, masks = [], [], [], []
+    inputs, masks, outputs = [], [], []
+    last = len(layers) - 1
     for i, layer in enumerate(layers):
-        if h.shape[1] != layer.in_dim:
-            raise ValueError(
-                f"layer {i}: input dim {h.shape[1]} != expected {layer.in_dim}"
-            )
-        inputs.append(h)
-        z = h @ layer.weights + layer.bias
-        a = _activate(layer.activation, z)
-        pre_acts.append(z)
-        acts.append(a)
-        if use_dropout and i < len(layers) - 1:
-            mask = (rng.random(a.shape) < dropout_keep).astype(np.float64)
-            masks.append(mask)
-            h = a * mask / dropout_keep
+        entry = pre_activation and i == 0
+        expected = layer.out_dim if entry else layer.in_dim
+        if h.shape[1] != expected:
+            what = "pre-activation" if entry else "input"
+            raise ValueError(f"layer {i}: {what} dim {h.shape[1]} != expected {expected}")
+        if entry:
+            inputs.append(None)
+            z = h
         else:
-            masks.append(None)
+            inputs.append(h)
+            z = h @ layer.weights
+            z += layer.bias
+        a = _activate(layer.activation, z, owned=not entry)
+        mask = None
+        if use_dropout and i < last:
+            mask = rng.random(a.shape) < dropout_keep
+            if layer.activation == "tanh" or a is h:
+                h = a * mask  # a is kept for the derivative, or is the caller's x
+            else:
+                h = np.multiply(a, mask, out=a)
+            h /= dropout_keep
+        else:
             h = a
+        masks.append(mask)
+        if layer.activation == "tanh":
+            outputs.append(a)
+        else:
+            outputs.append(h if layer.activation == "relu" else None)
     cache = {
         "layers": layers,
         "inputs": inputs,
-        "pre_acts": pre_acts,
-        "acts": acts,
         "masks": masks,
+        "outputs": outputs,
+        "out_shape": h.shape,
         "dropout_keep": dropout_keep,
         "squeeze": squeeze,
-        "in_dim": x.shape[-1],
     }
     out = h[0] if squeeze else h
     return out, cache
 
 
 def backward(cache, upstream):
-    """Exact reverse-mode gradients for every weight, bias, and the input."""
+    """Exact reverse-mode gradients for every weight, bias, and the input.
+
+    upstream is never written to. After a pre-activation forward, d_input
+    is the gradient at layer 0's pre-activation, and layer 0's weight and
+    bias gradients are None.
+    """
     layers = cache["layers"]
     keep = cache["dropout_keep"]
     upstream = np.asarray(upstream, dtype=np.float64)
     g = upstream.reshape(1, -1) if cache["squeeze"] else upstream
-    if g.shape != cache["acts"][-1].shape:
+    if g.shape != cache["out_shape"]:
         raise ValueError(
             f"upstream gradient shape {g.shape} does not match output "
-            f"{cache['acts'][-1].shape}"
+            f"{cache['out_shape']}"
         )
     d_weights = [None] * len(layers)
     d_biases = [None] * len(layers)
+    owned = False  # whether g may be written to
     for i in range(len(layers) - 1, -1, -1):
         mask = cache["masks"][i]
         if mask is not None:
-            g = g * mask / keep
-        dz = g * _activation_grad(layers[i].activation, cache["pre_acts"][i], cache["acts"][i])
+            g = g * mask
+            g /= keep
+            owned = True
+        out = cache["outputs"][i]
+        if layers[i].activation == "tanh":
+            dz = out * out
+            np.subtract(1.0, dz, out=dz)
+            dz *= g
+        elif layers[i].activation == "relu":
+            # subgradient 0 at the kink
+            dz = np.multiply(g, out > 0.0, out=g if owned else None)
+        else:
+            dz = g
+        if cache["inputs"][i] is None:
+            g = dz
+            break
         d_weights[i] = cache["inputs"][i].T @ dz
         d_biases[i] = dz.sum(axis=0)
         g = dz @ layers[i].weights.T
+        owned = True
     d_input = g[0] if cache["squeeze"] else g
     return GradientStore(d_weights, d_biases, d_input)
 
@@ -210,13 +252,21 @@ def optimizer_step(params, grads, state):
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        # the textbook expression, evaluated in its own order through two
+        # scratch arrays: (1-b1)·g, (1-b2)·(g·g), lr·m̂ / (√v̂ + ε)
+        step, scratch = np.empty_like(p), np.empty_like(p)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=scratch)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        np.multiply(g, g, out=scratch)
+        v += np.multiply(1.0 - b2, scratch, out=scratch)
+        np.divide(m, 1.0 - b1**t, out=step)
+        step *= state.learning_rate
+        np.divide(v, 1.0 - b2**t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        step /= scratch
+        p -= step
     return params, state
 
 

@@ -204,33 +204,54 @@ def _count_blocks(rows):
 def compute_loss_and_grads(params, batch, train=False, rng=None):
     """Shared-parameter forward on (q,d1) and (q,d2), hinge loss, gradients.
 
-    The instances' rows must index params.vocabulary. The batch's query,
-    doc1 and doc2 rows are split into count-matrix blocks (_count_blocks):
-    a block's representations are (C·ω[u]) @ ε[u], and its representation
-    gradients G come back as A = Cᵀ @ G, adding ω[u]·A to d_embedding[u]
-    and the row sums of ε[u]∘A to d_term_weights[u]. Returns (loss, grads)
-    where grads is a dict with d_embedding, d_term_weights, and d_layers
-    (a GradientStore-shaped pair of lists). Dropout runs only when
-    train=True.
+    The instances' rows must index params.vocabulary. Instances whose
+    query_rows are one object (as annotate_pools and read_annotations give
+    every instance of a query) share one query representation Q_u, and
+    layer 0's query half W_q is applied to it once: each side's
+    pre-activation is D·W_d + (Q_u·W_q)[query] + b0, with W0 = [W_q; W_d].
+    The k distinct queries, then the doc1 and doc2 rows are split into
+    count-matrix blocks (_count_blocks): a block's representations are
+    (C·ω[u]) @ ε[u], and its representation gradients G come back as
+    Cᵀ @ G, summed into A over the batch, so d_embedding = ω·A and
+    d_term_weights is the row sums of ε∘A. Returns (loss, grads) where
+    grads is a dict with d_embedding, d_term_weights, d_layer_weights and
+    d_layer_biases (one array per layer). Dropout runs only when
+    train=True; forward 1 draws all of its masks, then forward 2.
     """
     n = len(batch)
     if n == 0:
         raise ValueError("empty batch")
     m = params.config.embedding_dim
-    rows = ([inst.query_rows for inst in batch] + [inst.doc1_rows for inst in batch]
-            + [inst.doc2_rows for inst in batch])
+    slot, queries, which = {}, [], []  # which[i]: instance i's query in queries
+    for inst in batch:
+        j = slot.setdefault(id(inst.query_rows), len(queries))
+        if j == len(queries):
+            queries.append(inst.query_rows)
+        which.append(j)
+    which, k = np.array(which), len(queries)
+    rows = queries + [inst.doc1_rows for inst in batch] + [inst.doc2_rows for inst in batch]
     blocks = list(_count_blocks(rows))
-    reps = np.empty((3 * n, m))
+    reps = np.empty((k + 2 * n, m))
     for first, u, counts in blocks:
         reps[first:first + len(counts)] = (
             (counts * params.term_weights[u]) @ params.embedding[u])
-    x1 = np.concatenate([reps[:n], reps[n:2 * n]], axis=1)
-    x2 = np.concatenate([reps[:n], reps[2 * n:]], axis=1)
-    del reps  # not kept alive next to the forward caches
+    q_reps, d1_reps, d2_reps = reps[:k], reps[k:k + n], reps[k + n:]
+
+    first_layer = params.layers[0]
+    w_q, w_d = first_layer.weights[:m], first_layer.weights[m:]
+    shared = q_reps @ w_q  # layer 0's query half, once per distinct query
+
+    def pre_activation_of(doc_reps):
+        z = doc_reps @ w_d
+        z += shared[which]
+        z += first_layer.bias
+        return z
 
     keep = params.config.dropout_keep if train else 1.0
-    out1, cache1 = nn.forward(params.layers, x1, dropout_keep=keep, train=train, rng=rng)
-    out2, cache2 = nn.forward(params.layers, x2, dropout_keep=keep, train=train, rng=rng)
+    out1, cache1 = nn.forward(params.layers, pre_activation_of(d1_reps), dropout_keep=keep,
+                              train=train, rng=rng, pre_activation=True)
+    out2, cache2 = nn.forward(params.layers, pre_activation_of(d2_reps), dropout_keep=keep,
+                              train=train, rng=rng, pre_activation=True)
     big_s1, big_s2 = out1[:, 0], out2[:, 0]
 
     sign = np.array([1.0 if inst.s1 > inst.s2 else -1.0 for inst in batch])
@@ -240,21 +261,28 @@ def compute_loss_and_grads(params, batch, train=False, rng=None):
 
     d_s1 = np.where(active, -sign, 0.0) / n
     d_s2 = np.where(active, sign, 0.0) / n
+    # each side's activations are freed as soon as its gradients exist
     store1 = nn.backward(cache1, d_s1[:, None])
+    del cache1
     store2 = nn.backward(cache2, d_s2[:, None])
+    del cache2
 
-    d_layers_w = [a + b for a, b in zip(store1.d_weights, store2.d_weights)]
-    d_layers_b = [a + b for a, b in zip(store1.d_biases, store2.d_biases)]
+    dz1, dz2 = store1.d_input, store2.d_input
+    # per-query sums of dz1 + dz2, as one (k × n) one-hot product
+    d_shared = (np.arange(k)[:, None] == which).astype(np.float64) @ (dz1 + dz2)
+    d_w0 = np.concatenate([q_reps.T @ d_shared, d1_reps.T @ dz1 + d2_reps.T @ dz2])
+    d_layers_w = [d_w0] + [a + b for a, b in zip(store1.d_weights[1:], store2.d_weights[1:])]
+    d_layers_b = [dz1.sum(axis=0) + dz2.sum(axis=0)] + [
+        a + b for a, b in zip(store1.d_biases[1:], store2.d_biases[1:])]
 
-    del cache1, cache2  # activations are freed before d_reps is built
-    dx1, dx2 = store1.d_input, store2.d_input
-    d_reps = np.concatenate([dx1[:, :m] + dx2[:, :m], dx1[:, m:], dx2[:, m:]])
+    d_reps = np.empty_like(reps)
+    np.matmul(d_shared, w_q.T, out=d_reps[:k])
+    np.matmul(dz1, w_d.T, out=d_reps[k:k + n])
+    np.matmul(dz2, w_d.T, out=d_reps[k + n:])
     d_embedding = np.zeros_like(params.embedding)
-    d_term_weights = np.zeros_like(params.term_weights)
     for first, u, counts in blocks:
-        acc = counts.T @ d_reps[first:first + len(counts)]
-        d_embedding[u] += acc
-        d_term_weights[u] += np.einsum("ij,ij->i", params.embedding[u], acc)
+        d_embedding[u] += counts.T @ d_reps[first:first + len(counts)]
+    d_term_weights = np.einsum("ij,ij->i", params.embedding, d_embedding)
     d_embedding *= params.term_weights[:, None]  # rows of unused terms stay 0
 
     grads = {
@@ -437,7 +465,7 @@ def save_model(path, params):
 
 
 def load_model(path):
-    _, meta, arrays = read_container(path, MODEL_MAGIC, MODEL_VERSION)
+    meta, arrays = read_container(path, MODEL_MAGIC, MODEL_VERSION)
     for name, array in arrays.items():
         if not np.isfinite(array).all():
             raise ValueError(f"{path}: non-finite {name}")

@@ -53,7 +53,7 @@ def write_container(path, magic, version, meta, arrays):
 def read_container(path, magic, expect_version):
     """Read a container written by write_container.
 
-    Returns (version, meta, dict name -> ndarray). A version other than
+    Returns (meta, dict name -> ndarray). A version other than
     expect_version, a file cut short anywhere, a header that is not the
     JSON write_container writes, or bytes after the last array raise
     ValueError naming the file.
@@ -90,7 +90,7 @@ def read_container(path, magic, expect_version):
             arrays[name] = arr.copy()  # writable, native layout
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
-    return version, meta, arrays
+    return meta, arrays
 
 
 def write_json(path, payload):

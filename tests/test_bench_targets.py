@@ -12,9 +12,10 @@ import inspect
 import sys
 from pathlib import Path
 
-from mimicrank import corpus, pipeline, ranker
+from mimicrank import corpus, nn, pipeline, ranker
 from mimicrank.toydata import mini_collection, write_collection
 from tests.conftest import MICRO_STUDENT_CONFIG, MICRO_TEACHER_CONFIG
+from tests.test_ranker import count_matrix_batch
 
 WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
 
@@ -80,3 +81,23 @@ def test_pate_rank_work_stays_inside_one_model_run_call_per_run_file(
         for entries in run.values():
             assert all(isinstance(doc_id, str) and isinstance(score, float)
                        for doc_id, score in entries)
+
+
+def test_training_forwards_take_one_row_per_batch_instance(monkeypatch):
+    # around_forward counts nn.forward.rows from the x it is given (args[1]
+    # or kwargs["x"]), so inside training that x must stay a 2-D array with
+    # one row per instance of the batch
+    params, batch = count_matrix_batch(0, dropout_keep=0.7)
+    config = dataclasses.replace(params.config, batch_size=3)
+    forward, shapes = nn.forward, []
+
+    def recorded(*args, **kwargs):
+        x = args[1] if len(args) > 1 else kwargs["x"]
+        shapes.append(x.shape)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", recorded)
+    ranker.train(params, config, batch, epochs=2, seed=1)
+    batch_sizes = [3, 3, 2] * 2  # 8 instances, batches of 3, two epochs
+    assert all(len(shape) == 2 for shape in shapes)
+    assert [shape[0] for shape in shapes] == [size for size in batch_sizes for _ in range(2)]

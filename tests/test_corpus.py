@@ -460,7 +460,7 @@ def test_index_save_load_round_trip(tmp_path):
     path = tmp_path / "index.bin"
     save_index(path, index)
     # the on-disk layout, counted by hand: (doc, tf) pairs of a | b | c | d
-    _, meta, arrays = read_container(path, INDEX_MAGIC, INDEX_VERSION)
+    meta, arrays = read_container(path, INDEX_MAGIC, INDEX_VERSION)
     assert meta["vocabulary"] == ["a", "b", "c", "d"]
     assert arrays["postings_flat"].tolist() == [0, 1, 1, 2, 0, 1, 2, 1, 0, 1, 1, 1, 2, 1]
     assert arrays["postings_offsets"].tolist() == [0, 2, 4, 5, 7]
@@ -510,9 +510,9 @@ def _set(position, value):
 def test_load_index_rejects_corrupt_arrays(tmp_path, array, edit):
     path = tmp_path / "index.bin"
     save_index(path, build_index(docs("a b c", "a a d", "b d")))
-    version, meta, arrays = read_container(path, INDEX_MAGIC, INDEX_VERSION)
+    meta, arrays = read_container(path, INDEX_MAGIC, INDEX_VERSION)
     arrays[array] = edit(arrays[array])
-    write_container(path, INDEX_MAGIC, version, meta, list(arrays.items()))
+    write_container(path, INDEX_MAGIC, INDEX_VERSION, meta, list(arrays.items()))
     with pytest.raises(ValueError) as err:
         load_index(path)
     assert str(path) in str(err.value) and array in str(err.value)

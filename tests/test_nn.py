@@ -259,6 +259,147 @@ def test_dropout_gradients_match_fd_with_frozen_mask():
 
 
 # ---------------------------------------------------------------------------
+# The in-place passes against the plain arithmetic they replace
+
+
+def reference_forward(layers, x, keep, rng):
+    """Forward with one fresh array per operation and float dropout masks."""
+    h = x.reshape(1, -1) if x.ndim == 1 else x
+    inputs, pre_acts, acts, masks = [], [], [], []
+    for i, lyr in enumerate(layers):
+        inputs.append(h)
+        z = h @ lyr.weights + lyr.bias
+        a = {"relu": lambda: np.maximum(z, 0.0), "tanh": lambda: np.tanh(z),
+             "identity": lambda: z}[lyr.activation]()
+        pre_acts.append(z)
+        acts.append(a)
+        if rng is not None and i < len(layers) - 1:
+            mask = (rng.random(a.shape) < keep).astype(np.float64)
+            masks.append(mask)
+            h = a * mask / keep
+        else:
+            masks.append(None)
+            h = a
+    return h, (inputs, pre_acts, acts, masks)
+
+
+def reference_backward(layers, cache, upstream, keep):
+    inputs, pre_acts, acts, masks = cache
+    g = upstream
+    d_weights, d_biases = [None] * len(layers), [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        if masks[i] is not None:
+            g = g * masks[i] / keep
+        z, a = pre_acts[i], acts[i]
+        deriv = {"relu": lambda: (z > 0.0).astype(np.float64),
+                 "tanh": lambda: 1.0 - a * a,
+                 "identity": lambda: np.ones_like(z)}[layers[i].activation]()
+        dz = g * deriv
+        d_weights[i] = inputs[i].T @ dz
+        d_biases[i] = dz.sum(axis=0)
+        g = dz @ layers[i].weights.T
+    return d_weights, d_biases, g
+
+
+def reference_adam_step(params, grads, m_list, v_list, t, lr):
+    b1, b2 = 0.9, 0.999
+    for p, g, m, v in zip(params, grads, m_list, v_list):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+@pytest.mark.parametrize("hidden", ["relu", "tanh", "identity"])
+@pytest.mark.parametrize("keep", [1.0, 0.7])
+@pytest.mark.parametrize("rows", [None, 9])
+def test_passes_equal_the_plain_arithmetic_bitwise(hidden, keep, rows):
+    rng = np.random.default_rng(11)
+    layers = init_layers([6, 8, 7, 1], [hidden, hidden, "tanh"], rng)
+    for lyr in layers:
+        lyr.bias += rng.normal(scale=0.3, size=lyr.bias.shape)
+    shape = (6,) if rows is None else (rows, 6)
+    x = rng.normal(size=shape)
+    upstream = rng.normal(size=(1,) if rows is None else (rows, 1))
+    x_before, upstream_before = x.copy(), upstream.copy()
+    train = keep < 1.0
+
+    out, cache = forward(layers, x, dropout_keep=keep, train=train,
+                         rng=np.random.default_rng(4) if train else None)
+    store = backward(cache, upstream)
+    want_out, want_cache = reference_forward(
+        layers, x, keep, np.random.default_rng(4) if train else None)
+    want_dw, want_db, want_dx = reference_backward(
+        layers, want_cache, upstream.reshape(want_out.shape), keep)
+
+    assert np.array_equal(out, want_out.reshape(out.shape))
+    assert np.array_equal(store.d_input, want_dx.reshape(x.shape))
+    for got, want in zip(store.d_weights + store.d_biases, want_dw + want_db):
+        assert np.array_equal(got, want)
+    assert np.array_equal(x, x_before)
+    assert np.array_equal(upstream, upstream_before)
+
+
+@pytest.mark.parametrize("first", ["relu", "tanh", "identity"])
+@pytest.mark.parametrize("keep", [1.0, 0.7])
+def test_pre_activation_entry_equals_the_plain_forward_bitwise(first, keep):
+    rng = np.random.default_rng(12)
+    layers = init_layers([5, 6, 4, 1], [first, "relu", "tanh"], rng)
+    x = rng.normal(size=(7, 5))
+    z0 = x @ layers[0].weights + layers[0].bias
+    z0_before = z0.copy()
+    upstream = rng.normal(size=(7, 1))
+    train = keep < 1.0
+
+    def run(inputs, **kwargs):
+        out, cache = forward(layers, inputs, dropout_keep=keep, train=train,
+                             rng=np.random.default_rng(8) if train else None, **kwargs)
+        return out, backward(cache, upstream)
+
+    plain_out, plain = run(x)
+    out, store = run(z0, pre_activation=True)
+    assert np.array_equal(out, plain_out)
+    assert np.array_equal(z0, z0_before)
+    assert store.d_weights[0] is None and store.d_biases[0] is None
+    for got, want in zip(store.d_weights[1:] + store.d_biases[1:],
+                         plain.d_weights[1:] + plain.d_biases[1:]):
+        assert np.array_equal(got, want)
+    # the pre-activation gradient is what the plain pass multiplies out
+    assert np.array_equal(x.T @ store.d_input, plain.d_weights[0])
+    assert np.array_equal(store.d_input.sum(axis=0), plain.d_biases[0])
+    assert np.array_equal(store.d_input @ layers[0].weights.T, plain.d_input)
+
+
+def test_pre_activation_entry_checks_layer_zero_output_dim():
+    layers = [layer(np.zeros((3, 2)), np.zeros(2), "relu"),
+              layer(np.zeros((2, 1)), np.zeros(1), "tanh")]
+    with pytest.raises(ValueError, match="layer 0: pre-activation dim 3"):
+        forward(layers, np.zeros((4, 3)), pre_activation=True)
+
+
+def test_adam_equals_the_plain_arithmetic_bitwise_over_steps():
+    # parameters on the scale of a step, so a step's last bits show in them
+    rng = np.random.default_rng(13)
+    params = [rng.normal(scale=3e-3, size=shape) for shape in [(5, 4), (4,), (3,)]]
+    want = [p.copy() for p in params]
+    want_m = [np.zeros_like(p) for p in params]
+    want_v = [np.zeros_like(p) for p in params]
+    state = adam_state(params, learning_rate=3e-3)
+    for t in range(1, 6):
+        grads = [rng.normal(size=p.shape) * 10.0**rng.integers(-4, 2) for p in params]
+        grads_before = [g.copy() for g in grads]
+        optimizer_step(params, grads, state)
+        reference_adam_step(want, grads, want_m, want_v, t, 3e-3)
+        for got, ref in zip(params + state.m + state.v, want + want_m + want_v):
+            assert np.array_equal(got, ref)
+        for g, before in zip(grads, grads_before):
+            assert np.array_equal(g, before)
+
+
+# ---------------------------------------------------------------------------
 # Finite-difference harness itself
 
 
@@ -329,7 +470,7 @@ def test_network_checkpoint_round_trip(tmp_path):
     path = tmp_path / "net.ckpt"
     write_container(path, b"TEST", 1, {"activations": activations},
                     layers_to_arrays(layers))
-    _, meta, arrays = read_container(path, b"TEST", 1)
+    meta, arrays = read_container(path, b"TEST", 1)
     loaded = layers_from_arrays(meta["activations"], arrays)
     assert len(loaded) == len(layers)
     for a, b in zip(layers, loaded):

@@ -1,5 +1,6 @@
 """Representation, scoring, hinge loss, training, and ranking behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -470,6 +471,37 @@ def test_count_matrix_keeps_the_dropout_mask_stream():
     got = compute_loss_and_grads(params, batch, train=True, rng=np.random.default_rng(5))
     want = per_row_loss_and_grads(params, batch, train=True, rng=np.random.default_rng(5))
     assert got[0] == want[0]
+    assert_same_loss_and_grads(got, want)
+
+
+# instance k's query is texts[groups[k]]; one group shares one rows object
+@pytest.mark.parametrize("groups, texts", [
+    ([0] * 8, ["a a b"]),
+    ([2, 0, 2, 1, 2, 2, 1, 2], ["c", "e e f", "f g a"]),
+    ([0, 1, 2, 2, 3, 4, 5, 6], ["h h a", "h h a", "b d", "zzz", "a g", "c", "e e f"]),
+], ids=["one-query", "1-2-5-instances", "equal-rows-distinct-objects"])
+@pytest.mark.parametrize("keep", [1.0, 0.7])
+def test_shared_queries_match_per_row_reference(groups, texts, keep, monkeypatch):
+    params, batch = count_matrix_batch(4, dropout_keep=keep)
+    shared = [term_index_counts(params.vocabulary, text.split()) for text in texts]
+    batch = [dataclasses.replace(inst, query_rows=shared[g])
+             for inst, g in zip(batch, groups)]
+    blocks = ranker._count_blocks
+    row_counts = []
+
+    def spy(rows):
+        row_counts.append(len(rows))
+        return blocks(rows)
+
+    monkeypatch.setattr(ranker, "_count_blocks", spy)
+    train = keep < 1.0
+    got = compute_loss_and_grads(params, batch, train=train,
+                                 rng=np.random.default_rng(6) if train else None)
+    # each distinct rows object once, equal but distinct objects apart
+    assert row_counts == [len(texts) + 2 * len(batch)]
+    want = per_row_loss_and_grads(params, batch, train=train,
+                                  rng=np.random.default_rng(6) if train else None)
+    assert got[0] > 0.0
     assert_same_loss_and_grads(got, want)
 
 
