@@ -21,7 +21,6 @@ from .ranker import (
     check_index_vocabulary,
     init_params,
     load_model,
-    represent_rows,
     score_batch,
     score_pool,
     train,
@@ -81,15 +80,16 @@ def label_agreement(params, instances):
     """Fraction of instances whose label preference the model reproduces.
 
     Model ties count as disagreement (the model expresses no preference).
-    Both documents of every instance are scored in one forward.
+    Both documents of every instance are scored in one forward
+    (score_batch), each distinct query_rows object meeting W_q once.
     """
     if not instances:
         return None
     n = len(instances)
-    queries = represent_rows(params, [inst.query_rows for inst in instances])
-    docs = represent_rows(params, [inst.doc1_rows for inst in instances]
-                          + [inst.doc2_rows for inst in instances])
-    scores = score_batch(params, np.concatenate([queries, queries]), docs)
+    queries = [inst.query_rows for inst in instances]
+    scores = score_batch(params, queries + queries,
+                         [inst.doc1_rows for inst in instances]
+                         + [inst.doc2_rows for inst in instances])
     s1, s2 = scores[:n], scores[n:]
     label_prefers_first = np.array([inst.s1 > inst.s2 for inst in instances])
     agree = (s1 != s2) & ((s1 > s2) == label_prefers_first)

@@ -78,45 +78,67 @@ class RankModelParams:
         if self.layers[-1].out_dim != 1 or self.layers[-1].activation != "tanh":
             raise ValueError("output layer must be a single tanh unit")
 
-    def copy(self):
-        return RankModelParams(
-            config=self.config,
-            vocabulary=self.vocabulary,
-            embedding=self.embedding.copy(),
-            term_weights=self.term_weights.copy(),
-            layers=[
-                nn.DenseLayer(l.weights.copy(), l.bias.copy(), l.activation)
-                for l in self.layers
-            ],
-        )
-
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a training step produces a non-finite loss.
+    """Raised when a training step produces a non-finite loss in epoch `epoch`."""
 
-    Carries the parameters as of the last completed epoch so callers can
-    keep the most recent good checkpoint.
-    """
-
-    def __init__(self, message, last_good, epoch):
+    def __init__(self, message, epoch):
         super().__init__(message)
-        self.last_good = last_good
         self.epoch = epoch
+
+
+# Representations are built this many rows at a time: few enough that a
+# block's count matrix stays small over a large vocabulary, enough that it
+# is dense enough for BLAS over a small one (64 measured best of 16 to 128).
+_BLOCK_ROWS = 64
+
+
+def _count_blocks(rows):
+    """(first row, terms u, counts C) for each block of _BLOCK_ROWS rows.
+
+    C is dense over the block's distinct terms u: C[i, j] is the count of
+    u[j] in row first + i. A block has at most _BLOCK_ROWS times its
+    nonzeros entries, so the work and memory of C @ X and Cᵀ @ Y grow with
+    the rows' nonzeros, whatever the size of the vocabulary. u comes from
+    sorting the block's term indices, and each index finds its column in
+    an uninitialised table indexed by term, written and read only at u.
+    """
+    for first in range(0, len(rows), _BLOCK_ROWS):
+        idxs, cnts = zip(*rows[first:first + _BLOCK_ROWS])
+        terms = np.concatenate(idxs)
+        ordered = np.sort(terms)
+        distinct = np.empty(ordered.size, dtype=bool)
+        distinct[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+        u = ordered[distinct]
+        column = np.empty(terms.max(initial=-1) + 1, dtype=np.intp)
+        column[u] = np.arange(u.size)
+        counts = np.zeros((len(idxs), u.size))
+        counts[np.repeat(np.arange(len(idxs)), list(map(len, idxs))), column[terms]] = (
+            np.concatenate(cnts))
+        yield first, u, counts
+
+
+def _represent_blocks(params, blocks, n_rows):
+    """The n_rows representations of _count_blocks' blocks: (C·ω[u]) @ ε[u] each."""
+    out = np.empty((n_rows, params.config.embedding_dim))
+    for first, u, counts in blocks:
+        out[first:first + len(counts)] = (
+            (counts * params.term_weights[u]) @ params.embedding[u])
+    return out
 
 
 def represent_rows(params, rows):
     """Bag-of-embeddings matrix, one row per (term indices, counts) pair.
 
-    Each row is Σ count(t)·ω(t)·ε(t) over its terms, summed in the order
-    given (ascending unique indices in every caller); no terms give zeros.
+    Each row is Σ count(t)·ω(t)·ε(t) over its terms; no terms give zeros.
     Rows are InvertedIndex.doc_rows views or term_index_counts output; their
-    int64 and float64 counts give the same floats.
+    int64 and float64 counts give the same floats. The rows go through the
+    count-matrix blocks that training uses (_count_blocks), so a row's
+    floats can depend in the last bits on the rows blocked with it; a row
+    represented alone always gives the same floats.
     """
-    out = np.zeros((len(rows), params.config.embedding_dim))
-    for i, (idx, counts) in enumerate(rows):
-        if idx.size:
-            out[i] = (counts * params.term_weights[idx]) @ params.embedding[idx]
-    return out
+    return _represent_blocks(params, _count_blocks(rows), len(rows))
 
 
 def represent(params, terms):
@@ -125,25 +147,82 @@ def represent(params, terms):
     return represent_rows(params, [pair])[0]
 
 
-def score_batch(params, query_reps, doc_reps):
-    """Scores in (−1, 1) of [query ‖ doc] rows with one forward, no dropout.
+def _group(keys, rows):
+    """Number keys by first appearance; rows with equal keys must be equal.
 
-    query_reps broadcasts against doc_reps (n, m), so one query
-    representation serves a whole pool. Returns a 1-D array of n scores.
+    Returns (distinct, which): distinct holds one row per distinct key in
+    order of first appearance, and which[i] is the number of keys[i].
     """
-    x = np.concatenate([np.broadcast_to(query_reps, doc_reps.shape), doc_reps], axis=1)
-    out, _ = nn.forward(params.layers, x)
+    distinct = dict(zip(keys, rows))
+    numbers = dict(zip(distinct, range(len(distinct))))
+    return (list(distinct.values()),
+            np.fromiter(map(numbers.__getitem__, keys), np.intp, len(keys)))
+
+
+def _group_sums(values, which, n_groups):
+    """Row sums of values per group: row j sums the rows i with which[i] == j.
+
+    which numbers groups 0..n_groups-1 (_group), so every group has a
+    row. A group's rows are summed in order of position: the sums start
+    from each group's first row, and pass r adds every group's r-th repeat
+    at once (a fancy-index add, since no group repeats within a pass).
+    """
+    order = np.argsort(which, kind="stable")
+    starts = np.searchsorted(which[order], np.arange(n_groups))
+    repeat = np.empty_like(which)
+    repeat[order] = np.arange(len(which)) - starts[which[order]]
+    out = values[order[starts]]
+    for r in range(1, int(repeat.max()) + 1):
+        at = np.flatnonzero(repeat == r)
+        out[which[at]] += values[at]
+    return out
+
+
+def _layer0_halves(params):
+    """Layer 0's weights W0 = [W_q; W_d]: its query and document halves."""
+    m = params.config.embedding_dim
+    weights = params.layers[0].weights
+    return weights[:m], weights[m:]
+
+
+def _pre_activation(params, doc_half, query_half, which):
+    """Layer 0's pre-activation D·W_d + (Q·W_q)[which] + b0, summed in that order.
+
+    doc_half is D·W_d, one row per scored row, and is written to and
+    returned; query_half is Q·W_q, one row per distinct query, and which[i]
+    is row i's query. Every model score and training step forms layer 0
+    here and enters the stack with nn.forward(..., pre_activation=True).
+    """
+    doc_half += query_half[which]
+    doc_half += params.layers[0].bias
+    return doc_half
+
+
+def score_batch(params, query_rows, doc_rows):
+    """Scores in (−1, 1) of doc_rows[i] against query_rows[i], one forward,
+    no dropout.
+
+    Query rows that are one object are represented once and meet layer 0's
+    query half W_q once; each document row meets its document half W_d
+    once. Returns a 1-D array of len(doc_rows) scores.
+    """
+    queries, which = _group(list(map(id, query_rows)), query_rows)
+    w_q, w_d = _layer0_halves(params)
+    z = _pre_activation(params, represent_rows(params, doc_rows) @ w_d,
+                        represent_rows(params, queries) @ w_q, which)
+    out, _ = nn.forward(params.layers, z, pre_activation=True)
     return out[:, 0]
 
 
 def score_pool(params, query_terms, doc_rows):
     """Scores of one query against a pool of (term indices, counts) rows.
 
+    The query is represented once and meets W_q once for the whole pool.
     The rows must index params.vocabulary, as InvertedIndex.doc_rows does
     when the model was built on that index (see check_index_vocabulary).
     """
-    return score_batch(params, represent(params, query_terms),
-                       represent_rows(params, doc_rows))
+    query = term_index_counts(params.vocabulary, query_terms)
+    return score_batch(params, [query] * len(doc_rows), doc_rows)
 
 
 def score(params, query_terms, doc_terms):
@@ -178,80 +257,56 @@ def hinge_loss(instances, pair_scores):
     return float(terms.mean())
 
 
-# Training builds its count matrices this many rows at a time: few enough
-# that a block stays small over a large vocabulary, enough that its matrix
-# is dense enough for BLAS over a small one (64 measured best of 16 to 128).
-_BLOCK_ROWS = 64
-
-
-def _count_blocks(rows):
-    """(first row, terms u, counts C) for each block of _BLOCK_ROWS rows.
-
-    C is dense over the block's distinct terms u: C[i, j] is the count of
-    u[j] in row first + i. A block has at most _BLOCK_ROWS times its
-    nonzeros entries, so the work and memory of C @ X and Cᵀ @ Y grow with
-    the rows' nonzeros, whatever the size of the vocabulary.
-    """
-    for first in range(0, len(rows), _BLOCK_ROWS):
-        part = rows[first:first + _BLOCK_ROWS]
-        u, cols = np.unique(np.concatenate([idx for idx, _ in part]), return_inverse=True)
-        counts = np.zeros((len(part), u.size))
-        counts[np.repeat(np.arange(len(part)), [idx.size for idx, _ in part]), cols] = (
-            np.concatenate([c for _, c in part]))
-        yield first, u, counts
-
-
 def compute_loss_and_grads(params, batch, train=False, rng=None):
     """Shared-parameter forward on (q,d1) and (q,d2), hinge loss, gradients.
 
-    The instances' rows must index params.vocabulary. Instances whose
-    query_rows are one object (as annotate_pools and read_annotations give
-    every instance of a query) share one query representation Q_u, and
-    layer 0's query half W_q is applied to it once: each side's
-    pre-activation is D·W_d + (Q_u·W_q)[query] + b0, with W0 = [W_q; W_d].
-    The k distinct queries, then the doc1 and doc2 rows are split into
-    count-matrix blocks (_count_blocks): a block's representations are
-    (C·ω[u]) @ ε[u], and its representation gradients G come back as
-    Cᵀ @ G, summed into A over the batch, so d_embedding = ω·A and
-    d_term_weights is the row sums of ε∘A. Returns (loss, grads) where
-    grads is a dict with d_embedding, d_term_weights, d_layer_weights and
-    d_layer_biases (one array per layer). Dropout runs only when
-    train=True; forward 1 draws all of its masks, then forward 2.
+    The instances' rows must index params.vocabulary. A batch represents
+    each distinct query and each distinct document once. Queries are
+    grouped by the identity of the instances' query_rows (annotate_pools
+    and read_annotations give every instance of a query one object), and
+    documents by doc1_id/doc2_id over the doc1 side, then the doc2 side
+    (an id always has the same index rows), both in order of first
+    appearance. The k distinct query rows, then the u distinct document
+    rows, are split into count-matrix blocks (_count_blocks): a block's
+    representations are (C·ω[u]) @ ε[u], and its representation gradients
+    G come back as Cᵀ @ G, summed into A over the batch, so d_embedding =
+    ω·A and d_term_weights is the row sums of ε∘A.
+
+    Layer 0 is split as W0 = [W_q; W_d]: P_q = Q·W_q runs once per query
+    and P_d = D·W_d once per document, and each side's pre-activation is
+    P_d[slot] + P_q[query] + b0 (_pre_activation). Layers 1 and up run
+    once per side on n rows. Backward sums the pre-activation gradients
+    per query and per document (_group_sums) before they meet W_q and
+    W_d. Returns (loss, grads) where grads is a dict with d_embedding,
+    d_term_weights, d_layer_weights and d_layer_biases (one array per
+    layer). Dropout runs only when train=True; forward 1 draws all of its
+    masks, then forward 2.
     """
     n = len(batch)
     if n == 0:
         raise ValueError("empty batch")
-    m = params.config.embedding_dim
-    slot, queries, which = {}, [], []  # which[i]: instance i's query in queries
-    for inst in batch:
-        j = slot.setdefault(id(inst.query_rows), len(queries))
-        if j == len(queries):
-            queries.append(inst.query_rows)
-        which.append(j)
-    which, k = np.array(which), len(queries)
-    rows = queries + [inst.doc1_rows for inst in batch] + [inst.doc2_rows for inst in batch]
+    # one numbering for the n query slots, then the 2n document slots: an
+    # id() is an int and a doc id a str, so no query meets a document, and
+    # numbers 0..k-1 are the queries, k.. the documents
+    keys = ([id(inst.query_rows) for inst in batch] + [inst.doc1_id for inst in batch]
+            + [inst.doc2_id for inst in batch])
+    rows, which = _group(keys, [inst.query_rows for inst in batch]
+                         + [inst.doc1_rows for inst in batch]
+                         + [inst.doc2_rows for inst in batch])
+    k = int(which[n])  # the first document's number is the number of queries
     blocks = list(_count_blocks(rows))
-    reps = np.empty((k + 2 * n, m))
-    for first, u, counts in blocks:
-        reps[first:first + len(counts)] = (
-            (counts * params.term_weights[u]) @ params.embedding[u])
-    q_reps, d1_reps, d2_reps = reps[:k], reps[k:k + n], reps[k + n:]
+    reps = _represent_blocks(params, blocks, len(rows))
+    q_reps, d_reps = reps[:k], reps[k:]
 
-    first_layer = params.layers[0]
-    w_q, w_d = first_layer.weights[:m], first_layer.weights[m:]
-    shared = q_reps @ w_q  # layer 0's query half, once per distinct query
-
-    def pre_activation_of(doc_reps):
-        z = doc_reps @ w_d
-        z += shared[which]
-        z += first_layer.bias
-        return z
-
+    w_q, w_d = _layer0_halves(params)
+    p_q, p_d = q_reps @ w_q, d_reps @ w_d
+    query, doc1, doc2 = which[:n], which[n:2 * n] - k, which[2 * n:] - k
     keep = params.config.dropout_keep if train else 1.0
-    out1, cache1 = nn.forward(params.layers, pre_activation_of(d1_reps), dropout_keep=keep,
-                              train=train, rng=rng, pre_activation=True)
-    out2, cache2 = nn.forward(params.layers, pre_activation_of(d2_reps), dropout_keep=keep,
-                              train=train, rng=rng, pre_activation=True)
+    out1, cache1 = nn.forward(params.layers, _pre_activation(params, p_d[doc1], p_q, query),
+                              dropout_keep=keep, train=train, rng=rng, pre_activation=True)
+    out2, cache2 = nn.forward(params.layers, _pre_activation(params, p_d[doc2], p_q, query),
+                              dropout_keep=keep, train=train, rng=rng, pre_activation=True)
+    del p_d
     big_s1, big_s2 = out1[:, 0], out2[:, 0]
 
     sign = np.array([1.0 if inst.s1 > inst.s2 else -1.0 for inst in batch])
@@ -268,17 +323,17 @@ def compute_loss_and_grads(params, batch, train=False, rng=None):
     del cache2
 
     dz1, dz2 = store1.d_input, store2.d_input
-    # per-query sums of dz1 + dz2, as one (k × n) one-hot product
-    d_shared = (np.arange(k)[:, None] == which).astype(np.float64) @ (dz1 + dz2)
-    d_w0 = np.concatenate([q_reps.T @ d_shared, d1_reps.T @ dz1 + d2_reps.T @ dz2])
+    # per-query sums of dz1 + dz2, then per-document sums of dz1 and dz2
+    sums = _group_sums(np.concatenate([dz1 + dz2, dz1, dz2]), which, len(rows))
+    s_q, s_d = sums[:k], sums[k:]
+    d_w0 = np.concatenate([q_reps.T @ s_q, d_reps.T @ s_d])
     d_layers_w = [d_w0] + [a + b for a, b in zip(store1.d_weights[1:], store2.d_weights[1:])]
     d_layers_b = [dz1.sum(axis=0) + dz2.sum(axis=0)] + [
         a + b for a, b in zip(store1.d_biases[1:], store2.d_biases[1:])]
 
     d_reps = np.empty_like(reps)
-    np.matmul(d_shared, w_q.T, out=d_reps[:k])
-    np.matmul(dz1, w_d.T, out=d_reps[k:k + n])
-    np.matmul(dz2, w_d.T, out=d_reps[k + n:])
+    np.matmul(s_q, w_q.T, out=d_reps[:k])
+    np.matmul(s_d, w_d.T, out=d_reps[k:])
     d_embedding = np.zeros_like(params.embedding)
     for first, u, counts in blocks:
         d_embedding[u] += counts.T @ d_reps[first:first + len(counts)]
@@ -332,9 +387,12 @@ class TrainResult:
 def train(params, config, instances, epochs, seed):
     """Seeded epoch shuffles, fixed-size batches (last partial kept), Adam.
 
-    Mutates params in place and also returns them. A non-finite loss aborts
-    with TrainingDiverged carrying the last epoch-boundary snapshot.
-    epochs 0 trains nothing; a negative count raises ValueError.
+    Each batch is one compute_loss_and_grads step, which represents the
+    batch's distinct queries and documents once. Mutates params in place
+    and also returns them. A non-finite loss aborts with TrainingDiverged
+    naming its epoch; params then hold every update before the failed
+    step, and no snapshot is kept. epochs 0 trains nothing; a negative
+    count raises ValueError.
     """
     if not instances:
         raise ValueError("no training instances")
@@ -344,7 +402,6 @@ def train(params, config, instances, epochs, seed):
     state = nn.adam_state(arrays, learning_rate=config.learning_rate)
     epoch_losses = []
     n = len(instances)
-    last_good = params.copy()
     for epoch in range(epochs):
         order = seeding.rng(seed, epoch, 0).permutation(n)
         dropout_rng = seeding.rng(seed, epoch, 1)
@@ -355,12 +412,11 @@ def train(params, config, instances, epochs, seed):
                                                  rng=dropout_rng)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}", last_good, epoch
+                    f"non-finite loss at epoch {epoch}", epoch
                 )
             total += loss * len(batch)
             nn.optimizer_step(arrays, _grad_list(params, grads), state)
         epoch_losses.append(total / n)
-        last_good = params.copy()
     return TrainResult(params, epoch_losses)
 
 

@@ -1,5 +1,6 @@
 """Representation, scoring, hinge loss, training, and ranking behavior."""
 
+import copy
 import dataclasses
 import math
 
@@ -180,7 +181,7 @@ def test_represent_order_invariant_bitwise():
 def test_represent_linear_in_weights_and_additive(terms1, terms2, c):
     _, params = random_corpus_params(22)
     base = represent(params, tuple(terms1))
-    scaled = params.copy()
+    scaled = copy.deepcopy(params)
     scaled.term_weights *= c
     assert np.allclose(represent(scaled, tuple(terms1)), c * base, rtol=1e-12, atol=1e-12)
     combined = represent(params, tuple(terms1) + tuple(terms2))
@@ -201,10 +202,14 @@ def test_pool_scores_match_one_row_scores(micro_collection, micro_index, dims):
     for query in micro_collection.eval_queries:
         pool, _ = micro_index.search(query.terms, 30)
         rows = [micro_index.doc_rows(d) for d in pool]
-        # index rows give the representation of the tf-expanded terms, bitwise
+        # an index row alone gives the representation of the tf-expanded
+        # terms, bitwise; in a pool's blocks it may differ in the last bits
+        one_row = np.array([represent_rows(params, [row])[0] for row in rows])
         assert np.array_equal(
-            represent_rows(params, rows),
+            one_row,
             np.array([represent(params, micro_index.doc_terms(d)) for d in pool]))
+        np.testing.assert_allclose(represent_rows(params, rows), one_row,
+                                   rtol=0.0, atol=1e-12)
         pooled = score_pool(params, query.terms, rows)
         one_by_one = [score(params, query.terms, micro_index.doc_terms(d))
                       for d in pool]
@@ -350,16 +355,25 @@ def test_gradients_flow_into_all_parameter_groups():
 def per_row_loss_and_grads(params, batch, train=False, rng=None):
     """Reference for compute_loss_and_grads without a count matrix.
 
-    Rows are represented with represent_rows, and each (instance, row)
-    gradient is scattered back into the embedding and term weights alone.
+    Each (instance, row) is represented on its own, each side enters the
+    stack as [q ‖ d], and each (instance, row) gradient is scattered back
+    into the embedding and term weights alone.
     """
     n, m = len(batch), params.config.embedding_dim
     q_rows = [inst.query_rows for inst in batch]
     d1_rows = [inst.doc1_rows for inst in batch]
     d2_rows = [inst.doc2_rows for inst in batch]
-    q_reps = represent_rows(params, q_rows)
-    x1 = np.concatenate([q_reps, represent_rows(params, d1_rows)], axis=1)
-    x2 = np.concatenate([q_reps, represent_rows(params, d2_rows)], axis=1)
+
+    def represent_each(rows):
+        out = np.zeros((len(rows), m))
+        for i, (idx, counts) in enumerate(rows):
+            if idx.size:
+                out[i] = (counts * params.term_weights[idx]) @ params.embedding[idx]
+        return out
+
+    q_reps = represent_each(q_rows)
+    x1 = np.concatenate([q_reps, represent_each(d1_rows)], axis=1)
+    x2 = np.concatenate([q_reps, represent_each(d2_rows)], axis=1)
     keep = params.config.dropout_keep if train else 1.0
     out1, cache1 = nn.forward(params.layers, x1, dropout_keep=keep, train=train, rng=rng)
     out2, cache2 = nn.forward(params.layers, x2, dropout_keep=keep, train=train, rng=rng)
@@ -497,10 +511,55 @@ def test_shared_queries_match_per_row_reference(groups, texts, keep, monkeypatch
     train = keep < 1.0
     got = compute_loss_and_grads(params, batch, train=train,
                                  rng=np.random.default_rng(6) if train else None)
-    # each distinct rows object once, equal but distinct objects apart
-    assert row_counts == [len(texts) + 2 * len(batch)]
+    # each distinct rows object once, equal but distinct objects apart,
+    # then the batch's 5 distinct documents
+    assert row_counts == [len(texts) + 5]
     want = per_row_loss_and_grads(params, batch, train=train,
                                   rng=np.random.default_rng(6) if train else None)
+    assert got[0] > 0.0
+    assert_same_loss_and_grads(got, want)
+
+
+# (query, doc1, doc2) per instance: queries index the test's three query
+# texts, documents the five documents of count_matrix_batch, 1 being empty
+@pytest.mark.parametrize("pairs", [
+    [(0, 0, 2), (1, 2, 3), (2, 4, 0), (0, 3, 4)],
+    [(0, 3, 0), (1, 2, 3), (2, 3, 4), (1, 0, 2)],
+    [(0, 2, 2), (1, 0, 4), (2, 4, 4)],
+    [(0, 1, 3), (1, 2, 1), (2, 1, 0), (0, 4, 2)],
+], ids=["doc1-and-doc2", "three-queries", "doc1-is-doc2", "empty-row"])
+@pytest.mark.parametrize("keep", [1.0, 0.7])
+def test_shared_documents_match_per_row_reference(pairs, keep, monkeypatch):
+    params, batch = count_matrix_batch(5, dropout_keep=keep)
+    ids = ["rep", "empty", "x", "y", "z"]
+    index_rows = {}
+    for inst in batch:
+        index_rows[inst.doc1_id], index_rows[inst.doc2_id] = inst.doc1_rows, inst.doc2_rows
+    queries = [term_index_counts(params.vocabulary, text.split())
+               for text in ("a a b", "c", "e e f")]
+
+    def rows(d):  # a fresh copy per slot: documents are grouped by id
+        return tuple(a.copy() for a in index_rows[ids[d]])
+
+    batch = [TrainingInstance(f"q{q}", ids[d1], ids[d2], (-1.0) ** k * (k + 1), 0.0,
+                              queries[q], rows(d1), rows(d2))
+             for k, (q, d1, d2) in enumerate(pairs)]
+    blocks = ranker._count_blocks
+    row_counts = []
+
+    def spy(block_rows):
+        row_counts.append(len(block_rows))
+        return blocks(block_rows)
+
+    monkeypatch.setattr(ranker, "_count_blocks", spy)
+    train = keep < 1.0
+    got = compute_loss_and_grads(params, batch, train=train,
+                                 rng=np.random.default_rng(7) if train else None)
+    distinct_queries = len({q for q, _, _ in pairs})
+    distinct_docs = len({d for _, d1, d2 in pairs for d in (d1, d2)})
+    assert row_counts == [distinct_queries + distinct_docs]
+    want = per_row_loss_and_grads(params, batch, train=train,
+                                  rng=np.random.default_rng(7) if train else None)
     assert got[0] > 0.0
     assert_same_loss_and_grads(got, want)
 
@@ -524,7 +583,7 @@ def separable_setup():
 
 def test_train_zero_epochs_is_identity():
     cfg, params, inst = separable_setup()
-    before = params.copy()
+    before = copy.deepcopy(params)
     result = train(params, cfg, [inst], epochs=0, seed=1)
     assert result.epoch_losses == []
     assert np.array_equal(params.embedding, before.embedding)
@@ -565,14 +624,12 @@ def test_train_rejects_negative_epochs():
         train(params, cfg, [inst], epochs=-2, seed=0)
 
 
-def test_train_aborts_on_divergence_with_last_good():
+def test_train_aborts_on_divergence_naming_the_epoch():
     cfg, params, inst = separable_setup()
     params.embedding[:] = np.nan
     with pytest.raises(TrainingDiverged) as excinfo:
         train(params, cfg, [inst], epochs=3, seed=0)
-    last_good = excinfo.value.last_good
     assert excinfo.value.epoch == 0
-    assert last_good.embedding.shape == params.embedding.shape
 
 
 # ---------------------------------------------------------------------------
