@@ -3,8 +3,13 @@
 The index keeps its postings in CSR form, the same arrays index.bin
 stores: one flat int64 array of (doc index, tf) pairs grouped by term
 index and sorted by doc index within a term, plus |V| + 1 term offsets
-into it. BM25 search reads them term at a time into a dense score
-accumulator.
+into it. Building or loading an index also computes each posting's BM25
+impact, idf·tf·(k1+1)/(tf+norm), into a float64 array aligned with the
+postings. A query's BM25 scores are one slice scatter-add of impacts per
+query term into a dense accumulator (bm25_scores); search ranks it, and
+the BM25 weak labels take the pool's entries of it without a second
+top-k search. Impacts keep bm25_score's expression order and terms add
+up in query order, so every score equals bm25_score bit for bit.
 """
 
 import json
@@ -17,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import seeding
-from .serialize import read_container, write_container
+from .serialize import atomic_write, read_container, write_container
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -131,9 +136,10 @@ class InvertedIndex:
 
     postings is an (nnz, 2) int64 array of (doc index, term frequency) rows
     grouped by term index and sorted by doc index within a term; term t owns
-    rows offsets[t]:offsets[t + 1]. A doc-major copy of the rows (each
-    document's term indices and counts, by term index) backs doc_rows,
-    bm25_score and doc_terms.
+    rows offsets[t]:offsets[t + 1]; impacts[i] is posting i's BM25
+    contribution. A doc-major copy of the rows (each document's term
+    indices and counts, by term index) backs doc_rows, bm25_score and
+    doc_terms.
     """
 
     def __init__(self, vocabulary, postings, offsets, doc_ids, doc_lengths):
@@ -151,6 +157,13 @@ class InvertedIndex:
         self._doc_term_idx, self._doc_term_tf = row_terms[by_doc], postings[by_doc, 1]
         self._doc_offsets = np.searchsorted(postings[by_doc, 0],
                                             np.arange(self.doc_count + 1))
+        # each posting's BM25 contribution, in bm25_score's expression order;
+        # idf through math.log as there, since np.log may differ in the last bit
+        docs, tfs = postings[:, 0], postings[:, 1]
+        df = np.diff(offsets)
+        idf = [math.log(x) for x in (1.0 + (self.doc_count - df + 0.5) / (df + 0.5)).tolist()]
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * doc_lengths[docs] / self.avg_doc_length)
+        self.impacts = np.repeat(idf, df) * tfs * (BM25_K1 + 1.0) / (tfs + norm)
         # each document's position in ascending doc_id order breaks score ties
         self._id_rank = np.argsort(
             sorted(range(self.doc_count), key=self.doc_ids.__getitem__))
@@ -194,31 +207,39 @@ class InvertedIndex:
             score += idf * tf * (BM25_K1 + 1.0) / (tf + norm)
         return score
 
+    def bm25_scores(self, query_terms):
+        """Every document's BM25 score for the query, as a dense float64 array.
+
+        One scatter-add of precomputed impacts per query term, in query term
+        order, so each score is bit-identical to bm25_score. Every impact is
+        positive, so a document scores above 0 exactly when it holds a
+        query term.
+        """
+        scores = np.zeros(self.doc_count)
+        for term in query_terms:
+            idx = self.vocabulary.index_of(term)
+            if idx is not None:
+                lo, hi = self.offsets[idx], self.offsets[idx + 1]
+                scores[self.postings[lo:hi, 0]] += self.impacts[lo:hi]
+        return scores
+
     def search(self, query_terms, k):
         """Top-k documents containing at least one query term.
 
         Returns (doc_indices, scores) ranked by BM25 descending, ties broken
-        by ascending doc_id. Scores are accumulated term at a time, in query
-        term order and with bm25_score's expression order, so they are
-        bit-identical to a direct per-document evaluation. k None keeps every
-        hit; a k below 1 raises ValueError.
+        by ascending doc_id; the scores are bm25_scores', bit-identical to
+        bm25_score. Only the hits at or above the k-th score are sorted, so
+        every document tied at the cut competes by doc_id. k None keeps
+        every hit; a k below 1 raises ValueError.
         """
         if k is not None and k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
-        scores = np.zeros(self.doc_count)
-        hit = np.zeros(self.doc_count, dtype=bool)
-        for term in query_terms:
-            idx = self.vocabulary.index_of(term)
-            if idx is None:
-                continue
-            docs, tf = self.postings[self.offsets[idx]:self.offsets[idx + 1]].T
-            norm = BM25_K1 * (1.0 - BM25_B + BM25_B * self.doc_lengths[docs]
-                              / self.avg_doc_length)
-            df = len(docs)
-            idf = math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
-            scores[docs] += idf * tf * (BM25_K1 + 1.0) / (tf + norm)
-            hit[docs] = True
-        found = np.flatnonzero(hit)
+        scores = self.bm25_scores(query_terms)
+        found = np.flatnonzero(scores)
+        if k is not None and k < len(found):
+            hit_scores = scores[found]
+            cut = len(found) - k
+            found = found[hit_scores >= np.partition(hit_scores, cut)[cut]]
         top = found[np.lexsort((self._id_rank[found], -scores[found]))][:k]
         return top.tolist(), scores[top].tolist()
 
@@ -282,7 +303,7 @@ def _sample_scored_pairs(n_pool, labels, pairs_per_query, rng, max_attempts):
     attempts = 0
     while len(pairs) < pairs_per_query and len(seen) < total and attempts < max_attempts:
         attempts += 1
-        a, b = (int(x) for x in rng.choice(n_pool, size=2, replace=False))
+        a, b = rng.choice(n_pool, size=2, replace=False).tolist()
         key = (a, b) if a < b else (b, a)
         if key in seen:
             continue
@@ -344,12 +365,13 @@ def annotate_pools(index, queries, label_fn, pool_size, pairs_per_query, seed):
 def annotate_queries(index, queries, pool_size=100, pairs_per_query=20, seed=0):
     """BM25 weak supervision: pools and label scores both come from BM25.
 
-    The labels are the pool's own search scores, which equal bm25_score of
-    each pool document bit for bit.
+    The labels are the pool's entries of bm25_scores, the accumulation
+    search ranked the pool by, so they equal bm25_score of each pool
+    document bit for bit and the pool is searched once.
     """
 
     def bm25_labels(query, pool, qpos):
-        return index.search(query.terms, len(pool))[1]
+        return index.bm25_scores(query.terms)[pool]
 
     return annotate_pools(index, queries, bm25_labels, pool_size, pairs_per_query,
                           seed)
@@ -396,7 +418,7 @@ def read_queries(path):
 
 def write_annotations(path, instances):
     """Tab-separated query_id, doc ids, and scores with 6 decimal places."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for inst in instances:
             fh.write(
                 f"{inst.query_id}\t{inst.doc1_id}\t{inst.doc2_id}"

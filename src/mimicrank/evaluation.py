@@ -8,6 +8,8 @@ an ideal DCG cut at k, and a query without relevant judgments scores 0.
 import math
 from dataclasses import dataclass, field
 
+from .serialize import atomic_write
+
 
 def average_precision(ranked_doc_ids, grades):
     """Mean of precision-at-hit over relevant docs, divided by total relevant.
@@ -141,7 +143,7 @@ def write_run(path, run, tag):
     equal only when the floats are, and read_run accepts the doc_id order
     that rank_by_scores gave their tie.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for qid, entries in run.items():
             for rank, (doc_id, score) in enumerate(entries, start=1):
                 fh.write(f"{qid} Q0 {doc_id} {rank} {float(score)!r} {tag}\n")

@@ -53,7 +53,7 @@ from .ranker import (
     save_model,
     train,
 )
-from .serialize import write_json
+from .serialize import atomic_write, write_json
 
 MODES = ("weak", "supervised", "distill", "pate")
 
@@ -625,7 +625,8 @@ def run_pipeline(config, mode, jobs=1):
                 rows.append(("student", reports["student"]))
 
         table = format_metric_table(rows, k=config.eval_k)
-        (out / "metrics.txt").write_text(table, encoding="utf-8")
+        with atomic_write(out / "metrics.txt") as fh:
+            fh.write(table)
         for name, rep in reports.items():
             metrics[name] = {**_metric_means(rep), "query_count": rep.query_count,
                              "warnings": rep.warnings}

@@ -7,9 +7,15 @@ separators), then the raw array payloads in header-manifest order. Arrays
 are written as little-endian float64 or int64, so a write -> read round
 trip is bit-exact and repeated writes of the same data produce identical
 bytes.
+
+The package's artifact writers go through atomic_write, so a file at its
+final name is always complete: a writer that fails leaves the old file,
+and one that is killed leaves the old file and a temporary sibling.
 """
 
+import contextlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -23,6 +29,27 @@ def _dtype_tag(arr):
     if arr.dtype == np.int64:
         return "i8"
     raise ValueError(f"unsupported array dtype {arr.dtype}; use float64 or int64")
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode="w"):
+    """Open a temporary sibling of path for writing, then os.replace it onto path.
+
+    Text modes write UTF-8. If the block raises, the temporary file is
+    removed and whatever was at path stays as it was. Nothing is fsynced:
+    this guards against a failed or killed writer, not a power loss.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def write_container(path, magic, version, meta, arrays):
@@ -41,7 +68,7 @@ def write_container(path, magic, version, meta, arrays):
         payloads.append(arr.astype(_DTYPE_TAGS[tag], copy=False).tobytes())
     header = {"meta": meta, "arrays": manifest}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", version))
         fh.write(struct.pack("<Q", len(header_bytes)))
@@ -96,6 +123,6 @@ def read_container(path, magic, expect_version):
 def write_json(path, payload):
     """JSON with sorted keys and 2-space indent, then a newline, so equal
     payloads give equal bytes."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

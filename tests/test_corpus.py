@@ -13,6 +13,7 @@ from mimicrank.corpus import (
     INDEX_MAGIC,
     INDEX_VERSION,
     Document,
+    InvertedIndex,
     Query,
     TrainingInstance,
     Vocabulary,
@@ -257,6 +258,10 @@ def test_search_scores_match_direct_evaluation(token_lists, query, data):
     assert got == expected
     assert scores == [index.bm25_score(query, d) for d in expected]
     assert all(type(d) is int for d in got) and all(type(s) is float for s in scores)
+    # the dense accumulation behind search and the BM25 labels, bit for bit
+    assert index.bm25_scores(query).tolist() == [
+        index.bm25_score(query, d) for d in range(index.doc_count)]
+    assert np.all(index.impacts > 0)  # so a hit is exactly a score above 0
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +284,37 @@ def test_annotate_two_doc_pool_single_pair():
     assert len(instances) == 1
     inst = instances[0]
     pos = {doc_id: i for i, doc_id in enumerate(index.doc_ids)}
-    # labels must match an independent recomputation
+    # labels must match an independent recomputation and the pool's search
     assert inst.s1 == index.bm25_score(["a"], pos[inst.doc1_id])
     assert inst.s2 == index.bm25_score(["a"], pos[inst.doc2_id])
+    searched = dict(zip(*index.search(["a"], 10)))
+    assert (inst.s1, inst.s2) == (searched[pos[inst.doc1_id]], searched[pos[inst.doc2_id]])
     assert report.pairs_emitted == 1
+
+
+def test_annotate_queries_searches_once_per_query(monkeypatch):
+    index = build_index(docs("a b c", "a a d", "b d", "c c a", "e f", "b b c"))
+    queries = [Query("q1", ("a", "b")), Query("q2", ("c", "zzz", "c")),
+               Query("q3", ("zzz",))]
+    search = InvertedIndex.search
+    calls = []
+
+    def counting_search(self, query_terms, k):
+        calls.append((tuple(query_terms), k))
+        return search(self, query_terms, k)
+
+    monkeypatch.setattr(InvertedIndex, "search", counting_search)
+    instances, report = annotate_queries(index, queries, pool_size=4,
+                                         pairs_per_query=5, seed=2)
+    assert calls == [(q.terms, 4) for q in queries]
+    assert report.queries_annotated == 2 and instances
+    # every label is its document's score in the pool's one search
+    pos = {doc_id: d for d, doc_id in enumerate(index.doc_ids)}
+    terms = {q.query_id: q.terms for q in queries}
+    for inst in instances:
+        searched = dict(zip(*search(index, terms[inst.query_id], 4)))
+        assert inst.s1 == searched[pos[inst.doc1_id]]
+        assert inst.s2 == searched[pos[inst.doc2_id]]
 
 
 def test_annotate_deterministic_across_runs():
@@ -473,6 +505,11 @@ def test_index_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.offsets, index.offsets)
     assert loaded.avg_doc_length == index.avg_doc_length
     assert [loaded.doc_terms(d) for d in range(4)] == [index.doc_terms(d) for d in range(4)]
+    # impacts are derived at load, not stored: bitwise those of the built index
+    assert loaded.impacts.tobytes() == index.impacts.tobytes()
+    for query in (["a"], ["d", "b", "a"], ["c", "zzz", "c"], ["zzz"]):
+        for k in (1, 2, None):
+            assert loaded.search(query, k) == index.search(query, k)
     # rewriting the loaded index reproduces the file byte for byte
     path2 = tmp_path / "index2.bin"
     save_index(path2, loaded)

@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import mimicrank
 from mimicrank import distill, pipeline, private
 from mimicrank.cli import build_parser, main
 from mimicrank.corpus import load_index, read_queries
@@ -743,7 +746,12 @@ def test_distill_and_pate_commands_take_no_judgments():
 
 
 def test_module_entry_point_runs():
+    # pytest's pythonpath setting reaches this process only: hand the child
+    # the directory this process imported mimicrank from
+    package_root = str(Path(mimicrank.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-m", "mimicrank", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "build-index" in proc.stdout and "pipeline" in proc.stdout

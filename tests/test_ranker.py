@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import errno
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from mimicrank.corpus import (
     build_index,
     term_index_counts,
 )
-from mimicrank import nn, ranker
+from mimicrank import nn, ranker, serialize
 from mimicrank.nn import DenseLayer, finite_difference_check
 from mimicrank.ranker import (
     RankModelConfig,
@@ -786,6 +787,45 @@ def test_model_checkpoint_round_trip(tmp_path):
     path2 = tmp_path / "model2.ckpt"
     save_model(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_save_model_failing_partway_leaves_no_partial_file(tmp_path, monkeypatch):
+    # the disk fills after the checkpoint's first write: save_model raises,
+    # and no truncated file shows at the final name or as a temporary one
+    _, params = random_corpus_params(36)
+    real_open = open
+    writes = []
+
+    class FillingDisk:
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+        def write(self, data):
+            if writes:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            writes.append(data)
+            return self.fh.write(data)
+
+    path = tmp_path / "model.ckpt"
+    monkeypatch.setattr(serialize, "open", FillingDisk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_model(path, params)
+    assert writes and list(tmp_path.iterdir()) == []
+    # a complete checkpoint already there survives a failed overwrite
+    monkeypatch.undo()
+    save_model(path, params)
+    complete = path.read_bytes()
+    writes.clear()
+    monkeypatch.setattr(serialize, "open", FillingDisk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_model(path, params)
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == complete
 
 
 @pytest.mark.parametrize("name", ["embedding", "term_weights", "layer_bias_00"])
