@@ -289,11 +289,70 @@ class AnnotationReport:
     ties_discarded: int = 0
 
 
+# raw 64-bit words taken from a bit generator at a time
+RAW_WORDS_PER_CHUNK = 64
+
+_U32 = 0xFFFFFFFF
+
+
+def _uint32_words(bit_generator):
+    """Endless 32-bit words in next_uint32's order on a fresh PCG64.
+
+    Each raw 64-bit word gives its low half, then its high half. Words are
+    taken RAW_WORDS_PER_CHUNK at a time, so the generator runs ahead of
+    what is consumed.
+    """
+    while True:
+        raw = bit_generator.random_raw(RAW_WORDS_PER_CHUNK)
+        yield from raw.astype("<u8", copy=False).view("<u4").tolist()
+
+
+def _bounded(words, r):
+    """An int in [0, r] from 32-bit words, as numpy's bounded Lemire draw.
+
+    r == 0 gives 0 and consumes nothing; otherwise a word u gives
+    m = u·(r+1), rejected while its low 32 bits fall below
+    (2^32 - 1 - r) mod (r+1), and the draw is m's high 32 bits.
+    """
+    if r == 0:
+        return 0
+    excl = r + 1
+    threshold = (_U32 - r) % excl
+    m = next(words) * excl
+    while m & _U32 < threshold:
+        m = next(words) * excl
+    return m >> 32
+
+
+def _choice_pairs(rng, n):
+    """Endless index pairs, each what rng.choice(n, 2, replace=False) gives.
+
+    Decoded from rng's raw words: Floyd's selection draws a in [0, n-2]
+    and v in [0, n-1], takes b = n-1 if v == a else v, and numpy's closing
+    shuffle swaps the two when a draw in [0, 1] is 0. Words drawn ahead
+    and never used are lost, so rng must be fresh and used for nothing
+    else. A pool of 2^32 documents or more raises ValueError on the first
+    draw; numpy would take its 64-bit path there.
+    """
+    if not 2 <= n < 1 << 32:
+        raise ValueError(f"pair draws need 2 <= n < 2**32, got {n}")
+    words = _uint32_words(rng.bit_generator)
+    while True:
+        a = _bounded(words, n - 2)
+        v = _bounded(words, n - 1)
+        b = n - 1 if v == a else v
+        yield (b, a) if _bounded(words, 1) == 0 else (a, b)
+
+
 def _sample_scored_pairs(n_pool, labels, pairs_per_query, rng, max_attempts):
     """Sample unordered index pairs with distinct labels, without replacement.
 
     Tied pairs are discarded and resampling continues until pairs_per_query
     pairs are found, the pool is exhausted, or max_attempts draws are spent.
+    Each draw is rng.choice(n_pool, 2, replace=False)'s, decoded from the
+    raw words of rng's bit generator (_choice_pairs); tests pin the stream
+    to numpy's draw for draw. rng must be fresh and used for nothing else:
+    annotate_pools gives each query its own seeding.rng(seed, qpos, 0).
     Returns (pairs, ties_discarded).
     """
     pairs = []
@@ -301,9 +360,10 @@ def _sample_scored_pairs(n_pool, labels, pairs_per_query, rng, max_attempts):
     ties = 0
     total = n_pool * (n_pool - 1) // 2
     attempts = 0
+    draws = _choice_pairs(rng, n_pool)
     while len(pairs) < pairs_per_query and len(seen) < total and attempts < max_attempts:
         attempts += 1
-        a, b = rng.choice(n_pool, size=2, replace=False).tolist()
+        a, b = next(draws)
         key = (a, b) if a < b else (b, a)
         if key in seen:
             continue
@@ -336,24 +396,25 @@ def annotate_pools(index, queries, label_fn, pool_size, pairs_per_query, seed):
             report.queries_skipped += 1
             report.skipped_query_ids.append(query.query_id)
             continue
-        labels = label_fn(query, pool, qpos)
+        labels = np.asarray(label_fn(query, pool, qpos), dtype=np.float64).tolist()
         rng = seeding.rng(seed, qpos, 0)
         pairs, ties = _sample_scored_pairs(
             len(pool), labels, pairs_per_query, rng, max_attempts
         )
         query_rows = term_index_counts(index.vocabulary, query.terms)
+        ids = [index.doc_ids[d] for d in pool]
+        rows = [index.doc_rows(d) for d in pool]
         for a, b in pairs:
-            d1, d2 = pool[a], pool[b]
             instances.append(
                 TrainingInstance(
                     query_id=query.query_id,
-                    doc1_id=index.doc_ids[d1],
-                    doc2_id=index.doc_ids[d2],
-                    s1=float(labels[a]),
-                    s2=float(labels[b]),
+                    doc1_id=ids[a],
+                    doc2_id=ids[b],
+                    s1=labels[a],
+                    s2=labels[b],
                     query_rows=query_rows,
-                    doc1_rows=index.doc_rows(d1),
-                    doc2_rows=index.doc_rows(d2),
+                    doc1_rows=rows[a],
+                    doc2_rows=rows[b],
                 )
             )
         report.queries_annotated += 1

@@ -299,12 +299,11 @@ class _StageRunner:
         try:
             result = fn()
         except Exception as exc:
-            marker = self.out_dir / "FAILED"
-            marker.write_text(
-                f"stage: {name}\nerror: {type(exc).__name__}: {exc}\n"
-                f"completed: {', '.join(self.completed) or '(none)'}\n",
-                encoding="utf-8",
-            )
+            with atomic_write(self.out_dir / "FAILED") as fh:
+                fh.write(
+                    f"stage: {name}\nerror: {type(exc).__name__}: {exc}\n"
+                    f"completed: {', '.join(self.completed) or '(none)'}\n"
+                )
             raise
         self.completed.append(name)
         return result

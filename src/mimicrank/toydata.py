@@ -16,6 +16,7 @@ import numpy as np
 
 from . import seeding
 from .corpus import Document, Query, tokenize
+from .serialize import atomic_write
 
 
 @dataclass
@@ -128,6 +129,8 @@ def write_collection(collection, directory):
     """Materialize the collection in the external file formats.
 
     Returns a dict of the written paths (corpus, three query files, qrels).
+    Each file is written through atomic_write, so none looks complete after
+    a failed or killed write.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -138,7 +141,7 @@ def write_collection(collection, directory):
         "queries_eval": directory / "queries_eval.tsv",
         "qrels": directory / "qrels.txt",
     }
-    with open(paths["corpus"], "w", encoding="utf-8") as fh:
+    with atomic_write(paths["corpus"]) as fh:
         for doc in collection.documents:
             fh.write(json.dumps({"id": doc.doc_id, "text": doc.text}) + "\n")
     for key, queries in (
@@ -146,10 +149,10 @@ def write_collection(collection, directory):
         ("queries_unlabeled", collection.unlabeled_queries),
         ("queries_eval", collection.eval_queries),
     ):
-        with open(paths[key], "w", encoding="utf-8") as fh:
+        with atomic_write(paths[key]) as fh:
             for q in queries:
                 fh.write(f"{q.query_id}\t{' '.join(q.terms)}\n")
-    with open(paths["qrels"], "w", encoding="utf-8") as fh:
+    with atomic_write(paths["qrels"]) as fh:
         for qid in sorted(collection.qrels):
             for doc_id in sorted(collection.qrels[qid]):
                 fh.write(f"{qid} 0 {doc_id} {collection.qrels[qid][doc_id]}\n")

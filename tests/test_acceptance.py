@@ -24,11 +24,12 @@ from mimicrank.evaluation import (
     ndcg_at_k,
     precision_at_k,
 )
-from mimicrank.nn import finite_difference_check
 from mimicrank.pipeline import RunConfig, model_run, run_pipeline
 from mimicrank.private import draw_uniform, laplace_sample
 from mimicrank.ranker import RankModelConfig, compute_loss_and_grads, init_params, train
 from mimicrank.toydata import mini_collection, synthetic_collection, write_collection
+
+from gradcheck import finite_difference_check
 
 
 MODEL_SIZES_CONF = """\

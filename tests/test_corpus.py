@@ -1,5 +1,6 @@
 """Index construction, BM25, and annotation behavior."""
 
+import hashlib
 import math
 import re
 from collections import Counter
@@ -12,11 +13,14 @@ from hypothesis import strategies as st
 from mimicrank.corpus import (
     INDEX_MAGIC,
     INDEX_VERSION,
+    RAW_WORDS_PER_CHUNK,
     Document,
     InvertedIndex,
     Query,
     TrainingInstance,
     Vocabulary,
+    _bounded,
+    _choice_pairs,
     annotate_pools,
     annotate_queries,
     build_index,
@@ -29,7 +33,9 @@ from mimicrank.corpus import (
     tokenize,
     write_annotations,
 )
+from mimicrank import seeding
 from mimicrank.serialize import read_container, write_container
+from mimicrank.toydata import mini_collection
 
 
 def docs(*texts):
@@ -378,6 +384,74 @@ def test_annotate_rejects_tiny_pool_size():
     index = build_index(docs("a"))
     with pytest.raises(ValueError):
         annotate_queries(index, [], pool_size=1, seed=0)
+
+
+# both sides of the 10,000-element branch of Generator.choice, and the
+# largest range the 32-bit draw covers
+CHOICE_POOL_SIZES = (2, 3, 30, 50, 10**4, 10**4 + 1, 10**5, 2**32 - 1)
+
+
+def test_pair_draws_equal_generator_choice_draw_for_draw():
+    for n in CHOICE_POOL_SIZES:
+        for seed in range(100):
+            want = seeding.rng(seed, n, 0)
+            draws = _choice_pairs(seeding.rng(seed, n, 0), n)
+            for _ in range(200):
+                assert next(draws) == tuple(want.choice(n, size=2, replace=False).tolist()), (
+                    n, seed)
+
+
+def test_pair_draws_reject_pools_outside_the_32_bit_draw():
+    for n in (1, 2**32):
+        with pytest.raises(ValueError, match="2 <= n < 2\\*\\*32"):
+            next(_choice_pairs(seeding.rng(0), n))
+
+
+def test_bounded_rejects_a_biased_word_and_draws_again():
+    r = 2**31  # r + 1 = 2**31 + 1; threshold (2**32 - 1 - r) % (r + 1) = 2**31 - 1
+    # word 0: m = 0, low half 0 < threshold, rejected;
+    # word 5: m = 5·(2**31 + 1) = 2**33 + 2**31 + 5, low half 2**31 + 5, kept
+    words = iter([0, 5, 7])
+    assert _bounded(words, r) == 2  # m >> 32
+    assert list(words) == [7]
+    # the threshold is a strict bound: a low half equal to it is kept
+    words = iter([2**32 - 1, 9])  # m = 2**63 + 2**31 - 1, low half 2**31 - 1
+    assert _bounded(words, r) == r
+    assert list(words) == [9]
+
+
+def test_bounded_over_one_value_consumes_nothing():
+    words = iter([3])
+    assert _bounded(words, 0) == 0
+    assert list(words) == [3]
+
+
+def test_pair_draws_run_ahead_in_chunks_of_raw_words():
+    rng = seeding.rng(4)
+    draws = _choice_pairs(rng, 50)
+    next(draws)
+    ahead = seeding.rng(4)
+    ahead.bit_generator.random_raw(RAW_WORDS_PER_CHUNK)
+    assert rng.bit_generator.state == ahead.bit_generator.state
+
+
+# SHA-256 of the annotation file below as the pair stream wrote it when it
+# still called Generator.choice per draw; a change of numpy or of the
+# sampler that moves the stream changes every annotation artifact
+PINNED_ANNOTATIONS_SHA256 = (
+    "d766cba155cb3b267989176c9bc062f3beedcf6101b6fe8331873413d3c1a676")
+
+
+def test_annotation_pair_stream_pinned_to_bytes(tmp_path):
+    collection = mini_collection(seed=3)
+    index = build_index(collection.documents)
+    instances, report = annotate_queries(
+        index, collection.train_queries + collection.unlabeled_queries,
+        pool_size=30, pairs_per_query=15, seed=12345)
+    assert (report.pairs_emitted, report.ties_discarded) == (1200, 1)
+    write_annotations(tmp_path / "pinned.tsv", instances)
+    digest = hashlib.sha256((tmp_path / "pinned.tsv").read_bytes()).hexdigest()
+    assert digest == PINNED_ANNOTATIONS_SHA256
 
 
 def test_training_instance_rejects_ties():

@@ -9,7 +9,6 @@ from mimicrank.nn import (
     DenseLayer,
     adam_state,
     backward,
-    finite_difference_check,
     forward,
     init_layers,
     layers_from_arrays,
@@ -17,6 +16,8 @@ from mimicrank.nn import (
     optimizer_step,
 )
 from mimicrank.serialize import read_container, write_container
+
+from gradcheck import finite_difference_check
 
 
 def layer(w, b, act):
@@ -397,44 +398,6 @@ def test_adam_equals_the_plain_arithmetic_bitwise_over_steps():
             assert np.array_equal(got, ref)
         for g, before in zip(grads, grads_before):
             assert np.array_equal(g, before)
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference harness itself
-
-
-def test_fd_check_on_quadratic():
-    theta = np.array([0.7, -1.3, 2.0])
-
-    def loss():
-        return float(0.5 * (theta**2).sum())
-
-    report = finite_difference_check(loss, [theta], [theta.copy()])
-    assert report.passed
-    assert report.max_rel_error < 1e-6
-
-
-def test_fd_check_flags_wrong_gradient():
-    theta = np.array([1.0])
-
-    def loss():
-        return float(0.5 * (theta**2).sum())
-
-    report = finite_difference_check(loss, [theta], [np.array([2.0])])
-    assert not report.passed
-
-
-def test_fd_check_unused_parameter_gradient_zero():
-    used = np.array([1.0])
-    unused = np.array([5.0])
-
-    def loss():
-        return float(used[0] ** 2)
-
-    report = finite_difference_check(
-        loss, [used, unused], [np.array([2.0]), np.array([0.0])]
-    )
-    assert report.passed
 
 
 # ---------------------------------------------------------------------------

@@ -381,9 +381,17 @@ def test_pipeline_failure_leaves_marker_and_partial_artifacts(workspace, tmp_pat
     assert "stage: annotate" in marker
     assert "build-index" in marker
     assert (out / "index.bin").is_file()
+    assert not list(out.glob(".*.tmp"))  # the marker went through atomic_write
     # a successful rerun clears the marker
     run_pipeline(base_config(workspace, out), "weak")
     assert not (out / "FAILED").exists()
+
+
+def test_write_collection_leaves_no_temporary_sibling(tmp_path):
+    paths = write_collection(mini_collection(), tmp_path / "inputs")
+    assert sorted(p.name for p in (tmp_path / "inputs").iterdir()) == sorted(
+        p.name for p in paths.values())
+    assert all(p.stat().st_size > 0 for p in paths.values())
 
 
 def test_rerun_in_another_mode_leaves_only_its_own_artifacts(workspace, tmp_path):

@@ -18,7 +18,7 @@ from mimicrank.corpus import (
     term_index_counts,
 )
 from mimicrank import nn, ranker, serialize
-from mimicrank.nn import DenseLayer, finite_difference_check
+from mimicrank.nn import DenseLayer
 from mimicrank.ranker import (
     RankModelConfig,
     RankModelParams,
@@ -38,6 +38,8 @@ from mimicrank.ranker import (
     score_pool,
     train,
 )
+
+from gradcheck import finite_difference_check
 
 
 def tiny_params(emb_rows, term_weights, layers, dim):
