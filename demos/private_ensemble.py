@@ -11,8 +11,6 @@ aggregate never touches the shards at all.
 Run with: python3 demos/private_ensemble.py  (seconds)
 """
 
-import dataclasses
-
 import numpy as np
 
 from mimicrank.corpus import annotate_queries, build_index
@@ -23,6 +21,7 @@ from mimicrank.private import (
     partition_data,
     pate_distill,
     teacher_mean,
+    teacher_scorers,
     train_teachers,
 )
 from mimicrank.ranker import RankModelConfig
@@ -45,26 +44,25 @@ ensemble = train_teachers(shards, model_config, index, epochs=8,
 
 # pairs to probe agreement on: the annotated pairs, in the BM25 pools they
 # were drawn from; every scorer scores a whole pool at once
+scorers = teacher_scorers(ensemble, index)
 pools = []
 for query in collection.train_queries:
     pool, _ = index.search(query.terms, 30)
     at = {index.doc_ids[d]: i for i, d in enumerate(pool)}
     pairs = [(at[i.doc1_id], at[i.doc2_id])
              for i in instances if i.query_id == query.query_id]
-    pools.append((query.terms, [index.doc_rows(d) for d in pool], pairs))
+    pools.append((query.terms, pool, pairs))
 print("probe pairs:", sum(len(pairs) for _, _, pairs in pools))
 
-quiet = dataclasses.replace(
-    ensemble, config=PrivacyConfig(n_partitions=3, noise_scale=0.0, seed=5))
 exact = pairwise_agreement(
-    lambda q, rows: noisy_aggregate(quiet, q, rows),
-    lambda q, rows: teacher_mean(ensemble, q, rows), pools)
+    lambda q, pool: noisy_aggregate(scorers, q, pool, 0.0),
+    lambda q, pool: teacher_mean(scorers, q, pool), pools)
 print(f"aggregate vs mean, noise 0.0: agreement {exact}")
 
 rng = np.random.default_rng(11)
 noisy = pairwise_agreement(
-    lambda q, rows: noisy_aggregate(ensemble, q, rows, rng),
-    lambda q, rows: teacher_mean(ensemble, q, rows), pools)
+    lambda q, pool: noisy_aggregate(scorers, q, pool, privacy.noise_scale, rng),
+    lambda q, pool: teacher_mean(scorers, q, pool), pools)
 print(f"aggregate vs mean, noise {privacy.noise_scale}: agreement {noisy:.4f}")
 
 result = pate_distill(ensemble, model_config, collection.unlabeled_queries,

@@ -13,7 +13,7 @@ from mimicrank.corpus import annotate_queries, build_index
 from mimicrank.distill import model_labels
 from mimicrank.evaluation import evaluate, format_metric_table
 from mimicrank.pipeline import bm25_run, model_run
-from mimicrank.ranker import RankModelConfig, init_params, train
+from mimicrank.ranker import RankModelConfig, init_params, pool_scorer, train
 from mimicrank.toydata import synthetic_collection
 
 collection = synthetic_collection()
@@ -37,7 +37,7 @@ print(f"hinge loss per epoch: {result.epoch_losses[0]:.4f} (first) "
 runs = {
     "bm25": bm25_run(index, collection.eval_queries, cutoff=100),
     "weak teacher": model_run(index, collection.eval_queries,
-                              model_labels(params, index), pool_size=100,
+                              model_labels(pool_scorer(params, index)), pool_size=100,
                               cutoff=100),
 }
 rows = [(name, evaluate(run, collection.qrels)) for name, run in runs.items()]

@@ -44,6 +44,7 @@ from .ranker import (
     TrainingDiverged,
     init_params,
     load_model,
+    pool_scorer,
     save_model,
     train,
 )
@@ -184,7 +185,7 @@ def cmd_rank(args):
     queries = read_queries(args.queries)
     if args.model:
         params = load_model(args.model)
-        run = model_run(index, queries, model_labels(params, index),
+        run = model_run(index, queries, model_labels(pool_scorer(params, index)),
                         args.pool_size, args.cutoff)
     else:
         run = bm25_run(index, queries, args.cutoff)

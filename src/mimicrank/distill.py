@@ -18,11 +18,10 @@ from . import seeding
 from .corpus import annotate_pools
 from .ranker import (
     RankModelParams,
-    check_index_vocabulary,
     init_params,
     load_model,
+    pool_scorer,
     score_batch,
-    score_pool,
     train,
 )
 
@@ -47,20 +46,14 @@ class DistillResult:
     instances: list  # the soft-labeled instances the student trained on
 
 
-def model_labels(params, index):
-    """Labeler that scores a whole pool with one forward of one model.
+def model_labels(scorer):
+    """Labeler that scores a whole pool with one model's pool_scorer.
 
     Returns label_fn(query, pool doc indices, query position) -> score
-    array, the protocol of annotate_pools and pipeline.model_run. Pool
-    documents are the index's CSR rows, so the model must share the
-    index's vocabulary; a mismatch raises ValueError here.
+    array, the protocol of annotate_pools and pipeline.model_run. Labelers
+    built on one scorer share its table of document rows.
     """
-    check_index_vocabulary(params, index)
-
-    def labels(query, pool, qpos):
-        return score_pool(params, query.terms, [index.doc_rows(d) for d in pool])
-
-    return labels
+    return lambda query, pool, qpos: scorer(query.terms, pool)
 
 
 def _split_holdout(instances, fraction, seed):
@@ -150,7 +143,7 @@ def distill(teacher, student_config, unlabeled, index, epochs, seed,
     if isinstance(teacher, (str, Path)):
         teacher = load_model(teacher)
     return mimic_train(
-        model_labels(teacher, index), student_config, unlabeled, index, epochs,
-        seed, pool_size=pool_size, pairs_per_query=pairs_per_query,
+        model_labels(pool_scorer(teacher, index)), student_config, unlabeled,
+        index, epochs, seed, pool_size=pool_size, pairs_per_query=pairs_per_query,
         heldout_fraction=heldout_fraction, embedding_file=embedding_file,
     )

@@ -29,15 +29,17 @@ from .corpus import (
     save_index,
     write_annotations,
 )
-from .distill import distill, model_labels
+from .distill import mimic_train, model_labels
 from .evaluation import evaluate, format_metric_table, read_qrels, write_run
 from .private import (
+    NOISE_TAG,
     PrivacyConfig,
     aggregate_scores,
+    ensemble_labels,
     file_sha256,
     pairwise_agreement,
-    pate_distill,
     teacher_mean,
+    teacher_scorers,
     teacher_scores,
     train_ensemble,
 )
@@ -46,9 +48,9 @@ from .ranker import (
     RankModelConfig,
     STUDENT_CONFIG,
     TEACHER_CONFIG,
-    check_index_vocabulary,
     init_params,
     load_model,
+    pool_scorer,
     rank_by_scores,
     save_model,
     train,
@@ -331,32 +333,29 @@ def model_run(index, queries, label_fn, pool_size, cutoff):
     return run
 
 
-def _ensemble_run_labelers(ensemble, index):
+def _ensemble_run_labelers(scorers, privacy):
     """{run name: label_fn} of the teacher_NN, aggregate and (at a noise
     scale above 0) aggregate_noisy runs of one query set and pool size.
 
+    scorers: the ensemble's teacher_scorers; privacy: its PrivacyConfig.
     The labelers share one teacher_scores array per query position, built
     by whichever first reaches it, so each teacher scores each pool once.
     aggregate_noisy draws from seeding.rng(privacy seed, query position,
-    EVAL_NOISE_TAG). A teacher vocabulary other than the index's raises
-    ValueError here.
+    EVAL_NOISE_TAG).
     """
-    check_index_vocabulary(ensemble.teachers[0], index)
     arrays = {}
 
     def pool_scores(query, pool, qpos):
         if qpos not in arrays:
-            arrays[qpos] = teacher_scores(ensemble, query.terms,
-                                          [index.doc_rows(d) for d in pool])
+            arrays[qpos] = teacher_scores(scorers, query.terms, pool)
         return arrays[qpos]
 
     labelers = {
         f"teacher_{i:02d}": lambda q, pool, qpos, i=i: pool_scores(q, pool, qpos)[:, i]
-        for i in range(len(ensemble.teachers))
+        for i in range(len(scorers))
     }
     labelers["aggregate"] = lambda q, pool, qpos: aggregate_scores(
         pool_scores(q, pool, qpos), 0.0)
-    privacy = ensemble.config
     if privacy.noise_scale > 0:
         labelers["aggregate_noisy"] = lambda q, pool, qpos: aggregate_scores(
             pool_scores(q, pool, qpos), privacy.noise_scale,
@@ -366,13 +365,12 @@ def _ensemble_run_labelers(ensemble, index):
 
 def _eval_pairs(index, queries, depth=6):
     """Deterministic pools for pairwise_agreement: each query's BM25 top
-    `depth` documents as index rows, paired with their neighbours."""
+    `depth` documents as index positions, paired with their neighbours."""
     pools = []
     for q in queries:
         pool, _ = index.search(q.terms, depth)
         if len(pool) > 1:
-            pools.append((q.terms, [index.doc_rows(d) for d in pool],
-                          [(i, i + 1) for i in range(len(pool) - 1)]))
+            pools.append((q.terms, pool, [(i, i + 1) for i in range(len(pool) - 1)]))
     return pools
 
 
@@ -519,12 +517,15 @@ def run_pipeline(config, mode, jobs=1):
         )
         return ens
 
+    # one scorer per loaded teacher, shared by mimic labeling, the rank
+    # stage and the agreement check, so each teacher represents each
+    # document at most once in a run
     if mode == "pate":
         ensemble = stages.run("train-teachers", train_teacher_ensemble)
-        teacher = None
+        scorers = teacher_scorers(ensemble, index)
     else:
         ensemble = None
-        teacher = stages.run("train-teacher", train_single_teacher)
+        scorers = [pool_scorer(stages.run("train-teacher", train_single_teacher), index)]
 
     # student
     student = None
@@ -532,23 +533,17 @@ def run_pipeline(config, mode, jobs=1):
 
         def distill_student():
             if mode == "pate":
-                result = pate_distill(
-                    ensemble, config.student, unlabeled, index,
-                    config.student_epochs, plan["distill"],
-                    pool_size=config.pool_size,
-                    pairs_per_query=config.pairs_per_query,
-                    heldout_fraction=config.heldout_fraction,
-                    embedding_file=config.embeddings,
-                )
+                label_fn = ensemble_labels(scorers, ensemble.config, NOISE_TAG)
             else:
-                result = distill(
-                    teacher, config.student, unlabeled, index,
-                    config.student_epochs, plan["distill"],
-                    pool_size=config.pool_size,
-                    pairs_per_query=config.pairs_per_query,
-                    heldout_fraction=config.heldout_fraction,
-                    embedding_file=config.embeddings,
-                )
+                label_fn = model_labels(scorers[0])
+            result = mimic_train(
+                label_fn, config.student, unlabeled, index,
+                config.student_epochs, plan["distill"],
+                pool_size=config.pool_size,
+                pairs_per_query=config.pairs_per_query,
+                heldout_fraction=config.heldout_fraction,
+                embedding_file=config.embeddings,
+            )
             write_annotations(out / "annotations" / "soft.tsv", result.instances)
             save_model(out / "checkpoints" / "student.ckpt", result.student)
             report["soft_annotation"] = dataclasses.asdict(result.annotation)
@@ -568,16 +563,16 @@ def run_pipeline(config, mode, jobs=1):
                              config.rank_pool_size, config.rank_cutoff)
 
         runs = {"bm25": bm25_run(index, eval_queries, config.rank_cutoff)}
-        if teacher is not None:
-            runs["teacher"] = rerank(model_labels(teacher, index))
-        if ensemble is not None:
+        if ensemble is None:
+            runs["teacher"] = rerank(model_labels(scorers[0]))
+        else:
             # one model_run per run file; noise-free, the aggregate sums
             # exactly like teacher_mean
-            for name, label_fn in _ensemble_run_labelers(ensemble, index).items():
+            for name, label_fn in _ensemble_run_labelers(scorers, ensemble.config).items():
                 runs[name] = rerank(label_fn)
             runs.setdefault("aggregate_noisy", runs["aggregate"])
         if student is not None:
-            runs["student"] = rerank(model_labels(student, index))
+            runs["student"] = rerank(model_labels(pool_scorer(student, index)))
         for name, run in runs.items():
             write_run(out / "runs" / f"{name}.run", run, tag=name)
         return runs
@@ -606,10 +601,11 @@ def run_pipeline(config, mode, jobs=1):
                 ("student", reports["student"]),
             ]
             # exactness property: the noise-free aggregate must order pairs
-            # exactly like the plain teacher mean
+            # exactly like the plain teacher mean; the pools are prefixes of
+            # the rank pools, so the scorers hold every document's row
             report["agreement_nonnoisy_vs_mean"] = pairwise_agreement(
-                lambda q, rows: aggregate_scores(teacher_scores(ensemble, q, rows), 0.0),
-                lambda q, rows: teacher_mean(ensemble, q, rows),
+                lambda q, pool: aggregate_scores(teacher_scores(scorers, q, pool), 0.0),
+                lambda q, pool: teacher_mean(scorers, q, pool),
                 _eval_pairs(index, eval_queries),
             )
             report["noisy_vs_nonnoisy"] = {

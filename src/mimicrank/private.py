@@ -22,14 +22,7 @@ from .distill import (
     DEFAULT_POOL_SIZE,
     mimic_train,
 )
-from .ranker import (
-    check_index_vocabulary,
-    init_params,
-    load_model,
-    save_model,
-    score_pool,
-    train,
-)
+from .ranker import init_params, load_model, pool_scorer, save_model, train
 from .serialize import write_json
 
 NOISE_TAG = 7  # extends (seed, query position) into the per-query noise stream
@@ -163,16 +156,21 @@ def draw_uniform(rng):
     return u
 
 
-def teacher_scores(ensemble, query_terms, doc_rows):
+def teacher_scorers(ensemble, index):
+    """One ranker.pool_scorer per teacher of the ensemble, in teacher order."""
+    return [pool_scorer(teacher, index) for teacher in ensemble.teachers]
+
+
+def teacher_scores(scorers, query_terms, pool):
     """(documents × teachers) array of a pool's teacher scores.
 
-    doc_rows: the pool's (term indices, counts) rows. Column i is
-    score_pool(teachers[i], ...) exactly: each teacher scores the pool in
-    one forward.
+    scorers: one ranker.pool_scorer per teacher, in teacher order; pool:
+    index positions. Column i is scorers[i](query_terms, pool) exactly:
+    each teacher scores the pool in one forward.
     """
-    scores = np.empty((len(doc_rows), len(ensemble.teachers)))
-    for i, teacher in enumerate(ensemble.teachers):
-        scores[:, i] = score_pool(teacher, query_terms, doc_rows)
+    scores = np.empty((len(pool), len(scorers)))
+    for i, scorer in enumerate(scorers):
+        scores[:, i] = scorer(query_terms, pool)
     return scores
 
 
@@ -197,31 +195,32 @@ def aggregate_scores(scores, scale, rng=None):
     return acc / n_teachers
 
 
-def noisy_aggregate(ensemble, query_terms, doc_rows, rng=None):
-    """aggregate_scores of a pool's teacher_scores at the ensemble's scale."""
-    return aggregate_scores(teacher_scores(ensemble, query_terms, doc_rows),
-                            ensemble.config.noise_scale, rng)
+def noisy_aggregate(scorers, query_terms, pool, scale, rng=None):
+    """aggregate_scores of a pool's teacher_scores at Laplace scale `scale`."""
+    return aggregate_scores(teacher_scores(scorers, query_terms, pool), scale, rng)
 
 
-def teacher_mean(ensemble, query_terms, doc_rows):
-    """Noise-free mean of teacher pool scores, same summation order."""
-    acc = np.zeros(len(doc_rows))
-    for teacher in ensemble.teachers:
-        acc = acc + score_pool(teacher, query_terms, doc_rows)
-    return acc / len(ensemble.teachers)
+def teacher_mean(scorers, query_terms, pool):
+    """Noise-free mean of teacher pool scores, same summation order, summed
+    apart from teacher_scores and aggregate_scores."""
+    acc = np.zeros(len(pool))
+    for scorer in scorers:
+        acc = acc + scorer(query_terms, pool)
+    return acc / len(scorers)
 
 
 def pairwise_agreement(score_a, score_b, pools):
     """Fraction of document pairs that two pool scorers order alike.
 
-    pools: (query terms, doc rows, pairs) triples, where pairs holds (i, j)
-    positions into the pool; each scorer(query terms, doc rows) -> scores
-    runs once per pool. A tie from either scorer counts as disagreement
-    unless both tie. None when there are no pairs.
+    pools: (query terms, pool, pairs) triples, where pool holds index
+    positions and pairs holds (i, j) positions into the pool; each
+    scorer(query terms, pool) -> scores runs once per pool. A tie from
+    either scorer counts as disagreement unless both tie. None when there
+    are no pairs.
     """
     agree = total = 0
-    for query_terms, doc_rows, pairs in pools:
-        a, b = score_a(query_terms, doc_rows), score_b(query_terms, doc_rows)
+    for query_terms, pool, pairs in pools:
+        a, b = score_a(query_terms, pool), score_b(query_terms, pool)
         for i, j in pairs:
             agree += _pref(a[i], a[j]) == _pref(b[i], b[j])
         total += len(pairs)
@@ -240,23 +239,22 @@ def _pref(s1, s2):
 # Private distillation
 
 
-def ensemble_labels(ensemble, index, tag):
+def ensemble_labels(scorers, privacy, tag):
     """Labeler that scores a whole pool with the noisy aggregate.
 
+    scorers: teacher_scorers of the ensemble; privacy: its PrivacyConfig.
     Returns label_fn(query, pool doc indices, query position) -> score
     array, the protocol of annotate_pools and pipeline.model_run. Each call
     draws its noise from its own stream, seeding.rng(privacy seed, query
-    position, tag), walked over the pool in order, so the labels depend
+    position, tag), walked over the pool in order, so the noise depends
     neither on the order in which queries are labeled nor on how they are
-    split over workers. The teachers must share the index's vocabulary; a
-    mismatch raises ValueError here.
+    split over workers. The scores can differ in the last bits with the
+    order in which the scorers first see the pool's documents.
     """
-    check_index_vocabulary(ensemble.teachers[0], index)
 
     def labels(query, pool, qpos):
-        rng = seeding.rng(ensemble.config.seed, qpos, tag)
-        return noisy_aggregate(ensemble, query.terms,
-                               [index.doc_rows(d) for d in pool], rng)
+        return noisy_aggregate(scorers, query.terms, pool, privacy.noise_scale,
+                               seeding.rng(privacy.seed, qpos, tag))
 
     return labels
 
@@ -270,8 +268,8 @@ def pate_distill(ensemble, student_config, unlabeled, index, epochs, seed,
     Pairs whose noisy scores tie are discarded exactly like any other tie.
     """
     return mimic_train(
-        ensemble_labels(ensemble, index, NOISE_TAG), student_config, unlabeled,
-        index, epochs, seed, pool_size=pool_size,
+        ensemble_labels(teacher_scorers(ensemble, index), ensemble.config, NOISE_TAG),
+        student_config, unlabeled, index, epochs, seed, pool_size=pool_size,
         pairs_per_query=pairs_per_query, heldout_fraction=heldout_fraction,
         embedding_file=embedding_file,
     )

@@ -214,12 +214,52 @@ def score_batch(params, query_rows, doc_rows):
     return out[:, 0]
 
 
+def pool_scorer(params, index):
+    """scores(query_terms, pool) of one frozen model over one index's pools.
+
+    pool holds index positions of documents; scores returns one score per
+    position, in pool order, from one forward. The scorer owns a table of
+    D·W_d rows, one per index document, filled lazily: a call represents
+    the pool's documents not yet in the table, once each in pool order,
+    in count-matrix blocks (represent_rows) and meets W_d once for them.
+    The query is represented once and meets W_q once, and the pool's
+    pre-activation is table[pool] + q·W_q + b0 (_pre_activation). So a
+    document's row is computed once per scorer, and can differ in the last
+    bits with the other new documents of the first pool that held it
+    (score_pool of that pool gives the same bits); calling again over the
+    same pools gives the same bits. The table is the scorer's, not the
+    model's: build a new scorer after the model's weights change. A model
+    whose vocabulary differs from the index's raises ValueError here.
+    """
+    check_index_vocabulary(params, index)
+    table = np.empty((index.doc_count, params.layers[0].out_dim))
+    filled = np.zeros(index.doc_count, dtype=bool)
+
+    def scores(query_terms, pool):
+        pool = np.asarray(pool, dtype=np.intp)
+        w_q, w_d = _layer0_halves(params)
+        new = pool[~filled[pool]]
+        if new.size:
+            new = new[np.sort(np.unique(new, return_index=True)[1])]
+            table[new] = represent_rows(params, list(map(index.doc_rows, new))) @ w_d
+            filled[new] = True
+        query = term_index_counts(params.vocabulary, query_terms)
+        z = _pre_activation(params, table[pool], represent_rows(params, [query]) @ w_q,
+                            np.zeros(pool.size, dtype=np.intp))
+        out, _ = nn.forward(params.layers, z, pre_activation=True)
+        return out[:, 0]
+
+    return scores
+
+
 def score_pool(params, query_terms, doc_rows):
     """Scores of one query against a pool of (term indices, counts) rows.
 
     The query is represented once and meets W_q once for the whole pool.
     The rows must index params.vocabulary, as InvertedIndex.doc_rows does
     when the model was built on that index (see check_index_vocabulary).
+    Index pools are scored through pool_scorer; this is the reference that
+    represents every row on every call.
     """
     query = term_index_counts(params.vocabulary, query_terms)
     return score_batch(params, [query] * len(doc_rows), doc_rows)

@@ -26,7 +26,8 @@ from mimicrank.evaluation import (
 )
 from mimicrank.pipeline import RunConfig, model_run, run_pipeline
 from mimicrank.private import draw_uniform, laplace_sample
-from mimicrank.ranker import RankModelConfig, compute_loss_and_grads, init_params, train
+from mimicrank.ranker import (RankModelConfig, compute_loss_and_grads, init_params,
+                             pool_scorer, train)
 from mimicrank.toydata import mini_collection, synthetic_collection, write_collection
 
 from gradcheck import finite_difference_check
@@ -252,9 +253,9 @@ def test_criterion_4_distillation_fidelity():
     assert result.fidelity >= 0.85, result.fidelity
 
     teacher_run = model_run(index, coll.eval_queries,
-                            model_labels(teacher, index), 100, 30)
+                            model_labels(pool_scorer(teacher, index)), 100, 30)
     student_run = model_run(index, coll.eval_queries,
-                            model_labels(result.student, index), 100, 30)
+                            model_labels(pool_scorer(result.student, index)), 100, 30)
     teacher_map = evaluate(teacher_run, coll.qrels).mean_ap
     student_map = evaluate(student_run, coll.qrels).mean_ap
     assert teacher_map > 0.0

@@ -67,13 +67,33 @@ def test_pate_rank_work_stays_inside_one_model_run_call_per_run_file(
         pool_size=20, pairs_per_query=10, teacher_epochs=2, student_epochs=2,
         rank_pool_size=30, rank_cutoff=30, n_partitions=3, noise_scale=0.05)
     model_run, runs = pipeline.model_run, []
+    # the scorers fill their document tables lazily, so all representation
+    # work of the rank stage must happen inside model_run calls too
+    stage_run, stages, ranking, rank_fills = pipeline._StageRunner.run, [], [], []
+    represent = ranker._represent_blocks
 
     def recorded(*args, **kwargs):
-        runs.append(model_run(*args, **kwargs))
+        ranking.append(True)
+        try:
+            runs.append(model_run(*args, **kwargs))
+        finally:
+            ranking.pop()
         return runs[-1]
 
+    def staged(self, name, fn):
+        stages.append(name)
+        return stage_run(self, name, fn)
+
+    def filled(*args, **kwargs):
+        if stages[-1] == "rank":
+            rank_fills.append(bool(ranking))
+        return represent(*args, **kwargs)
+
     monkeypatch.setattr(pipeline, "model_run", recorded)
+    monkeypatch.setattr(pipeline._StageRunner, "run", staged)
+    monkeypatch.setattr(ranker, "_represent_blocks", filled)
     pipeline.run_pipeline(config, "pate")
+    assert rank_fills and all(rank_fills)
     run_files = sorted(p.stem for p in (config.out / "runs").glob("*.run"))
     assert len(runs) == len(run_files) - 1 == 6  # all but bm25.run
     for run in runs:

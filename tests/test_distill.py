@@ -7,7 +7,7 @@ import pytest
 
 from mimicrank.corpus import Query, annotate_pools, annotate_queries, write_annotations
 from mimicrank.distill import distill, label_agreement, mimic_train, model_labels
-from mimicrank.ranker import init_params, save_model, score_pool, train
+from mimicrank.ranker import init_params, pool_scorer, save_model, score_pool, train
 from tests.conftest import MICRO_STUDENT_CONFIG, MICRO_TEACHER_CONFIG
 
 
@@ -21,7 +21,8 @@ def test_zero_teacher_annotates_nothing(micro_collection, micro_index):
         layer.bias[:] = 0.0
     instances, report = annotate_pools(
         micro_index, micro_collection.unlabeled_queries,
-        model_labels(params, micro_index), pool_size=10, pairs_per_query=5, seed=3)
+        model_labels(pool_scorer(params, micro_index)), pool_size=10,
+        pairs_per_query=5, seed=3)
     assert instances == []
     assert report.pairs_emitted == 0
     assert report.ties_discarded > 0
@@ -37,17 +38,20 @@ def test_annotation_signs_match_teacher_preferences(micro_collection, micro_inde
                      epochs=0, seed=11, pool_size=15, pairs_per_query=8)
     instances, report = result.instances, result.annotation
     assert report.pairs_emitted == len(instances) > 0
-    queries = {q.query_id: q for q in micro_collection.unlabeled_queries}
+    # independent rescoring of every pool, in labeling order, with a fresh
+    # scorer of the same checkpoint: the labeler's path, so bit-identical;
+    # score_pool, which represents every pool from scratch, within 1e-12
+    scorer = pool_scorer(micro_teacher, micro_index)
     rescored = {}
+    for q in micro_collection.unlabeled_queries:
+        pool, _ = micro_index.search(q.terms, 15)
+        scores = scorer(q.terms, pool)
+        np.testing.assert_allclose(
+            scores, score_pool(micro_teacher, q.terms,
+                               [micro_index.doc_rows(d) for d in pool]),
+            rtol=0, atol=1e-12)
+        rescored[q.query_id] = {micro_index.doc_ids[d]: s for d, s in zip(pool, scores)}
     for inst in instances:
-        # independent rescoring of the query's whole pool with the same
-        # checkpoint, through the pool path the labeler uses: bit-identical
-        if inst.query_id not in rescored:
-            pool, _ = micro_index.search(queries[inst.query_id].terms, 15)
-            scores = score_pool(micro_teacher, queries[inst.query_id].terms,
-                                [micro_index.doc_rows(d) for d in pool])
-            rescored[inst.query_id] = {
-                micro_index.doc_ids[d]: s for d, s in zip(pool, scores)}
         r1 = rescored[inst.query_id][inst.doc1_id]
         r2 = rescored[inst.query_id][inst.doc2_id]
         assert inst.s1 == r1
@@ -56,8 +60,8 @@ def test_annotation_signs_match_teacher_preferences(micro_collection, micro_inde
 
 
 def test_annotate_empty_queryset(micro_index, micro_teacher):
-    instances, report = annotate_pools(micro_index, [],
-                                       model_labels(micro_teacher, micro_index),
+    labels = model_labels(pool_scorer(micro_teacher, micro_index))
+    instances, report = annotate_pools(micro_index, [], labels,
                                        pool_size=5, pairs_per_query=3, seed=0)
     assert instances == []
     assert report.queries_total == 0
@@ -147,9 +151,9 @@ def test_mimic_train_rejects_heldout_fraction_outside_unit_interval(
         micro_collection, micro_index, micro_teacher, fraction):
     # 1.5 used to train the student on a single pair
     with pytest.raises(ValueError, match=r"heldout_fraction must be in \[0, 1\)"):
-        mimic_train(model_labels(micro_teacher, micro_index), MICRO_STUDENT_CONFIG,
-                    micro_collection.unlabeled_queries, micro_index, epochs=1,
-                    seed=0, pool_size=10, pairs_per_query=4,
+        mimic_train(model_labels(pool_scorer(micro_teacher, micro_index)),
+                    MICRO_STUDENT_CONFIG, micro_collection.unlabeled_queries,
+                    micro_index, epochs=1, seed=0, pool_size=10, pairs_per_query=4,
                     heldout_fraction=fraction)
 
 

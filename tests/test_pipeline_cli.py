@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import mimicrank
-from mimicrank import distill, pipeline, private
+from mimicrank import pipeline, private, ranker
 from mimicrank.cli import build_parser, main
-from mimicrank.corpus import load_index, read_queries
+from mimicrank.corpus import annotate_pools, load_index, read_queries
 from mimicrank.distill import model_labels
 from mimicrank.evaluation import write_run
 from mimicrank.pipeline import (
@@ -29,19 +29,21 @@ from mimicrank.pipeline import (
     seed_plan,
 )
 from mimicrank.private import (
+    NOISE_TAG,
     PrivacyConfig,
     TeacherEnsemble,
     ensemble_labels,
     load_ensemble,
     save_ensemble,
+    teacher_scorers,
 )
 from mimicrank.ranker import (
     RankModelConfig,
     STUDENT_CONFIG,
     TEACHER_CONFIG,
     init_params,
+    pool_scorer,
     save_model,
-    score_pool,
 )
 from mimicrank.toydata import mini_collection, write_collection
 
@@ -302,6 +304,21 @@ def test_pate_mode_writes_four_row_report_and_shards(workspace, tmp_path):
     assert ensemble_manifest["shard_hashes"] == report["shard_hashes"]
 
 
+def counting_scorers(monkeypatch, count):
+    """Make the pipeline's scorers call count(params) before each scoring."""
+    def scorer(params, index):
+        scores = pool_scorer(params, index)
+
+        def counted(query_terms, pool):
+            count(params)
+            return scores(query_terms, pool)
+
+        return counted
+
+    monkeypatch.setattr(pipeline, "pool_scorer", scorer)
+    monkeypatch.setattr(private, "pool_scorer", scorer)
+
+
 def test_pate_rank_stage_scores_each_pool_once_per_model(workspace, tmp_path,
                                                         monkeypatch):
     # the teacher_NN, aggregate and aggregate_noisy runs share one teacher
@@ -316,17 +333,49 @@ def test_pate_rank_stage_scores_each_pool_once_per_model(workspace, tmp_path,
         finally:
             ranking.pop()
 
-    def counted(params, query_terms, doc_rows):
+    def count(params):
         if ranking:
             calls[id(params)] += 1
-        return score_pool(params, query_terms, doc_rows)
 
     monkeypatch.setattr(pipeline, "model_run", in_rank_stage)
-    monkeypatch.setattr(private, "score_pool", counted)
-    monkeypatch.setattr(distill, "score_pool", counted)
+    counting_scorers(monkeypatch, count)
     run_pipeline(base_config(workspace, tmp_path / "pate"), "pate")
     n_pools = len(read_queries(workspace / "queries_eval.tsv"))
     assert sorted(calls.values()) == [n_pools] * 4  # three teachers, one student
+
+
+def test_pate_run_represents_each_document_once_per_scoring_model(
+        workspace, tmp_path, monkeypatch):
+    # one scorer per loaded model serves mimic labeling, the rank stage and
+    # the agreement check, so a model's document rows reach the
+    # representation blocks at most once in the whole run
+    scoring, kept, represented = {}, [], Counter()
+    represent = ranker._represent_blocks
+
+    def recorded(params, blocks, n_rows):
+        kept.append(params)  # no model is freed, so no id is reused
+        blocks = list(blocks)
+        for _, u, counts in blocks:
+            for row in counts:
+                at = row != 0
+                represented[id(params), tuple(u[at].tolist()), tuple(row[at].tolist())] += 1
+        return represent(params, blocks, n_rows)
+
+    monkeypatch.setattr(ranker, "_represent_blocks", recorded)
+    counting_scorers(monkeypatch, lambda params: scoring.setdefault(id(params), params))
+    out = tmp_path / "pate"
+    run_pipeline(base_config(workspace, out), "pate")
+    index = load_index(out / "index.bin")
+    docs = {(tuple(terms.tolist()), tuple(map(float, counts)))
+            for terms, counts in map(index.doc_rows, range(index.doc_count))}
+    assert len(docs) == index.doc_count  # a row names its document
+    per_model = Counter()
+    for (model, terms, counts), times in represented.items():
+        if model in scoring and (terms, counts) in docs:
+            assert times == 1
+            per_model[model] += 1
+    assert len(scoring) == 4  # three teachers, one student
+    assert all(per_model[model] > 0 for model in scoring)
 
 
 def test_pate_ensemble_runs_equal_their_labelers_runs(workspace, tmp_path):
@@ -338,10 +387,23 @@ def test_pate_ensemble_runs_equal_their_labelers_runs(workspace, tmp_path):
     quiet = dataclasses.replace(
         ensemble, config=dataclasses.replace(ensemble.config, noise_scale=0.0))
     queries = read_queries(config.queries_eval)
-    labelers = {f"teacher_{i:02d}": model_labels(t, index)
-                for i, t in enumerate(ensemble.teachers)}
-    labelers["aggregate"] = ensemble_labels(quiet, index, EVAL_NOISE_TAG)
-    labelers["aggregate_noisy"] = ensemble_labels(ensemble, index, EVAL_NOISE_TAG)
+
+    def labeled_scorers():
+        # the run's teacher scorers label the unlabeled pools before they
+        # rank, and a document's row is blocked with the first pool that
+        # holds it: replay that labeling, so every row has the run's bits
+        scorers = teacher_scorers(ensemble, index)
+        annotate_pools(index, read_queries(config.queries_unlabeled),
+                       ensemble_labels(scorers, ensemble.config, NOISE_TAG),
+                       config.pool_size, config.pairs_per_query, seed=0)
+        return scorers
+
+    labelers = {f"teacher_{i:02d}": model_labels(scorer)
+                for i, scorer in enumerate(labeled_scorers())}
+    labelers["aggregate"] = ensemble_labels(labeled_scorers(), quiet.config,
+                                            EVAL_NOISE_TAG)
+    labelers["aggregate_noisy"] = ensemble_labels(labeled_scorers(), ensemble.config,
+                                                  EVAL_NOISE_TAG)
     for name, label_fn in labelers.items():
         run = model_run(index, queries, label_fn, config.rank_pool_size,
                         config.rank_cutoff)

@@ -1,6 +1,5 @@
 """Partitioning, Laplace mechanism, noisy aggregation, private distillation."""
 
-import dataclasses
 import inspect
 import math
 from collections import Counter
@@ -27,10 +26,11 @@ from mimicrank.private import (
     pate_distill,
     save_ensemble,
     teacher_mean,
+    teacher_scorers,
     teacher_scores,
     train_teachers,
 )
-from mimicrank.ranker import init_params, save_model, score_pool, train
+from mimicrank.ranker import init_params, pool_scorer, save_model, score_pool, train
 from tests.conftest import MICRO_STUDENT_CONFIG, MICRO_TEACHER_CONFIG
 
 
@@ -188,23 +188,26 @@ def test_ensemble_validates_shape(micro_ensemble):
 
 
 def _pool(micro_index, query, depth=10):
+    """(index positions, their doc rows) of a query's BM25 pool."""
     pool, _ = micro_index.search(query.terms, depth)
     assert len(pool) > 1
-    return [micro_index.doc_rows(d) for d in pool]
+    return pool, [micro_index.doc_rows(d) for d in pool]
 
 
 def test_noise_free_aggregate_is_exact_mean(micro_collection, micro_index,
                                             micro_ensemble):
     query = micro_collection.eval_queries[0]
-    rows = _pool(micro_index, query)
-    agg = noisy_aggregate(micro_ensemble, query.terms, rows)
+    pool, rows = _pool(micro_index, query)
+    scorers = teacher_scorers(micro_ensemble, micro_index)
+    agg = noisy_aggregate(scorers, query.terms, pool, 0.0)
     assert agg.shape == (len(rows),)
-    # left-to-right reference with the same pool scoring path
+    # left-to-right reference on the pool scores of a first pool, which a
+    # scorer blocks exactly as score_pool does
     acc = 0.0
     for t in micro_ensemble.teachers:
         acc += score_pool(t, query.terms, rows)
     assert np.array_equal(agg, acc / 3)
-    assert np.array_equal(agg, teacher_mean(micro_ensemble, query.terms, rows))
+    assert np.array_equal(agg, teacher_mean(scorers, query.terms, pool))
 
 
 def test_aggregate_hand_mean():
@@ -223,8 +226,9 @@ def test_single_teacher_aggregate_identity(micro_instances, micro_index,
                          base_seed=107,
                          privacy_config=PrivacyConfig(1, 0.0, seed=0))
     query = micro_collection.eval_queries[0]
-    rows = _pool(micro_index, query)
-    assert np.array_equal(noisy_aggregate(ens, query.terms, rows),
+    pool, rows = _pool(micro_index, query)
+    assert np.array_equal(noisy_aggregate(teacher_scorers(ens, micro_index), query.terms,
+                                          pool, 0.0),
                           score_pool(ens.teachers[0], query.terms, rows))
 
 
@@ -235,15 +239,16 @@ def test_noisy_aggregate_reproducible(micro_collection, micro_index,
                          base_seed=109,
                          privacy_config=PrivacyConfig(3, 0.05, seed=0))
     query = micro_collection.eval_queries[0]
-    q, rows = query.terms, _pool(micro_index, query)
-    a = noisy_aggregate(ens, q, rows, np.random.default_rng(99))
-    b = noisy_aggregate(ens, q, rows, np.random.default_rng(99))
-    c = noisy_aggregate(ens, q, rows, np.random.default_rng(100))
+    q, (pool, _) = query.terms, _pool(micro_index, query)
+    scorers = teacher_scorers(ens, micro_index)
+    a = noisy_aggregate(scorers, q, pool, 0.05, np.random.default_rng(99))
+    b = noisy_aggregate(scorers, q, pool, 0.05, np.random.default_rng(99))
+    c = noisy_aggregate(scorers, q, pool, 0.05, np.random.default_rng(100))
     assert np.array_equal(a, b)
     assert not np.any(a == c)
-    assert not np.any(a == teacher_mean(ens, q, rows))
+    assert not np.any(a == teacher_mean(scorers, q, pool))
     with pytest.raises(ValueError, match="rng"):
-        noisy_aggregate(ens, q, rows)
+        noisy_aggregate(scorers, q, pool, 0.05)
 
 
 def test_noisy_aggregate_draws_document_major(micro_collection, micro_index,
@@ -255,8 +260,9 @@ def test_noisy_aggregate_draws_document_major(micro_collection, micro_index,
                          base_seed=109,
                          privacy_config=PrivacyConfig(3, 0.05, seed=0))
     query = micro_collection.eval_queries[0]
-    q, rows = query.terms, _pool(micro_index, query)
-    got = noisy_aggregate(ens, q, rows, np.random.default_rng(5))
+    q, (pool, rows) = query.terms, _pool(micro_index, query)
+    got = noisy_aggregate(teacher_scorers(ens, micro_index), q, pool, 0.05,
+                          np.random.default_rng(5))
     rng = np.random.default_rng(5)
     noise = [[laplace_sample(0.05, draw_uniform(rng)) for _ in range(3)]
              for _ in rows]
@@ -273,16 +279,16 @@ def test_teacher_scores_columns_and_their_reduction(micro_collection, micro_inde
     # the pate rank stage derives every ensemble run from this array, so
     # each column must be that teacher's pool scores and the aggregate its
     # reduction, bit for bit
-    noisy = dataclasses.replace(micro_ensemble, config=PrivacyConfig(3, 0.05, seed=0))
     query = micro_collection.eval_queries[0]
-    q, rows = query.terms, _pool(micro_index, query)
-    scores = teacher_scores(noisy, q, rows)
+    q, (pool, rows) = query.terms, _pool(micro_index, query)
+    scorers = teacher_scorers(micro_ensemble, micro_index)
+    scores = teacher_scores(scorers, q, pool)
     assert scores.shape == (len(rows), 3)
-    for i, t in enumerate(noisy.teachers):
+    for i, t in enumerate(micro_ensemble.teachers):
         assert np.array_equal(scores[:, i], score_pool(t, q, rows))
-    assert np.array_equal(noisy_aggregate(noisy, q, rows, np.random.default_rng(5)),
+    assert np.array_equal(noisy_aggregate(scorers, q, pool, 0.05, np.random.default_rng(5)),
                           aggregate_scores(scores, 0.05, np.random.default_rng(5)))
-    assert np.array_equal(aggregate_scores(scores, 0.0), teacher_mean(noisy, q, rows))
+    assert np.array_equal(aggregate_scores(scores, 0.0), teacher_mean(scorers, q, pool))
     with pytest.raises(ValueError, match="rng"):
         aggregate_scores(scores, 0.05)
 
@@ -293,18 +299,18 @@ def test_pairwise_agreement_nonnoisy_vs_mean_is_exactly_one(micro_collection,
     pools = []
     for q in micro_collection.eval_queries:
         pool, _ = micro_index.search(q.terms, 6)
-        pools.append((q.terms, [micro_index.doc_rows(d) for d in pool],
-                      [(i, i + 1) for i in range(len(pool) - 1)]))
+        pools.append((q.terms, pool, [(i, i + 1) for i in range(len(pool) - 1)]))
+    scorers = teacher_scorers(micro_ensemble, micro_index)
     calls = []
 
-    def mean(q, rows):
-        calls.append(len(rows))
-        return teacher_mean(micro_ensemble, q, rows)
+    def mean(q, pool):
+        calls.append(len(pool))
+        return teacher_mean(scorers, q, pool)
 
     agreement = pairwise_agreement(
-        lambda q, rows: noisy_aggregate(micro_ensemble, q, rows), mean, pools)
+        lambda q, pool: noisy_aggregate(scorers, q, pool, 0.0), mean, pools)
     assert agreement == 1.0
-    assert calls == [len(rows) for _, rows, _ in pools]  # one call per pool
+    assert calls == [len(pool) for _, pool, _ in pools]  # one call per pool
 
 
 def test_pairwise_agreement_counts_ties_and_opposites():
@@ -327,9 +333,11 @@ def test_ensemble_save_load_round_trip(tmp_path, micro_ensemble, micro_collectio
     assert manifest["n_partitions"] == 3
     assert manifest["teacher_seeds"] == [73, 74, 75]
     query = micro_collection.eval_queries[0]
-    rows = _pool(micro_index, query)
-    assert np.array_equal(noisy_aggregate(loaded, query.terms, rows),
-                          noisy_aggregate(micro_ensemble, query.terms, rows))
+    pool, _ = _pool(micro_index, query)
+    assert np.array_equal(
+        noisy_aggregate(teacher_scorers(loaded, micro_index), query.terms, pool, 0.0),
+        noisy_aggregate(teacher_scorers(micro_ensemble, micro_index), query.terms, pool,
+                        0.0))
     # manifest rewrite is byte-stable
     before = (out / "manifest.json").read_bytes()
     save_ensemble(out, loaded, teacher_seeds=[73, 74, 75],
@@ -352,8 +360,9 @@ def test_pool_labelers_run_one_forward_per_pool_and_model(
         pool, _ = micro_index.search(query.terms, 12)
         pools.append((query, pool, qpos))
     for labeler, n_models in (
-            (model_labels(micro_teacher, micro_index), 1),
-            (ensemble_labels(micro_ensemble, micro_index, NOISE_TAG), 3)):
+            (model_labels(pool_scorer(micro_teacher, micro_index)), 1),
+            (ensemble_labels(teacher_scorers(micro_ensemble, micro_index),
+                             micro_ensemble.config, NOISE_TAG), 3)):
         rows_per_call.clear()
         for query, pool, qpos in pools:
             assert len(labeler(query, pool, qpos)) == len(pool)
@@ -363,12 +372,13 @@ def test_pool_labelers_run_one_forward_per_pool_and_model(
 
 def test_pool_labelers_reject_another_vocabulary(micro_collection, micro_index,
                                                  micro_teacher, micro_ensemble):
+    # labelers are built on scorers, and building a scorer checks the model
     other = build_index(micro_collection.documents[:30])
     sizes = f"({len(micro_index.vocabulary)} terms).*({len(other.vocabulary)} terms)"
     with pytest.raises(ValueError, match=sizes):
-        model_labels(micro_teacher, other)
+        pool_scorer(micro_teacher, other)
     with pytest.raises(ValueError, match=sizes):
-        ensemble_labels(micro_ensemble, other, NOISE_TAG)
+        teacher_scorers(micro_ensemble, other)
 
 
 def test_file_sha256(tmp_path):

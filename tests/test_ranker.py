@@ -30,6 +30,7 @@ from mimicrank.ranker import (
     init_params,
     load_embedding_file,
     load_model,
+    pool_scorer,
     rank_by_scores,
     represent,
     represent_rows,
@@ -219,6 +220,60 @@ def test_pool_scores_match_one_row_scores(micro_collection, micro_index, dims):
         assert pooled.shape == (len(pool),)
         assert np.allclose(pooled, one_by_one, rtol=0.0, atol=1e-12)
     assert score_pool(params, ("q",), []).shape == (0,)
+
+
+@pytest.mark.parametrize("dims", [(8, 16), (64, 128)])
+def test_pool_scorer_matches_score_pool_over_overlapping_pools(
+        micro_collection, micro_index, dims):
+    emb, hidden = dims
+    cfg = RankModelConfig(embedding_dim=emb, hidden_layers=2, hidden_size=hidden,
+                          dropout_keep=1.0, learning_rate=1e-3, batch_size=4)
+    params = init_params(cfg, micro_index.vocabulary, micro_index, seed=31)
+    queries = micro_collection.eval_queries + micro_collection.unlabeled_queries
+    pools = [(q.terms, micro_index.search(q.terms, 30)[0]) for q in queries]
+    seen = set(pools[0][1])
+    repeats = 0
+    for _, pool in pools[1:]:
+        repeats += len(seen.intersection(pool))
+        seen.update(pool)
+    assert repeats > 0  # later pools hold documents of earlier ones
+    scorer = pool_scorer(params, micro_index)
+    first = [scorer(terms, pool) for terms, pool in pools]
+    # a scorer's first pool is blocked exactly as score_pool blocks it
+    assert np.array_equal(first[0], score_pool(
+        params, pools[0][0], [micro_index.doc_rows(d) for d in pools[0][1]]))
+    for (terms, pool), got in zip(pools, first):
+        reference = score_pool(params, terms, [micro_index.doc_rows(d) for d in pool])
+        assert got.shape == (len(pool),)
+        np.testing.assert_allclose(got, reference, rtol=0.0, atol=1e-12)
+    # the table is filled: a second pass repeats the first bit for bit
+    for (terms, pool), got in zip(pools, first):
+        assert np.array_equal(scorer(terms, pool), got)
+    assert scorer(("q",), []).shape == (0,)
+    assert pool_scorer(params, micro_index)(("q",), []).shape == (0,)
+
+
+def test_pool_scorer_checks_the_vocabulary_when_built(micro_collection, micro_index,
+                                                      micro_teacher):
+    other = build_index(micro_collection.documents[:30])
+    with pytest.raises(ValueError, match="differs from the index vocabulary"):
+        pool_scorer(micro_teacher, other)
+
+
+def test_pool_scorer_built_after_a_weight_change_sees_it(micro_collection, micro_index):
+    cfg = RankModelConfig(embedding_dim=8, hidden_layers=1, hidden_size=16,
+                          dropout_keep=1.0, learning_rate=1e-3, batch_size=4)
+    params = init_params(cfg, micro_index.vocabulary, micro_index, seed=37)
+    query = micro_collection.eval_queries[0]
+    pool, _ = micro_index.search(query.terms, 20)
+    before = pool_scorer(params, micro_index)(query.terms, pool)
+    # in place, as train updates a model
+    params.embedding *= 1.5
+    params.layers[0].weights *= 0.5
+    after = pool_scorer(params, micro_index)(query.terms, pool)
+    assert not np.allclose(after, before)
+    np.testing.assert_array_equal(
+        after, score_pool(params, query.terms, [micro_index.doc_rows(d) for d in pool]))
 
 
 def test_score_zero_dense_params_is_zero():
