@@ -12,10 +12,11 @@ top-k search. Impacts keep bm25_score's expression order and terms add
 up in query order, so every score equals bm25_score bit for bit.
 """
 
+import itertools
 import json
 import math
 import re
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -81,21 +82,11 @@ class TrainingInstance:
 
 
 class Vocabulary:
-    """Bijection between term strings and dense 0-based indices."""
+    """Bijection between term strings and dense 0-based indices, by first appearance."""
 
     def __init__(self, terms=()):
-        self._index = {}
-        self._terms = []
-        for t in terms:
-            self.add(t)
-
-    def add(self, term):
-        idx = self._index.get(term)
-        if idx is None:
-            idx = len(self._terms)
-            self._index[term] = idx
-            self._terms.append(term)
-        return idx
+        self._terms = list(dict.fromkeys(terms))
+        self._index = {t: i for i, t in enumerate(self._terms)}
 
     def index_of(self, term):
         """Index for term, or None if unseen."""
@@ -137,9 +128,9 @@ class InvertedIndex:
     postings is an (nnz, 2) int64 array of (doc index, term frequency) rows
     grouped by term index and sorted by doc index within a term; term t owns
     rows offsets[t]:offsets[t + 1]; impacts[i] is posting i's BM25
-    contribution. A doc-major copy of the rows (each document's term
-    indices and counts, by term index) backs doc_rows, bm25_score and
-    doc_terms.
+    contribution. A doc-major copy of the rows, split once into each
+    document's (term indices, counts) views, backs doc_rows, bm25_score
+    and doc_terms.
     """
 
     def __init__(self, vocabulary, postings, offsets, doc_ids, doc_lengths):
@@ -153,10 +144,11 @@ class InvertedIndex:
             int(doc_lengths.sum()) / self.doc_count if self.doc_count else 0.0
         )
         by_doc = np.argsort(postings[:, 0], kind="stable")
-        row_terms = np.repeat(np.arange(len(vocabulary)), np.diff(offsets))
-        self._doc_term_idx, self._doc_term_tf = row_terms[by_doc], postings[by_doc, 1]
-        self._doc_offsets = np.searchsorted(postings[by_doc, 0],
-                                            np.arange(self.doc_count + 1))
+        row_terms = np.repeat(np.arange(len(vocabulary)), np.diff(offsets))[by_doc]
+        row_tfs = postings[by_doc, 1]
+        bounds = np.searchsorted(postings[by_doc, 0], np.arange(self.doc_count + 1)).tolist()
+        self._doc_rows = [(row_terms[lo:hi], row_tfs[lo:hi])
+                          for lo, hi in zip(bounds, bounds[1:])]
         # each posting's BM25 contribution, in bm25_score's expression order;
         # idf through math.log as there, since np.log may differ in the last bit
         docs, tfs = postings[:, 0], postings[:, 1]
@@ -179,11 +171,11 @@ class InvertedIndex:
     def doc_rows(self, doc_index):
         """Term indices (ascending, unique) and their counts in one document.
 
-        Views into the index's doc-major arrays, not copies: what
-        term_index_counts gives for this document's doc_terms, int64 counts.
+        Views into the index's doc-major arrays, not copies, taken once
+        when the index is made: what term_index_counts gives for this
+        document's doc_terms, int64 counts.
         """
-        lo, hi = self._doc_offsets[doc_index], self._doc_offsets[doc_index + 1]
-        return self._doc_term_idx[lo:hi], self._doc_term_tf[lo:hi]
+        return self._doc_rows[doc_index]
 
     def bm25_score(self, query_terms, doc_index):
         """Okapi BM25 with +1-smoothed idf; repeated query terms add up."""
@@ -253,28 +245,30 @@ class InvertedIndex:
 
 
 def build_index(documents):
-    """Tokenize documents and build the inverted index with exact statistics."""
-    vocabulary = Vocabulary()
-    doc_ids, doc_lengths = [], []
-    terms_col, docs_col, tfs_col = [], [], []
+    """Tokenize documents and build the inverted index with exact statistics.
+
+    One pass over the token stream numbers each term at its first appearance
+    and maps every token to its index; one sort of the term·N + doc keys with
+    counts gives the postings, by term and then doc, with their frequencies.
+    """
+    doc_ids = [doc.doc_id for doc in documents]
     seen = set()
-    for d, doc in enumerate(documents):
-        if doc.doc_id in seen:
-            raise ValueError(f"duplicate doc_id: {doc.doc_id!r}")
-        seen.add(doc.doc_id)
-        doc_ids.append(doc.doc_id)
-        terms = tokenize(doc.text)
-        doc_lengths.append(len(terms))
-        counts = Counter(vocabulary.add(t) for t in terms)
-        terms_col.extend(counts)
-        docs_col.extend([d] * len(counts))
-        tfs_col.extend(counts.values())
-    terms_col = np.asarray(terms_col, dtype=np.int64)
-    by_term = np.argsort(terms_col, kind="stable")  # a term's rows stay in doc order
-    postings = np.array([docs_col, tfs_col], dtype=np.int64).T[by_term]
-    offsets = np.searchsorted(terms_col[by_term], np.arange(len(vocabulary) + 1))
-    return InvertedIndex(vocabulary, postings, offsets, doc_ids,
-                         np.asarray(doc_lengths, dtype=np.int64))
+    for doc_id in doc_ids:
+        if doc_id in seen:
+            raise ValueError(f"duplicate doc_id: {doc_id!r}")
+        seen.add(doc_id)
+    tokens = [tokenize(doc.text) for doc in documents]
+    doc_lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    number = defaultdict(itertools.count().__next__)  # unseen term: next index
+    terms = np.fromiter(map(number.__getitem__, itertools.chain.from_iterable(tokens)),
+                        dtype=np.int64, count=int(doc_lengths.sum()))
+    vocabulary = Vocabulary(number)
+    docs = np.repeat(np.arange(len(doc_ids)), doc_lengths)
+    keys, tfs = np.unique(terms * len(doc_ids) + docs, return_counts=True)
+    key_terms, key_docs = np.divmod(keys, len(doc_ids))
+    offsets = np.searchsorted(key_terms, np.arange(len(vocabulary) + 1))
+    return InvertedIndex(vocabulary, np.stack([key_docs, tfs], axis=1), offsets,
+                         doc_ids, doc_lengths)
 
 
 @dataclass
@@ -443,7 +437,7 @@ def annotate_queries(index, queries, pool_size=100, pairs_per_query=20, seed=0):
 
 
 def read_corpus(path):
-    """Line-delimited JSON records {"id": ..., "text": ...}, UTF-8."""
+    """Line-delimited JSON records {"id": str or int, "text": str}, UTF-8."""
     documents = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -452,7 +446,12 @@ def read_corpus(path):
                 continue
             try:
                 rec = json.loads(line)
-                documents.append(Document(doc_id=str(rec["id"]), text=str(rec["text"])))
+                doc_id, text = rec["id"], rec["text"]
+                if not isinstance(text, str):
+                    raise TypeError(f"text must be a string, got {text!r}")
+                if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+                    raise TypeError(f"id must be a string or an integer, got {doc_id!r}")
+                documents.append(Document(doc_id=str(doc_id), text=text))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed corpus record: {exc}") from exc
     return documents

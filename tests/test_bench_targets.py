@@ -12,6 +12,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from mimicrank import corpus, nn, pipeline, ranker
 from mimicrank.toydata import mini_collection, write_collection
 from tests.conftest import MICRO_STUDENT_CONFIG, MICRO_TEACHER_CONFIG
@@ -52,13 +54,10 @@ def test_instance_fields_the_benchmark_reads():
     assert {"query_id", "doc1_id", "doc2_id"} <= fields
 
 
-def test_pate_rank_work_stays_inside_one_model_run_call_per_run_file(
-        tmp_path, monkeypatch):
-    # rank_docs_per_s divides the documents of the pipeline.model_run calls
-    # by their time, so every model run file must come from its own call,
-    # looked up through the module, and return {query_id: [(doc_id, score)]}
+def mini_run_config(tmp_path):
+    """A run of micro models over mini_collection, written under tmp_path."""
     write_collection(mini_collection(), tmp_path)
-    config = pipeline.RunConfig(
+    return pipeline.RunConfig(
         corpus=tmp_path / "corpus.jsonl", out=tmp_path / "run", seed=3,
         queries_train=tmp_path / "queries_train.tsv",
         queries_unlabeled=tmp_path / "queries_unlabeled.tsv",
@@ -66,6 +65,54 @@ def test_pate_rank_work_stays_inside_one_model_run_call_per_run_file(
         teacher=MICRO_TEACHER_CONFIG, student=MICRO_STUDENT_CONFIG,
         pool_size=20, pairs_per_query=10, teacher_epochs=2, student_epochs=2,
         rank_pool_size=30, rank_cutoff=30, n_partitions=3, noise_scale=0.05)
+
+
+def test_setup_window_holds_the_whole_index_build(tmp_path, monkeypatch):
+    # setup_s runs from the start of corpus.read_corpus to the end of
+    # corpus.save_index, through the bindings the benchmark's tracer wraps;
+    # the build-index stage must call read_corpus, build_index and
+    # save_index once each, in that order, and hand save_index an index
+    # whose fields are all built, none added or replaced later in the run
+    worker = load_worker(monkeypatch)
+    config = mini_run_config(tmp_path)
+    stage_run, stages, calls, saved = pipeline._StageRunner.run, [], [], {}
+
+    def staged(self, name, fn):
+        stages.append(name)
+        return stage_run(self, name, fn)
+
+    def recorded(fn, args, kwargs, count):
+        calls.append((fn.__name__, stages[-1]))
+        if fn.__name__ == "save_index":
+            saved["index"] = index = args[1]
+            saved["fields"] = dict(vars(index))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline._StageRunner, "run", staged)
+    tracer = worker.Tracer()
+    try:
+        for attr in ("read_corpus", "build_index", "save_index"):
+            tracer.install(f"corpus.{attr}", corpus, attr, recorded)
+        pipeline.run_pipeline(config, "weak")
+    finally:
+        tracer.uninstall()
+    assert calls == [(attr, "build-index")
+                     for attr in ("read_corpus", "build_index", "save_index")]
+    fields = saved["fields"]
+    assert all(value is not None for value in fields.values())
+    for name in ("postings", "offsets", "doc_lengths", "impacts"):
+        assert isinstance(fields[name], np.ndarray), name
+    after = vars(saved["index"])
+    assert after.keys() == fields.keys()
+    assert all(after[name] is value for name, value in fields.items())
+
+
+def test_pate_rank_work_stays_inside_one_model_run_call_per_run_file(
+        tmp_path, monkeypatch):
+    # rank_docs_per_s divides the documents of the pipeline.model_run calls
+    # by their time, so every model run file must come from its own call,
+    # looked up through the module, and return {query_id: [(doc_id, score)]}
+    config = mini_run_config(tmp_path)
     model_run, runs = pipeline.model_run, []
     # the scorers fill their document tables lazily, so all representation
     # work of the rank stage must happen inside model_run calls too

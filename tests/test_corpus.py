@@ -35,7 +35,7 @@ from mimicrank.corpus import (
 )
 from mimicrank import seeding
 from mimicrank.serialize import read_container, write_container
-from mimicrank.toydata import mini_collection
+from mimicrank.toydata import mini_collection, synthetic_collection
 
 
 def docs(*texts):
@@ -84,6 +84,10 @@ def test_build_index_rejects_duplicate_doc_id():
     dup = [Document("same", "a"), Document("same", "b")]
     with pytest.raises(ValueError, match="same"):
         build_index(dup)
+    # the first document whose id was seen before is named
+    dups = [Document(i, "a") for i in ("x", "y", "y", "x")]
+    with pytest.raises(ValueError, match="^duplicate doc_id: 'y'$"):
+        build_index(dups)
 
 
 def test_doc_terms_preserve_multiset():
@@ -193,25 +197,46 @@ def test_bm25_additive_over_query_terms(token_lists, q1, q2):
         )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.sampled_from("abcd"), min_size=1, max_size=6),
-        min_size=1,
-        max_size=8,
-    )
-)
+def counter_reference_index(documents):
+    """The index as a Counter per document builds it, term by term.
+
+    Terms are numbered as each document's tokens first meet them; each
+    document's (term, tf) rows are appended, then stably grouped by term.
+    """
+    number, doc_lengths, rows = {}, [], []
+    for d, doc in enumerate(documents):
+        terms = tokenize(doc.text)
+        doc_lengths.append(len(terms))
+        counts = Counter(number.setdefault(t, len(number)) for t in terms)
+        rows.extend((t, d, tf) for t, tf in counts.items())
+    rows.sort(key=lambda row: row[0])  # stable: a term's rows stay in doc order
+    terms_col = np.array([t for t, _, _ in rows], dtype=np.int64)
+    postings = np.array([(d, tf) for _, d, tf in rows], dtype=np.int64).reshape(-1, 2)
+    offsets = np.searchsorted(terms_col, np.arange(len(number) + 1))
+    return InvertedIndex(Vocabulary(number), postings, offsets,
+                         [doc.doc_id for doc in documents],
+                         np.array(doc_lengths, dtype=np.int64))
+
+
+# words with underscores (separators), upper case and non-ASCII letters;
+# a document may be empty or hold only separators
+_BUILD_WORDS = ["a", "B", "a_b", "_", "é", "Straße", "STRASSE", "дом", "ДОМ",
+                "x1", "42", "naïve-café", "..."]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_BUILD_WORDS), max_size=6), max_size=8))
 def test_posting_frequencies_match_naive_recount(token_lists):
-    texts = [" ".join(toks) for toks in token_lists]
-    index = build_index([Document(f"d{i}", t) for i, t in enumerate(texts)])
-    naive = {}
-    for d, t in enumerate(texts):
-        for term, tf in Counter(tokenize(t)).items():
-            naive.setdefault(index.vocabulary.index_of(term), []).append([d, tf])
-    assert index.offsets[0] == 0
-    for idx in range(len(index.vocabulary)):
-        rows = index.postings[index.offsets[idx]:index.offsets[idx + 1]]
-        assert rows.tolist() == naive[idx]  # doc indices ascending
+    documents = [Document(f"d{i}", " ".join(toks)) for i, toks in enumerate(token_lists)]
+    index = build_index(documents)
+    reference = counter_reference_index(documents)
+    assert index.vocabulary.terms == reference.vocabulary.terms  # first-appearance order
+    for name in ("offsets", "postings", "doc_lengths", "impacts"):
+        built, expected = getattr(index, name), getattr(reference, name)
+        assert built.dtype == expected.dtype and built.shape == expected.shape, name
+        assert built.tobytes() == expected.tobytes(), name
+    for d in range(index.doc_count):
+        assert Counter(index.doc_terms(d)) == Counter(tokenize(documents[d].text))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +479,20 @@ def test_annotation_pair_stream_pinned_to_bytes(tmp_path):
     assert digest == PINNED_ANNOTATIONS_SHA256
 
 
+# SHA-256 of index.bin for synthetic_collection(n_docs=600, seed=5), as the
+# Counter-per-document build wrote it; the index format and its build must
+# keep these bytes
+PINNED_INDEX_SHA256 = (
+    "13935e88f83a986453c1969882a46762d0ca11a7cd691d5b48717c44c7827947")
+
+
+def test_index_file_pinned_to_bytes(tmp_path):
+    collection = synthetic_collection(n_docs=600, seed=5)
+    save_index(tmp_path / "index.bin", build_index(collection.documents))
+    digest = hashlib.sha256((tmp_path / "index.bin").read_bytes()).hexdigest()
+    assert digest == PINNED_INDEX_SHA256
+
+
 def test_training_instance_rejects_ties():
     with pytest.raises(ValueError):
         TrainingInstance("q", "d1", "d2", 1.0, 1.0, *[term_index_counts(Vocabulary(), ())] * 3)
@@ -466,11 +505,11 @@ def test_training_instance_rejects_ties():
 def test_read_corpus_and_queries(tmp_path):
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text(
-        '{"id": "d1", "text": "Alpha beta"}\n\n{"id": "d2", "text": "gamma"}\n',
+        '{"id": "d1", "text": "Alpha beta"}\n\n{"id": 2, "text": "gamma"}\n',
         encoding="utf-8",
     )
     documents = read_corpus(corpus_path)
-    assert [d.doc_id for d in documents] == ["d1", "d2"]
+    assert [d.doc_id for d in documents] == ["d1", "2"]  # an integer id, as decimal
     assert documents[0].text == "Alpha beta"
 
     qpath = tmp_path / "queries.tsv"
@@ -480,10 +519,24 @@ def test_read_corpus_and_queries(tmp_path):
     assert queries[1].terms == ("gamma",)
 
 
-def test_read_corpus_rejects_malformed_line(tmp_path):
+@pytest.mark.parametrize("record", [
+    '{"id": "d1"}',
+    '{"text": "a"}',
+    '{"id": "d1", "text": "a"',
+    '["d1", "a"]',
+    '{"id": "d1", "text": null}',
+    '{"id": "d1", "text": ["a", "b"]}',
+    '{"id": "d1", "text": 7}',
+    '{"id": null, "text": "a"}',
+    '{"id": true, "text": "a"}',
+    '{"id": 1.5, "text": "a"}',
+    '{"id": ["d1"], "text": "a"}',
+], ids=["no-text", "no-id", "not-json", "not-object", "text-null", "text-list",
+        "text-number", "id-null", "id-boolean", "id-float", "id-list"])
+def test_read_corpus_rejects_malformed_line(tmp_path, record):
     p = tmp_path / "bad.jsonl"
-    p.write_text('{"id": "d1"}\n', encoding="utf-8")
-    with pytest.raises(ValueError, match="bad.jsonl:1"):
+    p.write_text('{"id": "d0", "text": "fine"}\n' + record + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="bad.jsonl:2"):
         read_corpus(p)
 
 
