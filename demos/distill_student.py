@@ -10,7 +10,7 @@ Run with: python3 demos/distill_student.py  (about a minute)
 """
 
 from mimicrank.corpus import annotate_queries, build_index
-from mimicrank.distill import distill, model_labels
+from mimicrank.distill import distill
 from mimicrank.evaluation import evaluate, format_metric_table
 from mimicrank.pipeline import bm25_run, model_run
 from mimicrank.ranker import RankModelConfig, init_params, pool_scorer, train
@@ -42,10 +42,10 @@ print(f"held-out label agreement: {result.fidelity:.4f}")
 runs = {
     "bm25": bm25_run(index, collection.eval_queries, cutoff=100),
     "teacher": model_run(index, collection.eval_queries,
-                         model_labels(pool_scorer(teacher, index)),
+                         pool_scorer(teacher, index),
                          pool_size=100, cutoff=100),
     "student": model_run(index, collection.eval_queries,
-                         model_labels(pool_scorer(result.student, index)),
+                         pool_scorer(result.student, index),
                          pool_size=100, cutoff=100),
 }
 rows = [(name, evaluate(run, collection.qrels)) for name, run in runs.items()]

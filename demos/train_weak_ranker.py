@@ -10,7 +10,6 @@ Run with: python3 demos/train_weak_ranker.py  (about a minute)
 """
 
 from mimicrank.corpus import annotate_queries, build_index
-from mimicrank.distill import model_labels
 from mimicrank.evaluation import evaluate, format_metric_table
 from mimicrank.pipeline import bm25_run, model_run
 from mimicrank.ranker import RankModelConfig, init_params, pool_scorer, train
@@ -37,7 +36,7 @@ print(f"hinge loss per epoch: {result.epoch_losses[0]:.4f} (first) "
 runs = {
     "bm25": bm25_run(index, collection.eval_queries, cutoff=100),
     "weak teacher": model_run(index, collection.eval_queries,
-                              model_labels(pool_scorer(params, index)), pool_size=100,
+                              pool_scorer(params, index), pool_size=100,
                               cutoff=100),
 }
 rows = [(name, evaluate(run, collection.qrels)) for name, run in runs.items()]

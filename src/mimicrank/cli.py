@@ -20,7 +20,7 @@ from .corpus import (
     save_index,
     write_annotations,
 )
-from .distill import distill, model_labels
+from .distill import distill
 from .evaluation import evaluate_run, format_metric_table, write_run
 from .pipeline import (
     MODES,
@@ -185,7 +185,7 @@ def cmd_rank(args):
     queries = read_queries(args.queries)
     if args.model:
         params = load_model(args.model)
-        run = model_run(index, queries, model_labels(pool_scorer(params, index)),
+        run = model_run(index, queries, pool_scorer(params, index),
                         args.pool_size, args.cutoff)
     else:
         run = bm25_run(index, queries, args.cutoff)

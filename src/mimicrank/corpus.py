@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -115,11 +115,10 @@ def term_index_counts(vocabulary, terms):
     OOV terms are dropped. The sorted-unique form fixes the summation order
     so representations are bit-identical regardless of input term order.
     """
-    idx = [i for i in map(vocabulary.index_of, terms) if i is not None]
-    if not idx:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    uniq, counts = np.unique(np.asarray(idx, dtype=np.int64), return_counts=True)
-    return uniq, counts.astype(np.float64)
+    counts = Counter(i for i in map(vocabulary.index_of, terms) if i is not None)
+    uniq = sorted(counts)
+    return (np.array(uniq, dtype=np.int64),
+            np.array(list(map(counts.__getitem__, uniq)), dtype=np.float64))
 
 
 class InvertedIndex:
@@ -156,8 +155,9 @@ class InvertedIndex:
         idf = [math.log(x) for x in (1.0 + (self.doc_count - df + 0.5) / (df + 0.5)).tolist()]
         norm = BM25_K1 * (1.0 - BM25_B + BM25_B * doc_lengths[docs] / self.avg_doc_length)
         self.impacts = np.repeat(idf, df) * tfs * (BM25_K1 + 1.0) / (tfs + norm)
-        # each document's position in ascending doc_id order breaks score ties
-        self._id_rank = np.argsort(
+        # each document's position in ascending doc_id order breaks score
+        # ties, here and in pipeline.model_run
+        self.id_rank = np.argsort(
             sorted(range(self.doc_count), key=self.doc_ids.__getitem__))
 
     def df(self, term):
@@ -232,7 +232,7 @@ class InvertedIndex:
             hit_scores = scores[found]
             cut = len(found) - k
             found = found[hit_scores >= np.partition(hit_scores, cut)[cut]]
-        top = found[np.lexsort((self._id_rank[found], -scores[found]))][:k]
+        top = found[np.lexsort((self.id_rank[found], -scores[found]))][:k]
         return top.tolist(), scores[top].tolist()
 
     def doc_terms(self, doc_index):

@@ -50,10 +50,10 @@ def model_labels(scorer):
     """Labeler that scores a whole pool with one model's pool_scorer.
 
     Returns label_fn(query, pool doc indices, query position) -> score
-    array, the protocol of annotate_pools and pipeline.model_run. Labelers
-    built on one scorer share its table of document rows.
+    array, the protocol of annotate_pools: one scorer call per pool.
+    Labelers built on one scorer share its table of document rows.
     """
-    return lambda query, pool, qpos: scorer(query.terms, pool)
+    return lambda query, pool, qpos: scorer([query.terms], [pool])[0]
 
 
 def _split_holdout(instances, fraction, seed):
@@ -73,8 +73,8 @@ def label_agreement(params, instances):
     """Fraction of instances whose label preference the model reproduces.
 
     Model ties count as disagreement (the model expresses no preference).
-    Both documents of every instance are scored in one forward
-    (score_batch), each distinct query_rows object meeting W_q once.
+    Both documents of every instance are scored in one score_batch call,
+    each distinct query_rows object meeting W_q once.
     """
     if not instances:
         return None

@@ -51,7 +51,6 @@ from .ranker import (
     init_params,
     load_model,
     pool_scorer,
-    rank_by_scores,
     save_model,
     train,
 )
@@ -319,51 +318,61 @@ def bm25_run(index, queries, cutoff):
     return run
 
 
-def model_run(index, queries, label_fn, pool_size, cutoff):
-    """BM25 recall pool re-ranked by label_fn(query, pool, query position).
+def model_run(index, queries, scores, pool_size, cutoff):
+    """BM25 recall pools re-ranked by one model's scores, cut at cutoff.
 
-    label_fn is the labeler protocol of annotate_pools.
+    Each query's pool is searched here, and all pools are scored in one
+    call of scores(queries' terms, pools) -> one score array per pool, the
+    protocol of ranker.pool_scorer. A pool is ordered by score descending,
+    ties by ascending doc_id (index.id_rank); a cutoff below 1 raises
+    ValueError.
     """
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
+    pools = [np.asarray(index.search(q.terms, pool_size)[0], dtype=np.intp)
+             for q in queries]
     run = {}
-    for qpos, q in enumerate(queries):
-        pool, _ = index.search(q.terms, pool_size)
-        labels = label_fn(q, pool, qpos)
-        scored = [(index.doc_ids[d], float(s)) for d, s in zip(pool, labels)]
-        run[q.query_id] = rank_by_scores(scored, cutoff)
+    pools_scores = scores([q.terms for q in queries], pools)
+    for q, pool, pool_scores in zip(queries, pools, pools_scores):
+        top = np.lexsort((index.id_rank[pool], -pool_scores))[:cutoff]
+        run[q.query_id] = list(zip(map(index.doc_ids.__getitem__, pool[top].tolist()),
+                                   pool_scores[top].tolist()))
     return run
 
 
-def _ensemble_run_labelers(scorers, privacy):
-    """{run name: label_fn} of the teacher_NN, aggregate and (at a noise
-    scale above 0) aggregate_noisy runs of one query set and pool size.
+def _ensemble_run_scorers(scorers, privacy, arrays):
+    """{run name: scores(queries_terms, pools)} of the teacher_NN, aggregate
+    and (at a noise scale above 0) aggregate_noisy runs of one query set
+    and pool size, for model_run.
 
     scorers: the ensemble's teacher_scorers; privacy: its PrivacyConfig.
-    The labelers share one teacher_scores array per query position, built
-    by whichever first reaches it, so each teacher scores each pool once.
-    aggregate_noisy draws from seeding.rng(privacy seed, query position,
-    EVAL_NOISE_TAG).
+    The runs share one teacher_scores array per pool, which the first of
+    them to score builds with one call per teacher and appends to arrays
+    (an empty list), in pool order. aggregate_noisy draws pool i's noise
+    from seeding.rng(privacy seed, i, EVAL_NOISE_TAG).
     """
-    arrays = {}
 
-    def pool_scores(query, pool, qpos):
-        if qpos not in arrays:
-            arrays[qpos] = teacher_scores(scorers, query.terms, pool)
-        return arrays[qpos]
+    def pool_scores(queries_terms, pools):
+        if not arrays:
+            arrays.extend(teacher_scores(scorers, queries_terms, pools))
+        return arrays
 
-    labelers = {
-        f"teacher_{i:02d}": lambda q, pool, qpos, i=i: pool_scores(q, pool, qpos)[:, i]
+    runs = {
+        f"teacher_{i:02d}": lambda terms, pools, i=i: [
+            scores[:, i] for scores in pool_scores(terms, pools)]
         for i in range(len(scorers))
     }
-    labelers["aggregate"] = lambda q, pool, qpos: aggregate_scores(
-        pool_scores(q, pool, qpos), 0.0)
+    runs["aggregate"] = lambda terms, pools: [
+        aggregate_scores(scores, 0.0) for scores in pool_scores(terms, pools)]
     if privacy.noise_scale > 0:
-        labelers["aggregate_noisy"] = lambda q, pool, qpos: aggregate_scores(
-            pool_scores(q, pool, qpos), privacy.noise_scale,
-            seeding.rng(privacy.seed, qpos, EVAL_NOISE_TAG))
-    return labelers
+        runs["aggregate_noisy"] = lambda terms, pools: [
+            aggregate_scores(scores, privacy.noise_scale,
+                             seeding.rng(privacy.seed, qpos, EVAL_NOISE_TAG))
+            for qpos, scores in enumerate(pool_scores(terms, pools))]
+    return runs
 
 
-def _eval_pairs(index, queries, depth=6):
+def _eval_pairs(index, queries, depth):
     """Deterministic pools for pairwise_agreement: each query's BM25 top
     `depth` documents as index positions, paired with their neighbours."""
     pools = []
@@ -557,22 +566,25 @@ def run_pipeline(config, mode, jobs=1):
         student = stages.run("distill", distill_student)
 
     # run files
+    rank_arrays = []  # each evaluation pool's teacher_scores array, in pate mode
+
     def write_runs():
-        def rerank(label_fn):
-            return model_run(index, eval_queries, label_fn,
+        def rerank(scores):
+            return model_run(index, eval_queries, scores,
                              config.rank_pool_size, config.rank_cutoff)
 
         runs = {"bm25": bm25_run(index, eval_queries, config.rank_cutoff)}
         if ensemble is None:
-            runs["teacher"] = rerank(model_labels(scorers[0]))
+            runs["teacher"] = rerank(scorers[0])
         else:
             # one model_run per run file; noise-free, the aggregate sums
             # exactly like teacher_mean
-            for name, label_fn in _ensemble_run_labelers(scorers, ensemble.config).items():
-                runs[name] = rerank(label_fn)
+            for name, scores in _ensemble_run_scorers(scorers, ensemble.config,
+                                                      rank_arrays).items():
+                runs[name] = rerank(scores)
             runs.setdefault("aggregate_noisy", runs["aggregate"])
         if student is not None:
-            runs["student"] = rerank(model_labels(pool_scorer(student, index)))
+            runs["student"] = rerank(pool_scorer(student, index))
         for name, run in runs.items():
             write_run(out / "runs" / f"{name}.run", run, tag=name)
         return runs
@@ -601,12 +613,15 @@ def run_pipeline(config, mode, jobs=1):
                 ("student", reports["student"]),
             ]
             # exactness property: the noise-free aggregate must order pairs
-            # exactly like the plain teacher mean; the pools are prefixes of
-            # the rank pools, so the scorers hold every document's row
+            # exactly like the plain teacher mean. The pools are prefixes of
+            # the rank pools, so the aggregate side reads the rank stage's
+            # arrays, and the mean side finds every row in the scorers'
+            # tables; a score does not depend on the pool it is scored in
+            rank_scores = dict(zip((q.terms for q in eval_queries), rank_arrays))
             report["agreement_nonnoisy_vs_mean"] = pairwise_agreement(
-                lambda q, pool: aggregate_scores(teacher_scores(scorers, q, pool), 0.0),
+                lambda q, pool: aggregate_scores(rank_scores[q][:len(pool)], 0.0),
                 lambda q, pool: teacher_mean(scorers, q, pool),
-                _eval_pairs(index, eval_queries),
+                _eval_pairs(index, eval_queries, min(6, config.rank_pool_size)),
             )
             report["noisy_vs_nonnoisy"] = {
                 "map_delta": reports["aggregate_noisy"].mean_ap

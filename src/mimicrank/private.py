@@ -156,22 +156,40 @@ def draw_uniform(rng):
     return u
 
 
+def laplace_noise(scale, rng, n):
+    """n draws of laplace_sample(scale, draw_uniform(rng)), as one array.
+
+    The uniforms come from one rng.random(n) call, which yields the
+    doubles of n scalar rng.random() calls; a 0.0, which draw_uniform
+    redraws, is dropped and the shortfall drawn after the rest. The
+    magnitudes go through math.log and the same float operations as
+    laplace_sample, so every draw and the rng's final state match the
+    scalar loop bit for bit. scale must be positive.
+    """
+    r = rng.random(n)
+    while (r == 0.0).any():
+        r = r[r != 0.0]
+        r = np.concatenate([r, rng.random(n - r.size)])
+    u = 0.5 - r
+    logs = [math.log(x) for x in (1.0 - 2.0 * np.abs(u)).tolist()]
+    return np.where(u > 0.0, -scale, scale) * logs
+
+
 def teacher_scorers(ensemble, index):
     """One ranker.pool_scorer per teacher of the ensemble, in teacher order."""
     return [pool_scorer(teacher, index) for teacher in ensemble.teachers]
 
 
-def teacher_scores(scorers, query_terms, pool):
-    """(documents × teachers) array of a pool's teacher scores.
+def teacher_scores(scorers, queries_terms, pools):
+    """(documents × teachers) arrays of pools' teacher scores, one per pool.
 
-    scorers: one ranker.pool_scorer per teacher, in teacher order; pool:
-    index positions. Column i is scorers[i](query_terms, pool) exactly:
-    each teacher scores the pool in one forward.
+    scorers: one ranker.pool_scorer per teacher, in teacher order; pools:
+    index positions, pools[i] scored against queries_terms[i]. Column i of
+    a pool's array is that pool's scores from scorers[i] exactly: each
+    teacher scores all the pools in one call.
     """
-    scores = np.empty((len(pool), len(scorers)))
-    for i, scorer in enumerate(scorers):
-        scores[:, i] = scorer(query_terms, pool)
-    return scores
+    columns = [scorer(queries_terms, pools) for scorer in scorers]
+    return [np.column_stack(pool_columns) for pool_columns in zip(*columns)]
 
 
 def aggregate_scores(scores, scale, rng=None):
@@ -186,9 +204,8 @@ def aggregate_scores(scores, scale, rng=None):
         raise ValueError("noise_scale > 0 requires an rng")
     n_docs, n_teachers = scores.shape
     if scale > 0.0:
-        noise = np.array([laplace_sample(scale, draw_uniform(rng))
-                          for _ in range(n_docs * n_teachers)])
-        scores = scores + noise.reshape(n_docs, n_teachers)
+        scores = scores + laplace_noise(scale, rng, n_docs * n_teachers).reshape(
+            n_docs, n_teachers)
     acc = np.zeros(n_docs)
     for i in range(n_teachers):
         acc = acc + scores[:, i]
@@ -197,7 +214,7 @@ def aggregate_scores(scores, scale, rng=None):
 
 def noisy_aggregate(scorers, query_terms, pool, scale, rng=None):
     """aggregate_scores of a pool's teacher_scores at Laplace scale `scale`."""
-    return aggregate_scores(teacher_scores(scorers, query_terms, pool), scale, rng)
+    return aggregate_scores(teacher_scores(scorers, [query_terms], [pool])[0], scale, rng)
 
 
 def teacher_mean(scorers, query_terms, pool):
@@ -205,7 +222,7 @@ def teacher_mean(scorers, query_terms, pool):
     apart from teacher_scores and aggregate_scores."""
     acc = np.zeros(len(pool))
     for scorer in scorers:
-        acc = acc + scorer(query_terms, pool)
+        acc = acc + scorer([query_terms], [pool])[0]
     return acc / len(scorers)
 
 

@@ -4,10 +4,12 @@ A query or document is represented as the weighted sum of its term
 embeddings (per-term scalar weights initialized from IDF). The scorer is a
 dense ReLU stack over [query repr ‖ doc repr] ending in a single tanh unit,
 trained on score-labeled document pairs and applied pointwise at inference,
-where a whole candidate pool goes through the stack in one forward.
+where candidate pools go through the stack in padded forwards whose scores
+do not depend on the rows forwarded together.
 """
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -198,56 +200,97 @@ def _pre_activation(params, doc_half, query_half, which):
     return doc_half
 
 
+# Every inference forward runs on a multiple of _PAD_ROWS rows, at most
+# _FORWARD_ROWS at a time. OpenBLAS picks a product's kernels by its row
+# count: in the one-column output layer the rows after the last multiple
+# of 4 take another path, and in the wide layers a product of 1 to 3 rows
+# does. Padded, a row gets the same bits in every forward, so a score does
+# not depend on the rows scored with it. A multiple of 4 suffices on the
+# Haswell kernels measured; 8 also covers kernels that work 8 rows at once.
+_PAD_ROWS = 8
+_FORWARD_ROWS = 1024  # a multiple of _PAD_ROWS; bounds a forward's memory
+
+
+def _infer(params, doc_half, docs, query_half, queries):
+    """Scores in (−1, 1) of the rows doc_half[docs[i]] + query_half[queries[i]] + b0.
+
+    doc_half holds D·W_d rows and query_half Q·W_q rows (_pre_activation
+    sums them). Every inference forward runs here, without dropout: the
+    rows are padded with repeats of row 0, whose scores are dropped, and
+    go through the stack in chunks. Row i's score depends only on its
+    pre-activation, for a fixed BLAS build and thread count.
+    """
+    n = len(docs)
+    rows = np.arange(n + -n % _PAD_ROWS)
+    rows[n:] = 0
+    out = np.empty(len(rows))
+    for first in range(0, len(rows), _FORWARD_ROWS):
+        chunk = rows[first:first + _FORWARD_ROWS]
+        z = _pre_activation(params, doc_half[docs[chunk]], query_half, queries[chunk])
+        scores, _ = nn.forward(params.layers, z, pre_activation=True)
+        out[first:first + len(chunk)] = scores[:, 0]
+    return out[:n]
+
+
 def score_batch(params, query_rows, doc_rows):
-    """Scores in (−1, 1) of doc_rows[i] against query_rows[i], one forward,
-    no dropout.
+    """Scores in (−1, 1) of doc_rows[i] against query_rows[i], no dropout.
 
     Query rows that are one object are represented once and meet layer 0's
     query half W_q once; each document row meets its document half W_d
-    once. Returns a 1-D array of len(doc_rows) scores.
+    once. Returns a 1-D array of len(doc_rows) scores from _infer.
     """
     queries, which = _group(list(map(id, query_rows)), query_rows)
     w_q, w_d = _layer0_halves(params)
-    z = _pre_activation(params, represent_rows(params, doc_rows) @ w_d,
-                        represent_rows(params, queries) @ w_q, which)
-    out, _ = nn.forward(params.layers, z, pre_activation=True)
-    return out[:, 0]
+    return _infer(params, represent_rows(params, doc_rows) @ w_d,
+                  np.arange(len(doc_rows)), represent_rows(params, queries) @ w_q, which)
 
 
 def pool_scorer(params, index):
-    """scores(query_terms, pool) of one frozen model over one index's pools.
+    """scores(queries_terms, pools) of one frozen model over one index's pools.
 
-    pool holds index positions of documents; scores returns one score per
-    position, in pool order, from one forward. The scorer owns a table of
-    D·W_d rows, one per index document, filled lazily: a call represents
-    the pool's documents not yet in the table, once each in pool order,
-    in count-matrix blocks (represent_rows) and meets W_d once for them.
-    The query is represented once and meets W_q once, and the pool's
-    pre-activation is table[pool] + q·W_q + b0 (_pre_activation). So a
-    document's row is computed once per scorer, and can differ in the last
-    bits with the other new documents of the first pool that held it
-    (score_pool of that pool gives the same bits); calling again over the
-    same pools gives the same bits. The table is the scorer's, not the
-    model's: build a new scorer after the model's weights change. A model
-    whose vocabulary differs from the index's raises ValueError here.
+    pools[i] holds index positions of documents, scored against the terms
+    queries_terms[i]; scores returns one array per pool, a score per
+    position in pool order, all from one _infer call. The scorer owns a
+    table of D·W_d rows, one per index document, filled lazily: pool by
+    pool in call order, the pool's documents not yet in the table are
+    represented once each in pool order, in count-matrix blocks
+    (represent_rows), and meet W_d once. Each query is represented alone
+    and meets W_q alone; a pool's rows are table[pool] + q·W_q + b0.
+
+    So a document's row is computed once per scorer, and can differ in the
+    last bits with the other new documents of the first pool that held it
+    (score_pool of that pool gives the same bits). Once its row is in the
+    table, its score depends only on the query: not on the pool, its
+    order, or the other pools of the call, so one call over many pools
+    gives the bits of one call per pool. The table is the scorer's, not
+    the model's: build a new scorer after the model's weights change. A
+    model whose vocabulary differs from the index's raises ValueError here.
     """
     check_index_vocabulary(params, index)
     table = np.empty((index.doc_count, params.layers[0].out_dim))
     filled = np.zeros(index.doc_count, dtype=bool)
 
-    def scores(query_terms, pool):
-        pool = np.asarray(pool, dtype=np.intp)
+    def scores(queries_terms, pools):
+        if len(queries_terms) != len(pools):
+            raise ValueError(f"{len(queries_terms)} queries for {len(pools)} pools")
+        pools = [np.asarray(pool, dtype=np.intp) for pool in pools]
+        if not pools:
+            return []
         w_q, w_d = _layer0_halves(params)
-        new = pool[~filled[pool]]
-        if new.size:
-            new = new[np.sort(np.unique(new, return_index=True)[1])]
-            table[new] = represent_rows(params, list(map(index.doc_rows, new))) @ w_d
-            filled[new] = True
-        query = term_index_counts(params.vocabulary, query_terms)
-        z = _pre_activation(params, table[pool], represent_rows(params, [query]) @ w_q,
-                            np.zeros(pool.size, dtype=np.intp))
-        out, _ = nn.forward(params.layers, z, pre_activation=True)
-        return out[:, 0]
+        for pool in pools:
+            new = pool[~filled[pool]]
+            if new.size:
+                new = new[np.sort(np.unique(new, return_index=True)[1])]
+                table[new] = represent_rows(params, list(map(index.doc_rows, new))) @ w_d
+                filled[new] = True
+        query_half = np.concatenate([
+            represent_rows(params, [term_index_counts(params.vocabulary, terms)]) @ w_q
+            for terms in queries_terms])
+        sizes = [pool.size for pool in pools]
+        out = _infer(params, table, np.concatenate(pools), query_half,
+                     np.arange(len(pools)).repeat(sizes))
+        ends = list(itertools.accumulate(sizes))
+        return [out[end - size:end] for end, size in zip(ends, sizes)]
 
     return scores
 
@@ -458,16 +501,6 @@ def train(params, config, instances, epochs, seed):
             nn.optimizer_step(arrays, _grad_list(params, grads), state)
         epoch_losses.append(total / n)
     return TrainResult(params, epoch_losses)
-
-
-def rank_by_scores(scored, cutoff):
-    """Order (doc_id, score) pairs: score desc, doc_id asc; truncate.
-
-    cutoff None keeps every pair; a cutoff below 1 raises ValueError.
-    """
-    if cutoff is not None and cutoff < 1:
-        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
-    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:cutoff]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from mimicrank.cli import main
 from mimicrank.corpus import (Document, TrainingInstance, annotate_queries, build_index,
                               term_index_counts)
-from mimicrank.distill import distill, model_labels
+from mimicrank.distill import distill
 from mimicrank.evaluation import (
     average_precision,
     evaluate,
@@ -253,9 +253,9 @@ def test_criterion_4_distillation_fidelity():
     assert result.fidelity >= 0.85, result.fidelity
 
     teacher_run = model_run(index, coll.eval_queries,
-                            model_labels(pool_scorer(teacher, index)), 100, 30)
+                            pool_scorer(teacher, index), 100, 30)
     student_run = model_run(index, coll.eval_queries,
-                            model_labels(pool_scorer(result.student, index)), 100, 30)
+                            pool_scorer(result.student, index), 100, 30)
     teacher_map = evaluate(teacher_run, coll.qrels).mean_ap
     student_map = evaluate(student_run, coll.qrels).mean_ap
     assert teacher_map > 0.0

@@ -113,14 +113,16 @@ def test_pate_rank_work_stays_inside_one_model_run_call_per_run_file(
     # by their time, so every model run file must come from its own call,
     # looked up through the module, and return {query_id: [(doc_id, score)]}
     config = mini_run_config(tmp_path)
-    model_run, runs = pipeline.model_run, []
-    # the scorers fill their document tables lazily, so all representation
-    # work of the rank stage must happen inside model_run calls too
-    stage_run, stages, ranking, rank_fills = pipeline._StageRunner.run, [], [], []
-    represent = ranker._represent_blocks
+    model_run, runs, searches = pipeline.model_run, [], []
+    # each call searches its own pools, and the scorers fill their document
+    # tables lazily, so every search, representation and forward of the
+    # rank stage's model runs must happen inside model_run calls too
+    stage_run, stages, ranking, rank_work = pipeline._StageRunner.run, [], [], []
+    represent, forward, search = ranker._represent_blocks, nn.forward, corpus.InvertedIndex.search
 
     def recorded(*args, **kwargs):
         ranking.append(True)
+        searches.append(0)
         try:
             runs.append(model_run(*args, **kwargs))
         finally:
@@ -131,18 +133,30 @@ def test_pate_rank_work_stays_inside_one_model_run_call_per_run_file(
         stages.append(name)
         return stage_run(self, name, fn)
 
-    def filled(*args, **kwargs):
-        if stages[-1] == "rank":
-            rank_fills.append(bool(ranking))
-        return represent(*args, **kwargs)
+    def in_rank_stage(fn, work):
+        def wrapped(*args, **kwargs):
+            if stages[-1] == "rank":
+                rank_work.append((work, bool(ranking)))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def searched(self, *args, **kwargs):
+        if ranking:
+            searches[-1] += 1
+        return search(self, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "model_run", recorded)
     monkeypatch.setattr(pipeline._StageRunner, "run", staged)
-    monkeypatch.setattr(ranker, "_represent_blocks", filled)
+    monkeypatch.setattr(ranker, "_represent_blocks", in_rank_stage(represent, "fill"))
+    monkeypatch.setattr(nn, "forward", in_rank_stage(forward, "forward"))
+    monkeypatch.setattr(corpus.InvertedIndex, "search", searched)
     pipeline.run_pipeline(config, "pate")
-    assert rank_fills and all(rank_fills)
+    assert {work for work, _ in rank_work} == {"fill", "forward"}
+    assert all(inside for _, inside in rank_work)
     run_files = sorted(p.stem for p in (config.out / "runs").glob("*.run"))
     assert len(runs) == len(run_files) - 1 == 6  # all but bm25.run
+    n_queries = len(corpus.read_queries(config.queries_eval))
+    assert searches == [n_queries] * 6
     for run in runs:
         assert run and all(isinstance(qid, str) for qid in run)
         for entries in run.values():

@@ -45,7 +45,7 @@ def test_annotation_signs_match_teacher_preferences(micro_collection, micro_inde
     rescored = {}
     for q in micro_collection.unlabeled_queries:
         pool, _ = micro_index.search(q.terms, 15)
-        scores = scorer(q.terms, pool)
+        scores = scorer([q.terms], [pool])[0]
         np.testing.assert_allclose(
             scores, score_pool(micro_teacher, q.terms,
                                [micro_index.doc_rows(d) for d in pool]),

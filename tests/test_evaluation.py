@@ -17,7 +17,6 @@ from mimicrank.evaluation import (
     read_run,
     write_run,
 )
-from mimicrank.ranker import rank_by_scores
 
 # ---------------------------------------------------------------------------
 # Brute-force reference implementations (kept deliberately naive and
@@ -205,7 +204,7 @@ def test_read_run_round_trip(tmp_path):
 
 def test_write_run_keeps_near_ties_readable(tmp_path):
     # equal at 6 decimals, unequal as floats: d2 ranks first on score alone
-    ranked = rank_by_scores([("d1", 0.5000001), ("d2", 0.5000002)], None)
+    ranked = [("d2", 0.5000002), ("d1", 0.5000001)]
     p = tmp_path / "near.run"
     write_run(p, {"q1": ranked}, tag="sys")
     assert read_run(p)["q1"] == ranked

@@ -305,13 +305,13 @@ def test_pate_mode_writes_four_row_report_and_shards(workspace, tmp_path):
 
 
 def counting_scorers(monkeypatch, count):
-    """Make the pipeline's scorers call count(params) before each scoring."""
+    """Make the pipeline's scorers call count(params, pools) before each call."""
     def scorer(params, index):
         scores = pool_scorer(params, index)
 
-        def counted(query_terms, pool):
-            count(params)
-            return scores(query_terms, pool)
+        def counted(queries_terms, pools):
+            count(params, pools)
+            return scores(queries_terms, pools)
 
         return counted
 
@@ -319,29 +319,61 @@ def counting_scorers(monkeypatch, count):
     monkeypatch.setattr(private, "pool_scorer", scorer)
 
 
+def counting_stages(monkeypatch):
+    """Record the name of every pipeline stage as it starts; returns the list."""
+    stage_run, stages = pipeline._StageRunner.run, []
+
+    def staged(self, name, fn):
+        stages.append(name)
+        return stage_run(self, name, fn)
+
+    monkeypatch.setattr(pipeline._StageRunner, "run", staged)
+    return stages
+
+
 def test_pate_rank_stage_scores_each_pool_once_per_model(workspace, tmp_path,
                                                         monkeypatch):
     # the teacher_NN, aggregate and aggregate_noisy runs share one teacher
-    # score array per pool, so every model scores every evaluation pool once
-    calls = Counter()
-    ranking = []
+    # score array per pool, so in the rank stage every model scores the rows
+    # of every evaluation pool once, all of them in one call
+    calls, rows = Counter(), Counter()
+    stages = counting_stages(monkeypatch)
 
-    def in_rank_stage(*args, **kwargs):
-        ranking.append(True)
-        try:
-            return model_run(*args, **kwargs)
-        finally:
-            ranking.pop()
-
-    def count(params):
-        if ranking:
+    def count(params, pools):
+        if stages[-1] == "rank":
             calls[id(params)] += 1
+            rows[id(params)] += sum(map(len, pools))
 
-    monkeypatch.setattr(pipeline, "model_run", in_rank_stage)
     counting_scorers(monkeypatch, count)
-    run_pipeline(base_config(workspace, tmp_path / "pate"), "pate")
-    n_pools = len(read_queries(workspace / "queries_eval.tsv"))
-    assert sorted(calls.values()) == [n_pools] * 4  # three teachers, one student
+    config = base_config(workspace, tmp_path / "pate")
+    run_pipeline(config, "pate")
+    index = load_index(config.out / "index.bin")
+    pool_rows = sum(len(index.search(q.terms, config.rank_pool_size)[0])
+                    for q in read_queries(config.queries_eval))
+    assert sorted(rows.values()) == [pool_rows] * 4  # three teachers, one student
+    assert sorted(calls.values()) == [1] * 4
+
+
+def test_pate_agreement_reads_the_rank_stage_scores(workspace, tmp_path, monkeypatch):
+    # the evaluate stage's aggregate side reads the rank stage's teacher
+    # score arrays, so only teacher_mean scores there: each teacher once per
+    # agreement pool, which is a prefix of that query's rank pool
+    pools_scored = Counter()
+    stages = counting_stages(monkeypatch)
+
+    def count(params, pools):
+        if stages[-1] == "evaluate":
+            pools_scored[id(params)] += len(pools)
+
+    counting_scorers(monkeypatch, count)
+    config = base_config(workspace, tmp_path / "pate")
+    report = run_pipeline(config, "pate")
+    index = load_index(config.out / "index.bin")
+    eval_queries = read_queries(config.queries_eval)
+    agreement_pools = pipeline._eval_pairs(index, eval_queries, 6)
+    assert agreement_pools
+    assert sorted(pools_scored.values()) == [len(agreement_pools)] * 3
+    assert report["agreement_nonnoisy_vs_mean"] == 1.0
 
 
 def test_pate_run_represents_each_document_once_per_scoring_model(
@@ -362,7 +394,8 @@ def test_pate_run_represents_each_document_once_per_scoring_model(
         return represent(params, blocks, n_rows)
 
     monkeypatch.setattr(ranker, "_represent_blocks", recorded)
-    counting_scorers(monkeypatch, lambda params: scoring.setdefault(id(params), params))
+    counting_scorers(monkeypatch,
+                     lambda params, pools: scoring.setdefault(id(params), params))
     out = tmp_path / "pate"
     run_pipeline(base_config(workspace, out), "pate")
     index = load_index(out / "index.bin")
@@ -405,7 +438,12 @@ def test_pate_ensemble_runs_equal_their_labelers_runs(workspace, tmp_path):
     labelers["aggregate_noisy"] = ensemble_labels(labeled_scorers(), ensemble.config,
                                                   EVAL_NOISE_TAG)
     for name, label_fn in labelers.items():
-        run = model_run(index, queries, label_fn, config.rank_pool_size,
+        # one labeler call per pool, at the pool's query position
+        def scores(queries_terms, pools, label_fn=label_fn):
+            return [label_fn(q, pool, qpos)
+                    for qpos, (q, pool) in enumerate(zip(queries, pools))]
+
+        run = model_run(index, queries, scores, config.rank_pool_size,
                         config.rank_cutoff)
         write_run(tmp_path / f"{name}.run", run, tag=name)
         assert (tmp_path / f"{name}.run").read_bytes() == \

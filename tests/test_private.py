@@ -6,8 +6,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mimicrank import nn
+from mimicrank import nn, ranker
 from mimicrank.corpus import annotate_queries, build_index
 from mimicrank.distill import distill, model_labels
 from mimicrank.private import (
@@ -18,6 +20,7 @@ from mimicrank.private import (
     draw_uniform,
     ensemble_labels,
     file_sha256,
+    laplace_noise,
     laplace_sample,
     load_ensemble,
     noisy_aggregate,
@@ -145,6 +148,45 @@ def test_draw_uniform_stays_in_open_interval():
     rng = np.random.default_rng(2)
     us = [draw_uniform(rng) for _ in range(10_000)]
     assert all(-0.5 < u < 0.5 for u in us)
+
+
+class ScriptedRandom:
+    """random() and random(n) over a fixed list of doubles, in order."""
+
+    def __init__(self, values):
+        self.values, self.taken = list(values), 0
+
+    def random(self, size=None):
+        first, self.taken = self.taken, self.taken + (1 if size is None else size)
+        if size is None:
+            return self.values[first]
+        return np.array(self.values[first:self.taken])
+
+
+def scalar_noise(scale, rng, n):
+    return np.array([laplace_sample(scale, draw_uniform(rng)) for _ in range(n)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
+       scale=st.sampled_from([0.05, 1.0, 3.7]))
+def test_laplace_noise_is_the_scalar_loop(seed, n, scale):
+    # aggregate_scores draws its noise in one call; each draw and the
+    # generator's state after it must be the scalar loop's, bit for bit
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert laplace_noise(scale, fast, n).tobytes() == scalar_noise(scale, slow, n).tobytes()
+    assert fast.random() == slow.random()
+
+
+def test_laplace_noise_redraws_a_zero_uniform_like_draw_uniform():
+    # a 0.0 uniform (u = 0.5) is redrawn, so every later draw shifts by one;
+    # 0.5 gives u = 0 and noise 0.0
+    values = [0.0, 0.3, 0.0, 0.0, 0.9, 0.5, 0.7, 0.0, 0.1, 0.25, 0.6, 0.8, 0.0, 0.4]
+    fast, slow = ScriptedRandom(values), ScriptedRandom(values)
+    got = laplace_noise(0.05, fast, 8)
+    assert got.tobytes() == scalar_noise(0.05, slow, 8).tobytes()
+    assert fast.taken == slow.taken == 12
+    assert got[2] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +324,7 @@ def test_teacher_scores_columns_and_their_reduction(micro_collection, micro_inde
     query = micro_collection.eval_queries[0]
     q, (pool, rows) = query.terms, _pool(micro_index, query)
     scorers = teacher_scorers(micro_ensemble, micro_index)
-    scores = teacher_scores(scorers, q, pool)
+    scores, = teacher_scores(scorers, [q], [pool])
     assert scores.shape == (len(rows), 3)
     for i, t in enumerate(micro_ensemble.teachers):
         assert np.array_equal(scores[:, i], score_pool(t, q, rows))
@@ -291,6 +333,13 @@ def test_teacher_scores_columns_and_their_reduction(micro_collection, micro_inde
     assert np.array_equal(aggregate_scores(scores, 0.0), teacher_mean(scorers, q, pool))
     with pytest.raises(ValueError, match="rng"):
         aggregate_scores(scores, 0.05)
+    # every pool of one call is that pool's array alone
+    other = micro_collection.eval_queries[1]
+    other_pool, _ = _pool(micro_index, other)
+    both = teacher_scores(scorers, [q, other.terms], [pool, other_pool])
+    assert np.array_equal(both[0], scores)
+    assert np.array_equal(both[1], teacher_scores(scorers, [other.terms], [other_pool])[0])
+    assert teacher_scores(scorers, [], []) == []
 
 
 def test_pairwise_agreement_nonnoisy_vs_mean_is_exactly_one(micro_collection,
@@ -366,8 +415,9 @@ def test_pool_labelers_run_one_forward_per_pool_and_model(
         rows_per_call.clear()
         for query, pool, qpos in pools:
             assert len(labeler(query, pool, qpos)) == len(pool)
-        assert rows_per_call == [len(pool) for _, pool, _ in pools
-                                 for _ in range(n_models)]
+        # each forward pads its pool to a multiple of ranker._PAD_ROWS rows
+        assert rows_per_call == [math.ceil(len(pool) / ranker._PAD_ROWS) * ranker._PAD_ROWS
+                                 for _, pool, _ in pools for _ in range(n_models)]
 
 
 def test_pool_labelers_reject_another_vocabulary(micro_collection, micro_index,

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from mimicrank.corpus import (
     Document,
+    Query,
     TrainingInstance,
     Vocabulary,
     build_index,
     term_index_counts,
 )
 from mimicrank import nn, ranker, serialize
+from mimicrank.pipeline import model_run
 from mimicrank.nn import DenseLayer
 from mimicrank.ranker import (
     RankModelConfig,
@@ -31,7 +33,6 @@ from mimicrank.ranker import (
     load_embedding_file,
     load_model,
     pool_scorer,
-    rank_by_scores,
     represent,
     represent_rows,
     save_model,
@@ -197,6 +198,11 @@ def test_represent_linear_in_weights_and_additive(terms1, terms2, c):
 # Scoring
 
 
+def score_one(scorer, query_terms, pool):
+    """One pool's scores from a pool_scorer: a one-element call."""
+    return scorer([query_terms], [pool])[0]
+
+
 @pytest.mark.parametrize("dims", [(8, 16), (64, 128)])
 def test_pool_scores_match_one_row_scores(micro_collection, micro_index, dims):
     emb, hidden = dims
@@ -238,8 +244,9 @@ def test_pool_scorer_matches_score_pool_over_overlapping_pools(
         seen.update(pool)
     assert repeats > 0  # later pools hold documents of earlier ones
     scorer = pool_scorer(params, micro_index)
-    first = [scorer(terms, pool) for terms, pool in pools]
-    # a scorer's first pool is blocked exactly as score_pool blocks it
+    first = [score_one(scorer, terms, pool) for terms, pool in pools]
+    # a scorer's first pool is blocked exactly as score_pool blocks it, and
+    # both forward through ranker._infer
     assert np.array_equal(first[0], score_pool(
         params, pools[0][0], [micro_index.doc_rows(d) for d in pools[0][1]]))
     for (terms, pool), got in zip(pools, first):
@@ -248,9 +255,16 @@ def test_pool_scorer_matches_score_pool_over_overlapping_pools(
         np.testing.assert_allclose(got, reference, rtol=0.0, atol=1e-12)
     # the table is filled: a second pass repeats the first bit for bit
     for (terms, pool), got in zip(pools, first):
-        assert np.array_equal(scorer(terms, pool), got)
-    assert scorer(("q",), []).shape == (0,)
-    assert pool_scorer(params, micro_index)(("q",), []).shape == (0,)
+        assert np.array_equal(score_one(scorer, terms, pool), got)
+    # a fresh scorer fills its table pool by pool in call order, so one
+    # call over every pool gives the bits of one call per pool
+    together = pool_scorer(params, micro_index)(*zip(*pools))
+    assert all(np.array_equal(a, b) for a, b in zip(together, first))
+    assert score_one(scorer, ("q",), []).shape == (0,)
+    assert score_one(pool_scorer(params, micro_index), ("q",), []).shape == (0,)
+    assert scorer([], []) == []
+    with pytest.raises(ValueError, match="1 queries for 2 pools"):
+        scorer([("q",)], [[0], [1]])
 
 
 def test_pool_scorer_checks_the_vocabulary_when_built(micro_collection, micro_index,
@@ -266,14 +280,78 @@ def test_pool_scorer_built_after_a_weight_change_sees_it(micro_collection, micro
     params = init_params(cfg, micro_index.vocabulary, micro_index, seed=37)
     query = micro_collection.eval_queries[0]
     pool, _ = micro_index.search(query.terms, 20)
-    before = pool_scorer(params, micro_index)(query.terms, pool)
+    before = score_one(pool_scorer(params, micro_index), query.terms, pool)
     # in place, as train updates a model
     params.embedding *= 1.5
     params.layers[0].weights *= 0.5
-    after = pool_scorer(params, micro_index)(query.terms, pool)
+    after = score_one(pool_scorer(params, micro_index), query.terms, pool)
     assert not np.allclose(after, before)
     np.testing.assert_array_equal(
         after, score_pool(params, query.terms, [micro_index.doc_rows(d) for d in pool]))
+
+
+BATCH_CONFIG = RankModelConfig(embedding_dim=16, hidden_layers=2, hidden_size=32,
+                               dropout_keep=1.0, learning_rate=1e-3, batch_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pool_scorer_scores_do_not_depend_on_batching(micro_collection, micro_index,
+                                                      data):
+    # pools of 1-100 rows with repeated documents, plus a prefix and a
+    # permutation of each: once a scorer's table holds their documents, a
+    # document's score depends only on the query, whether the pools are
+    # scored one call each, in one call, or over forward chunk boundaries
+    params = init_params(BATCH_CONFIG, micro_index.vocabulary, micro_index, seed=41)
+    queries = [q.terms for q in micro_collection.eval_queries]
+    positions = st.integers(0, micro_index.doc_count - 1)
+    bases = data.draw(st.lists(
+        st.tuples(st.sampled_from(queries), st.lists(positions, min_size=1, max_size=100)),
+        min_size=1, max_size=3))
+    scorer = pool_scorer(params, micro_index)
+    expected = []  # {document: score} per base pool
+    for terms, pool in bases:
+        scores = score_one(scorer, terms, pool)
+        by_doc = {}
+        for d, value in zip(pool, scores):
+            assert by_doc.setdefault(d, value) == value  # repeats score alike
+        expected.append(by_doc)
+    pools = [(i, terms, pool) for i, (terms, pool) in enumerate(bases)]
+    for i, (terms, pool) in enumerate(bases):
+        pools.append((i, terms, pool[:data.draw(st.integers(1, len(pool)))]))
+        pools.append((i, terms, data.draw(st.permutations(pool))))
+    base_of, terms, pool_list = zip(*pools)
+    one_each = [score_one(scorer, t, p) for t, p in zip(terms, pool_list)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranker, "_FORWARD_ROWS", 16)
+        chunked = scorer(terms, pool_list)
+    results = [one_each, scorer(terms, pool_list), chunked,
+               pool_scorer(params, micro_index)(terms, pool_list)]
+    for scores in results:
+        for i, pool, got in zip(base_of, pool_list, scores):
+            want = np.array([expected[i][d] for d in pool])
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [24, 128, 512])
+def test_padded_forward_output_is_row_invariant(micro_index, hidden):
+    # numpy computes the one-column output layer with gemv, whose rows after
+    # the last multiple of 4 can take another kernel path, and the wide
+    # layers' gemm differs at row counts below 8; _infer pads every forward
+    # to a multiple of 8 rows, so any 1 to 100 rows, at any offset, get the
+    # bits of a 100-row forward
+    config = dataclasses.replace(BATCH_CONFIG, hidden_size=hidden)
+    params = init_params(config, micro_index.vocabulary, micro_index, seed=43)
+    rng = np.random.default_rng(hidden)
+    doc_half = rng.normal(size=(140, hidden))
+    query_half = rng.normal(size=(2, hidden))
+    queries = rng.integers(0, 2, size=140)
+    full = ranker._infer(params, doc_half, np.arange(140), query_half, queries)
+    for n in range(1, 101):
+        first = (7 * n) % 40
+        rows = np.arange(first, first + n)
+        got = ranker._infer(params, doc_half, rows, query_half, queries[rows])
+        assert got.tobytes() == full[rows].tobytes(), n
 
 
 def test_score_zero_dense_params_is_zero():
@@ -694,49 +772,90 @@ def test_train_aborts_on_divergence_naming_the_epoch():
 # Ranking
 
 
-def scored(params, query_terms, candidates):
-    return [(doc_id, score(params, query_terms, terms)) for doc_id, terms in candidates]
+def rank_by_scores(scored, cutoff):
+    """Reference order of a run's entries: (doc_id, score) pairs by score
+    descending, then doc_id ascending, cut at cutoff (None keeps all)."""
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:cutoff]
 
 
-def test_rank_by_scores_rejects_cutoff_below_one():
-    pairs = [("a", 0.5), ("b", 0.7), ("c", 0.1)]
+def fixed_scores(by_doc_id, index):
+    """A model_run scorer that gives each document the score by_doc_id names."""
+    return lambda queries_terms, pools: [
+        np.array([by_doc_id[index.doc_ids[d]] for d in pool]) for pool in pools]
+
+
+def one_term_index(doc_ids):
+    """An index whose documents all hold the term x, at differing counts."""
+    return build_index([Document(doc_id, " ".join(["x"] * (1 + i % 3) + ["y"] * (i % 2)))
+                        for i, doc_id in enumerate(doc_ids)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(st.text("abcdef", min_size=1, max_size=3), min_size=1, max_size=12,
+                    unique=True),
+       data=st.data())
+def test_model_run_orders_like_rank_by_scores(ids, data):
+    # model_run ranks a pool with one lexsort on (-score, doc-id rank); with
+    # ties forced and -0.0 against 0.0 it must give rank_by_scores' order
+    index = one_term_index(ids)
+    values = st.sampled_from([-1.0, -0.25, -0.0, 0.0, 0.25, 1.0])
+    by_doc_id = dict(zip(ids, data.draw(st.lists(values, min_size=len(ids),
+                                                 max_size=len(ids)))))
+    cutoff = data.draw(st.integers(1, len(ids) + 1))
+    queries = [Query("q1", ("x",)), Query("q2", ("y",))]
+    run = model_run(index, queries, fixed_scores(by_doc_id, index), len(ids), cutoff)
+    for q in queries:
+        pool, _ = index.search(q.terms, len(ids))
+        want = rank_by_scores([(index.doc_ids[d], by_doc_id[index.doc_ids[d]])
+                               for d in pool], cutoff)
+        assert [(d, repr(s)) for d, s in run[q.query_id]] == \
+            [(d, repr(s)) for d, s in want]
+
+
+def test_model_run_rejects_cutoff_below_one():
+    index = one_term_index(["a", "b", "c"])
     for cutoff in (0, -1, -3):
         with pytest.raises(ValueError, match="cutoff must be at least 1"):
-            rank_by_scores(pairs, cutoff)
-    assert [d for d, _ in rank_by_scores(pairs, None)] == ["b", "a", "c"]
-    assert rank_by_scores(pairs, 1) == [("b", 0.7)]
+            model_run(index, [Query("q", ("x",))],
+                      fixed_scores({"a": 0.5, "b": 0.7, "c": 0.1}, index), 3, cutoff)
 
 
 def test_rank_single_candidate():
-    _, params = random_corpus_params(29)
-    out = rank_by_scores(scored(params, ("a",), [("dX", ("b", "c"))]), None)
-    assert len(out) == 1
-    assert out[0][0] == "dX"
+    index = build_index([Document("dX", "b c"), Document("dY", "e f")])
+    params = init_params(BATCH_CONFIG, index.vocabulary, index, seed=29)
+    run = model_run(index, [Query("q", ("b",))], pool_scorer(params, index), 10, 10)
+    assert [doc_id for doc_id, _ in run["q"]] == ["dX"]
 
 
 def test_rank_zero_params_sorts_by_doc_id():
-    _, params = random_corpus_params(30)
+    index = one_term_index(["dz", "da", "dm"])
+    params = init_params(BATCH_CONFIG, index.vocabulary, index, seed=30)
     for layer in params.layers:
         layer.weights[:] = 0.0
         layer.bias[:] = 0.0
-    cands = [("dz", ("a",)), ("da", ("b",)), ("dm", ("c",))]
-    out = rank_by_scores(scored(params, ("a",), cands), None)
-    assert [doc_id for doc_id, _ in out] == ["da", "dm", "dz"]
-    assert all(s == 0.0 for _, s in out)
+    run = model_run(index, [Query("q", ("x",))], pool_scorer(params, index), 10, 10)
+    assert [doc_id for doc_id, _ in run["q"]] == ["da", "dm", "dz"]
+    assert all(s == 0.0 for _, s in run["q"])
 
 
 def test_rank_input_order_invariance():
-    _, params = random_corpus_params(31)
-    cands = [("d1", ("a", "b")), ("d2", ("c",)), ("d3", ("d", "e")), ("d4", ("f",))]
-    fwd = rank_by_scores(scored(params, ("a", "c"), cands), None)
-    rev = rank_by_scores(scored(params, ("a", "c"), list(reversed(cands))), None)
-    assert fwd == rev
+    # the same documents at other index positions rank alike
+    ids = ["d1", "d2", "d3", "d4", "d5"]
+    by_doc_id = {"d1": 0.5, "d2": -0.0, "d3": 0.5, "d4": 0.0, "d5": 0.9}
+    runs = []
+    for order in (ids, ids[::-1]):
+        index = one_term_index(order)
+        runs.append(model_run(index, [Query("q", ("x",))],
+                              fixed_scores(by_doc_id, index), 10, 10))
+    assert runs[0] == runs[1]
+    assert [d for d, _ in runs[0]["q"]] == ["d5", "d1", "d3", "d2", "d4"]
 
 
 def test_rank_cutoff():
-    _, params = random_corpus_params(32)
-    cands = [(f"d{i}", ("a", "b")) for i in range(5)]
-    assert len(rank_by_scores(scored(params, ("a",), cands), 3)) == 3
+    index = one_term_index([f"d{i}" for i in range(5)])
+    params = init_params(BATCH_CONFIG, index.vocabulary, index, seed=32)
+    run = model_run(index, [Query("q", ("x",))], pool_scorer(params, index), 10, 3)
+    assert len(run["q"]) == 3
 
 
 # ---------------------------------------------------------------------------
