@@ -3,51 +3,37 @@
 Exit codes: 0 success, 1 pipeline or training failure, 2 usage or IO error
 (bad flags, unknown config keys, missing files). The distillation and
 private-aggregation subcommands take no relevance judgments; qrels enter
-only through `evaluate` and the evaluation stage of `pipeline`.
+only through `evaluate` and the evaluation stage of `pipeline`. The stage
+subcommands run the pipeline's stage functions with the component seeds
+of `pipeline.seed_plan(--seed)`, so a chain of them at one seed writes
+what `pipeline` writes at that seed.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from .corpus import (
-    annotate_queries,
-    build_index,
-    load_index,
-    read_annotations,
-    read_corpus,
-    read_queries,
-    save_index,
-    write_annotations,
-)
-from .distill import distill
+from .corpus import load_index, read_queries
 from .evaluation import evaluate_run, format_metric_table, write_run
 from .pipeline import (
     MODES,
     ConfigError,
+    annotate_training_pairs,
     bm25_run,
+    distill_student,
+    ensemble_privacy,
+    index_corpus,
     model_run,
     parse_config,
     read_model_configs,
+    read_training_pairs,
     run_pipeline,
+    seed_plan,
+    train_single_teacher,
+    train_teacher_ensemble,
 )
-from .private import (
-    PrivacyConfig,
-    load_ensemble,
-    pate_distill,
-    read_ensemble_manifest,
-    train_ensemble,
-)
-from .ranker import (
-    STUDENT_CONFIG,
-    TEACHER_CONFIG,
-    TrainingDiverged,
-    init_params,
-    load_model,
-    pool_scorer,
-    save_model,
-    train,
-)
+from .private import load_ensemble, read_ensemble_manifest, teacher_scorers
+from .ranker import STUDENT_CONFIG, TEACHER_CONFIG, TrainingDiverged, load_model, pool_scorer
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -61,49 +47,34 @@ def _model_configs(args):
 
 
 def cmd_build_index(args):
-    documents = read_corpus(args.corpus)
-    index = build_index(documents)
-    save_index(args.out, index)
-    print(
-        f"indexed {len(documents)} documents, {len(index.vocabulary)} terms"
-        f" -> {args.out}"
-    )
+    index = index_corpus(args.corpus, args.out)
+    print(f"indexed {index.doc_count} documents, {len(index.vocabulary)} terms"
+          f" -> {args.out}")
 
 
 def cmd_annotate(args):
     index = load_index(args.index)
-    queries = read_queries(args.queries)
-    instances, report = annotate_queries(
-        index, queries, args.pool_size, args.pairs_per_query,
-        seed=args.seed,
+    _, fields = annotate_training_pairs(
+        index, read_queries(args.queries), args.pool_size, args.pairs_per_query,
+        seed_plan(args.seed), args.out,
     )
-    write_annotations(args.out, instances)
+    report = fields["annotation"]
     print(
-        f"{report.pairs_emitted} pairs from {report.queries_annotated}"
-        f"/{report.queries_total} queries"
-        f" ({report.ties_discarded} ties discarded) -> {args.out}"
+        f"{report['pairs_emitted']} pairs from {report['queries_annotated']}"
+        f"/{report['queries_total']} queries"
+        f" ({report['ties_discarded']} ties discarded) -> {args.out}"
     )
-
-
-def _load_training_pairs(index, queries_path, annotations_path):
-    queries = read_queries(queries_path)
-    instances, dropped = read_annotations(annotations_path, queries, index)
-    if not instances:
-        raise ValueError(f"{annotations_path}: no usable training pairs")
-    return instances, dropped
 
 
 def cmd_train_teacher(args):
     index = load_index(args.index)
-    instances, dropped = _load_training_pairs(index, args.queries, args.annotations)
+    instances, dropped = read_training_pairs(
+        args.annotations, read_queries(args.queries), index)
     config, _ = _model_configs(args)
-    params = init_params(
-        config, index.vocabulary, index,
-        embedding_file=args.embeddings, seed=args.seed,
-    )
-    result = train(params, config, instances, args.epochs, seed=args.seed)
-    save_model(args.out, params)
-    final = result.epoch_losses[-1] if result.epoch_losses else float("nan")
+    _, fields = train_single_teacher(instances, config, index, args.epochs,
+                                     seed_plan(args.seed), args.out, args.embeddings)
+    losses = fields["teacher_epoch_losses"]
+    final = losses[-1] if losses else float("nan")
     print(
         f"trained on {len(instances)} pairs ({dropped} rounded ties dropped),"
         f" final epoch loss {final:.6f} -> {args.out}"
@@ -112,26 +83,25 @@ def cmd_train_teacher(args):
 
 def cmd_distill(args):
     index = load_index(args.index)
-    unlabeled = read_queries(args.queries)
     _, student_config = _model_configs(args)
-    result = distill(
-        args.teacher, student_config, unlabeled, index,
-        args.epochs, args.seed,
-        pool_size=args.pool_size, pairs_per_query=args.pairs_per_query,
+    _, fields = distill_student(
+        [pool_scorer(load_model(args.teacher), index)], None, student_config,
+        read_queries(args.queries), index, args.epochs, seed_plan(args.seed),
+        args.out, args.annotations_out, pool_size=args.pool_size,
+        pairs_per_query=args.pairs_per_query,
         heldout_fraction=args.heldout_fraction, embedding_file=args.embeddings,
     )
-    save_model(args.out, result.student)
-    if args.annotations_out:
-        write_annotations(args.annotations_out, result.instances)
-    fidelity = "n/a" if result.fidelity is None else f"{result.fidelity:.4f}"
+    fidelity = "n/a" if fields["fidelity"] is None else f"{fields['fidelity']:.4f}"
     print(
-        f"student trained on {result.train_count} teacher-labeled pairs,"
-        f" held-out agreement {fidelity} -> {args.out}"
+        f"student trained on {fields['student_pairs']['train']} teacher-labeled"
+        f" pairs, held-out agreement {fidelity} -> {args.out}"
     )
 
 
 def cmd_pate(args):
-    if args.ensemble:  # checked before anything is loaded or written
+    plan = seed_plan(args.seed)
+    # privacy settings are checked before anything is loaded or written
+    if args.ensemble:
         saved, _ = read_ensemble_manifest(args.ensemble)
         for flag, given, kept in (("--n-partitions", args.n_partitions, saved.n_partitions),
                                   ("--noise-scale", args.noise_scale, saved.noise_scale)):
@@ -142,6 +112,9 @@ def cmd_pate(args):
                 )
     elif args.train_queries is None:
         raise ConfigError("--annotations requires --train-queries")
+    else:
+        given = {"n_partitions": args.n_partitions, "noise_scale": args.noise_scale}
+        privacy = ensemble_privacy(plan, **{k: v for k, v in given.items() if v is not None})
     index = load_index(args.index)
     unlabeled = read_queries(args.queries)
     teacher_config, student_config = _model_configs(args)
@@ -151,32 +124,25 @@ def cmd_pate(args):
     if args.ensemble:
         ensemble, _ = load_ensemble(args.ensemble)
     else:
-        instances, _ = _load_training_pairs(
-            index, args.train_queries, args.annotations
-        )
-        given = {"n_partitions": args.n_partitions, "noise_scale": args.noise_scale}
-        privacy = PrivacyConfig(
-            seed=args.seed, **{k: v for k, v in given.items() if v is not None}
-        )
-        ensemble, _, _ = train_ensemble(
-            instances, teacher_config, index, args.teacher_epochs, privacy,
-            partition_seed=args.seed, base_seed=args.seed,
-            shard_dir=out / "shards", ensemble_dir=out / "ensemble",
-            embedding_file=args.embeddings,
+        instances, _ = read_training_pairs(
+            args.annotations, read_queries(args.train_queries), index)
+        ensemble, _ = train_teacher_ensemble(
+            instances, teacher_config, index, args.teacher_epochs, plan, privacy,
+            out / "shards", out / "ensemble", args.embeddings,
         )
 
-    result = pate_distill(
-        ensemble, student_config, unlabeled, index,
-        args.student_epochs, args.seed,
+    _, fields = distill_student(
+        teacher_scorers(ensemble, index), ensemble.config, student_config,
+        unlabeled, index, args.student_epochs, plan, out / "student.ckpt",
         pool_size=args.pool_size, pairs_per_query=args.pairs_per_query,
         heldout_fraction=args.heldout_fraction, embedding_file=args.embeddings,
     )
-    save_model(out / "student.ckpt", result.student)
-    fidelity = "n/a" if result.fidelity is None else f"{result.fidelity:.4f}"
+    fidelity = "n/a" if fields["fidelity"] is None else f"{fields['fidelity']:.4f}"
     print(
         f"{len(ensemble.teachers)} teachers (noise scale"
         f" {ensemble.config.noise_scale}), student trained on"
-        f" {result.train_count} pairs, held-out agreement {fidelity} -> {out}"
+        f" {fields['student_pairs']['train']} pairs, held-out agreement {fidelity}"
+        f" -> {out}"
     )
 
 
@@ -317,7 +283,7 @@ def build_parser():
                         help="reuse an already trained ensemble directory")
     p.add_argument("--train-queries", default=None,
                    help="queries the annotations refer to (with --annotations)")
-    p.add_argument("--n-partitions", type=int, default=None,
+    p.add_argument("--n-partitions", type=_int_at_least(1), default=None,
                    help="teachers to train (default 3); with --ensemble, "
                         "must match the saved ensemble")
     p.add_argument("--noise-scale", type=float, default=None,
@@ -347,7 +313,8 @@ def build_parser():
     p = sub.add_parser("evaluate", help="score a run file against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--k", type=int, default=20, help="cutoff for P@k and nDCG@k")
+    p.add_argument("--k", type=_int_at_least(1), default=20,
+                   help="cutoff for P@k and nDCG@k")
     p.add_argument("--skip-empty", action="store_true",
                    help="drop queries with no relevant documents from the means")
     p.add_argument("--name", default=None, help="system name in the table")

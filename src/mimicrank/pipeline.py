@@ -37,11 +37,14 @@ from .private import (
     aggregate_scores,
     ensemble_labels,
     file_sha256,
+    load_ensemble,
     pairwise_agreement,
+    partition_data,
+    save_ensemble,
     teacher_mean,
     teacher_scorers,
     teacher_scores,
-    train_ensemble,
+    train_teachers,
 )
 from .ranker import (
     MODEL_VERSION,
@@ -229,8 +232,9 @@ def parse_config(path, overrides=None):
     if kwargs["seed"] < 0:
         raise ConfigError("seed must be non-negative")
     for key, least in (("annotate.pool_size", 2), ("annotate.pairs_per_query", 1),
-                       ("rank.pool_size", 1), ("rank.cutoff", 1),
-                       ("epochs.teacher", 0), ("epochs.student", 0)):
+                       ("rank.pool_size", 1), ("rank.cutoff", 1), ("evaluate.k", 1),
+                       ("epochs.teacher", 0), ("epochs.student", 0),
+                       ("privacy.n_partitions", 1), ("privacy.noise_scale", 0)):
         value = kwargs.get(_SCHEMA[key][0])
         if value is not None and value < least:
             raise ConfigError(f"{key}: must be at least {least}, got {value}")
@@ -308,6 +312,128 @@ class _StageRunner:
             raise
         self.completed.append(name)
         return result
+
+
+def index_corpus(corpus_path, path):
+    """The inverted index of a corpus file, saved to path."""
+    index = build_index(read_corpus(corpus_path))
+    save_index(path, index)
+    return index
+
+
+def read_training_pairs(path, queries, index):
+    """(instances, rounded ties dropped) of an annotation file over queries.
+
+    A file without a usable pair raises ConfigError.
+    """
+    instances, dropped = read_annotations(path, queries, index)
+    if not instances:
+        raise ConfigError(f"{path}: no usable training pairs")
+    return instances, dropped
+
+
+def annotate_training_pairs(index, queries, pool_size, pairs_per_query, plan, path,
+                            qrels=None):
+    """The teachers' training pairs: each query's pool labeled by BM25 or,
+    given qrels, by its judged grades (supervised mode).
+
+    The pairs are written to path and read back, so that training consumes
+    exactly what a later run would read. Returns (instances, report
+    fields).
+    """
+    if qrels is None:
+        instances, ann_report = annotate_queries(
+            index, queries, pool_size, pairs_per_query, seed=plan["weak_annotation"])
+    else:
+        def grade_labels(query, pool, qpos):
+            judged = qrels.get(query.query_id, {})
+            return [float(judged.get(index.doc_ids[d], 0)) for d in pool]
+
+        instances, ann_report = annotate_pools(
+            index, queries, grade_labels, pool_size, pairs_per_query,
+            plan["supervised_pairs"])
+    write_annotations(path, instances)
+    loaded, dropped = read_training_pairs(path, queries, index)
+    return loaded, {"annotation": {**dataclasses.asdict(ann_report),
+                                   "rounded_ties_dropped": dropped}}
+
+
+def train_single_teacher(instances, model_config, index, epochs, plan, path,
+                         embedding_file=None):
+    """One teacher, saved to path and loaded back; (teacher, report fields).
+
+    It trains on the pairs in the order a one-way partition_data split
+    gives, so that a pate run with one teacher trains that teacher on the
+    same pairs in the same order.
+    """
+    order = seeding.rng(plan["partition"]).permutation(len(instances))
+    params = init_params(model_config, index.vocabulary, index,
+                         embedding_file=embedding_file, seed=plan["teacher_base"])
+    result = train(params, model_config, [instances[i] for i in order], epochs,
+                   seed=plan["teacher_base"])
+    save_model(path, params)
+    return load_model(path), {"teacher_epoch_losses": result.epoch_losses}
+
+
+def ensemble_privacy(plan, **settings):
+    """PrivacyConfig of a new ensemble: settings (n_partitions, noise_scale)
+    over PrivacyConfig's defaults, its noise seeded by the plan."""
+    return PrivacyConfig(seed=plan["privacy_noise"], **settings)
+
+
+def train_teacher_ensemble(instances, model_config, index, epochs, plan, privacy,
+                           shard_dir, ensemble_dir, embedding_file=None):
+    """Shard the pairs, train one teacher per shard, and save the ensemble.
+
+    The plan's partition seed deals the shards, each written to shard_dir
+    as shard_NN.tsv and hashed; teacher i is seeded with the plan's
+    teacher_base + i. Returns (the ensemble loaded back from ensemble_dir,
+    so that callers consume the persisted artifact, report fields).
+    """
+    shards = partition_data(instances, privacy.n_partitions, plan["partition"])
+    shard_dir = Path(shard_dir)
+    shard_dir.mkdir(exist_ok=True)
+    hashes = []
+    for i, shard in enumerate(shards):
+        shard_path = shard_dir / f"shard_{i:02d}.tsv"
+        write_annotations(shard_path, shard)
+        hashes.append(file_sha256(shard_path))
+    base_seed = plan["teacher_base"]
+    ensemble = train_teachers(shards, model_config, index, epochs, base_seed,
+                              embedding_file=embedding_file, privacy_config=privacy)
+    save_ensemble(ensemble_dir, ensemble, shard_hashes=hashes,
+                  teacher_seeds=[base_seed + i for i in range(len(shards))])
+    return load_ensemble(ensemble_dir)[0], {"shard_sizes": [len(s) for s in shards],
+                                            "shard_hashes": hashes}
+
+
+def distill_student(scorers, privacy, student_config, unlabeled, index, epochs, plan,
+                    student_path, soft_path=None, **mimic_options):
+    """A student trained on the teachers' labels of the unlabeled queries.
+
+    scorers: one ranker.pool_scorer per teacher. With privacy None the one
+    teacher's scores label each pool; with the ensemble's PrivacyConfig its
+    noisy aggregate does. mimic_options (pool_size, pairs_per_query,
+    heldout_fraction, embedding_file) go to distill.mimic_train. The
+    student is saved to student_path and loaded back, and the labeled
+    pairs are written to soft_path if one is given. Returns (student,
+    report fields).
+    """
+    if privacy is None:
+        label_fn = model_labels(scorers[0])
+    else:
+        label_fn = ensemble_labels(scorers, privacy, NOISE_TAG)
+    result = mimic_train(label_fn, student_config, unlabeled, index, epochs,
+                         plan["distill"], **mimic_options)
+    if soft_path is not None:
+        write_annotations(soft_path, result.instances)
+    save_model(student_path, result.student)
+    return load_model(student_path), {
+        "soft_annotation": dataclasses.asdict(result.annotation),
+        "fidelity": result.fidelity,
+        "student_epoch_losses": result.epoch_losses,
+        "student_pairs": {"train": result.train_count, "heldout": result.heldout_count},
+    }
 
 
 def bm25_run(index, queries, cutoff):
@@ -449,14 +575,8 @@ def run_pipeline(config, mode, jobs=1):
     stages = _StageRunner(out)
     report = {"mode": mode, "config_hash": manifest["config_hash"]}
 
-    # index
-    def build():
-        documents = read_corpus(config.corpus)
-        index = build_index(documents)
-        save_index(out / "index.bin", index)
-        return index
-
-    index = stages.run("build-index", build)
+    index = stages.run("build-index",
+                       lambda: index_corpus(config.corpus, out / "index.bin"))
 
     # a stage of its own, so that a malformed input file leaves a FAILED marker
     def read_inputs():
@@ -469,101 +589,40 @@ def run_pipeline(config, mode, jobs=1):
     train_queries, unlabeled, eval_queries, qrels = stages.run(
         "read-inputs", read_inputs)
 
-    # teacher training pairs
-    def annotate():
-        if mode == "supervised":
-            def grade_labels(query, pool, qpos):
-                judged = qrels.get(query.query_id, {})
-                return [float(judged.get(index.doc_ids[d], 0)) for d in pool]
-
-            instances, ann_report = annotate_pools(
-                index, train_queries, grade_labels, config.pool_size,
-                config.pairs_per_query, plan["supervised_pairs"],
-            )
-        else:
-            instances, ann_report = annotate_queries(
-                index, train_queries, config.pool_size, config.pairs_per_query,
-                seed=plan["weak_annotation"],
-            )
-        path = out / "annotations" / "train.tsv"
-        write_annotations(path, instances)
-        # the file is the artifact of record: reload it so training consumes
-        # exactly what a later rerun would read
-        loaded, dropped = read_annotations(path, train_queries, index)
-        report["annotation"] = dataclasses.asdict(ann_report)
-        report["annotation"]["rounded_ties_dropped"] = dropped
-        if not loaded:
-            raise ConfigError("annotation produced no usable training pairs")
-        return loaded
-
-    instances = stages.run("annotate", annotate)
-
-    # teachers
-    def train_single_teacher():
-        # the order a one-way partition_data split gives, so that a pate run
-        # with one teacher trains that teacher on the same pairs in the same
-        # order
-        order = seeding.rng(plan["partition"]).permutation(len(instances))
-        params = init_params(
-            config.teacher, index.vocabulary, index,
-            embedding_file=config.embeddings, seed=plan["teacher_base"],
-        )
-        result = train(params, config.teacher, [instances[i] for i in order],
-                       config.teacher_epochs, seed=plan["teacher_base"])
-        save_model(out / "checkpoints" / "teacher.ckpt", params)
-        report["teacher_epoch_losses"] = result.epoch_losses
-        return load_model(out / "checkpoints" / "teacher.ckpt")
-
-    def train_teacher_ensemble():
-        privacy = PrivacyConfig(n_partitions=config.n_partitions,
-                                noise_scale=config.noise_scale,
-                                seed=plan["privacy_noise"])
-        ens, report["shard_sizes"], report["shard_hashes"] = train_ensemble(
-            instances, config.teacher, index, config.teacher_epochs, privacy,
-            partition_seed=plan["partition"], base_seed=plan["teacher_base"],
-            shard_dir=out / "shards", ensemble_dir=out / "checkpoints" / "ensemble",
-            embedding_file=config.embeddings,
-        )
-        return ens
+    instances, fields = stages.run("annotate", lambda: annotate_training_pairs(
+        index, train_queries, config.pool_size, config.pairs_per_query, plan,
+        out / "annotations" / "train.tsv",
+        qrels=qrels if mode == "supervised" else None))
+    report.update(fields)
 
     # one scorer per loaded teacher, shared by mimic labeling, the rank
     # stage and the agreement check, so each teacher represents each
     # document at most once in a run
     if mode == "pate":
-        ensemble = stages.run("train-teachers", train_teacher_ensemble)
+        ensemble, fields = stages.run("train-teachers", lambda: train_teacher_ensemble(
+            instances, config.teacher, index, config.teacher_epochs, plan,
+            ensemble_privacy(plan, n_partitions=config.n_partitions,
+                             noise_scale=config.noise_scale),
+            out / "shards", out / "checkpoints" / "ensemble", config.embeddings))
         scorers = teacher_scorers(ensemble, index)
     else:
         ensemble = None
-        scorers = [pool_scorer(stages.run("train-teacher", train_single_teacher), index)]
+        teacher, fields = stages.run("train-teacher", lambda: train_single_teacher(
+            instances, config.teacher, index, config.teacher_epochs, plan,
+            out / "checkpoints" / "teacher.ckpt", config.embeddings))
+        scorers = [pool_scorer(teacher, index)]
+    report.update(fields)
 
-    # student
     student = None
     if mode != "weak":
-
-        def distill_student():
-            if mode == "pate":
-                label_fn = ensemble_labels(scorers, ensemble.config, NOISE_TAG)
-            else:
-                label_fn = model_labels(scorers[0])
-            result = mimic_train(
-                label_fn, config.student, unlabeled, index,
-                config.student_epochs, plan["distill"],
-                pool_size=config.pool_size,
-                pairs_per_query=config.pairs_per_query,
-                heldout_fraction=config.heldout_fraction,
-                embedding_file=config.embeddings,
-            )
-            write_annotations(out / "annotations" / "soft.tsv", result.instances)
-            save_model(out / "checkpoints" / "student.ckpt", result.student)
-            report["soft_annotation"] = dataclasses.asdict(result.annotation)
-            report["fidelity"] = result.fidelity
-            report["student_epoch_losses"] = result.epoch_losses
-            report["student_pairs"] = {
-                "train": result.train_count, "heldout": result.heldout_count,
-            }
-            return load_model(out / "checkpoints" / "student.ckpt")
-
-        student = stages.run("distill", distill_student)
+        student, fields = stages.run("distill", lambda: distill_student(
+            scorers, None if ensemble is None else ensemble.config, config.student,
+            unlabeled, index, config.student_epochs, plan,
+            out / "checkpoints" / "student.ckpt", out / "annotations" / "soft.tsv",
+            pool_size=config.pool_size, pairs_per_query=config.pairs_per_query,
+            heldout_fraction=config.heldout_fraction,
+            embedding_file=config.embeddings))
+        report.update(fields)
 
     # run files
     rank_arrays = []  # each evaluation pool's teacher_scores array, in pate mode

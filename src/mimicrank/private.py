@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import seeding
-from .corpus import write_annotations
 from .distill import (
     DEFAULT_PAIRS_PER_QUERY,
     DEFAULT_POOL_SIZE,
@@ -94,36 +93,6 @@ def train_teachers(shards, model_config, index, epochs, base_seed,
         train(params, model_config, shard, epochs, seed=base_seed + i)
         teachers.append(params)
     return TeacherEnsemble(teachers=teachers, config=privacy_config)
-
-
-def train_ensemble(instances, model_config, index, epochs, privacy_config,
-                   partition_seed, base_seed, shard_dir, ensemble_dir,
-                   embedding_file=None):
-    """Shard the pairs, train one teacher per shard, and save the ensemble.
-
-    Each shard is written to shard_dir as shard_NN.tsv and hashed; teacher i
-    is seeded base_seed + i. Returns (ensemble, shard sizes, shard hashes),
-    where the ensemble is reloaded from ensemble_dir so that callers consume
-    the persisted artifact, not the in-memory one.
-    """
-    n = privacy_config.n_partitions
-    shards = partition_data(instances, n, partition_seed)
-    shard_dir = Path(shard_dir)
-    shard_dir.mkdir(exist_ok=True)
-    hashes = []
-    for i, shard in enumerate(shards):
-        shard_path = shard_dir / f"shard_{i:02d}.tsv"
-        write_annotations(shard_path, shard)
-        hashes.append(file_sha256(shard_path))
-    ensemble = train_teachers(
-        shards, model_config, index, epochs, base_seed=base_seed,
-        embedding_file=embedding_file, privacy_config=privacy_config,
-    )
-    save_ensemble(ensemble_dir, ensemble,
-                  teacher_seeds=[base_seed + i for i in range(n)],
-                  shard_hashes=hashes)
-    loaded, _ = load_ensemble(ensemble_dir)
-    return loaded, [len(s) for s in shards], hashes
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +230,12 @@ def ensemble_labels(scorers, privacy, tag):
 
     scorers: teacher_scorers of the ensemble; privacy: its PrivacyConfig.
     Returns label_fn(query, pool doc indices, query position) -> score
-    array, the protocol of annotate_pools and pipeline.model_run. Each call
-    draws its noise from its own stream, seeding.rng(privacy seed, query
-    position, tag), walked over the pool in order, so the noise depends
-    neither on the order in which queries are labeled nor on how they are
-    split over workers. The scores can differ in the last bits with the
-    order in which the scorers first see the pool's documents.
+    array, the labeler protocol of annotate_pools. Each call draws its
+    noise from its own stream, seeding.rng(privacy seed, query position,
+    tag), walked over the pool in order, so the noise does not depend on
+    the order in which queries are labeled. The scores can differ in the
+    last bits with the order in which the scorers first see the pool's
+    documents.
     """
 
     def labels(query, pool, qpos):

@@ -3,7 +3,7 @@
 A seed is either a non-negative int or a list of them; extending it with
 fixed tags yields independent, reproducible sub-streams (per query, per
 epoch, per component) without any global state. Per-item derivation keeps
-results independent of how work is scheduled across workers.
+results independent of the order in which items are processed.
 """
 
 import numpy as np

@@ -153,6 +153,9 @@ def test_parse_config_defaults_match_published_architectures(tmp_path):
     ("epochs.student = -2", "epochs.student: must be at least 0, got -2"),
     ("epochs.teacher = -1", "epochs.teacher: must be at least 0, got -1"),
     ("annotate.pairs_per_query = 0", "annotate.pairs_per_query: must be at least 1, got 0"),
+    ("evaluate.k = 0", "evaluate.k: must be at least 1, got 0"),
+    ("privacy.n_partitions = 0", "privacy.n_partitions: must be at least 1, got 0"),
+    ("privacy.noise_scale = -1", r"privacy.noise_scale: must be at least 0, got -1.0"),
 ])
 def test_parse_config_rejects_bad_input(tmp_path, line, fragment):
     path = tmp_path / "bad.conf"
@@ -568,6 +571,76 @@ def test_cli_index_annotate_train_rank_evaluate_flow(workspace, tmp_path, capsys
     assert any(line.startswith("teacher") for line in table)
 
 
+def test_cli_stage_chain_writes_the_distill_pipeline_artifacts(workspace, tmp_path):
+    # the stage commands derive their component seeds from seed_plan(--seed)
+    # like the pipeline, so a chain at seed 11 writes the seed-11 run's bytes
+    runs = {mode: tmp_path / mode for mode in ("distill", "weak")}
+    for mode, out in runs.items():
+        run_pipeline(base_config(workspace, out), mode)
+    cli = tmp_path / "cli"
+    cli.mkdir()
+    conf, seed = str(workspace / "run.conf"), ["--seed", "11"]
+    queries = {split: str(workspace / f"queries_{split}.tsv")
+               for split in ("train", "unlabeled", "eval")}
+    index = ["--index", str(cli / "index.bin")]
+    for argv in (
+            ["build-index", "--corpus", str(workspace / "corpus.jsonl"),
+             "--out", str(cli / "index.bin")],
+            ["annotate", *index, "--queries", queries["train"], "--out",
+             str(cli / "train.tsv"), "--pool-size", "20", "--pairs-per-query", "10",
+             *seed],
+            ["train-teacher", *index, "--queries", queries["train"],
+             "--annotations", str(cli / "train.tsv"), "--out", str(cli / "teacher.ckpt"),
+             "--epochs", "3", "--config", conf, *seed],
+            ["distill", *index, "--teacher", str(cli / "teacher.ckpt"),
+             "--queries", queries["unlabeled"], "--out", str(cli / "student.ckpt"),
+             "--annotations-out", str(cli / "soft.tsv"), "--epochs", "3",
+             "--pool-size", "20", "--pairs-per-query", "10", "--config", conf, *seed],
+            *(["rank", *index, "--queries", queries["eval"], "--model",
+               str(cli / f"{name}.ckpt"), "--out", str(cli / f"{name}.run"),
+               "--pool-size", "30", "--cutoff", "30", "--tag", name]
+              for name in ("teacher", "student"))):
+        assert main(argv) == 0, argv[0]
+    for mine, run, theirs in (
+            ("index.bin", "distill", "index.bin"),
+            ("train.tsv", "distill", "annotations/train.tsv"),
+            ("teacher.ckpt", "distill", "checkpoints/teacher.ckpt"),
+            ("student.ckpt", "distill", "checkpoints/student.ckpt"),
+            ("soft.tsv", "distill", "annotations/soft.tsv"),
+            ("student.run", "distill", "runs/student.run"),
+            # a distill run's teacher scorer is first filled by labeling, which
+            # can move a score's last bit; a weak run's is filled by ranking
+            ("teacher.run", "weak", "runs/teacher.run")):
+        assert (cli / mine).read_bytes() == (runs[run] / theirs).read_bytes(), mine
+
+
+def test_cli_pate_writes_the_pate_pipeline_artifacts(workspace, tmp_path):
+    run = tmp_path / "run"
+    run_pipeline(base_config(workspace, run), "pate")
+    common = ["--index", str(run / "index.bin"), "--config", str(workspace / "run.conf"),
+              "--queries", str(workspace / "queries_unlabeled.tsv"),
+              "--student-epochs", "3", "--pool-size", "20", "--pairs-per-query", "10",
+              "--seed", "11"]
+    trained, reused = tmp_path / "trained", tmp_path / "reused"
+    assert main(["pate", *common, "--out", str(trained),
+                 "--annotations", str(run / "annotations" / "train.tsv"),
+                 "--train-queries", str(workspace / "queries_train.tsv"),
+                 "--teacher-epochs", "3"]) == 0
+    assert main(["pate", *common, "--out", str(reused),
+                 "--ensemble", str(run / "checkpoints" / "ensemble")]) == 0
+
+    def tree(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()}
+
+    assert tree(trained / "shards") == tree(run / "shards")
+    assert len(tree(trained / "ensemble")) == 4  # three teachers, the manifest
+    assert tree(trained / "ensemble") == tree(run / "checkpoints" / "ensemble")
+    student = (run / "checkpoints" / "student.ckpt").read_bytes()
+    assert (trained / "student.ckpt").read_bytes() == student
+    assert (reused / "student.ckpt").read_bytes() == student
+
+
 def test_cli_rank_without_model_uses_bm25(workspace, tmp_path):
     idx = tmp_path / "index.bin"
     runf = tmp_path / "bm25.run"
@@ -668,6 +741,7 @@ def test_cli_pate_rejects_non_finite_noise_scale(workspace, tmp_path, capsys):
     assert code == 1
     assert "noise_scale must be finite" in capsys.readouterr().err
     assert not (tmp_path / "p" / "student.ckpt").exists()
+    assert not (tmp_path / "p").exists()  # checked before --out is made
 
 
 def test_cli_rank_rejects_cutoff_and_pool_size_below_one(workspace, tmp_path, capsys):
@@ -707,14 +781,20 @@ def test_cli_rejects_out_of_range_run_settings(tmp_path, capsys):
     # each used to exit 0: a held-out fraction of 1.5 trained the student on
     # one pair, -2 student epochs wrote an untrained student, and 0 pairs per
     # query or a pool of 1 failed only after the index was built; a negative
-    # --seed failed in numpy without naming the flag
+    # --seed failed in numpy without naming the flag. An evaluate.k of 0
+    # failed only after every model was trained, 0 partitions or a negative
+    # noise scale only after the annotations were written, and evaluate
+    # --k 0 only after both files were read
     out = tmp_path / "run"
     for key, value, problem in (
             ("distill.heldout_fraction", "1.5", "must be in [0, 1), got 1.5"),
             ("epochs.student", "-2", "must be at least 0, got -2"),
             ("epochs.teacher", "-2", "must be at least 0, got -2"),
             ("annotate.pairs_per_query", "0", "must be at least 1, got 0"),
-            ("annotate.pool_size", "1", "must be at least 2, got 1")):
+            ("annotate.pool_size", "1", "must be at least 2, got 1"),
+            ("evaluate.k", "0", "must be at least 1, got 0"),
+            ("privacy.n_partitions", "0", "must be at least 1, got 0"),
+            ("privacy.noise_scale", "-1", "must be at least 0, got -1.0")):
         lines = [kept for kept in CONFIG_TEMPLATE.splitlines()
                  if not kept.startswith(key)]
         conf = tmp_path / "range.conf"  # rejected before any path is opened
@@ -732,6 +812,7 @@ def test_cli_rejects_out_of_range_run_settings(tmp_path, capsys):
     train_teacher = ["train-teacher", "--index", "i", "--queries", "q",
                      "--annotations", "a", "--out", str(out)]
     pipeline_cmd = ["pipeline", "--mode", "weak", "--config", "c", "--out", str(out)]
+    evaluate_cmd = ["evaluate", "--run", "r", "--qrels", "q"]
     for argv, flag, value, problem in (
             (distill_cmd, "--heldout-fraction", "1.5", "must be in [0, 1), got 1.5"),
             (pate, "--heldout-fraction", "-0.5", "must be in [0, 1), got -0.5"),
@@ -744,6 +825,8 @@ def test_cli_rejects_out_of_range_run_settings(tmp_path, capsys):
             (annotate, "--pool-size", "1", "must be at least 2, got 1"),
             (distill_cmd, "--pool-size", "1", "must be at least 2, got 1"),
             (pate, "--pool-size", "0", "must be at least 2, got 0"),
+            (pate, "--n-partitions", "0", "must be at least 1, got 0"),
+            (evaluate_cmd, "--k", "0", "must be at least 1, got 0"),
             (annotate, "--seed", "-1", "must be at least 0, got -1"),
             (train_teacher, "--seed", "-1", "must be at least 0, got -1"),
             (distill_cmd, "--seed", "-1", "must be at least 0, got -1"),
