@@ -10,7 +10,7 @@ Run with: python3 demos/distill_student.py  (about a minute)
 """
 
 from mimicrank.corpus import annotate_queries, build_index
-from mimicrank.distill import distill
+from mimicrank.distill import mimic_train, model_labels
 from mimicrank.evaluation import evaluate, format_metric_table
 from mimicrank.pipeline import bm25_run, model_run
 from mimicrank.ranker import RankModelConfig, init_params, pool_scorer, train
@@ -29,12 +29,14 @@ teacher = init_params(teacher_config, index.vocabulary, index, seed=7)
 train(teacher, teacher_config, instances, epochs=15, seed=7)
 print(f"teacher trained on {len(instances)} weakly labeled pairs")
 
-# the student sees teacher scores over fresh queries, nothing else
+# the student sees teacher scores over fresh queries, nothing else: the
+# teacher's pool scorer is the labeler of its pools
 student_config = RankModelConfig(embedding_dim=48, hidden_layers=1,
                                  hidden_size=48, dropout_keep=1.0,
                                  learning_rate=3e-3, batch_size=64)
-result = distill(teacher, student_config, collection.unlabeled_queries,
-                 index, epochs=15, seed=9, pool_size=50, pairs_per_query=60)
+result = mimic_train(model_labels(pool_scorer(teacher, index)), student_config,
+                     collection.unlabeled_queries, index, epochs=15, seed=9,
+                     pool_size=50, pairs_per_query=60)
 print(f"student trained on {result.train_count} teacher-labeled pairs, "
       f"{result.heldout_count} held out")
 print(f"held-out label agreement: {result.fidelity:.4f}")

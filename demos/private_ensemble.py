@@ -14,12 +14,14 @@ Run with: python3 demos/private_ensemble.py  (seconds)
 import numpy as np
 
 from mimicrank.corpus import annotate_queries, build_index
+from mimicrank.distill import mimic_train
 from mimicrank.private import (
+    NOISE_TAG,
     PrivacyConfig,
+    ensemble_labels,
     noisy_aggregate,
     pairwise_agreement,
     partition_data,
-    pate_distill,
     teacher_mean,
     teacher_scorers,
     train_teachers,
@@ -65,8 +67,9 @@ noisy = pairwise_agreement(
     lambda q, pool: teacher_mean(scorers, q, pool), pools)
 print(f"aggregate vs mean, noise {privacy.noise_scale}: agreement {noisy:.4f}")
 
-result = pate_distill(ensemble, model_config, collection.unlabeled_queries,
-                      index, epochs=8, seed=13, pool_size=30,
-                      pairs_per_query=20)
+# the student's pools are labeled by the noisy aggregate of fresh scorers
+labels = ensemble_labels(teacher_scorers(ensemble, index), privacy, NOISE_TAG)
+result = mimic_train(labels, model_config, collection.unlabeled_queries,
+                     index, epochs=8, seed=13, pool_size=30, pairs_per_query=20)
 print(f"student trained on {result.train_count} noisy-labeled pairs, "
       f"held-out agreement {result.fidelity:.4f}")

@@ -100,8 +100,14 @@ def cmd_distill(args):
 
 def cmd_pate(args):
     plan = seed_plan(args.seed)
-    # privacy settings are checked before anything is loaded or written
+    # flags that a saved ensemble cannot take, and privacy settings, are
+    # checked before anything is loaded or written
     if args.ensemble:
+        for flag, given in (("--teacher-epochs", args.teacher_epochs),
+                            ("--train-queries", args.train_queries)):
+            if given is not None:
+                raise ConfigError(f"{flag} applies only with --annotations; the saved"
+                                  f" ensemble ({args.ensemble}) is already trained")
         saved, _ = read_ensemble_manifest(args.ensemble)
         for flag, given, kept in (("--n-partitions", args.n_partitions, saved.n_partitions),
                                   ("--noise-scale", args.noise_scale, saved.noise_scale)):
@@ -126,8 +132,9 @@ def cmd_pate(args):
     else:
         instances, _ = read_training_pairs(
             args.annotations, read_queries(args.train_queries), index)
+        epochs = 10 if args.teacher_epochs is None else args.teacher_epochs
         ensemble, _ = train_teacher_ensemble(
-            instances, teacher_config, index, args.teacher_epochs, plan, privacy,
+            instances, teacher_config, index, epochs, plan, privacy,
             out / "shards", out / "ensemble", args.embeddings,
         )
 
@@ -289,7 +296,8 @@ def build_parser():
     p.add_argument("--noise-scale", type=float, default=None,
                    help="Laplace scale added to each teacher score (default "
                         "0.05); with --ensemble, must match the saved ensemble")
-    p.add_argument("--teacher-epochs", type=_int_at_least(0), default=10)
+    p.add_argument("--teacher-epochs", type=_int_at_least(0), default=None,
+                   help="teacher training epochs (with --annotations; default 10)")
     p.add_argument("--student-epochs", type=_int_at_least(0), default=10)
     p.add_argument("--heldout-fraction", type=_fraction, default=0.1)
     _add_pool_flags(p)
@@ -303,9 +311,9 @@ def build_parser():
     p.add_argument("--out", required=True, help="run file to write")
     p.add_argument("--model", default=None,
                    help="model checkpoint; omitted means plain BM25")
-    p.add_argument("--pool-size", type=int, default=100,
+    p.add_argument("--pool-size", type=_int_at_least(1), default=100,
                    help="recall pool re-ranked by the model")
-    p.add_argument("--cutoff", type=int, default=100,
+    p.add_argument("--cutoff", type=_int_at_least(1), default=100,
                    help="ranks kept per query")
     p.add_argument("--tag", default="mimicrank", help="run tag column")
     p.set_defaults(func=cmd_rank)

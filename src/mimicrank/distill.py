@@ -4,29 +4,19 @@ a fresh (usually smaller) model learns from those labels.
 The student path deliberately has no access to relevance judgments or to
 the teacher's original training data: everything it sees is (query,
 document, document, label scores) tuples of index rows, where the labels
-come from whatever labeler is plugged in. The private-aggregation variant
-reuses the same machinery with a noisy ensemble labeler, so the two paths
-are identical by construction up to the labeling function.
+come from whatever labeler is plugged in. mimic_train is the one path for
+both variants: model_labels of one teacher's pool_scorer gives plain
+distillation and private.ensemble_labels the noisy teacher aggregate, so
+the two are identical by construction up to the labeling function.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import seeding
 from .corpus import annotate_pools
-from .ranker import (
-    RankModelParams,
-    init_params,
-    load_model,
-    pool_scorer,
-    score_batch,
-    train,
-)
-
-DEFAULT_POOL_SIZE = 100
-DEFAULT_PAIRS_PER_QUERY = 20
+from .ranker import RankModelParams, init_params, score_batch, train
 
 # fixed tags extending the caller's seed into independent sub-streams
 ANNOTATE_TAG = 0
@@ -90,9 +80,8 @@ def label_agreement(params, instances):
 
 
 def mimic_train(label_fn, student_config, unlabeled, index, epochs, seed,
-                pool_size=DEFAULT_POOL_SIZE,
-                pairs_per_query=DEFAULT_PAIRS_PER_QUERY,
-                heldout_fraction=0.1, embedding_file=None):
+                pool_size, pairs_per_query, heldout_fraction=0.1,
+                embedding_file=None):
     """Generic mimic pipeline: label pools, hold out pairs, train a student.
 
     label_fn(query, pool doc indices, query position) -> scores. Every
@@ -129,21 +118,4 @@ def mimic_train(label_fn, student_config, unlabeled, index, epochs, seed,
         train_count=len(train_set),
         heldout_count=len(heldout),
         instances=instances,
-    )
-
-
-def distill(teacher, student_config, unlabeled, index, epochs, seed,
-            pool_size=DEFAULT_POOL_SIZE, pairs_per_query=DEFAULT_PAIRS_PER_QUERY,
-            heldout_fraction=0.1, embedding_file=None):
-    """Train a student on a single teacher's preferences.
-
-    teacher: RankModelParams or a checkpoint path. The fidelity field of
-    the result is the held-out pair agreement between student and teacher.
-    """
-    if isinstance(teacher, (str, Path)):
-        teacher = load_model(teacher)
-    return mimic_train(
-        model_labels(pool_scorer(teacher, index)), student_config, unlabeled,
-        index, epochs, seed, pool_size=pool_size, pairs_per_query=pairs_per_query,
-        heldout_fraction=heldout_fraction, embedding_file=embedding_file,
     )

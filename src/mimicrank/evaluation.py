@@ -141,7 +141,7 @@ def write_run(path, run, tag):
 
     Scores are printed at round-trip precision, so two printed scores are
     equal only when the floats are, and read_run accepts the doc_id order
-    that rank_by_scores gave their tie.
+    that pipeline.model_run gave their tie.
     """
     with atomic_write(path) as fh:
         for qid, entries in run.items():

@@ -362,15 +362,14 @@ def train_single_teacher(instances, model_config, index, epochs, plan, path,
                          embedding_file=None):
     """One teacher, saved to path and loaded back; (teacher, report fields).
 
-    It trains on the pairs in the order a one-way partition_data split
-    gives, so that a pate run with one teacher trains that teacher on the
-    same pairs in the same order.
+    It trains on the one shard of a one-way partition_data split, so that a
+    pate run with one teacher trains that teacher on the same pairs in the
+    same order.
     """
-    order = seeding.rng(plan["partition"]).permutation(len(instances))
+    [shard] = partition_data(instances, 1, plan["partition"])
     params = init_params(model_config, index.vocabulary, index,
                          embedding_file=embedding_file, seed=plan["teacher_base"])
-    result = train(params, model_config, [instances[i] for i in order], epochs,
-                   seed=plan["teacher_base"])
+    result = train(params, model_config, shard, epochs, seed=plan["teacher_base"])
     save_model(path, params)
     return load_model(path), {"teacher_epoch_losses": result.epoch_losses}
 

@@ -1,6 +1,7 @@
 """Noisy teacher ensembles: partition the data, train independent teachers,
-perturb each teacher's score with Laplace noise, aggregate by mean, and
-train a student on the aggregated labels only.
+perturb each teacher's score with Laplace noise, and aggregate by mean:
+ensemble_labels is the labeler with which distill.mimic_train trains a
+student on the aggregated labels only.
 
 The student never sees the partitioned training data; its entire input is
 the noisy aggregate score stream. Aggregation sums teacher contributions
@@ -16,11 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import seeding
-from .distill import (
-    DEFAULT_PAIRS_PER_QUERY,
-    DEFAULT_POOL_SIZE,
-    mimic_train,
-)
 from .ranker import init_params, load_model, pool_scorer, save_model, train
 from .serialize import write_json
 
@@ -75,11 +71,9 @@ def partition_data(instances, n, seed):
     return shards
 
 
-def train_teachers(shards, model_config, index, epochs, base_seed,
-                   embedding_file=None, privacy_config=None):
+def train_teachers(shards, model_config, index, epochs, base_seed, privacy_config,
+                   embedding_file=None):
     """One architecturally identical teacher per shard, seed base_seed + i."""
-    if privacy_config is None:
-        privacy_config = PrivacyConfig(n_partitions=len(shards))
     if len(shards) != privacy_config.n_partitions:
         raise ValueError("shard count != configured partitions")
     teachers = []
@@ -221,10 +215,6 @@ def _pref(s1, s2):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Private distillation
-
-
 def ensemble_labels(scorers, privacy, tag):
     """Labeler that scores a whole pool with the noisy aggregate.
 
@@ -235,7 +225,9 @@ def ensemble_labels(scorers, privacy, tag):
     tag), walked over the pool in order, so the noise does not depend on
     the order in which queries are labeled. The scores can differ in the
     last bits with the order in which the scorers first see the pool's
-    documents.
+    documents. A private student is distill.mimic_train with
+    ensemble_labels(teacher_scorers(ensemble, index), ensemble.config,
+    NOISE_TAG); pairs whose noisy scores tie are discarded like any other.
     """
 
     def labels(query, pool, qpos):
@@ -243,22 +235,6 @@ def ensemble_labels(scorers, privacy, tag):
                                seeding.rng(privacy.seed, qpos, tag))
 
     return labels
-
-
-def pate_distill(ensemble, student_config, unlabeled, index, epochs, seed,
-                 pool_size=DEFAULT_POOL_SIZE,
-                 pairs_per_query=DEFAULT_PAIRS_PER_QUERY,
-                 heldout_fraction=0.1, embedding_file=None):
-    """distill() with the noisy ensemble as the labeler.
-
-    Pairs whose noisy scores tie are discarded exactly like any other tie.
-    """
-    return mimic_train(
-        ensemble_labels(teacher_scorers(ensemble, index), ensemble.config, NOISE_TAG),
-        student_config, unlabeled, index, epochs, seed, pool_size=pool_size,
-        pairs_per_query=pairs_per_query, heldout_fraction=heldout_fraction,
-        embedding_file=embedding_file,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .serialize import read_container, write_container
 from .corpus import Vocabulary, term_index_counts
 
 MODEL_MAGIC = b"MRMD"
-MODEL_VERSION = 1
+MODEL_VERSION = 2  # version 1 configs also held two trainability flags
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,6 @@ class RankModelConfig:
     dropout_keep: float = 0.8
     learning_rate: float = 1e-3
     batch_size: int = 512
-    train_embeddings: bool = True
-    train_term_weights: bool = True
 
     def __post_init__(self):
         for name in ("embedding_dim", "hidden_layers", "hidden_size", "batch_size"):
@@ -433,31 +431,18 @@ def compute_loss_and_grads(params, batch, train=False, rng=None):
 
 
 def _trainable(params):
-    """Flat (names, arrays) of what the optimizer updates, fixed order."""
-    names, arrays = [], []
-    if params.config.train_embeddings:
-        names.append("embedding")
-        arrays.append(params.embedding)
-    if params.config.train_term_weights:
-        names.append("term_weights")
-        arrays.append(params.term_weights)
-    for i, layer in enumerate(params.layers):
-        names.append(f"layer_{i}_weights")
-        arrays.append(layer.weights)
-        names.append(f"layer_{i}_bias")
-        arrays.append(layer.bias)
-    return names, arrays
+    """The arrays the optimizer updates, in a fixed order."""
+    arrays = [params.embedding, params.term_weights]
+    for layer in params.layers:
+        arrays += [layer.weights, layer.bias]
+    return arrays
 
 
-def _grad_list(params, grads):
-    out = []
-    if params.config.train_embeddings:
-        out.append(grads["d_embedding"])
-    if params.config.train_term_weights:
-        out.append(grads["d_term_weights"])
+def _grad_list(grads):
+    """compute_loss_and_grads' gradients in _trainable's order."""
+    out = [grads["d_embedding"], grads["d_term_weights"]]
     for dw, db in zip(grads["d_layer_weights"], grads["d_layer_biases"]):
-        out.append(dw)
-        out.append(db)
+        out += [dw, db]
     return out
 
 
@@ -481,7 +466,7 @@ def train(params, config, instances, epochs, seed):
         raise ValueError("no training instances")
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
-    _, arrays = _trainable(params)
+    arrays = _trainable(params)
     state = nn.adam_state(arrays, learning_rate=config.learning_rate)
     epoch_losses = []
     n = len(instances)
@@ -498,7 +483,7 @@ def train(params, config, instances, epochs, seed):
                     f"non-finite loss at epoch {epoch}", epoch
                 )
             total += loss * len(batch)
-            nn.optimizer_step(arrays, _grad_list(params, grads), state)
+            nn.optimizer_step(arrays, _grad_list(grads), state)
         epoch_losses.append(total / n)
     return TrainResult(params, epoch_losses)
 

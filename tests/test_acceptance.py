@@ -17,7 +17,7 @@ import pytest
 from mimicrank.cli import main
 from mimicrank.corpus import (Document, TrainingInstance, annotate_queries, build_index,
                               term_index_counts)
-from mimicrank.distill import distill
+from mimicrank.distill import mimic_train, model_labels
 from mimicrank.evaluation import (
     average_precision,
     evaluate,
@@ -247,8 +247,9 @@ def test_criterion_4_distillation_fidelity():
     student_cfg = RankModelConfig(embedding_dim=48, hidden_layers=1,
                                   hidden_size=48, dropout_keep=1.0,
                                   learning_rate=3e-3, batch_size=64)
-    result = distill(teacher, student_cfg, coll.unlabeled_queries, index,
-                     epochs=25, seed=104, pool_size=50, pairs_per_query=200)
+    result = mimic_train(model_labels(pool_scorer(teacher, index)), student_cfg,
+                         coll.unlabeled_queries, index,
+                         epochs=25, seed=104, pool_size=50, pairs_per_query=200)
 
     assert result.fidelity >= 0.85, result.fidelity
 

@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 
 from mimicrank.corpus import Query, annotate_pools, annotate_queries, write_annotations
-from mimicrank.distill import distill, label_agreement, mimic_train, model_labels
+from mimicrank.distill import label_agreement, mimic_train, model_labels
+from mimicrank.pipeline import distill_student
+from mimicrank.private import ensemble_labels, teacher_scorers
 from mimicrank.ranker import init_params, pool_scorer, save_model, score_pool, train
 from tests.conftest import MICRO_STUDENT_CONFIG, MICRO_TEACHER_CONFIG
+
+
+def mimic(teacher, index, unlabeled, **kwargs):
+    """Plain distillation: mimic_train with one teacher's pool scores as labels."""
+    return mimic_train(model_labels(pool_scorer(teacher, index)), MICRO_STUDENT_CONFIG,
+                       unlabeled, index, **kwargs)
 
 
 def test_zero_teacher_annotates_nothing(micro_collection, micro_index):
@@ -27,15 +35,14 @@ def test_zero_teacher_annotates_nothing(micro_collection, micro_index):
     assert report.pairs_emitted == 0
     assert report.ties_discarded > 0
     with pytest.raises(ValueError, match="tied pairs discarded"):
-        distill(params, MICRO_STUDENT_CONFIG, micro_collection.unlabeled_queries,
-                micro_index, epochs=1, seed=3, pool_size=10, pairs_per_query=5)
+        mimic(params, micro_index, micro_collection.unlabeled_queries,
+              epochs=1, seed=3, pool_size=10, pairs_per_query=5)
 
 
 def test_annotation_signs_match_teacher_preferences(micro_collection, micro_index,
                                                     micro_teacher):
-    result = distill(micro_teacher, MICRO_STUDENT_CONFIG,
-                     micro_collection.unlabeled_queries, micro_index,
-                     epochs=0, seed=11, pool_size=15, pairs_per_query=8)
+    result = mimic(micro_teacher, micro_index, micro_collection.unlabeled_queries,
+                   epochs=0, seed=11, pool_size=15, pairs_per_query=8)
     instances, report = result.instances, result.annotation
     assert report.pairs_emitted == len(instances) > 0
     # independent rescoring of every pool, in labeling order, with a fresh
@@ -66,35 +73,20 @@ def test_annotate_empty_queryset(micro_index, micro_teacher):
     assert instances == []
     assert report.queries_total == 0
     with pytest.raises(ValueError, match="0 of 0 queries skipped"):
-        distill(micro_teacher, MICRO_STUDENT_CONFIG, [], micro_index,
-                epochs=1, seed=0, pool_size=5, pairs_per_query=3)
+        mimic(micro_teacher, micro_index, [],
+              epochs=1, seed=0, pool_size=5, pairs_per_query=3)
 
 
 def test_distill_validates_pool_size(micro_collection, micro_index, micro_teacher):
     with pytest.raises(ValueError, match="pool_size"):
-        distill(micro_teacher, MICRO_STUDENT_CONFIG,
-                micro_collection.unlabeled_queries, micro_index,
-                epochs=1, seed=0, pool_size=1)
-
-
-def test_teacher_loadable_from_checkpoint_path(tmp_path, micro_collection,
-                                               micro_index, micro_teacher):
-    path = tmp_path / "teacher.ckpt"
-    save_model(path, micro_teacher)
-    mem, disk = (
-        distill(teacher, MICRO_STUDENT_CONFIG,
-                micro_collection.unlabeled_queries[:4], micro_index,
-                epochs=0, seed=5, pool_size=10, pairs_per_query=4)
-        for teacher in (micro_teacher, path)
-    )
-    assert mem.instances == disk.instances
+        mimic(micro_teacher, micro_index, micro_collection.unlabeled_queries,
+              epochs=1, seed=0, pool_size=1, pairs_per_query=20)
 
 
 def test_distill_zero_epochs_returns_initialization(micro_collection, micro_index,
                                                     micro_teacher):
-    result = distill(micro_teacher, MICRO_STUDENT_CONFIG,
-                     micro_collection.unlabeled_queries, micro_index,
-                     epochs=0, seed=41, pool_size=10, pairs_per_query=5)
+    result = mimic(micro_teacher, micro_index, micro_collection.unlabeled_queries,
+                   epochs=0, seed=41, pool_size=10, pairs_per_query=5)
     assert result.epoch_losses == []
     fresh = init_params(MICRO_STUDENT_CONFIG, micro_index.vocabulary,
                         micro_index, seed=[41, 2])
@@ -105,10 +97,8 @@ def test_distill_zero_epochs_returns_initialization(micro_collection, micro_inde
 def test_distill_deterministic_checkpoint_bytes(tmp_path, micro_collection,
                                                 micro_index, micro_teacher):
     kwargs = dict(pool_size=10, pairs_per_query=5, epochs=2, seed=43)
-    a = distill(micro_teacher, MICRO_STUDENT_CONFIG,
-                micro_collection.unlabeled_queries, micro_index, **kwargs)
-    b = distill(micro_teacher, MICRO_STUDENT_CONFIG,
-                micro_collection.unlabeled_queries, micro_index, **kwargs)
+    a = mimic(micro_teacher, micro_index, micro_collection.unlabeled_queries, **kwargs)
+    b = mimic(micro_teacher, micro_index, micro_collection.unlabeled_queries, **kwargs)
     pa, pb = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_model(pa, a.student)
     save_model(pb, b.student)
@@ -121,12 +111,10 @@ def test_distill_improves_label_agreement_over_training(micro_collection,
                                                         micro_index, micro_teacher):
     # compare agreement on the pairs the student actually optimizes; the
     # held-out split at this scale is a handful of pairs and pure noise
-    untrained = distill(micro_teacher, MICRO_STUDENT_CONFIG,
-                        micro_collection.unlabeled_queries, micro_index,
-                        epochs=0, seed=47, pool_size=12, pairs_per_query=8)
-    trained = distill(micro_teacher, MICRO_STUDENT_CONFIG,
-                      micro_collection.unlabeled_queries, micro_index,
-                      epochs=8, seed=47, pool_size=12, pairs_per_query=8)
+    untrained = mimic(micro_teacher, micro_index, micro_collection.unlabeled_queries,
+                      epochs=0, seed=47, pool_size=12, pairs_per_query=8)
+    trained = mimic(micro_teacher, micro_index, micro_collection.unlabeled_queries,
+                    epochs=8, seed=47, pool_size=12, pairs_per_query=8)
     assert trained.heldout_count > 0
     assert trained.train_count + trained.heldout_count == len(trained.instances)
     assert 0.0 <= trained.fidelity <= 1.0
@@ -138,10 +126,9 @@ def test_distill_improves_label_agreement_over_training(micro_collection,
 
 def test_distill_holdout_fraction_zero_has_no_fidelity(micro_collection,
                                                        micro_index, micro_teacher):
-    result = distill(micro_teacher, MICRO_STUDENT_CONFIG,
-                     micro_collection.unlabeled_queries, micro_index,
-                     epochs=1, seed=53, pool_size=10, pairs_per_query=4,
-                     heldout_fraction=0.0)
+    result = mimic(micro_teacher, micro_index, micro_collection.unlabeled_queries,
+                   epochs=1, seed=53, pool_size=10, pairs_per_query=4,
+                   heldout_fraction=0.0)
     assert result.fidelity is None
     assert result.heldout_count == 0
 
@@ -160,8 +147,8 @@ def test_mimic_train_rejects_heldout_fraction_outside_unit_interval(
 def test_distill_raises_when_no_pairs(micro_index, micro_teacher):
     hopeless = [Query("qz", ("qqqq", "zzzz"))]  # OOV: retrieves nothing
     with pytest.raises(ValueError, match="no training pairs"):
-        distill(micro_teacher, MICRO_STUDENT_CONFIG, hopeless, micro_index,
-                epochs=1, seed=0, pool_size=5, pairs_per_query=2)
+        mimic(micro_teacher, micro_index, hopeless,
+              epochs=1, seed=0, pool_size=5, pairs_per_query=2)
 
 
 def test_distill_independent_of_teacher_training_files(tmp_path, micro_collection,
@@ -176,16 +163,17 @@ def test_distill_independent_of_teacher_training_files(tmp_path, micro_collectio
                           micro_index, seed=23)
     train(teacher, MICRO_TEACHER_CONFIG, instances, epochs=3, seed=29)
     ann_path.unlink()
-    result = distill(teacher, MICRO_STUDENT_CONFIG,
-                     micro_collection.unlabeled_queries, micro_index,
-                     epochs=1, seed=59, pool_size=10, pairs_per_query=4)
+    result = mimic(teacher, micro_index, micro_collection.unlabeled_queries,
+                   epochs=1, seed=59, pool_size=10, pairs_per_query=4)
     assert result.train_count > 0
 
 
 def test_student_path_has_no_qrels_parameter():
-    # structural privacy property: nothing on the annotation/distill path
-    # can even accept relevance judgments
-    for fn in (model_labels, distill, mimic_train):
+    # structural privacy property: nothing on the student's path, from the
+    # labelers of one teacher or of the noisy ensemble to the pipeline's
+    # distill stage, can even accept relevance judgments
+    for fn in (model_labels, teacher_scorers, ensemble_labels, mimic_train,
+               distill_student):
         names = set(inspect.signature(fn).parameters)
         assert not any("qrel" in n or "judg" in n for n in names), fn.__name__
 

@@ -136,6 +136,13 @@ def test_parse_config_defaults_match_published_architectures(tmp_path):
     assert config.student == STUDENT_CONFIG
 
 
+def test_every_model_setting_has_a_config_key():
+    # a RankModelConfig field that no teacher.*/student.* key reaches is a
+    # knob that nothing can set
+    assert pipeline._MODEL_FIELDS == {field.name: field.type
+                                      for field in dataclasses.fields(RankModelConfig)}
+
+
 @pytest.mark.parametrize("line,fragment", [
     ("bogus.key = 1", "unknown config key"),
     ("teacher.bogus = 1", "unknown config key"),
@@ -744,21 +751,25 @@ def test_cli_pate_rejects_non_finite_noise_scale(workspace, tmp_path, capsys):
     assert not (tmp_path / "p").exists()  # checked before --out is made
 
 
-def test_cli_rank_rejects_cutoff_and_pool_size_below_one(workspace, tmp_path, capsys):
-    # a negative cutoff used to drop documents from the end of every ranking
-    idx, ckpt, run = tmp_path / "index.bin", tmp_path / "m.ckpt", tmp_path / "x.run"
-    assert main(["build-index", "--corpus", str(workspace / "corpus.jsonl"),
-                 "--out", str(idx)]) == 0
-    index = load_index(idx)
-    save_model(ckpt, init_params(TINY_TEACHER, index.vocabulary, index, seed=1))
-    base = ["rank", "--index", str(idx), "--out", str(run),
-            "--queries", str(workspace / "queries_eval.tsv")]
-    for flags, problem in ((["--cutoff", "-3"], "k must be"),  # BM25 search
-                           (["--cutoff", "0", "--model", str(ckpt)], "cutoff must be"),
-                           (["--pool-size", "-3", "--model", str(ckpt)], "k must be")):
+def test_cli_rank_rejects_cutoff_and_pool_size_below_one(tmp_path, capsys):
+    # a negative cutoff used to drop documents from the end of every ranking;
+    # then each of these exited 1 after the index, the queries and the model
+    # were read. Now argparse rejects them first: none of the paths exists
+    run = tmp_path / "x.run"
+    base = ["rank", "--index", str(tmp_path / "index.bin"), "--out", str(run),
+            "--queries", str(tmp_path / "queries.tsv")]
+    model = ["--model", str(tmp_path / "m.ckpt")]
+    for flags, problem in ((["--cutoff", "-3"], "--cutoff: must be at least 1, got -3"),
+                           (["--cutoff", "0", *model], "--cutoff: must be at least 1, got 0"),
+                           (["--pool-size", "-3", *model],
+                            "--pool-size: must be at least 1, got -3"),
+                           (["--pool-size", "0", *model],
+                            "--pool-size: must be at least 1, got 0")):
         capsys.readouterr()
-        assert main(base + flags) == 1, flags
-        assert problem in capsys.readouterr().err, flags
+        with pytest.raises(SystemExit) as exited:
+            main(base + flags)
+        assert exited.value.code == 2, flags
+        assert f"argument {problem}" in capsys.readouterr().err, flags
         assert not run.exists()
 
 
@@ -873,10 +884,14 @@ def pate_with_ensemble(workspace, saved_ensemble, out, flags):
 @pytest.mark.parametrize("flags,problem", [
     (["--noise-scale", "0.9"], "--noise-scale 0.9 differs from the saved ensemble's 0.05"),
     (["--n-partitions", "5"], "--n-partitions 5 differs from the saved ensemble's 3"),
-], ids=["noise-scale", "n-partitions"])
+    (["--teacher-epochs", "7"], "--teacher-epochs applies only with --annotations"),
+    (["--train-queries", "does-not-exist.tsv"],
+     "--train-queries applies only with --annotations"),
+], ids=["noise-scale", "n-partitions", "teacher-epochs", "train-queries"])
 def test_cli_pate_ensemble_rejects_other_privacy_settings(workspace, saved_ensemble,
                                                           tmp_path, capsys, flags, problem):
-    # these flags used to be ignored: asking for more noise got the saved level
+    # these flags used to be ignored: asking for more noise got the saved
+    # level, and teacher epochs or training queries trained nothing
     capsys.readouterr()
     assert pate_with_ensemble(workspace, saved_ensemble, tmp_path / "p", flags) == 2
     assert problem in capsys.readouterr().err

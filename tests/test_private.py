@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mimicrank import nn, ranker
 from mimicrank.corpus import annotate_queries, build_index
-from mimicrank.distill import distill, model_labels
+from mimicrank.distill import mimic_train, model_labels
 from mimicrank.private import (
     NOISE_TAG,
     PrivacyConfig,
@@ -26,7 +26,6 @@ from mimicrank.private import (
     noisy_aggregate,
     pairwise_agreement,
     partition_data,
-    pate_distill,
     save_ensemble,
     teacher_mean,
     teacher_scorers,
@@ -196,9 +195,9 @@ def test_laplace_noise_redraws_a_zero_uniform_like_draw_uniform():
 def test_train_teachers_seeded_and_distinct(micro_instances, micro_index, tmp_path):
     shards = partition_data(micro_instances, 3, seed=71)
     ens_a = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=2,
-                           base_seed=101)
+                           base_seed=101, privacy_config=PrivacyConfig(3))
     ens_b = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=2,
-                           base_seed=101)
+                           base_seed=101, privacy_config=PrivacyConfig(3))
     for i, (ta, tb) in enumerate(zip(ens_a.teachers, ens_b.teachers)):
         pa, pb = tmp_path / f"a{i}.ckpt", tmp_path / f"b{i}.ckpt"
         save_model(pa, ta)
@@ -443,6 +442,12 @@ def test_file_sha256(tmp_path):
 # Private distillation
 
 
+def private_mimic(ensemble, index, unlabeled, **kwargs):
+    """mimic_train with the ensemble's noisy aggregate as the labels."""
+    labels = ensemble_labels(teacher_scorers(ensemble, index), ensemble.config, NOISE_TAG)
+    return mimic_train(labels, MICRO_STUDENT_CONFIG, unlabeled, index, **kwargs)
+
+
 def test_pate_reduces_to_distill_for_single_noiseless_teacher(
         tmp_path, micro_instances, micro_index, micro_collection):
     shards = partition_data(micro_instances, 1, seed=71)
@@ -450,11 +455,11 @@ def test_pate_reduces_to_distill_for_single_noiseless_teacher(
                          base_seed=113,
                          privacy_config=PrivacyConfig(1, 0.0, seed=0))
     kwargs = dict(pool_size=10, pairs_per_query=5, epochs=2, seed=127)
-    private = pate_distill(ens, MICRO_STUDENT_CONFIG,
-                           micro_collection.unlabeled_queries, micro_index,
-                           **kwargs)
-    plain = distill(ens.teachers[0], MICRO_STUDENT_CONFIG,
-                    micro_collection.unlabeled_queries, micro_index, **kwargs)
+    private = private_mimic(ens, micro_index, micro_collection.unlabeled_queries,
+                            **kwargs)
+    plain = mimic_train(model_labels(pool_scorer(ens.teachers[0], micro_index)),
+                        MICRO_STUDENT_CONFIG, micro_collection.unlabeled_queries,
+                        micro_index, **kwargs)
     pa, pb = tmp_path / "private.ckpt", tmp_path / "plain.ckpt"
     save_model(pa, private.student)
     save_model(pb, plain.student)
@@ -470,10 +475,8 @@ def test_pate_noise_changes_labels_not_determinism(micro_instances, micro_index,
     ens = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=2,
                          base_seed=137, privacy_config=noisy_cfg)
     kwargs = dict(pool_size=10, pairs_per_query=5, epochs=1, seed=139)
-    a = pate_distill(ens, MICRO_STUDENT_CONFIG,
-                     micro_collection.unlabeled_queries, micro_index, **kwargs)
-    b = pate_distill(ens, MICRO_STUDENT_CONFIG,
-                     micro_collection.unlabeled_queries, micro_index, **kwargs)
+    a = private_mimic(ens, micro_index, micro_collection.unlabeled_queries, **kwargs)
+    b = private_mimic(ens, micro_index, micro_collection.unlabeled_queries, **kwargs)
     pa, pb = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_model(pa, a.student)
     save_model(pb, b.student)
@@ -487,20 +490,20 @@ def test_pate_student_agrees_with_aggregate(micro_instances, micro_index,
     ens = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=3,
                          base_seed=149,
                          privacy_config=PrivacyConfig(3, 0.0, seed=0))
-    result = pate_distill(ens, MICRO_STUDENT_CONFIG,
-                          micro_collection.unlabeled_queries, micro_index,
-                          pool_size=12, pairs_per_query=8, epochs=8, seed=151)
+    result = private_mimic(ens, micro_index, micro_collection.unlabeled_queries,
+                           pool_size=12, pairs_per_query=8, epochs=8, seed=151)
     assert result.heldout_count > 0
     assert result.fidelity is not None
-    zero_epochs = pate_distill(ens, MICRO_STUDENT_CONFIG,
-                               micro_collection.unlabeled_queries, micro_index,
-                               pool_size=12, pairs_per_query=8, epochs=0, seed=151)
+    zero_epochs = private_mimic(ens, micro_index, micro_collection.unlabeled_queries,
+                                pool_size=12, pairs_per_query=8, epochs=0, seed=151)
     assert result.fidelity >= zero_epochs.fidelity
 
 
 def test_pate_has_no_qrels_parameter():
-    names = set(inspect.signature(pate_distill).parameters)
-    assert not any("qrel" in n or "judg" in n for n in names)
+    # the private labelers feed the student only the teachers' noisy scores
+    for fn in (teacher_scorers, ensemble_labels):
+        names = set(inspect.signature(fn).parameters)
+        assert not any("qrel" in n or "judg" in n for n in names), fn.__name__
 
 
 def test_pate_ignores_deleted_shard_data(tmp_path, micro_instances, micro_index,
@@ -520,7 +523,6 @@ def test_pate_ignores_deleted_shard_data(tmp_path, micro_instances, micro_index,
                          privacy_config=PrivacyConfig(3, 0.05, seed=163))
     for p in shard_paths:
         p.unlink()
-    result = pate_distill(ens, MICRO_STUDENT_CONFIG,
-                          micro_collection.unlabeled_queries, micro_index,
-                          pool_size=10, pairs_per_query=4, epochs=1, seed=167)
+    result = private_mimic(ens, micro_index, micro_collection.unlabeled_queries,
+                           pool_size=10, pairs_per_query=4, epochs=1, seed=167)
     assert result.train_count > 0

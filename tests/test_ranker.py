@@ -1004,6 +1004,21 @@ def test_save_model_failing_partway_leaves_no_partial_file(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == complete
 
 
+def test_load_model_rejects_format_version_1(tmp_path):
+    # a version-1 checkpoint's config also held train_embeddings and
+    # train_term_weights; it fails by its version, not as a TypeError of
+    # RankModelConfig(**meta)
+    _, params = random_corpus_params(36)
+    path = tmp_path / "model.ckpt"
+    save_model(path, params)
+    meta, arrays = serialize.read_container(path, ranker.MODEL_MAGIC,
+                                            ranker.MODEL_VERSION)
+    meta["config"].update(train_embeddings=True, train_term_weights=True)
+    serialize.write_container(path, ranker.MODEL_MAGIC, 1, meta, list(arrays.items()))
+    with pytest.raises(ValueError, match="unsupported format version 1"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("name", ["embedding", "term_weights", "layer_bias_00"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_load_model_rejects_non_finite_parameters(tmp_path, name, value):
