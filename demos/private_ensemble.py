@@ -11,6 +11,8 @@ aggregate never touches the shards at all.
 Run with: python3 demos/private_ensemble.py  (seconds)
 """
 
+import tempfile
+
 import numpy as np
 
 from mimicrank.corpus import annotate_queries, build_index
@@ -19,6 +21,7 @@ from mimicrank.private import (
     NOISE_TAG,
     PrivacyConfig,
     ensemble_labels,
+    load_ensemble,
     noisy_aggregate,
     pairwise_agreement,
     partition_data,
@@ -41,8 +44,11 @@ model_config = RankModelConfig(embedding_dim=12, hidden_layers=1,
                                hidden_size=16, dropout_keep=1.0,
                                learning_rate=5e-3, batch_size=64)
 privacy = PrivacyConfig(n_partitions=3, noise_scale=0.2, seed=5)
-ensemble = train_teachers(shards, model_config, index, epochs=8,
-                          base_seed=5, privacy_config=privacy)
+# the teachers are trained one at a time, each saved as it is done
+with tempfile.TemporaryDirectory() as directory:
+    ensemble, _ = load_ensemble(train_teachers(
+        shards, model_config, index, epochs=8, base_seed=5, privacy_config=privacy,
+        directory=directory))
 
 # pairs to probe agreement on: the annotated pairs, in the BM25 pools they
 # were drawn from; every scorer scores a whole pool at once

@@ -40,7 +40,6 @@ from .private import (
     load_ensemble,
     pairwise_agreement,
     partition_data,
-    save_ensemble,
     teacher_mean,
     teacher_scorers,
     teacher_scores,
@@ -369,9 +368,11 @@ def train_single_teacher(instances, model_config, index, epochs, plan, path,
     [shard] = partition_data(instances, 1, plan["partition"])
     params = init_params(model_config, index.vocabulary, index,
                          embedding_file=embedding_file, seed=plan["teacher_base"])
-    result = train(params, model_config, shard, epochs, seed=plan["teacher_base"])
+    losses = train(params, model_config, shard, epochs,
+                   seed=plan["teacher_base"]).epoch_losses
     save_model(path, params)
-    return load_model(path), {"teacher_epoch_losses": result.epoch_losses}
+    del params  # the trained copy goes before the saved one is read back
+    return load_model(path), {"teacher_epoch_losses": losses}
 
 
 def ensemble_privacy(plan, **settings):
@@ -386,8 +387,11 @@ def train_teacher_ensemble(instances, model_config, index, epochs, plan, privacy
 
     The plan's partition seed deals the shards, each written to shard_dir
     as shard_NN.tsv and hashed; teacher i is seeded with the plan's
-    teacher_base + i. Returns (the ensemble loaded back from ensemble_dir,
-    so that callers consume the persisted artifact, report fields).
+    teacher_base + i. train_teachers writes each teacher to ensemble_dir
+    as it is trained and keeps none, so the ensemble is read back only
+    once every trained copy is gone. Returns (the ensemble loaded back
+    from ensemble_dir, so that callers consume the persisted artifact,
+    report fields).
     """
     shards = partition_data(instances, privacy.n_partitions, plan["partition"])
     shard_dir = Path(shard_dir)
@@ -397,11 +401,8 @@ def train_teacher_ensemble(instances, model_config, index, epochs, plan, privacy
         shard_path = shard_dir / f"shard_{i:02d}.tsv"
         write_annotations(shard_path, shard)
         hashes.append(file_sha256(shard_path))
-    base_seed = plan["teacher_base"]
-    ensemble = train_teachers(shards, model_config, index, epochs, base_seed,
-                              embedding_file=embedding_file, privacy_config=privacy)
-    save_ensemble(ensemble_dir, ensemble, shard_hashes=hashes,
-                  teacher_seeds=[base_seed + i for i in range(len(shards))])
+    train_teachers(shards, model_config, index, epochs, plan["teacher_base"], privacy,
+                   ensemble_dir, embedding_file=embedding_file, shard_hashes=hashes)
     return load_ensemble(ensemble_dir)[0], {"shard_sizes": [len(s) for s in shards],
                                             "shard_hashes": hashes}
 
@@ -427,12 +428,14 @@ def distill_student(scorers, privacy, student_config, unlabeled, index, epochs, 
     if soft_path is not None:
         write_annotations(soft_path, result.instances)
     save_model(student_path, result.student)
-    return load_model(student_path), {
+    fields = {
         "soft_annotation": dataclasses.asdict(result.annotation),
         "fidelity": result.fidelity,
         "student_epoch_losses": result.epoch_losses,
         "student_pairs": {"train": result.train_count, "heldout": result.heldout_count},
     }
+    del result  # the trained copy goes before the saved one is read back
+    return load_model(student_path), fields
 
 
 def bm25_run(index, queries, cutoff):

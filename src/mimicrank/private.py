@@ -6,6 +6,10 @@ student on the aggregated labels only.
 The student never sees the partitioned training data; its entire input is
 the noisy aggregate score stream. Aggregation sums teacher contributions
 left to right so the noise-free path is bit-reproducible.
+
+Teachers are trained one at a time straight into an ensemble directory
+(train_teachers through save_ensemble), so training holds one teacher
+however many there are; load_ensemble reads them all back for labeling.
 """
 
 import hashlib
@@ -72,21 +76,28 @@ def partition_data(instances, n, seed):
 
 
 def train_teachers(shards, model_config, index, epochs, base_seed, privacy_config,
-                   embedding_file=None):
-    """One architecturally identical teacher per shard, seed base_seed + i."""
+                   directory, embedding_file=None, shard_hashes=None):
+    """One architecturally identical teacher per shard, seed base_seed + i,
+    trained into the ensemble directory `directory` one at a time.
+
+    Teacher i is trained, written by save_ensemble and released before
+    teacher i + 1 is made, so one teacher and its Adam state are resident
+    however many shards there are; the manifest is written last, and a
+    failure leaves none. Returns the directory, for load_ensemble.
+    """
     if len(shards) != privacy_config.n_partitions:
         raise ValueError("shard count != configured partitions")
-    teachers = []
     for i, shard in enumerate(shards):
         if not shard:
             raise ValueError(f"partition {i} is empty")
-        params = init_params(
-            model_config, index.vocabulary, index,
-            embedding_file=embedding_file, seed=base_seed + i,
-        )
-        train(params, model_config, shard, epochs, seed=base_seed + i)
-        teachers.append(params)
-    return TeacherEnsemble(teachers=teachers, config=privacy_config)
+    seeds = [base_seed + i for i in range(len(shards))]
+    teachers = (
+        train(init_params(model_config, index.vocabulary, index,
+                          embedding_file=embedding_file, seed=seed),
+              model_config, shard, epochs, seed=seed).params
+        for shard, seed in zip(shards, seeds))
+    return save_ensemble(directory, teachers, privacy_config, teacher_seeds=seeds,
+                         shard_hashes=shard_hashes)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +252,16 @@ def ensemble_labels(scorers, privacy, tag):
 # Ensemble checkpoints
 
 
-def save_ensemble(directory, ensemble, teacher_seeds=None, shard_hashes=None):
-    """Directory of per-teacher checkpoints plus a manifest.
+def save_ensemble(directory, teachers, config, teacher_seeds=None, shard_hashes=None):
+    """Directory of per-teacher checkpoints plus a manifest; returns it.
+
+    teachers: the ensemble's models in order, any iterable; each is
+    written as it comes and no reference to it is kept, so a generator
+    that trains them is saved with one teacher in memory. config: the
+    ensemble's PrivacyConfig. A manifest already in the directory is
+    removed before the first teacher file is written, and the new one is
+    written after the last, so a directory whose writing failed has no
+    manifest and load_ensemble refuses it.
 
     The manifest records n, noise_scale, seeds, and optional shard content
     hashes; it is written with sorted keys and no timestamps so rewrites
@@ -250,22 +269,27 @@ def save_ensemble(directory, ensemble, teacher_seeds=None, shard_hashes=None):
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / ENSEMBLE_MANIFEST).unlink(missing_ok=True)
     files = []
-    for i, teacher in enumerate(ensemble.teachers):
-        name = f"teacher_{i:02d}.ckpt"
-        save_model(directory / name, teacher)
-        files.append(name)
+    # a plain loop: enumerate and zip would hold the last teacher in their
+    # result tuple while the next one is made
+    for teacher in teachers:
+        files.append(f"teacher_{len(files):02d}.ckpt")
+        save_model(directory / files[-1], teacher)
+        del teacher
+    if len(files) != config.n_partitions:
+        raise ValueError(f"{len(files)} teachers != {config.n_partitions} partitions")
     manifest = {
         "kind": "teacher-ensemble",
-        "n_partitions": ensemble.config.n_partitions,
-        "noise_scale": ensemble.config.noise_scale,
-        "seed": ensemble.config.seed,
+        "n_partitions": config.n_partitions,
+        "noise_scale": config.noise_scale,
+        "seed": config.seed,
         "teacher_seeds": teacher_seeds,
         "teacher_files": files,
         "shard_hashes": shard_hashes,
     }
     write_json(directory / ENSEMBLE_MANIFEST, manifest)
-    return directory / ENSEMBLE_MANIFEST
+    return directory
 
 
 def read_ensemble_manifest(directory):

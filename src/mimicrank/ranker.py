@@ -159,22 +159,35 @@ def _group(keys, rows):
             np.fromiter(map(numbers.__getitem__, keys), np.intp, len(keys)))
 
 
-def _group_sums(values, which, n_groups):
-    """Row sums of values per group: row j sums the rows i with which[i] == j.
+def _group_sums(blocks, which, n_groups):
+    """Row sums per group of the rows of blocks, taken as one stack of rows:
+    row j sums the stacked rows i with which[i] == j.
 
     which numbers groups 0..n_groups-1 (_group), so every group has a
     row. A group's rows are summed in order of position: the sums start
     from each group's first row, and pass r adds every group's r-th repeat
     at once (a fancy-index add, since no group repeats within a pass).
+    The blocks are not stacked: each takes its passes in turn, which keeps
+    every group's order, since a group's rows in one block all come before
+    its rows in the next.
     """
     order = np.argsort(which, kind="stable")
     starts = np.searchsorted(which[order], np.arange(n_groups))
     repeat = np.empty_like(which)
     repeat[order] = np.arange(len(which)) - starts[which[order]]
-    out = values[order[starts]]
-    for r in range(1, int(repeat.max()) + 1):
-        at = np.flatnonzero(repeat == r)
-        out[which[at]] += values[at]
+    passes = np.arange(int(repeat.max()) + 2)
+    out = np.empty((n_groups,) + blocks[0].shape[1:])
+    end = 0
+    for values in blocks:
+        first, end = end, end + len(values)
+        # the block's rows pass by pass, in order of position within a pass
+        rows = np.argsort(repeat[first:end], kind="stable")
+        groups = which[first:end][rows]
+        cuts = np.searchsorted(repeat[first:end][rows], passes).tolist()
+        out[groups[:cuts[1]]] = values[rows[:cuts[1]]]
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            if lo < hi:
+                out[groups[lo:hi]] += values[rows[lo:hi]]
     return out
 
 
@@ -403,14 +416,22 @@ def compute_loss_and_grads(params, batch, train=False, rng=None):
     store2 = nn.backward(cache2, d_s2[:, None])
     del cache2
 
+    # side 2's layer gradients are added into side 1's arrays
+    d_layers_w, d_layers_b = store1.d_weights, store1.d_biases
+    for mine, theirs in zip(d_layers_w[1:] + d_layers_b[1:],
+                            store2.d_weights[1:] + store2.d_biases[1:]):
+        mine += theirs
     dz1, dz2 = store1.d_input, store2.d_input
-    # per-query sums of dz1 + dz2, then per-document sums of dz1 and dz2
-    sums = _group_sums(np.concatenate([dz1 + dz2, dz1, dz2]), which, len(rows))
+    del store1, store2
+    # per-query sums of dz1 + dz2, then per-document sums over the doc1
+    # rows and the doc2 rows
+    sums = _group_sums([dz1 + dz2, dz1, dz2], which, len(rows))
     s_q, s_d = sums[:k], sums[k:]
-    d_w0 = np.concatenate([q_reps.T @ s_q, d_reps.T @ s_d])
-    d_layers_w = [d_w0] + [a + b for a, b in zip(store1.d_weights[1:], store2.d_weights[1:])]
-    d_layers_b = [dz1.sum(axis=0) + dz2.sum(axis=0)] + [
-        a + b for a, b in zip(store1.d_biases[1:], store2.d_biases[1:])]
+    d_layers_b[0] = dz1.sum(axis=0) + dz2.sum(axis=0)
+    del dz1, dz2
+    d_layers_w[0] = np.empty_like(params.layers[0].weights)
+    np.matmul(q_reps.T, s_q, out=d_layers_w[0][:len(w_q)])
+    np.matmul(d_reps.T, s_d, out=d_layers_w[0][len(w_q):])
 
     d_reps = np.empty_like(reps)
     np.matmul(s_q, w_q.T, out=d_reps[:k])
@@ -484,6 +505,7 @@ def train(params, config, instances, epochs, seed):
                 )
             total += loss * len(batch)
             nn.optimizer_step(arrays, _grad_list(grads), state)
+            del grads  # not held through the next step's forward and backward
         epoch_losses.append(total / n)
     return TrainResult(params, epoch_losses)
 

@@ -19,6 +19,7 @@ from mimicrank.corpus import (
     Query,
     TrainingInstance,
     Vocabulary,
+    _TOKEN_RE,
     _bounded,
     _choice_pairs,
     annotate_pools,
@@ -52,6 +53,26 @@ def test_tokenize_lowercases_and_splits_non_alphanumeric():
     ]
     assert tokenize("") == []
     assert tokenize("...!!!") == []
+
+
+def test_tokenize_ascii_path_splits_every_ascii_character_like_the_pattern():
+    # the translate-and-split path for ASCII text against the pattern
+    for c in map(chr, range(128)):
+        for text in (c, f"a{c}b", f"Ab{c}{c}Cd {c}x", f"{c}Z9{c}"):
+            assert tokenize(text) == _TOKEN_RE.findall(text.lower()), repr(text)
+    # the Kelvin sign lowercases to an ASCII k, and İ to i plus a combining dot
+    assert tokenize("\u212aelvin x") == ["kelvin", "x"]
+    assert tokenize("İstanbul") == _TOKEN_RE.findall("İstanbul".lower())
+
+
+_MIXED_TEXT = st.text(st.one_of(st.characters(max_codepoint=127), st.characters(),
+                                st.sampled_from("\u212a\u0130\u00df\u00e9_\u00a0\u0663")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MIXED_TEXT)
+def test_tokenize_equals_the_pattern_on_mixed_text(text):
+    assert tokenize(text) == _TOKEN_RE.findall(text.lower())
 
 
 def test_build_index_hand_counts():

@@ -31,7 +31,6 @@ from mimicrank.pipeline import (
 from mimicrank.private import (
     NOISE_TAG,
     PrivacyConfig,
-    TeacherEnsemble,
     ensemble_labels,
     load_ensemble,
     save_ensemble,
@@ -868,8 +867,7 @@ def saved_ensemble(workspace, tmp_path_factory):
     index = load_index(idx)
     teachers = [init_params(TINY_TEACHER, index.vocabulary, index, seed=s)
                 for s in range(3)]
-    save_ensemble(base / "ensemble",
-                  TeacherEnsemble(teachers, PrivacyConfig(n_partitions=3, noise_scale=0.05)))
+    save_ensemble(base / "ensemble", teachers, PrivacyConfig(n_partitions=3, noise_scale=0.05))
     return idx, base / "ensemble"
 
 

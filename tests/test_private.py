@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimicrank import nn, ranker
+from mimicrank import nn, private, ranker
 from mimicrank.corpus import annotate_queries, build_index
 from mimicrank.distill import mimic_train, model_labels
 from mimicrank.private import (
@@ -43,12 +44,18 @@ def micro_instances(micro_collection, micro_index):
     return instances
 
 
+def trained_ensemble(directory, shards, index, **kwargs):
+    """The micro teachers train_teachers writes to directory, loaded back."""
+    return load_ensemble(train_teachers(shards, MICRO_TEACHER_CONFIG, index,
+                                        directory=directory, **kwargs))[0]
+
+
 @pytest.fixture(scope="module")
-def micro_ensemble(micro_instances, micro_index):
+def micro_ensemble(micro_instances, micro_index, tmp_path_factory):
     shards = partition_data(micro_instances, 3, seed=71)
-    return train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=3,
-                          base_seed=73,
-                          privacy_config=PrivacyConfig(3, 0.0, seed=79))
+    return trained_ensemble(tmp_path_factory.mktemp("micro_ensemble"), shards,
+                            micro_index, epochs=3, base_seed=73,
+                            privacy_config=PrivacyConfig(3, 0.0, seed=79))
 
 
 # ---------------------------------------------------------------------------
@@ -194,32 +201,76 @@ def test_laplace_noise_redraws_a_zero_uniform_like_draw_uniform():
 
 def test_train_teachers_seeded_and_distinct(micro_instances, micro_index, tmp_path):
     shards = partition_data(micro_instances, 3, seed=71)
-    ens_a = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=2,
-                           base_seed=101, privacy_config=PrivacyConfig(3))
-    ens_b = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=2,
-                           base_seed=101, privacy_config=PrivacyConfig(3))
-    for i, (ta, tb) in enumerate(zip(ens_a.teachers, ens_b.teachers)):
-        pa, pb = tmp_path / f"a{i}.ckpt", tmp_path / f"b{i}.ckpt"
-        save_model(pa, ta)
-        save_model(pb, tb)
-        assert pa.read_bytes() == pb.read_bytes()
+    for name in ("a", "b"):
+        train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=2,
+                       base_seed=101, privacy_config=PrivacyConfig(3),
+                       directory=tmp_path / name)
+    for i in range(3):
+        name = f"teacher_{i:02d}.ckpt"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     # teachers trained on disjoint shards differ from each other
-    assert (tmp_path / "a0.ckpt").read_bytes() != (tmp_path / "a1.ckpt").read_bytes()
+    assert ((tmp_path / "a" / "teacher_00.ckpt").read_bytes()
+            != (tmp_path / "a" / "teacher_01.ckpt").read_bytes())
 
 
 def test_single_teacher_ensemble_equals_plain_training(micro_instances,
                                                        micro_index, tmp_path):
     shards = partition_data(micro_instances, 1, seed=71)
-    ens = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=2,
-                         base_seed=103,
-                         privacy_config=PrivacyConfig(1, 0.0, seed=0))
+    train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=2, base_seed=103,
+                   privacy_config=PrivacyConfig(1, 0.0, seed=0), directory=tmp_path / "ens")
     plain = init_params(MICRO_TEACHER_CONFIG, micro_index.vocabulary,
                         micro_index, seed=103)
     train(plain, MICRO_TEACHER_CONFIG, shards[0], epochs=2, seed=103)
-    pa, pb = tmp_path / "ens.ckpt", tmp_path / "plain.ckpt"
-    save_model(pa, ens.teachers[0])
-    save_model(pb, plain)
-    assert pa.read_bytes() == pb.read_bytes()
+    save_model(tmp_path / "plain.ckpt", plain)
+    assert ((tmp_path / "ens" / "teacher_00.ckpt").read_bytes()
+            == (tmp_path / "plain.ckpt").read_bytes())
+
+
+def test_one_trained_teacher_is_alive_while_each_teacher_trains(
+        monkeypatch, micro_instances, micro_index, tmp_path):
+    # each teacher is written and released before the next is made, so
+    # the models that reach train are never alive together
+    refs, seen = [], []
+
+    def counting_train(params, *args, **kwargs):
+        refs.append(weakref.ref(params))
+        seen.append(sum(ref() is not None for ref in refs))
+        return train(params, *args, **kwargs)
+
+    monkeypatch.setattr(private, "train", counting_train)
+    shards = partition_data(micro_instances, 3, seed=71)
+    train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=1, base_seed=73,
+                   privacy_config=PrivacyConfig(3, 0.0, seed=79), directory=tmp_path)
+    assert seen == [1, 1, 1]
+
+
+def test_failed_ensemble_leaves_no_manifest(monkeypatch, micro_instances, micro_index,
+                                            tmp_path):
+    shards = partition_data(micro_instances, 3, seed=71)
+    config = PrivacyConfig(3, 0.0, seed=79)
+    run = dict(epochs=1, base_seed=73, privacy_config=config, directory=tmp_path)
+    train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, **run)
+    complete = load_ensemble(tmp_path)[0]
+    calls = []
+
+    def failing_train(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("teacher 2 failed")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(private, "train", failing_train)
+    with pytest.raises(RuntimeError, match="teacher 2 failed"):
+        train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, **run)
+    # the earlier ensemble's manifest went before the first new teacher file
+    assert not (tmp_path / "manifest.json").exists()
+    with pytest.raises(FileNotFoundError):
+        load_ensemble(tmp_path)
+    # so does one saved with fewer teachers than its partitions
+    save_ensemble(tmp_path, complete.teachers, config)
+    with pytest.raises(ValueError, match="2 teachers != 3 partitions"):
+        save_ensemble(tmp_path, complete.teachers[:2], config)
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_ensemble_validates_shape(micro_ensemble):
@@ -261,11 +312,11 @@ def test_aggregate_hand_mean():
 
 
 def test_single_teacher_aggregate_identity(micro_instances, micro_index,
-                                           micro_collection):
+                                           micro_collection, tmp_path):
     shards = partition_data(micro_instances, 1, seed=71)
-    ens = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=1,
-                         base_seed=107,
-                         privacy_config=PrivacyConfig(1, 0.0, seed=0))
+    ens = trained_ensemble(tmp_path, shards, micro_index, epochs=1,
+                           base_seed=107,
+                           privacy_config=PrivacyConfig(1, 0.0, seed=0))
     query = micro_collection.eval_queries[0]
     pool, rows = _pool(micro_index, query)
     assert np.array_equal(noisy_aggregate(teacher_scorers(ens, micro_index), query.terms,
@@ -274,11 +325,11 @@ def test_single_teacher_aggregate_identity(micro_instances, micro_index,
 
 
 def test_noisy_aggregate_reproducible(micro_collection, micro_index,
-                                      micro_instances):
+                                      micro_instances, tmp_path):
     shards = partition_data(micro_instances, 3, seed=71)
-    ens = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=1,
-                         base_seed=109,
-                         privacy_config=PrivacyConfig(3, 0.05, seed=0))
+    ens = trained_ensemble(tmp_path, shards, micro_index, epochs=1,
+                           base_seed=109,
+                           privacy_config=PrivacyConfig(3, 0.05, seed=0))
     query = micro_collection.eval_queries[0]
     q, (pool, _) = query.terms, _pool(micro_index, query)
     scorers = teacher_scorers(ens, micro_index)
@@ -293,13 +344,13 @@ def test_noisy_aggregate_reproducible(micro_collection, micro_index,
 
 
 def test_noisy_aggregate_draws_document_major(micro_collection, micro_index,
-                                              micro_instances):
+                                              micro_instances, tmp_path):
     # noise per (document, teacher), documents outer and teachers inner,
     # added to each teacher's score before the left-to-right mean
     shards = partition_data(micro_instances, 3, seed=71)
-    ens = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=1,
-                         base_seed=109,
-                         privacy_config=PrivacyConfig(3, 0.05, seed=0))
+    ens = trained_ensemble(tmp_path, shards, micro_index, epochs=1,
+                           base_seed=109,
+                           privacy_config=PrivacyConfig(3, 0.05, seed=0))
     query = micro_collection.eval_queries[0]
     q, (pool, rows) = query.terms, _pool(micro_index, query)
     got = noisy_aggregate(teacher_scorers(ens, micro_index), q, pool, 0.05,
@@ -375,8 +426,8 @@ def test_pairwise_agreement_counts_ties_and_opposites():
 def test_ensemble_save_load_round_trip(tmp_path, micro_ensemble, micro_collection,
                                        micro_index):
     out = tmp_path / "ensemble"
-    save_ensemble(out, micro_ensemble, teacher_seeds=[73, 74, 75],
-                  shard_hashes=["x", "y", "z"])
+    save_ensemble(out, micro_ensemble.teachers, micro_ensemble.config,
+                  teacher_seeds=[73, 74, 75], shard_hashes=["x", "y", "z"])
     loaded, manifest = load_ensemble(out)
     assert manifest["n_partitions"] == 3
     assert manifest["teacher_seeds"] == [73, 74, 75]
@@ -388,7 +439,7 @@ def test_ensemble_save_load_round_trip(tmp_path, micro_ensemble, micro_collectio
                         0.0))
     # manifest rewrite is byte-stable
     before = (out / "manifest.json").read_bytes()
-    save_ensemble(out, loaded, teacher_seeds=[73, 74, 75],
+    save_ensemble(out, loaded.teachers, loaded.config, teacher_seeds=[73, 74, 75],
                   shard_hashes=["x", "y", "z"])
     assert (out / "manifest.json").read_bytes() == before
 
@@ -451,9 +502,9 @@ def private_mimic(ensemble, index, unlabeled, **kwargs):
 def test_pate_reduces_to_distill_for_single_noiseless_teacher(
         tmp_path, micro_instances, micro_index, micro_collection):
     shards = partition_data(micro_instances, 1, seed=71)
-    ens = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=2,
-                         base_seed=113,
-                         privacy_config=PrivacyConfig(1, 0.0, seed=0))
+    ens = trained_ensemble(tmp_path, shards, micro_index, epochs=2,
+                           base_seed=113,
+                           privacy_config=PrivacyConfig(1, 0.0, seed=0))
     kwargs = dict(pool_size=10, pairs_per_query=5, epochs=2, seed=127)
     private = private_mimic(ens, micro_index, micro_collection.unlabeled_queries,
                             **kwargs)
@@ -472,8 +523,8 @@ def test_pate_noise_changes_labels_not_determinism(micro_instances, micro_index,
                                                    micro_collection, tmp_path):
     shards = partition_data(micro_instances, 3, seed=71)
     noisy_cfg = PrivacyConfig(3, 0.05, seed=131)
-    ens = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=2,
-                         base_seed=137, privacy_config=noisy_cfg)
+    ens = trained_ensemble(tmp_path, shards, micro_index, epochs=2,
+                           base_seed=137, privacy_config=noisy_cfg)
     kwargs = dict(pool_size=10, pairs_per_query=5, epochs=1, seed=139)
     a = private_mimic(ens, micro_index, micro_collection.unlabeled_queries, **kwargs)
     b = private_mimic(ens, micro_index, micro_collection.unlabeled_queries, **kwargs)
@@ -485,11 +536,11 @@ def test_pate_noise_changes_labels_not_determinism(micro_instances, micro_index,
 
 
 def test_pate_student_agrees_with_aggregate(micro_instances, micro_index,
-                                            micro_collection):
+                                            micro_collection, tmp_path):
     shards = partition_data(micro_instances, 3, seed=71)
-    ens = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=3,
-                         base_seed=149,
-                         privacy_config=PrivacyConfig(3, 0.0, seed=0))
+    ens = trained_ensemble(tmp_path, shards, micro_index, epochs=3,
+                           base_seed=149,
+                           privacy_config=PrivacyConfig(3, 0.0, seed=0))
     result = private_mimic(ens, micro_index, micro_collection.unlabeled_queries,
                            pool_size=12, pairs_per_query=8, epochs=8, seed=151)
     assert result.heldout_count > 0
@@ -518,9 +569,9 @@ def test_pate_ignores_deleted_shard_data(tmp_path, micro_instances, micro_index,
         p = tmp_path / f"shard_{i}.tsv"
         write_annotations(p, shard)
         shard_paths.append(p)
-    ens = train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=1,
-                         base_seed=157,
-                         privacy_config=PrivacyConfig(3, 0.05, seed=163))
+    ens = trained_ensemble(tmp_path, shards, micro_index, epochs=1,
+                           base_seed=157,
+                           privacy_config=PrivacyConfig(3, 0.05, seed=163))
     for p in shard_paths:
         p.unlink()
     result = private_mimic(ens, micro_index, micro_collection.unlabeled_queries,
