@@ -19,9 +19,6 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# elements per run of optimizer_step: its scratch arrays stay this small
-# however large a parameter is, and a run's arrays stay in cache
-ADAM_CHUNK = 16384
 
 # array-name prefix of the dense layers in a checkpoint
 LAYER_PREFIX = "layer_"
@@ -234,11 +231,7 @@ def optimizer_step(params, grads, state):
 
     params and grads are parallel lists of arrays; shapes must match the
     accumulators created by adam_state. Non-finite gradients abort with a
-    diagnostic identifying the offending parameter. Each parameter is
-    updated in runs of whole rows of about ADAM_CHUNK elements, through two
-    scratch arrays of one run's size; every element goes through the same
-    operations in the same order as in one whole-array pass, so the result
-    does not depend on the run size.
+    diagnostic identifying the offending parameter.
     """
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError(
@@ -256,43 +249,25 @@ def optimizer_step(params, grads, state):
                 f"non-finite gradient in parameter {i} ({bad} bad entries)"
             )
     state.step += 1
-    # the bias corrections 1 - β^t, the same floats for every run
-    fix1, fix2 = 1.0 - ADAM_BETA1**state.step, 1.0 - ADAM_BETA2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        # runs of whole rows of about ADAM_CHUNK elements: a slice of the
-        # first axis is a view, whatever the array's strides
-        rows = max(1, ADAM_CHUNK * len(p) // max(p.size, 1))
-        if rows >= len(p):  # one run, the whole array: no slicing to pay for
-            _adam_run(p, g, m, v, np.empty_like(p), np.empty_like(p),
-                      state.learning_rate, fix1, fix2)
-            continue
-        step = np.empty((rows,) + p.shape[1:])
-        scratch = np.empty_like(step)
-        for first in range(0, len(p), rows):
-            run = slice(first, first + rows)
-            size = len(p[run])
-            _adam_run(p[run], g[run], m[run], v[run], step[:size], scratch[:size],
-                      state.learning_rate, fix1, fix2)
-    return params, state
-
-
-def _adam_run(p, g, m, v, step, scratch, learning_rate, fix1, fix2):
-    """One run of optimizer_step, on arrays of one shape: the textbook
-    expression, evaluated in its own order through two scratch arrays:
-    (1-b1)·g, (1-b2)·(g·g), lr·m̂ / (√v̂ + ε)."""
+    t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    m *= b1
-    m += np.multiply(1.0 - b1, g, out=scratch)
-    v *= b2
-    np.multiply(g, g, out=scratch)
-    v += np.multiply(1.0 - b2, scratch, out=scratch)
-    np.divide(m, fix1, out=step)
-    step *= learning_rate
-    np.divide(v, fix2, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += ADAM_EPS
-    step /= scratch
-    p -= step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        # the textbook expression, evaluated in its own order through two
+        # scratch arrays: (1-b1)·g, (1-b2)·(g·g), lr·m̂ / (√v̂ + ε)
+        step, scratch = np.empty_like(p), np.empty_like(p)
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=scratch)
+        v *= b2
+        np.multiply(g, g, out=scratch)
+        v += np.multiply(1.0 - b2, scratch, out=scratch)
+        np.divide(m, 1.0 - b1**t, out=step)
+        step *= state.learning_rate
+        np.divide(v, 1.0 - b2**t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        step /= scratch
+        p -= step
+    return params, state
 
 
 # ---------------------------------------------------------------------------
