@@ -62,15 +62,18 @@ for query in collection.train_queries:
     pools.append((query.terms, pool, pairs))
 print("probe pairs:", sum(len(pairs) for _, _, pairs in pools))
 
+# the plain teacher mean of every pool, each teacher scoring all of them at once
+terms = [q for q, _, _ in pools]
+means = dict(zip(terms, teacher_mean(scorers, terms, [pool for _, pool, _ in pools])))
 exact = pairwise_agreement(
     lambda q, pool: noisy_aggregate(scorers, q, pool, 0.0),
-    lambda q, pool: teacher_mean(scorers, q, pool), pools)
+    lambda q, pool: means[q], pools)
 print(f"aggregate vs mean, noise 0.0: agreement {exact}")
 
 rng = np.random.default_rng(11)
 noisy = pairwise_agreement(
     lambda q, pool: noisy_aggregate(scorers, q, pool, privacy.noise_scale, rng),
-    lambda q, pool: teacher_mean(scorers, q, pool), pools)
+    lambda q, pool: means[q], pools)
 print(f"aggregate vs mean, noise {privacy.noise_scale}: agreement {noisy:.4f}")
 
 # the student's pools are labeled by the noisy aggregate of fresh scorers

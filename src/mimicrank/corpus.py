@@ -64,7 +64,7 @@ class Query(NamedTuple):
     terms: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TrainingInstance:
     """One pairwise example: a query, two documents, and their label scores.
 
@@ -74,6 +74,12 @@ class TrainingInstance:
     Query and documents are (term indices, counts) rows over the index
     vocabulary (InvertedIndex.doc_rows views, term_index_counts for the
     query); they take no part in == or hash, which compare ids and labels.
+
+    An instance is a value: no code assigns to one after it is made, and
+    dataclasses.replace makes a changed copy. It is not frozen, because a
+    frozen dataclass sets each field through object.__setattr__ and costs
+    several times as much to build, and annotation builds one per pair;
+    the hash over ids and labels is the one a frozen instance would have.
     """
 
     query_id: str
@@ -300,84 +306,87 @@ RAW_WORDS_PER_CHUNK = 64
 _U32 = 0xFFFFFFFF
 
 
-def _uint32_words(bit_generator):
-    """Endless 32-bit words in next_uint32's order on a fresh PCG64.
-
-    Each raw 64-bit word gives its low half, then its high half. Words are
-    taken RAW_WORDS_PER_CHUNK at a time, so the generator runs ahead of
-    what is consumed.
-    """
-    while True:
-        raw = bit_generator.random_raw(RAW_WORDS_PER_CHUNK)
-        yield from raw.astype("<u8", copy=False).view("<u4").tolist()
-
-
-def _bounded(words, r):
-    """An int in [0, r] from 32-bit words, as numpy's bounded Lemire draw.
-
-    r == 0 gives 0 and consumes nothing; otherwise a word u gives
-    m = u·(r+1), rejected while its low 32 bits fall below
-    (2^32 - 1 - r) mod (r+1), and the draw is m's high 32 bits.
-    """
-    if r == 0:
-        return 0
-    excl = r + 1
-    threshold = (_U32 - r) % excl
-    m = next(words) * excl
-    while m & _U32 < threshold:
-        m = next(words) * excl
-    return m >> 32
-
-
-def _choice_pairs(rng, n):
-    """Endless index pairs, each what rng.choice(n, 2, replace=False) gives.
-
-    Decoded from rng's raw words: Floyd's selection draws a in [0, n-2]
-    and v in [0, n-1], takes b = n-1 if v == a else v, and numpy's closing
-    shuffle swaps the two when a draw in [0, 1] is 0. Words drawn ahead
-    and never used are lost, so rng must be fresh and used for nothing
-    else. A pool of 2^32 documents or more raises ValueError on the first
-    draw; numpy would take its 64-bit path there.
-    """
-    if not 2 <= n < 1 << 32:
-        raise ValueError(f"pair draws need 2 <= n < 2**32, got {n}")
-    words = _uint32_words(rng.bit_generator)
-    while True:
-        a = _bounded(words, n - 2)
-        v = _bounded(words, n - 1)
-        b = n - 1 if v == a else v
-        yield (b, a) if _bounded(words, 1) == 0 else (a, b)
-
-
 def _sample_scored_pairs(n_pool, labels, pairs_per_query, rng, max_attempts):
     """Sample unordered index pairs with distinct labels, without replacement.
 
     Tied pairs are discarded and resampling continues until pairs_per_query
     pairs are found, the pool is exhausted, or max_attempts draws are spent.
-    Each draw is rng.choice(n_pool, 2, replace=False)'s, decoded from the
-    raw words of rng's bit generator (_choice_pairs); tests pin the stream
-    to numpy's draw for draw. rng must be fresh and used for nothing else:
-    annotate_pools gives each query its own seeding.rng(seed, qpos, 0).
     Returns (pairs, ties_discarded).
+
+    Each draw is what rng.choice(n_pool, 2, replace=False) gives, decoded
+    inline from rng's raw words; tests pin it to numpy's draw for draw.
+    Each raw 64-bit word gives a 32-bit word of its low half, then one of
+    its high half, and words are taken RAW_WORDS_PER_CHUNK raw words at a
+    time, so the generator runs ahead of what is used: rng must be fresh
+    and used for nothing else (annotate_pools gives each query its own
+    seeding.rng(seed, qpos, 0)). A draw is Floyd's selection, a in
+    [0, n-2] and v in [0, n-1] with b = n-1 if v == a else v, then
+    numpy's closing shuffle, which swaps the two when a draw in [0, 1] is
+    0. A draw in [0, r] is Lemire's: r == 0 gives 0 and takes no word;
+    otherwise a word u gives m = u·(r+1), drawn again while m's low 32
+    bits fall below (2^32 - 1 - r) mod (r+1), and the draw is m >> 32.
+    Over [0, 1] that threshold is 0, so the swap draw is u >> 31 of one
+    word. A pool of 2^32 documents or more, where numpy would take its
+    64-bit path, raises ValueError, as does one of fewer than 2.
     """
+    if not 2 <= n_pool < 1 << 32:
+        raise ValueError(f"pair draws need 2 <= n < 2**32, got {n_pool}")
+    random_raw = rng.bit_generator.random_raw
+    words, w = [], 0  # 32-bit words, and the position of the next unused one
+    a_range, v_range = n_pool - 1, n_pool  # r + 1 of the draws of a and v
+    a_min, v_min = (_U32 - n_pool + 2) % a_range, (_U32 - n_pool + 1) % v_range
+    total = n_pool * (n_pool - 1) // 2
     pairs = []
     seen = set()
     ties = 0
-    total = n_pool * (n_pool - 1) // 2
-    attempts = 0
-    draws = _choice_pairs(rng, n_pool)
-    while len(pairs) < pairs_per_query and len(seen) < total and attempts < max_attempts:
-        attempts += 1
-        a, b = next(draws)
+    if pairs_per_query < 1:
+        return pairs, ties
+    for _ in range(max_attempts):
+        # a draw takes at most three words unless one is rejected, and
+        # every rejected word is followed by at most three more
+        if len(words) - w < 3:
+            words, w = words[w:] + _raw_words(random_raw), 0
+        a = 0
+        if a_range > 1:
+            m = words[w] * a_range
+            w += 1
+            while m & _U32 < a_min:
+                if len(words) - w < 3:
+                    words, w = words[w:] + _raw_words(random_raw), 0
+                m = words[w] * a_range
+                w += 1
+            a = m >> 32
+        m = words[w] * v_range
+        w += 1
+        while m & _U32 < v_min:
+            if len(words) - w < 3:
+                words, w = words[w:] + _raw_words(random_raw), 0
+            m = words[w] * v_range
+            w += 1
+        b = m >> 32
+        if b == a:
+            b = n_pool - 1
+        if words[w] >> 31 == 0:
+            a, b = b, a
+        w += 1
         key = (a, b) if a < b else (b, a)
         if key in seen:
             continue
         seen.add(key)
         if labels[a] == labels[b]:
             ties += 1
-            continue
-        pairs.append((a, b))
+        else:
+            pairs.append((a, b))
+            if len(pairs) == pairs_per_query:
+                break
+        if len(seen) == total:
+            break
     return pairs, ties
+
+
+def _raw_words(random_raw):
+    """The next RAW_WORDS_PER_CHUNK raw words as 32-bit words, each low half first."""
+    return random_raw(RAW_WORDS_PER_CHUNK).astype("<u8", copy=False).view("<u4").tolist()
 
 
 def annotate_pools(index, queries, label_fn, pool_size, pairs_per_query, seed):
@@ -393,6 +402,7 @@ def annotate_pools(index, queries, label_fn, pool_size, pairs_per_query, seed):
     if pool_size < 2:
         raise ValueError("pool_size must be at least 2")
     max_attempts = MAX_ATTEMPTS_PER_PAIR * max(1, pairs_per_query)
+    doc_ids, doc_rows = index.doc_ids, index.doc_rows
     instances = []
     report = AnnotationReport(queries_total=len(queries))
     for qpos, query in enumerate(queries):
@@ -406,22 +416,12 @@ def annotate_pools(index, queries, label_fn, pool_size, pairs_per_query, seed):
         pairs, ties = _sample_scored_pairs(
             len(pool), labels, pairs_per_query, rng, max_attempts
         )
+        query_id = query.query_id
         query_rows = term_index_counts(index.vocabulary, query.terms)
-        ids = [index.doc_ids[d] for d in pool]
-        rows = [index.doc_rows(d) for d in pool]
-        for a, b in pairs:
-            instances.append(
-                TrainingInstance(
-                    query_id=query.query_id,
-                    doc1_id=ids[a],
-                    doc2_id=ids[b],
-                    s1=labels[a],
-                    s2=labels[b],
-                    query_rows=query_rows,
-                    doc1_rows=rows[a],
-                    doc2_rows=rows[b],
-                )
-            )
+        instances += [
+            TrainingInstance(query_id, doc_ids[pool[a]], doc_ids[pool[b]], labels[a],
+                             labels[b], query_rows, doc_rows(pool[a]), doc_rows(pool[b]))
+            for a, b in pairs]
         report.queries_annotated += 1
         report.ties_discarded += ties
         report.pairs_emitted += len(pairs)
@@ -507,7 +507,7 @@ def read_annotations(path, queries, index):
     """
     query_rows = {q.query_id: term_index_counts(index.vocabulary, q.terms)
                   for q in queries}
-    doc_pos = {doc_id: i for i, doc_id in enumerate(index.doc_ids)}
+    doc_rows = dict(zip(index.doc_ids, map(index.doc_rows, range(index.doc_count))))
     instances = []
     dropped_ties = 0
     with open(path, encoding="utf-8") as fh:
@@ -519,13 +519,15 @@ def read_annotations(path, queries, index):
             if len(parts) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
             qid, d1, d2, s1_raw, s2_raw = parts
-            if qid not in query_rows:
+            rows = query_rows.get(qid)
+            if rows is None:
                 raise ValueError(f"{path}:{lineno}: unknown query_id {qid!r}")
-            if not query_rows[qid][0].size:
+            if not rows[0].size:
                 raise ValueError(f"{path}:{lineno}: query {qid!r} has no indexed term")
-            for did in (d1, d2):
-                if did not in doc_pos:
-                    raise ValueError(f"{path}:{lineno}: unknown doc_id {did!r}")
+            rows1, rows2 = doc_rows.get(d1), doc_rows.get(d2)
+            if rows1 is None or rows2 is None:
+                did = d1 if rows1 is None else d2
+                raise ValueError(f"{path}:{lineno}: unknown doc_id {did!r}")
             try:
                 s1, s2 = float(s1_raw), float(s2_raw)
             except ValueError as exc:
@@ -535,18 +537,7 @@ def read_annotations(path, queries, index):
             if s1 == s2:
                 dropped_ties += 1
                 continue
-            instances.append(
-                TrainingInstance(
-                    query_id=qid,
-                    doc1_id=d1,
-                    doc2_id=d2,
-                    s1=s1,
-                    s2=s2,
-                    query_rows=query_rows[qid],
-                    doc1_rows=index.doc_rows(doc_pos[d1]),
-                    doc2_rows=index.doc_rows(doc_pos[d2]),
-                )
-            )
+            instances.append(TrainingInstance(qid, d1, d2, s1, s2, rows, rows1, rows2))
     return instances, dropped_ties
 
 

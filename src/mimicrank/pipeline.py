@@ -676,14 +676,17 @@ def run_pipeline(config, mode, jobs=1):
             # exactness property: the noise-free aggregate must order pairs
             # exactly like the plain teacher mean. The pools are prefixes of
             # the rank pools, so the aggregate side reads the rank stage's
-            # arrays, and the mean side finds every row in the scorers'
-            # tables; a score does not depend on the pool it is scored in
+            # arrays, and the mean side, one call per teacher over all the
+            # pools, finds every row in the scorers' tables; a score does
+            # not depend on the pool it is scored in
             rank_scores = dict(zip((q.terms for q in eval_queries), rank_arrays))
+            pools = _eval_pairs(index, eval_queries, min(6, config.rank_pool_size))
+            terms = [q for q, _, _ in pools]
+            means = dict(zip(terms, teacher_mean(scorers, terms,
+                                                 [pool for _, pool, _ in pools])))
             report["agreement_nonnoisy_vs_mean"] = pairwise_agreement(
                 lambda q, pool: aggregate_scores(rank_scores[q][:len(pool)], 0.0),
-                lambda q, pool: teacher_mean(scorers, q, pool),
-                _eval_pairs(index, eval_queries, min(6, config.rank_pool_size)),
-            )
+                lambda q, pool: means[q], pools)
             report["noisy_vs_nonnoisy"] = {
                 "map_delta": reports["aggregate_noisy"].mean_ap
                 - reports["aggregate"].mean_ap,

@@ -191,13 +191,21 @@ def noisy_aggregate(scorers, query_terms, pool, scale, rng=None):
     return aggregate_scores(teacher_scores(scorers, [query_terms], [pool])[0], scale, rng)
 
 
-def teacher_mean(scorers, query_terms, pool):
-    """Noise-free mean of teacher pool scores, same summation order, summed
-    apart from teacher_scores and aggregate_scores."""
-    acc = np.zeros(len(pool))
-    for scorer in scorers:
-        acc = acc + scorer([query_terms], [pool])[0]
-    return acc / len(scorers)
+def teacher_mean(scorers, queries_terms, pools):
+    """Noise-free means of teacher pool scores, one array per pool.
+
+    Each scorer scores all the pools in one call, as in teacher_scores;
+    a pool's teacher scores are summed left to right from 0.0 like
+    aggregate_scores', but apart from teacher_scores and aggregate_scores.
+    """
+    columns = [scorer(queries_terms, pools) for scorer in scorers]
+    means = []
+    for pool_columns in zip(*columns):
+        acc = np.zeros(len(pool_columns[0]))
+        for column in pool_columns:
+            acc = acc + column
+        means.append(acc / len(scorers))
+    return means
 
 
 def pairwise_agreement(score_a, score_b, pools):

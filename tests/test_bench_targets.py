@@ -54,6 +54,33 @@ def test_instance_fields_the_benchmark_reads():
     assert {"query_id", "doc1_id", "doc2_id"} <= fields
 
 
+def test_annotate_pools_labels_each_annotated_query_once_with_its_pool(monkeypatch):
+    # label_docs_per_s counts the documents of every label_fn(query, pool,
+    # qpos) call annotate_pools makes, so each annotated query must be
+    # labeled in one call over its whole searched pool, and a skipped query
+    # in none
+    worker = load_worker(monkeypatch)
+    collection = mini_collection()
+    index = corpus.build_index(collection.documents)
+    queries = [*collection.train_queries[:8], corpus.Query("unseen", ("zzz",))]
+    calls, counts = [], {}
+
+    def label_fn(query, pool, qpos):
+        calls.append((query, list(pool), qpos))
+        return np.arange(len(pool), dtype=np.float64)
+
+    def count(key, value):
+        counts[key] = counts.get(key, 0) + value
+
+    _, report = worker.around_annotate_pools(
+        corpus.annotate_pools, (index, queries, label_fn, 20, 5, 1), {}, count)
+    searched = [(query, index.search(query.terms, 20)[0], qpos)
+                for qpos, query in enumerate(queries)]
+    assert calls == [call for call in searched if len(call[1]) >= 2]
+    assert len(calls) == report.queries_annotated == 8
+    assert counts["pool_docs"] == sum(len(pool) for _, pool, _ in calls)
+
+
 def mini_run_config(tmp_path):
     """A run of micro models over mini_collection, written under tmp_path."""
     write_collection(mini_collection(), tmp_path)

@@ -20,8 +20,7 @@ from mimicrank.corpus import (
     TrainingInstance,
     Vocabulary,
     _TOKEN_RE,
-    _bounded,
-    _choice_pairs,
+    _sample_scored_pairs,
     annotate_pools,
     annotate_queries,
     build_index,
@@ -432,50 +431,112 @@ def test_annotate_rejects_tiny_pool_size():
         annotate_queries(index, [], pool_size=1, seed=0)
 
 
-# both sides of the 10,000-element branch of Generator.choice, and the
-# largest range the 32-bit draw covers
-CHOICE_POOL_SIZES = (2, 3, 30, 50, 10**4, 10**4 + 1, 10**5, 2**32 - 1)
+def reference_sample_scored_pairs(n_pool, labels, pairs_per_query, rng, max_attempts):
+    """The pair sampler as it read when it called Generator.choice per draw."""
+    pairs = []
+    seen = set()
+    ties = 0
+    total = n_pool * (n_pool - 1) // 2
+    attempts = 0
+    while len(pairs) < pairs_per_query and len(seen) < total and attempts < max_attempts:
+        attempts += 1
+        a, b = rng.choice(n_pool, size=2, replace=False).tolist()
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            continue
+        seen.add(key)
+        if labels[a] == labels[b]:
+            ties += 1
+            continue
+        pairs.append((a, b))
+    return pairs, ties
+
+
+# both sides of the 10,000-element branch of Generator.choice, a range
+# whose draws of a and v both reject about half the words, and the largest
+# range the 32-bit draw covers
+CHOICE_POOL_SIZES = (2, 3, 30, 50, 10**4, 10**4 + 1, 10**5, 2**31 + 2, 2**32 - 1)
 
 
 def test_pair_draws_equal_generator_choice_draw_for_draw():
+    # distinct labels, so every draw of a new pair is kept; in the large
+    # pools no draw repeats a pair, so all 200 draws are compared one by one
     for n in CHOICE_POOL_SIZES:
         for seed in range(100):
-            want = seeding.rng(seed, n, 0)
-            draws = _choice_pairs(seeding.rng(seed, n, 0), n)
-            for _ in range(200):
-                assert next(draws) == tuple(want.choice(n, size=2, replace=False).tolist()), (
-                    n, seed)
+            got = _sample_scored_pairs(n, range(n), 200, seeding.rng(seed, n, 0), 200)
+            want = reference_sample_scored_pairs(n, range(n), 200,
+                                                 seeding.rng(seed, n, 0), 200)
+            assert got == want, (n, seed)
+            if n >= 10**4:
+                assert len(got[0]) == 200, (n, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 60).flatmap(lambda n: st.tuples(
+           st.just(n), st.lists(st.integers(0, 3), min_size=n, max_size=n))),
+       st.integers(-1, 40), st.integers(0, 300), st.integers(0, 2**32 - 1))
+def test_pair_sampler_equals_the_generator_choice_sampler(pool, pairs_per_query,
+                                                          max_attempts, seed):
+    n, labels = pool  # few label values, so ties are common
+    got = _sample_scored_pairs(n, labels, pairs_per_query, seeding.rng(seed), max_attempts)
+    want = reference_sample_scored_pairs(n, labels, pairs_per_query, seeding.rng(seed),
+                                         max_attempts)
+    assert got == want
 
 
 def test_pair_draws_reject_pools_outside_the_32_bit_draw():
     for n in (1, 2**32):
         with pytest.raises(ValueError, match="2 <= n < 2\\*\\*32"):
-            next(_choice_pairs(seeding.rng(0), n))
+            _sample_scored_pairs(n, range(n), 1, seeding.rng(0), 50)
+
+
+class HandBuiltWords:
+    """An rng whose bit generator's 32-bit words are `words` and no more.
+
+    An odd count is padded with a 0 word. A decoder that wants more words
+    than it is given fails instead of drawing on.
+    """
+
+    def __init__(self, words):
+        self.words = list(words) + [0] * (len(words) % 2)
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        if not self.words:
+            raise AssertionError("the hand-built words are used up")
+        take, self.words = self.words[:2 * size], self.words[2 * size:]
+        return np.array(take, dtype="<u4").view("<u8")
 
 
 def test_bounded_rejects_a_biased_word_and_draws_again():
-    r = 2**31  # r + 1 = 2**31 + 1; threshold (2**32 - 1 - r) % (r + 1) = 2**31 - 1
-    # word 0: m = 0, low half 0 < threshold, rejected;
-    # word 5: m = 5·(2**31 + 1) = 2**33 + 2**31 + 5, low half 2**31 + 5, kept
-    words = iter([0, 5, 7])
-    assert _bounded(words, r) == 2  # m >> 32
-    assert list(words) == [7]
-    # the threshold is a strict bound: a low half equal to it is kept
-    words = iter([2**32 - 1, 9])  # m = 2**63 + 2**31 - 1, low half 2**31 - 1
-    assert _bounded(words, r) == r
-    assert list(words) == [9]
+    # n = 2**31 + 2: a is drawn over [0, r] with r = 2**31, so r + 1 = 2**31 + 1
+    # and the threshold (2**32 - 1 - r) % (r + 1) = 2**31 - 1. v is drawn
+    # over r = 2**31 + 1 with threshold 2**31 - 2, and the swap word's top bit
+    # set keeps (a, b) in order.
+    # draw 1: word 0 gives m = 0, low half 0 < threshold, rejected; word 5
+    # gives m = 5·(2**31 + 1) = 2**33 + 2**31 + 5, low half 2**31 + 5, kept:
+    # a = m >> 32 = 2; word 7 gives v = 7·(2**31 + 2) >> 32 = 3 = b
+    # draw 2: the threshold is a strict bound: word 2**32 - 1 gives
+    # m = 2**63 + 2**31 - 1, low half 2**31 - 1, kept: a = r; v = 3 again,
+    # and a swap word of 0 swaps the two
+    n = 2**31 + 2
+    words = [0, 5, 7, 2**31, 2**32 - 1, 7, 0]
+    assert _sample_scored_pairs(n, range(n), 2, HandBuiltWords(words), 2) == (
+        [(2, 3), (3, 2**31)], 0)
 
 
 def test_bounded_over_one_value_consumes_nothing():
-    words = iter([3])
-    assert _bounded(words, 0) == 0
-    assert list(words) == [3]
+    # n = 2: a is drawn over [0, 0], 0 with no word; v's word 2**31 gives
+    # v = 1 = b, and the swap word 0 swaps the two. Had a taken the first
+    # word, v = 0 = a would give b = 1 and the swap word 2**31 no swap.
+    words = [2**31, 0, 2**31]
+    assert _sample_scored_pairs(2, [0.0, 1.0], 1, HandBuiltWords(words), 1) == (
+        [(1, 0)], 0)
 
 
 def test_pair_draws_run_ahead_in_chunks_of_raw_words():
     rng = seeding.rng(4)
-    draws = _choice_pairs(rng, 50)
-    next(draws)
+    _sample_scored_pairs(50, range(50), 1, rng, 1)
     ahead = seeding.rng(4)
     ahead.bit_generator.random_raw(RAW_WORDS_PER_CHUNK)
     assert rng.bit_generator.state == ahead.bit_generator.state

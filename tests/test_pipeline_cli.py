@@ -365,14 +365,15 @@ def test_pate_rank_stage_scores_each_pool_once_per_model(workspace, tmp_path,
 
 def test_pate_agreement_reads_the_rank_stage_scores(workspace, tmp_path, monkeypatch):
     # the evaluate stage's aggregate side reads the rank stage's teacher
-    # score arrays, so only teacher_mean scores there: each teacher once per
-    # agreement pool, which is a prefix of that query's rank pool
-    pools_scored = Counter()
+    # score arrays, so only teacher_mean scores there: each teacher in one
+    # call over every agreement pool, each a prefix of that query's rank pool
+    pools_scored, calls = Counter(), Counter()
     stages = counting_stages(monkeypatch)
 
     def count(params, pools):
         if stages[-1] == "evaluate":
             pools_scored[id(params)] += len(pools)
+            calls[id(params)] += 1
 
     counting_scorers(monkeypatch, count)
     config = base_config(workspace, tmp_path / "pate")
@@ -382,6 +383,7 @@ def test_pate_agreement_reads_the_rank_stage_scores(workspace, tmp_path, monkeyp
     agreement_pools = pipeline._eval_pairs(index, eval_queries, 6)
     assert agreement_pools
     assert sorted(pools_scored.values()) == [len(agreement_pools)] * 3
+    assert sorted(calls.values()) == [1] * 3
     assert report["agreement_nonnoisy_vs_mean"] == 1.0
 
 

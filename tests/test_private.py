@@ -299,7 +299,7 @@ def test_noise_free_aggregate_is_exact_mean(micro_collection, micro_index,
     for t in micro_ensemble.teachers:
         acc += score_pool(t, query.terms, rows)
     assert np.array_equal(agg, acc / 3)
-    assert np.array_equal(agg, teacher_mean(scorers, query.terms, pool))
+    assert np.array_equal(agg, teacher_mean(scorers, [query.terms], [pool])[0])
 
 
 def test_aggregate_hand_mean():
@@ -338,7 +338,7 @@ def test_noisy_aggregate_reproducible(micro_collection, micro_index,
     c = noisy_aggregate(scorers, q, pool, 0.05, np.random.default_rng(100))
     assert np.array_equal(a, b)
     assert not np.any(a == c)
-    assert not np.any(a == teacher_mean(scorers, q, pool))
+    assert not np.any(a == teacher_mean(scorers, [q], [pool])[0])
     with pytest.raises(ValueError, match="rng"):
         noisy_aggregate(scorers, q, pool, 0.05)
 
@@ -380,7 +380,7 @@ def test_teacher_scores_columns_and_their_reduction(micro_collection, micro_inde
         assert np.array_equal(scores[:, i], score_pool(t, q, rows))
     assert np.array_equal(noisy_aggregate(scorers, q, pool, 0.05, np.random.default_rng(5)),
                           aggregate_scores(scores, 0.05, np.random.default_rng(5)))
-    assert np.array_equal(aggregate_scores(scores, 0.0), teacher_mean(scorers, q, pool))
+    assert np.array_equal(aggregate_scores(scores, 0.0), teacher_mean(scorers, [q], [pool])[0])
     with pytest.raises(ValueError, match="rng"):
         aggregate_scores(scores, 0.05)
     # every pool of one call is that pool's array alone
@@ -390,6 +390,12 @@ def test_teacher_scores_columns_and_their_reduction(micro_collection, micro_inde
     assert np.array_equal(both[0], scores)
     assert np.array_equal(both[1], teacher_scores(scorers, [other.terms], [other_pool])[0])
     assert teacher_scores(scorers, [], []) == []
+    # and so is every pool's teacher mean, the reduction of its array
+    means = teacher_mean(scorers, [q, other.terms], [pool, other_pool])
+    assert len(means) == 2
+    for mean, array in zip(means, both, strict=True):
+        assert np.array_equal(mean, aggregate_scores(array, 0.0))
+    assert teacher_mean(scorers, [], []) == []
 
 
 def test_pairwise_agreement_nonnoisy_vs_mean_is_exactly_one(micro_collection,
@@ -402,14 +408,21 @@ def test_pairwise_agreement_nonnoisy_vs_mean_is_exactly_one(micro_collection,
     scorers = teacher_scorers(micro_ensemble, micro_index)
     calls = []
 
-    def mean(q, pool):
-        calls.append(len(pool))
-        return teacher_mean(scorers, q, pool)
+    def counted(scorer):
+        def scores(queries_terms, score_pools):
+            calls.append([len(pool) for pool in score_pools])
+            return scorer(queries_terms, score_pools)
+        return scores
 
+    terms = [q for q, _, _ in pools]
+    means = dict(zip(terms, teacher_mean(list(map(counted, scorers)), terms,
+                                         [pool for _, pool, _ in pools])))
+    # one call per teacher, over every pool
+    assert calls == [[len(pool) for _, pool, _ in pools]] * 3
     agreement = pairwise_agreement(
-        lambda q, pool: noisy_aggregate(scorers, q, pool, 0.0), mean, pools)
+        lambda q, pool: noisy_aggregate(scorers, q, pool, 0.0),
+        lambda q, pool: means[q], pools)
     assert agreement == 1.0
-    assert calls == [len(pool) for _, pool, _ in pools]  # one call per pool
 
 
 def test_pairwise_agreement_counts_ties_and_opposites():
