@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,30 +94,90 @@ class TrainingDiverged(RuntimeError):
 _BLOCK_ROWS = 64
 
 
-def _count_blocks(rows):
-    """(first row, terms u, counts C) for each block of _BLOCK_ROWS rows.
+class _RowTable(NamedTuple):
+    """(term indices, counts) rows in CSR form, over dense term numbers.
 
-    C is dense over the block's distinct terms u: C[i, j] is the count of
-    u[j] in row first + i. A block has at most _BLOCK_ROWS times its
-    nonzeros entries, so the work and memory of C @ X and Cᵀ @ Y grow with
-    the rows' nonzeros, whatever the size of the vocabulary. u comes from
-    sorting the block's term indices, and each index finds its column in
-    an uninitialised table indexed by term, written and read only at u.
+    Row r holds entries offsets[r]:offsets[r + 1]. term_of lists the
+    table's term indices, ascending, and terms[i] is entry i's position in
+    term_of, so the numbering keeps the order of the indices.
     """
-    for first in range(0, len(rows), _BLOCK_ROWS):
-        idxs, cnts = zip(*rows[first:first + _BLOCK_ROWS])
-        terms = np.concatenate(idxs)
-        ordered = np.sort(terms)
-        distinct = np.empty(ordered.size, dtype=bool)
-        distinct[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
-        u = ordered[distinct]
-        column = np.empty(terms.max(initial=-1) + 1, dtype=np.intp)
+
+    offsets: np.ndarray
+    terms: np.ndarray
+    counts: np.ndarray
+    term_of: np.ndarray
+
+
+def _row_table(rows):
+    """The _RowTable of a list of (term indices, counts) rows.
+
+    term_of holds exactly the rows' distinct indices. The term numbers come
+    from sorting the indices and an uninitialised table indexed by term,
+    written and read only at those indices; negative indices, which no
+    vocabulary has, land past the largest one.
+    """
+    if not rows:
+        return _RowTable(np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.intp),
+                         np.empty(0), np.empty(0, dtype=np.int64))
+    idxs, cnts = zip(*rows)
+    offsets = np.fromiter(itertools.accumulate(map(len, idxs), initial=0), np.intp,
+                          len(idxs) + 1)
+    indices = np.concatenate(idxs)
+    ordered = np.sort(indices)
+    distinct = np.empty(ordered.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    term_of = ordered[distinct]
+    span = int(ordered[-1]) + 1 - min(int(ordered[0]), 0) if ordered.size else 0
+    number = np.empty(span, dtype=np.intp)
+    number[term_of] = np.arange(term_of.size)
+    return _RowTable(offsets, number[indices], np.concatenate(cnts), term_of)
+
+
+def _count_blocks(table, rows=None):
+    """(first, terms u, counts C) for each block of _BLOCK_ROWS rows.
+
+    The rows are the table rows that rows lists, or every table row in
+    order. C is dense over the block's distinct term indices u, ascending:
+    C[i, j] is the count of u[j] in the block's row i. A block has at most
+    _BLOCK_ROWS times its nonzeros entries, so the work and memory of
+    C @ X and Cᵀ @ Y grow with the rows' nonzeros, whatever the size of
+    the vocabulary. The rows' entries are gathered in one pass. A block's
+    u comes from a presence table over the table's term numbers, set and
+    cleared only at the block's terms; a _row_table that is one block
+    already numbers exactly its terms.
+    """
+    if rows is None:
+        offsets = table.offsets
+        lengths = offsets[1:] - offsets[:-1]
+        if lengths.size <= _BLOCK_ROWS:
+            block = np.zeros((lengths.size, table.term_of.size))
+            block[np.arange(lengths.size).repeat(lengths), table.terms] = table.counts
+            yield 0, table.term_of, block
+            return
+    else:
+        starts = table.offsets[rows]
+        lengths = table.offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        entries = np.arange(offsets[-1]) + (starts - offsets[:-1]).repeat(lengths)
+        table = _RowTable(offsets, table.terms[entries], table.counts[entries],
+                          table.term_of)
+    n_rows = lengths.size
+    row_of = (np.arange(n_rows) % _BLOCK_ROWS).repeat(lengths)
+    present = np.zeros(table.term_of.size, dtype=bool)
+    column = np.empty(table.term_of.size, dtype=np.intp)
+    for first in range(0, n_rows, _BLOCK_ROWS):
+        last = min(first + _BLOCK_ROWS, n_rows)
+        lo, hi = int(offsets[first]), int(offsets[last])
+        terms = table.terms[lo:hi]
+        present[terms] = True
+        u = present.nonzero()[0]
+        present[u] = False
         column[u] = np.arange(u.size)
-        counts = np.zeros((len(idxs), u.size))
-        counts[np.repeat(np.arange(len(idxs)), list(map(len, idxs))), column[terms]] = (
-            np.concatenate(cnts))
-        yield first, u, counts
+        block = np.zeros((last - first, u.size))
+        block[row_of[lo:hi], column[terms]] = table.counts[lo:hi]
+        yield first, table.term_of[u], block
 
 
 def _represent_blocks(params, blocks, n_rows):
@@ -138,7 +199,7 @@ def represent_rows(params, rows):
     floats can depend in the last bits on the rows blocked with it; a row
     represented alone always gives the same floats.
     """
-    return _represent_blocks(params, _count_blocks(rows), len(rows))
+    return _represent_blocks(params, _count_blocks(_row_table(rows)), len(rows))
 
 
 def represent(params, terms):
@@ -147,26 +208,28 @@ def represent(params, terms):
     return represent_rows(params, [pair])[0]
 
 
-def _group(keys, rows):
-    """Number keys by first appearance; rows with equal keys must be equal.
+def _first_appearance(keys):
+    """Number keys by first appearance: returns (firsts, which).
 
-    Returns (distinct, which): distinct holds one row per distinct key in
-    order of first appearance, and which[i] is the number of keys[i].
+    firsts[j] is the position of key j's first appearance, ascending, and
+    which[i] is the number of keys[i].
     """
-    distinct = dict(zip(keys, rows))
-    numbers = dict(zip(distinct, range(len(distinct))))
-    return (list(distinct.values()),
-            np.fromiter(map(numbers.__getitem__, keys), np.intp, len(keys)))
+    _, firsts, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = firsts.argsort()
+    number = np.empty_like(rank)
+    number[rank] = np.arange(rank.size)
+    return firsts[rank], number[inverse]
 
 
 def _group_sums(blocks, which, n_groups):
     """Row sums per group of the rows of blocks, taken as one stack of rows:
     row j sums the stacked rows i with which[i] == j.
 
-    which numbers groups 0..n_groups-1 (_group), so every group has a
-    row. A group's rows are summed in order of position: the sums start
-    from each group's first row, and pass r adds every group's r-th repeat
-    at once (a fancy-index add, since no group repeats within a pass).
+    which numbers groups 0..n_groups-1 (_first_appearance), so every
+    group has a row. A group's rows are summed in order of position: the
+    sums start from each group's first row, and pass r adds every group's
+    r-th repeat at once (a fancy-index add, since no group repeats within
+    a pass).
     The blocks are not stacked: each takes its passes in turn, which keeps
     every group's order, since a group's rows in one block all come before
     its rows in the next.
@@ -250,7 +313,9 @@ def score_batch(params, query_rows, doc_rows):
     query half W_q once; each document row meets its document half W_d
     once. Returns a 1-D array of len(doc_rows) scores from _infer.
     """
-    queries, which = _group(list(map(id, query_rows)), query_rows)
+    firsts, which = _first_appearance(np.fromiter(map(id, query_rows), np.int64,
+                                                  len(query_rows)))
+    queries = [query_rows[i] for i in firsts.tolist()]
     w_q, w_d = _layer0_halves(params)
     return _infer(params, represent_rows(params, doc_rows) @ w_d,
                   np.arange(len(doc_rows)), represent_rows(params, queries) @ w_q, which)
@@ -335,36 +400,72 @@ def check_index_vocabulary(params, index):
         )
 
 
-def hinge_loss(instances, pair_scores):
-    """(1/|b|) Σ max{0, 1 − sign(s1−s2)·(S1−S2)} over the batch.
+class _PairColumns(NamedTuple):
+    """Training pairs as columns over one table of distinct rows.
 
-    pair_scores: (S1, S2) arrays aligned with instances. Label ties are
-    rejected: sign(0) would turn the term into a gradient-free constant.
+    slots[0, i] is pair i's query row in table, slots[1, i] and slots[2, i]
+    its documents' rows, and sign[i] is +1.0 where s1 > s2, else -1.0. The
+    table holds the queries first, numbered by first appearance of the
+    instances' query_rows object (annotate_pools and read_annotations give
+    every instance of a query one object; equal rows that are distinct
+    objects are simply not merged), then the documents, numbered by first
+    appearance of doc1_id, then doc2_id (an id always has the same index
+    rows).
     """
-    s1_labels = np.array([inst.s1 for inst in instances])
-    s2_labels = np.array([inst.s2 for inst in instances])
-    if (s1_labels == s2_labels).any():
-        raise ValueError("tied label scores in batch")
-    sign = np.where(s1_labels > s2_labels, 1.0, -1.0)
-    big_s1, big_s2 = (np.asarray(a, dtype=np.float64) for a in pair_scores)
-    terms = np.maximum(0.0, 1.0 - sign * (big_s1 - big_s2))
-    return float(terms.mean())
+
+    slots: np.ndarray  # (3, n) table rows
+    sign: np.ndarray  # (n,)
+    table: _RowTable
+
+
+def _pair_columns(instances, n_terms):
+    """The _PairColumns of a list of training instances.
+
+    Raises ValueError, naming the query or document, if a row holds a term
+    index outside 0..n_terms-1: a negative one would silently read the
+    last term's weight and embedding.
+    """
+    n = len(instances)
+    query_rows = [inst.query_rows for inst in instances]
+    doc_ids = [inst.doc1_id for inst in instances] + [inst.doc2_id for inst in instances]
+    # dict(zip(...)) keeps each key at its first position; a key's rows are alike
+    queries = dict(zip(map(id, query_rows), query_rows))
+    docs = dict(zip(doc_ids, [inst.doc1_rows for inst in instances]
+                    + [inst.doc2_rows for inst in instances]))
+    k = len(queries)
+    query_row = dict(zip(queries, range(k)))
+    doc_row = dict(zip(docs, range(k, k + len(docs))))
+    slots = np.empty((3, n), dtype=np.intp)
+    slots[0] = np.fromiter(map(query_row.__getitem__, map(id, query_rows)), np.intp, n)
+    slots[1:] = np.fromiter(map(doc_row.__getitem__, doc_ids), np.intp, 2 * n).reshape(2, n)
+    sign = np.fromiter((1.0 if inst.s1 > inst.s2 else -1.0 for inst in instances),
+                       np.float64, n)
+    table = _row_table(list(queries.values()) + list(docs.values()))
+    if table.term_of.size and (table.term_of[0] < 0 or table.term_of[-1] >= n_terms):
+        for inst in instances:
+            for name, (idx, _) in ((f"query {inst.query_id!r}", inst.query_rows),
+                                   (f"document {inst.doc1_id!r}", inst.doc1_rows),
+                                   (f"document {inst.doc2_id!r}", inst.doc2_rows)):
+                outside = idx[(idx < 0) | (idx >= n_terms)]
+                if outside.size:
+                    raise ValueError(f"{name} holds term index {outside[0]}, "
+                                     f"outside a vocabulary of {n_terms} terms")
+    return _PairColumns(slots, sign, table)
 
 
 def compute_loss_and_grads(params, batch, train=False, rng=None):
     """Shared-parameter forward on (q,d1) and (q,d2), hinge loss, gradients.
 
-    The instances' rows must index params.vocabulary. A batch represents
-    each distinct query and each distinct document once. Queries are
-    grouped by the identity of the instances' query_rows (annotate_pools
-    and read_annotations give every instance of a query one object), and
-    documents by doc1_id/doc2_id over the doc1 side, then the doc2 side
-    (an id always has the same index rows), both in order of first
-    appearance. The k distinct query rows, then the u distinct document
-    rows, are split into count-matrix blocks (_count_blocks): a block's
-    representations are (C·ω[u]) @ ε[u], and its representation gradients
-    G come back as Cᵀ @ G, summed into A over the batch, so d_embedding =
-    ω·A and d_term_weights is the row sums of ε∘A.
+    batch is a _PairColumns, or a list of instances, which goes through
+    _pair_columns first; the rows must index params.vocabulary. A batch
+    represents each distinct query and each distinct document once: its
+    slots are numbered by first appearance (_first_appearance), the
+    queries first, then the doc1 side, then the doc2 side. The k distinct
+    query rows, then the u distinct document rows, are split into
+    count-matrix blocks (_count_blocks): a block's representations are
+    (C·ω[u]) @ ε[u], and its representation gradients G come back as
+    Cᵀ @ G, summed into A over the batch, so d_embedding = ω·A and
+    d_term_weights is the row sums of ε∘A.
 
     Layer 0 is split as W0 = [W_q; W_d]: P_q = Q·W_q runs once per query
     and P_d = D·W_d once per document, and each side's pre-activation is
@@ -376,19 +477,18 @@ def compute_loss_and_grads(params, batch, train=False, rng=None):
     layer). Dropout runs only when train=True; forward 1 draws all of its
     masks, then forward 2.
     """
-    n = len(batch)
-    if n == 0:
-        raise ValueError("empty batch")
-    # one numbering for the n query slots, then the 2n document slots: an
-    # id() is an int and a doc id a str, so no query meets a document, and
-    # numbers 0..k-1 are the queries, k.. the documents
-    keys = ([id(inst.query_rows) for inst in batch] + [inst.doc1_id for inst in batch]
-            + [inst.doc2_id for inst in batch])
-    rows, which = _group(keys, [inst.query_rows for inst in batch]
-                         + [inst.doc1_rows for inst in batch]
-                         + [inst.doc2_rows for inst in batch])
+    if not isinstance(batch, _PairColumns):
+        if not batch:
+            raise ValueError("empty batch")
+        batch = _pair_columns(batch, len(params.vocabulary))
+    n = batch.sign.size
+    # queries and documents are distinct table rows and the n query slots
+    # come first, so numbers 0..k-1 are the batch's queries, k.. its documents
+    keys = batch.slots.ravel()
+    firsts, which = _first_appearance(keys)
+    rows = keys[firsts]
     k = int(which[n])  # the first document's number is the number of queries
-    blocks = list(_count_blocks(rows))
+    blocks = list(_count_blocks(batch.table, rows))
     reps = _represent_blocks(params, blocks, len(rows))
     q_reps, d_reps = reps[:k], reps[k:]
 
@@ -403,7 +503,7 @@ def compute_loss_and_grads(params, batch, train=False, rng=None):
     del p_d
     big_s1, big_s2 = out1[:, 0], out2[:, 0]
 
-    sign = np.array([1.0 if inst.s1 > inst.s2 else -1.0 for inst in batch])
+    sign = batch.sign
     margins = 1.0 - sign * (big_s1 - big_s2)
     active = margins > 0.0  # subgradient 0 exactly at the kink
     loss = float(np.maximum(0.0, margins).mean())
@@ -476,17 +576,20 @@ class TrainResult:
 def train(params, config, instances, epochs, seed):
     """Seeded epoch shuffles, fixed-size batches (last partial kept), Adam.
 
-    Each batch is one compute_loss_and_grads step, which represents the
-    batch's distinct queries and documents once. Mutates params in place
-    and also returns them. A non-finite loss aborts with TrainingDiverged
-    naming its epoch; params then hold every update before the failed
-    step, and no snapshot is kept. epochs 0 trains nothing; a negative
-    count raises ValueError.
+    The instances become pair columns once (_pair_columns), which checks
+    every term index against the vocabulary before any update; each batch
+    is one compute_loss_and_grads step on its columns, which represents
+    the batch's distinct queries and documents once. Mutates params in
+    place and also returns them. A non-finite loss aborts with
+    TrainingDiverged naming its epoch; params then hold every update
+    before the failed step, and no snapshot is kept. epochs 0 trains
+    nothing; a negative count raises ValueError.
     """
     if not instances:
         raise ValueError("no training instances")
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
+    columns = _pair_columns(instances, len(params.vocabulary))
     arrays = _trainable(params)
     state = nn.adam_state(arrays, learning_rate=config.learning_rate)
     epoch_losses = []
@@ -496,14 +599,15 @@ def train(params, config, instances, epochs, seed):
         dropout_rng = seeding.rng(seed, epoch, 1)
         total = 0.0
         for start in range(0, n, config.batch_size):
-            batch = [instances[i] for i in order[start:start + config.batch_size]]
+            pairs = order[start:start + config.batch_size]
+            batch = columns._replace(slots=columns.slots[:, pairs], sign=columns.sign[pairs])
             loss, grads = compute_loss_and_grads(params, batch, train=True,
                                                  rng=dropout_rng)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}", epoch
                 )
-            total += loss * len(batch)
+            total += loss * batch.sign.size
             nn.optimizer_step(arrays, _grad_list(grads), state)
             del grads  # not held through the next step's forward and backward
         epoch_losses.append(total / n)

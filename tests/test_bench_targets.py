@@ -209,3 +209,19 @@ def test_training_forwards_take_one_row_per_batch_instance(monkeypatch):
     batch_sizes = [3, 3, 2] * 2  # 8 instances, batches of 3, two epochs
     assert all(len(shape) == 2 for shape in shapes)
     assert [shape[0] for shape in shapes] == [size for size in batch_sizes for _ in range(2)]
+
+
+def test_training_steps_go_through_the_module_attribute(monkeypatch):
+    # the traced benchmark times ranker.compute_loss_and_grads by patching
+    # the module attribute, so train must look it up there once per batch
+    params, batch = count_matrix_batch(1)
+    config = dataclasses.replace(params.config, batch_size=3)
+    step, calls = ranker.compute_loss_and_grads, []
+
+    def recorded(*args, **kwargs):
+        calls.append(True)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(ranker, "compute_loss_and_grads", recorded)
+    ranker.train(params, config, batch, epochs=2, seed=1)
+    assert len(calls) == 3 * 2  # 8 instances in batches of 3, two epochs

@@ -15,6 +15,7 @@ from mimicrank.corpus import (
     Query,
     TrainingInstance,
     Vocabulary,
+    annotate_queries,
     build_index,
     term_index_counts,
 )
@@ -28,7 +29,6 @@ from mimicrank.ranker import (
     TEACHER_CONFIG,
     TrainingDiverged,
     compute_loss_and_grads,
-    hinge_loss,
     init_params,
     load_embedding_file,
     load_model,
@@ -41,6 +41,8 @@ from mimicrank.ranker import (
     train,
 )
 
+import batch_reference
+from conftest import MICRO_TEACHER_CONFIG
 from gradcheck import finite_difference_check
 
 
@@ -402,6 +404,23 @@ def test_score_range_bounded():
 # Hinge loss
 
 
+def hinge_loss(instances, pair_scores):
+    """(1/|b|) Σ max{0, 1 − sign(s1−s2)·(S1−S2)} over the batch: the loss
+    compute_loss_and_grads takes, from labels and scores alone.
+
+    pair_scores: (S1, S2) arrays aligned with instances. Label ties are
+    rejected: sign(0) would turn the term into a gradient-free constant.
+    """
+    s1_labels = np.array([inst.s1 for inst in instances])
+    s2_labels = np.array([inst.s2 for inst in instances])
+    if (s1_labels == s2_labels).any():
+        raise ValueError("tied label scores in batch")
+    sign = np.where(s1_labels > s2_labels, 1.0, -1.0)
+    big_s1, big_s2 = (np.asarray(a, dtype=np.float64) for a in pair_scores)
+    terms = np.maximum(0.0, 1.0 - sign * (big_s1 - big_s2))
+    return float(terms.mean())
+
+
 NO_ROWS = (np.empty(0, dtype=np.int64), np.empty(0))  # the hinge reads only labels
 
 
@@ -450,6 +469,18 @@ def test_hinge_nonnegative_random():
         s1 = rng.uniform(-1, 1, 3)
         s2 = rng.uniform(-1, 1, 3)
         assert hinge_loss(insts, (s1, s2)) >= 0.0
+
+
+def test_training_loss_is_the_hinge_of_the_pair_scores():
+    params, batch = count_matrix_batch(2)
+    n = len(batch)
+    queries = [inst.query_rows for inst in batch]
+    scores = ranker.score_batch(params, queries + queries,
+                                [inst.doc1_rows for inst in batch]
+                                + [inst.doc2_rows for inst in batch])
+    loss = hinge_loss(batch, (scores[:n], scores[n:]))
+    assert loss > 0.0
+    assert compute_loss_and_grads(params, batch)[0] == pytest.approx(loss, rel=0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -597,23 +628,34 @@ def test_count_matrix_gradients_match_per_row_reference(seed, block_rows, monkey
 
 
 def test_count_blocks_grow_with_nonzeros_not_vocabulary():
-    # rows over a million-term vocabulary: each block's C is dense over its
-    # own terms only, and together the blocks hold exactly the rows
+    # rows over a million-term vocabulary, some of them empty: each block's
+    # C is dense over its own terms only, its u ascending, and together the
+    # blocks hold exactly the rows, whether they are a whole table's rows
+    # or rows picked from a table, as training picks a batch's
     rng = np.random.default_rng(0)
     rows = []
     for k in range(150):
         idx = np.unique(rng.integers(0, 1_000_000, size=k % 7))
         rows.append((idx, rng.integers(1, 4, size=idx.size)))
-    seen = 0
-    for first, u, counts in ranker._count_blocks(rows):
-        part = rows[first:first + ranker._BLOCK_ROWS]
-        assert counts.shape == (len(part), u.size)
-        assert u.size <= sum(idx.size for idx, _ in part)
-        for i, (idx, c) in enumerate(part):
-            np.testing.assert_array_equal(u[counts[i] > 0], idx)
-            np.testing.assert_array_equal(counts[i][counts[i] > 0], c)
-        seen += len(part)
-    assert seen == len(rows)
+    rows += [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))] * 64  # a block of none
+    table = ranker._row_table(rows)
+    assert table.term_of.size <= sum(idx.size for idx, _ in rows)
+    picked = rng.permutation(len(rows))[:100]
+    for part, blocks in ((rows, ranker._count_blocks(table)),
+                         (rows[:40], ranker._count_blocks(ranker._row_table(rows[:40]))),
+                         ([rows[i] for i in picked], ranker._count_blocks(table, picked))):
+        seen = 0
+        for first, u, counts in blocks:
+            block = part[first:first + ranker._BLOCK_ROWS]
+            assert first == seen
+            assert counts.shape == (len(block), u.size)
+            assert u.size <= sum(idx.size for idx, _ in block)
+            assert (np.diff(u) > 0).all()
+            for i, (idx, c) in enumerate(block):
+                np.testing.assert_array_equal(u[counts[i] > 0], idx)
+                np.testing.assert_array_equal(counts[i][counts[i] > 0], c)
+            seen += len(block)
+        assert seen == len(part)
 
 
 def test_count_matrix_keeps_the_dropout_mask_stream():
@@ -622,6 +664,28 @@ def test_count_matrix_keeps_the_dropout_mask_stream():
     want = per_row_loss_and_grads(params, batch, train=True, rng=np.random.default_rng(5))
     assert got[0] == want[0]
     assert_same_loss_and_grads(got, want)
+
+
+def spy_count_blocks(monkeypatch):
+    """Record the rows of every _count_blocks call as (term indices, counts)."""
+    blocks, calls = ranker._count_blocks, []
+
+    def spy(table, rows=None):
+        picked = range(table.offsets.size - 1) if rows is None else rows
+        calls.append([(table.term_of[table.terms[table.offsets[r]:table.offsets[r + 1]]],
+                       table.counts[table.offsets[r]:table.offsets[r + 1]])
+                      for r in picked])
+        return blocks(table, rows)
+
+    monkeypatch.setattr(ranker, "_count_blocks", spy)
+    return calls
+
+
+def assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for (idx, counts), (want_idx, want_counts) in zip(got, want):
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(counts, want_counts)
 
 
 # instance k's query is texts[groups[k]]; one group shares one rows object
@@ -636,20 +700,18 @@ def test_shared_queries_match_per_row_reference(groups, texts, keep, monkeypatch
     shared = [term_index_counts(params.vocabulary, text.split()) for text in texts]
     batch = [dataclasses.replace(inst, query_rows=shared[g])
              for inst, g in zip(batch, groups)]
-    blocks = ranker._count_blocks
-    row_counts = []
-
-    def spy(rows):
-        row_counts.append(len(rows))
-        return blocks(rows)
-
-    monkeypatch.setattr(ranker, "_count_blocks", spy)
+    calls = spy_count_blocks(monkeypatch)
     train = keep < 1.0
     got = compute_loss_and_grads(params, batch, train=train,
                                  rng=np.random.default_rng(6) if train else None)
-    # each distinct rows object once, equal but distinct objects apart,
-    # then the batch's 5 distinct documents
-    assert row_counts == [len(texts) + 5]
+    # one build: each distinct rows object once, equal but distinct objects
+    # apart, then the batch's 5 distinct documents, all by first appearance
+    docs = {}
+    for side in ("1", "2"):
+        for inst in batch:
+            docs.setdefault(getattr(inst, f"doc{side}_id"), getattr(inst, f"doc{side}_rows"))
+    assert len(calls) == 1 and len(docs) == 5
+    assert_same_rows(calls[0], [shared[g] for g in dict.fromkeys(groups)] + list(docs.values()))
     want = per_row_loss_and_grads(params, batch, train=train,
                                   rng=np.random.default_rng(6) if train else None)
     assert got[0] > 0.0
@@ -680,20 +742,17 @@ def test_shared_documents_match_per_row_reference(pairs, keep, monkeypatch):
     batch = [TrainingInstance(f"q{q}", ids[d1], ids[d2], (-1.0) ** k * (k + 1), 0.0,
                               queries[q], rows(d1), rows(d2))
              for k, (q, d1, d2) in enumerate(pairs)]
-    blocks = ranker._count_blocks
-    row_counts = []
-
-    def spy(block_rows):
-        row_counts.append(len(block_rows))
-        return blocks(block_rows)
-
-    monkeypatch.setattr(ranker, "_count_blocks", spy)
+    calls = spy_count_blocks(monkeypatch)
     train = keep < 1.0
     got = compute_loss_and_grads(params, batch, train=train,
                                  rng=np.random.default_rng(7) if train else None)
-    distinct_queries = len({q for q, _, _ in pairs})
-    distinct_docs = len({d for _, d1, d2 in pairs for d in (d1, d2)})
-    assert row_counts == [distinct_queries + distinct_docs]
+    # one build: the distinct queries, then the distinct documents, doc1
+    # side before doc2 side, each by first appearance
+    distinct_queries = dict.fromkeys(q for q, _, _ in pairs)
+    distinct_docs = dict.fromkeys([d1 for _, d1, _ in pairs] + [d2 for _, _, d2 in pairs])
+    assert len(calls) == 1
+    assert_same_rows(calls[0], [queries[q] for q in distinct_queries]
+                     + [index_rows[ids[d]] for d in distinct_docs])
     want = per_row_loss_and_grads(params, batch, train=train,
                                   rng=np.random.default_rng(7) if train else None)
     assert got[0] > 0.0
@@ -766,6 +825,75 @@ def test_train_aborts_on_divergence_naming_the_epoch():
     with pytest.raises(TrainingDiverged) as excinfo:
         train(params, cfg, [inst], epochs=3, seed=0)
     assert excinfo.value.epoch == 0
+
+
+@pytest.mark.parametrize("side", ["query", "doc1", "doc2"])
+@pytest.mark.parametrize("bad", ["negative", "vocabulary-size", "beyond"])
+def test_train_rejects_term_indices_outside_the_vocabulary(side, bad):
+    # a row index of -1 would read the last term's weight and embedding,
+    # and one of |V| or more would fail mid-epoch after earlier updates;
+    # train checks every row once, before its first step
+    cfg, params, inst = separable_setup()
+    n_terms = len(params.vocabulary)
+    term = {"negative": -1, "vocabulary-size": n_terms, "beyond": n_terms + 7}[bad]
+    rows = (np.array([0, term]), np.array([1.0, 2.0]))
+    broken = dataclasses.replace(inst, query_id="q9", doc1_id="d9" if side == "doc1" else "d0",
+                                 doc2_id="d9" if side == "doc2" else "d1",
+                                 **{f"{side}_rows": rows})
+    name = {"query": "query 'q9'", "doc1": "document 'd9'", "doc2": "document 'd9'"}[side]
+    before = copy.deepcopy(params)
+    with pytest.raises(ValueError, match=f"{name} holds term index {term}, outside a "
+                                         f"vocabulary of {n_terms} terms"):
+        train(params, dataclasses.replace(cfg, batch_size=1), [inst, inst, broken],
+              epochs=2, seed=0)
+    for a, b in zip(ranker._trainable(params), ranker._trainable(before)):
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError, match=name):
+        compute_loss_and_grads(params, [inst, broken])
+
+
+def edge_case_instances(seed):
+    """count_matrix_batch's instances (an empty document row, a query with
+    no indexed term, a document as doc1 and as doc2 of different pairs)
+    plus a query rows object shared by three instances, equal query rows in
+    two distinct objects, and a pair of one document with itself."""
+    params, batch = count_matrix_batch(seed)
+    rows = {inst.doc1_id: inst.doc1_rows for inst in batch}
+    shared = term_index_counts(params.vocabulary, "a a b".split())
+    instances = batch + [dataclasses.replace(inst, query_rows=shared) for inst in batch[:3]]
+    instances += [dataclasses.replace(inst, query_rows=term_index_counts(
+        params.vocabulary, "a a b".split())) for inst in batch[3:5]]
+    instances.append(TrainingInstance("qs", "x", "x", 2.0, 1.0, shared, rows["x"], rows["x"]))
+    return params, instances
+
+
+@pytest.mark.parametrize("case", [
+    "micro-no-dropout", "three-hidden-layers-dropout", "edge-cases", "edge-cases-dropout",
+])
+def test_train_matches_the_instance_list_reference_bitwise(case, micro_collection,
+                                                          micro_index):
+    # train takes pair columns and blocks each batch from arrays; the
+    # reference groups every batch's instance list and builds its blocks
+    # from row tuples, and the parameters must come out bit for bit alike,
+    # final partial batches included
+    if case.startswith("edge-cases"):
+        params, instances = edge_case_instances(8)
+        config = dataclasses.replace(params.config, batch_size=4,
+                                     dropout_keep=0.7 if case.endswith("dropout") else 1.0)
+        params = dataclasses.replace(params, config=config)
+    else:
+        instances, _ = annotate_queries(micro_index, micro_collection.train_queries,
+                                        pool_size=20, pairs_per_query=10, seed=17)
+        config = MICRO_TEACHER_CONFIG if case == "micro-no-dropout" else RankModelConfig(
+            embedding_dim=12, hidden_layers=3, hidden_size=20, dropout_keep=0.8,
+            learning_rate=5e-3, batch_size=48)
+        params = init_params(config, micro_index.vocabulary, micro_index, seed=19)
+    assert len(instances) % config.batch_size
+    reference = copy.deepcopy(params)
+    losses = train(params, config, instances, epochs=3, seed=13).epoch_losses
+    assert losses == batch_reference.train(reference, config, instances, 3, seed=13)
+    for got, want in zip(ranker._trainable(params), ranker._trainable(reference)):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
