@@ -68,15 +68,15 @@ def cmd_annotate(args):
 
 def cmd_train_teacher(args):
     index = load_index(args.index)
-    instances, dropped = read_training_pairs(
+    pairs, dropped = read_training_pairs(
         args.annotations, read_queries(args.queries), index)
     config, _ = _model_configs(args)
-    _, fields = train_single_teacher(instances, config, index, args.epochs,
+    _, fields = train_single_teacher(pairs, config, index, args.epochs,
                                      seed_plan(args.seed), args.out, args.embeddings)
     losses = fields["teacher_epoch_losses"]
     final = losses[-1] if losses else float("nan")
     print(
-        f"trained on {len(instances)} pairs ({dropped} rounded ties dropped),"
+        f"trained on {len(pairs)} pairs ({dropped} rounded ties dropped),"
         f" final epoch loss {final:.6f} -> {args.out}"
     )
 
@@ -130,11 +130,11 @@ def cmd_pate(args):
     if args.ensemble:
         ensemble, _ = load_ensemble(args.ensemble)
     else:
-        instances, _ = read_training_pairs(
+        pairs, _ = read_training_pairs(
             args.annotations, read_queries(args.train_queries), index)
         epochs = 10 if args.teacher_epochs is None else args.teacher_epochs
         ensemble, _ = train_teacher_ensemble(
-            instances, teacher_config, index, epochs, plan, privacy,
+            pairs, teacher_config, index, epochs, plan, privacy,
             out / "shards", out / "ensemble", args.embeddings,
         )
 

@@ -10,6 +10,10 @@ query term into a dense accumulator (bm25_scores); search ranks it, and
 the BM25 weak labels take the pool's entries of it without a second
 top-k search. Impacts keep bm25_score's expression order and terms add
 up in query order, so every score equals bm25_score bit for bit.
+
+Annotation gives a PairSet: training pairs as columns of query numbers,
+index positions and labels, which training, sharding and held-out
+agreement take as they are and annotation files store by id.
 """
 
 import itertools
@@ -66,20 +70,13 @@ class Query(NamedTuple):
 
 @dataclass(slots=True, unsafe_hash=True)
 class TrainingInstance:
-    """One pairwise example: a query, two documents, and their label scores.
+    """One annotation line: a query, two documents, and their label scores.
 
-    The label scores s1/s2 come from whichever annotator produced the
-    instance (BM25, a trained model, or a noisy ensemble); only the sign of
-    their difference drives the hinge loss, so ties are rejected outright.
-    Query and documents are (term indices, counts) rows over the index
-    vocabulary (InvertedIndex.doc_rows views, term_index_counts for the
-    query); they take no part in == or hash, which compare ids and labels.
-
-    An instance is a value: no code assigns to one after it is made, and
-    dataclasses.replace makes a changed copy. It is not frozen, because a
-    frozen dataclass sets each field through object.__setattr__ and costs
-    several times as much to build, and annotation builds one per pair;
-    the hash over ids and labels is the one a frozen instance would have.
+    The label scores s1/s2 come from whichever annotator produced the pair;
+    only the sign of their difference drives the hinge loss, so ties are
+    rejected outright. Slotted, not frozen: a frozen dataclass sets each
+    field through object.__setattr__ and costs several times as much to
+    build, and iterating a PairSet builds one per pair.
     """
 
     query_id: str
@@ -87,15 +84,48 @@ class TrainingInstance:
     doc2_id: str
     s1: float
     s2: float
-    query_rows: tuple = field(compare=False, repr=False)
-    doc1_rows: tuple = field(compare=False, repr=False)
-    doc2_rows: tuple = field(compare=False, repr=False)
 
     def __post_init__(self):
         if self.s1 == self.s2:
             raise ValueError(
                 f"tied label scores for query {self.query_id!r}: {self.s1!r}"
             )
+
+
+class PairSet:
+    """Training pairs as columns of positions, from annotation to training.
+
+    Pair i is query number query[i] against the documents at positions
+    doc1[i] and doc2[i] of index, labeled s1[i] and s2[i] (float64), and
+    tied labels raise ValueError. query_ids[q] and query_rows[q] are query
+    q's id and term_index_counts row, computed once where the set is made;
+    document d's are index.doc_ids[d] and index.doc_rows(d). take picks
+    pairs over the same tables, and iteration yields TrainingInstances.
+    """
+
+    def __init__(self, index, query_ids, query_rows, query, doc1, doc2, s1, s2):
+        self.index, self.query_ids, self.query_rows = index, query_ids, query_rows
+        self.query, self.doc1, self.doc2 = (np.asarray(c, dtype=np.intp)
+                                            for c in (query, doc1, doc2))
+        self.s1, self.s2 = (np.asarray(c, dtype=np.float64) for c in (s1, s2))
+        tied = np.flatnonzero(self.s1 == self.s2)
+        if tied.size:
+            raise ValueError(f"tied label scores for query {query_ids[self.query[tied[0]]]!r}")
+
+    def __len__(self):
+        return self.s1.size
+
+    def take(self, positions):
+        """The pairs at positions, in that order, over the same tables."""
+        columns = self.query, self.doc1, self.doc2, self.s1, self.s2
+        return PairSet(self.index, self.query_ids, self.query_rows,
+                       *(column[positions] for column in columns))
+
+    def __iter__(self):
+        doc_id = self.index.doc_ids.__getitem__
+        return map(TrainingInstance, map(self.query_ids.__getitem__, self.query.tolist()),
+                   map(doc_id, self.doc1.tolist()), map(doc_id, self.doc2.tolist()),
+                   self.s1.tolist(), self.s2.tolist())
 
 
 class Vocabulary:
@@ -118,9 +148,6 @@ class Vocabulary:
 
     def __len__(self):
         return len(self._terms)
-
-    def __contains__(self, term):
-        return term in self._index
 
     def __eq__(self, other):
         return isinstance(other, Vocabulary) and self._terms == other._terms
@@ -397,13 +424,14 @@ def annotate_pools(index, queries, label_fn, pool_size, pairs_per_query, seed):
     pairs_per_query unordered pairs with distinct labels are sampled from
     the pool. Queries whose pool has fewer than two documents are skipped
     and counted in the report. All per-query randomness is keyed by
-    (seed, query position).
+    (seed, query position). Returns (PairSet, report); the set numbers the
+    annotated queries in order.
     """
     if pool_size < 2:
         raise ValueError("pool_size must be at least 2")
     max_attempts = MAX_ATTEMPTS_PER_PAIR * max(1, pairs_per_query)
-    doc_ids, doc_rows = index.doc_ids, index.doc_rows
-    instances = []
+    query_ids, query_rows = [], []
+    numbers, doc1, doc2, s1, s2 = [], [], [], [], []
     report = AnnotationReport(queries_total=len(queries))
     for qpos, query in enumerate(queries):
         pool, _ = index.search(query.terms, pool_size)
@@ -416,16 +444,17 @@ def annotate_pools(index, queries, label_fn, pool_size, pairs_per_query, seed):
         pairs, ties = _sample_scored_pairs(
             len(pool), labels, pairs_per_query, rng, max_attempts
         )
-        query_id = query.query_id
-        query_rows = term_index_counts(index.vocabulary, query.terms)
-        instances += [
-            TrainingInstance(query_id, doc_ids[pool[a]], doc_ids[pool[b]], labels[a],
-                             labels[b], query_rows, doc_rows(pool[a]), doc_rows(pool[b]))
-            for a, b in pairs]
+        numbers += [len(query_ids)] * len(pairs)
+        query_ids.append(query.query_id)
+        query_rows.append(term_index_counts(index.vocabulary, query.terms))
+        doc1 += [pool[a] for a, _ in pairs]
+        doc2 += [pool[b] for _, b in pairs]
+        s1 += [labels[a] for a, _ in pairs]
+        s2 += [labels[b] for _, b in pairs]
         report.queries_annotated += 1
         report.ties_discarded += ties
         report.pairs_emitted += len(pairs)
-    return instances, report
+    return PairSet(index, query_ids, query_rows, numbers, doc1, doc2, s1, s2), report
 
 
 def annotate_queries(index, queries, pool_size=100, pairs_per_query=20, seed=0):
@@ -487,10 +516,10 @@ def read_queries(path):
     return queries
 
 
-def write_annotations(path, instances):
+def write_annotations(path, pairs):
     """Tab-separated query_id, doc ids, and scores with 6 decimal places."""
     with atomic_write(path) as fh:
-        for inst in instances:
+        for inst in pairs:
             fh.write(
                 f"{inst.query_id}\t{inst.doc1_id}\t{inst.doc2_id}"
                 f"\t{inst.s1:.6f}\t{inst.s2:.6f}\n"
@@ -498,17 +527,18 @@ def write_annotations(path, instances):
 
 
 def read_annotations(path, queries, index):
-    """Rebuild training instances from an annotation file.
+    """Rebuild the PairSet of an annotation file.
 
-    Query rows come from the query set and document rows from the index,
-    so an annotation file plus the corpus artifacts fully reconstruct the
-    training data; a query with no indexed term is rejected. Pairs whose
-    scores tie at the file's 6 decimals are dropped and counted alongside.
+    The set's query table is the query set's, and its positions are the
+    index's, so an annotation file plus the corpus artifacts fully
+    reconstruct the training data; a query with no indexed term is
+    rejected. Pairs whose scores tie at the file's 6 decimals are dropped
+    and counted alongside: returns (pairs, dropped ties).
     """
-    query_rows = {q.query_id: term_index_counts(index.vocabulary, q.terms)
-                  for q in queries}
-    doc_rows = dict(zip(index.doc_ids, map(index.doc_rows, range(index.doc_count))))
-    instances = []
+    query_number = {q.query_id: i for i, q in enumerate(queries)}
+    query_rows = [term_index_counts(index.vocabulary, q.terms) for q in queries]
+    position = {doc_id: d for d, doc_id in enumerate(index.doc_ids)}
+    columns = [], [], [], [], []  # query numbers, positions and labels
     dropped_ties = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -519,14 +549,14 @@ def read_annotations(path, queries, index):
             if len(parts) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
             qid, d1, d2, s1_raw, s2_raw = parts
-            rows = query_rows.get(qid)
-            if rows is None:
+            q = query_number.get(qid)
+            if q is None:
                 raise ValueError(f"{path}:{lineno}: unknown query_id {qid!r}")
-            if not rows[0].size:
+            if not query_rows[q][0].size:
                 raise ValueError(f"{path}:{lineno}: query {qid!r} has no indexed term")
-            rows1, rows2 = doc_rows.get(d1), doc_rows.get(d2)
-            if rows1 is None or rows2 is None:
-                did = d1 if rows1 is None else d2
+            pos1, pos2 = position.get(d1), position.get(d2)
+            if pos1 is None or pos2 is None:
+                did = d1 if pos1 is None else d2
                 raise ValueError(f"{path}:{lineno}: unknown doc_id {did!r}")
             try:
                 s1, s2 = float(s1_raw), float(s2_raw)
@@ -537,8 +567,9 @@ def read_annotations(path, queries, index):
             if s1 == s2:
                 dropped_ties += 1
                 continue
-            instances.append(TrainingInstance(qid, d1, d2, s1, s2, rows, rows1, rows2))
-    return instances, dropped_ties
+            for column, value in zip(columns, (q, pos1, pos2, s1, s2)):
+                column.append(value)
+    return PairSet(index, [q.query_id for q in queries], query_rows, *columns), dropped_ties
 
 
 def save_index(path, index):

@@ -2,12 +2,13 @@
 a fresh (usually smaller) model learns from those labels.
 
 The student path deliberately has no access to relevance judgments or to
-the teacher's original training data: everything it sees is (query,
-document, document, label scores) tuples of index rows, where the labels
-come from whatever labeler is plugged in. mimic_train is the one path for
-both variants: model_labels of one teacher's pool_scorer gives plain
-distillation and private.ensemble_labels the noisy teacher aggregate, so
-the two are identical by construction up to the labeling function.
+the teacher's original training data: everything it sees is a
+corpus.PairSet of (query, document, document, label scores) pairs over
+index positions, where the labels come from whatever labeler is plugged
+in. mimic_train is the one path for both variants: model_labels of one
+teacher's pool_scorer gives plain distillation and private.ensemble_labels
+the noisy teacher aggregate, so the two are identical by construction up
+to the labeling function.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import seeding
 from .corpus import annotate_pools
-from .ranker import RankModelParams, init_params, score_batch, train
+from .ranker import RankModelParams, init_params, pool_scorer, train
 
 # fixed tags extending the caller's seed into independent sub-streams
 ANNOTATE_TAG = 0
@@ -33,7 +34,7 @@ class DistillResult:
     epoch_losses: list
     train_count: int
     heldout_count: int
-    instances: list  # the soft-labeled instances the student trained on
+    pairs: object  # the soft-labeled PairSet: training and held-out pairs
 
 
 def model_labels(scorer):
@@ -46,37 +47,39 @@ def model_labels(scorer):
     return lambda query, pool, qpos: scorer([query.terms], [pool])[0]
 
 
-def _split_holdout(instances, fraction, seed):
-    if fraction <= 0.0 or len(instances) < 2:
-        return list(instances), []
-    n = len(instances)
+def _split_holdout(pairs, fraction, seed):
+    """(kept, held) PairSets: a seeded share `fraction` of the pairs held out."""
+    if fraction <= 0.0 or len(pairs) < 2:
+        return pairs, pairs.take([])
+    n = len(pairs)
     n_held = max(1, int(round(fraction * n)))
     if n_held >= n:
         n_held = n - 1
     order = seeding.rng(seed, SPLIT_TAG).permutation(n)
-    held = [instances[i] for i in order[:n_held]]
-    kept = [instances[i] for i in order[n_held:]]
-    return kept, held
+    return pairs.take(order[n_held:]), pairs.take(order[:n_held])
 
 
-def label_agreement(params, instances):
-    """Fraction of instances whose label preference the model reproduces.
+def label_agreement(params, pairs):
+    """Fraction of pairs whose label preference the model reproduces.
 
     Model ties count as disagreement (the model expresses no preference).
-    Both documents of every instance are scored in one score_batch call,
-    each distinct query_rows object meeting W_q once.
+    One call of a fresh pool_scorer scores one pool per query, its pairs'
+    doc1 then doc2 positions, so each distinct document is represented
+    once. None for no pairs.
     """
-    if not instances:
+    if not len(pairs):
         return None
-    n = len(instances)
-    queries = [inst.query_rows for inst in instances]
-    scores = score_batch(params, queries + queries,
-                         [inst.doc1_rows for inst in instances]
-                         + [inst.doc2_rows for inst in instances])
-    s1, s2 = scores[:n], scores[n:]
-    label_prefers_first = np.array([inst.s1 > inst.s2 for inst in instances])
-    agree = (s1 != s2) & ((s1 > s2) == label_prefers_first)
-    return int(agree.sum()) / n
+    order = np.argsort(pairs.query, kind="stable")
+    queries, starts = np.unique(pairs.query[order], return_index=True)
+    groups = np.split(order, starts[1:])
+    pools = [np.concatenate([pairs.doc1[group], pairs.doc2[group]]) for group in groups]
+    scores = pool_scorer(params, pairs.index).rows(
+        [pairs.query_rows[q] for q in queries.tolist()], pools)
+    s1, s2 = np.empty(len(pairs)), np.empty(len(pairs))
+    for group, pool_scores in zip(groups, scores):
+        s1[group], s2[group] = pool_scores[:group.size], pool_scores[group.size:]
+    agree = (s1 != s2) & ((s1 > s2) == (pairs.s1 > pairs.s2))
+    return int(agree.sum()) / len(pairs)
 
 
 def mimic_train(label_fn, student_config, unlabeled, index, epochs, seed,
@@ -92,17 +95,17 @@ def mimic_train(label_fn, student_config, unlabeled, index, epochs, seed,
     if not 0.0 <= heldout_fraction < 1.0:
         raise ValueError(
             f"heldout_fraction must be in [0, 1), got {heldout_fraction}")
-    instances, report = annotate_pools(
+    pairs, report = annotate_pools(
         index, unlabeled, label_fn, pool_size, pairs_per_query,
         seeding.entropy(seed, ANNOTATE_TAG),
     )
-    if not instances:
+    if not pairs:
         raise ValueError(
             "labeling produced no training pairs "
             f"({report.queries_skipped} of {report.queries_total} queries skipped, "
             f"{report.ties_discarded} tied pairs discarded)"
         )
-    train_set, heldout = _split_holdout(instances, heldout_fraction, seed)
+    train_set, heldout = _split_holdout(pairs, heldout_fraction, seed)
     student = init_params(
         student_config, index.vocabulary, index,
         embedding_file=embedding_file, seed=seeding.entropy(seed, INIT_TAG),
@@ -117,5 +120,5 @@ def mimic_train(label_fn, student_config, unlabeled, index, epochs, seed,
         epoch_losses=result.epoch_losses,
         train_count=len(train_set),
         heldout_count=len(heldout),
-        instances=instances,
+        pairs=pairs,
     )

@@ -321,14 +321,14 @@ def index_corpus(corpus_path, path):
 
 
 def read_training_pairs(path, queries, index):
-    """(instances, rounded ties dropped) of an annotation file over queries.
+    """(pairs, rounded ties dropped) of an annotation file over queries.
 
     A file without a usable pair raises ConfigError.
     """
-    instances, dropped = read_annotations(path, queries, index)
-    if not instances:
+    pairs, dropped = read_annotations(path, queries, index)
+    if not pairs:
         raise ConfigError(f"{path}: no usable training pairs")
-    return instances, dropped
+    return pairs, dropped
 
 
 def annotate_training_pairs(index, queries, pool_size, pairs_per_query, plan, path,
@@ -337,27 +337,27 @@ def annotate_training_pairs(index, queries, pool_size, pairs_per_query, plan, pa
     given qrels, by its judged grades (supervised mode).
 
     The pairs are written to path and read back, so that training consumes
-    exactly what a later run would read. Returns (instances, report
+    exactly what a later run would read. Returns (pairs, report
     fields).
     """
     if qrels is None:
-        instances, ann_report = annotate_queries(
+        pairs, ann_report = annotate_queries(
             index, queries, pool_size, pairs_per_query, seed=plan["weak_annotation"])
     else:
         def grade_labels(query, pool, qpos):
             judged = qrels.get(query.query_id, {})
             return [float(judged.get(index.doc_ids[d], 0)) for d in pool]
 
-        instances, ann_report = annotate_pools(
+        pairs, ann_report = annotate_pools(
             index, queries, grade_labels, pool_size, pairs_per_query,
             plan["supervised_pairs"])
-    write_annotations(path, instances)
+    write_annotations(path, pairs)
     loaded, dropped = read_training_pairs(path, queries, index)
     return loaded, {"annotation": {**dataclasses.asdict(ann_report),
                                    "rounded_ties_dropped": dropped}}
 
 
-def train_single_teacher(instances, model_config, index, epochs, plan, path,
+def train_single_teacher(pairs, model_config, index, epochs, plan, path,
                          embedding_file=None):
     """One teacher, saved to path and loaded back; (teacher, report fields).
 
@@ -365,7 +365,7 @@ def train_single_teacher(instances, model_config, index, epochs, plan, path,
     pate run with one teacher trains that teacher on the same pairs in the
     same order.
     """
-    [shard] = partition_data(instances, 1, plan["partition"])
+    [shard] = partition_data(pairs, 1, plan["partition"])
     params = init_params(model_config, index.vocabulary, index,
                          embedding_file=embedding_file, seed=plan["teacher_base"])
     losses = train(params, model_config, shard, epochs,
@@ -381,7 +381,7 @@ def ensemble_privacy(plan, **settings):
     return PrivacyConfig(seed=plan["privacy_noise"], **settings)
 
 
-def train_teacher_ensemble(instances, model_config, index, epochs, plan, privacy,
+def train_teacher_ensemble(pairs, model_config, index, epochs, plan, privacy,
                            shard_dir, ensemble_dir, embedding_file=None):
     """Shard the pairs, train one teacher per shard, and save the ensemble.
 
@@ -393,7 +393,7 @@ def train_teacher_ensemble(instances, model_config, index, epochs, plan, privacy
     from ensemble_dir, so that callers consume the persisted artifact,
     report fields).
     """
-    shards = partition_data(instances, privacy.n_partitions, plan["partition"])
+    shards = partition_data(pairs, privacy.n_partitions, plan["partition"])
     shard_dir = Path(shard_dir)
     shard_dir.mkdir(exist_ok=True)
     hashes = []
@@ -426,7 +426,7 @@ def distill_student(scorers, privacy, student_config, unlabeled, index, epochs, 
     result = mimic_train(label_fn, student_config, unlabeled, index, epochs,
                          plan["distill"], **mimic_options)
     if soft_path is not None:
-        write_annotations(soft_path, result.instances)
+        write_annotations(soft_path, result.pairs)
     save_model(student_path, result.student)
     fields = {
         "soft_annotation": dataclasses.asdict(result.annotation),
@@ -591,7 +591,7 @@ def run_pipeline(config, mode, jobs=1):
     train_queries, unlabeled, eval_queries, qrels = stages.run(
         "read-inputs", read_inputs)
 
-    instances, fields = stages.run("annotate", lambda: annotate_training_pairs(
+    pairs, fields = stages.run("annotate", lambda: annotate_training_pairs(
         index, train_queries, config.pool_size, config.pairs_per_query, plan,
         out / "annotations" / "train.tsv",
         qrels=qrels if mode == "supervised" else None))
@@ -602,7 +602,7 @@ def run_pipeline(config, mode, jobs=1):
     # document at most once in a run
     if mode == "pate":
         ensemble, fields = stages.run("train-teachers", lambda: train_teacher_ensemble(
-            instances, config.teacher, index, config.teacher_epochs, plan,
+            pairs, config.teacher, index, config.teacher_epochs, plan,
             ensemble_privacy(plan, n_partitions=config.n_partitions,
                              noise_scale=config.noise_scale),
             out / "shards", out / "checkpoints" / "ensemble", config.embeddings))
@@ -610,7 +610,7 @@ def run_pipeline(config, mode, jobs=1):
     else:
         ensemble = None
         teacher, fields = stages.run("train-teacher", lambda: train_single_teacher(
-            instances, config.teacher, index, config.teacher_epochs, plan,
+            pairs, config.teacher, index, config.teacher_epochs, plan,
             out / "checkpoints" / "teacher.ckpt", config.embeddings))
         scorers = [pool_scorer(teacher, index)]
     report.update(fields)

@@ -59,20 +59,17 @@ class TeacherEnsemble:
                 raise ValueError(f"teacher {i} vocabulary differs from teacher 0")
 
 
-def partition_data(instances, n, seed):
-    """Seeded shuffle then round-robin: disjoint shards, sizes differ ≤ 1."""
+def partition_data(pairs, n, seed):
+    """Seeded shuffle then round-robin: n disjoint PairSets, sizes differ ≤ 1."""
     if n < 1:
         raise ValueError("need at least one partition")
-    if n > len(instances):
+    if n > len(pairs):
         raise ValueError(
-            f"{n} partitions over {len(instances)} instances would leave "
+            f"{n} partitions over {len(pairs)} pairs would leave "
             "a teacher with no data"
         )
-    order = seeding.rng(seed).permutation(len(instances))
-    shards = [[] for _ in range(n)]
-    for j, idx in enumerate(order):
-        shards[j % n].append(instances[idx])
-    return shards
+    order = seeding.rng(seed).permutation(len(pairs))
+    return [pairs.take(order[i::n]) for i in range(n)]
 
 
 def train_teachers(shards, model_config, index, epochs, base_seed, privacy_config,
@@ -271,19 +268,19 @@ def save_ensemble(directory, teachers, config, teacher_seeds=None, shard_hashes=
     written after the last, so a directory whose writing failed has no
     manifest and load_ensemble refuses it.
 
-    The manifest records n, noise_scale, seeds, and optional shard content
-    hashes; it is written with sorted keys and no timestamps so rewrites
-    are byte-identical.
+    The manifest records n, noise_scale, seeds, each teacher file's SHA-256
+    and optional shard content hashes; it is written with sorted keys and
+    no timestamps so rewrites are byte-identical.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / ENSEMBLE_MANIFEST).unlink(missing_ok=True)
-    files = []
+    files, hashes = [], []
     # a plain loop: enumerate and zip would hold the last teacher in their
     # result tuple while the next one is made
     for teacher in teachers:
         files.append(f"teacher_{len(files):02d}.ckpt")
-        save_model(directory / files[-1], teacher)
+        hashes.append(save_model(directory / files[-1], teacher))
         del teacher
     if len(files) != config.n_partitions:
         raise ValueError(f"{len(files)} teachers != {config.n_partitions} partitions")
@@ -294,6 +291,7 @@ def save_ensemble(directory, teachers, config, teacher_seeds=None, shard_hashes=
         "seed": config.seed,
         "teacher_seeds": teacher_seeds,
         "teacher_files": files,
+        "teacher_sha256": hashes,
         "shard_hashes": shard_hashes,
     }
     write_json(directory / ENSEMBLE_MANIFEST, manifest)
@@ -313,9 +311,16 @@ def read_ensemble_manifest(directory):
 
 
 def load_ensemble(directory):
+    """(TeacherEnsemble, manifest dict) of a saved ensemble; a teacher file
+    without the SHA-256 the manifest records for it raises ValueError."""
     config, manifest = read_ensemble_manifest(directory)
-    teachers = [load_model(Path(directory) / name) for name in manifest["teacher_files"]]
-    return TeacherEnsemble(teachers=teachers, config=config), manifest
+    paths = [Path(directory) / name for name in manifest["teacher_files"]]
+    hashes = manifest.get("teacher_sha256") or [None] * len(paths)
+    for path, recorded in zip(paths, hashes, strict=True):
+        if file_sha256(path) != recorded:
+            raise ValueError(f"{path}: teacher file does not match the SHA-256 "
+                             "its ensemble manifest records")
+    return TeacherEnsemble(teachers=list(map(load_model, paths)), config=config), manifest
 
 
 def file_sha256(path):

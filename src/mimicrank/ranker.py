@@ -202,12 +202,6 @@ def represent_rows(params, rows):
     return _represent_blocks(params, _count_blocks(_row_table(rows)), len(rows))
 
 
-def represent(params, terms):
-    """Weighted bag of embeddings of a term multiset; empty/OOV → zeros."""
-    pair = term_index_counts(params.vocabulary, terms)
-    return represent_rows(params, [pair])[0]
-
-
 def _first_appearance(keys):
     """Number keys by first appearance: returns (firsts, which).
 
@@ -306,27 +300,13 @@ def _infer(params, doc_half, docs, query_half, queries):
     return out[:n]
 
 
-def score_batch(params, query_rows, doc_rows):
-    """Scores in (−1, 1) of doc_rows[i] against query_rows[i], no dropout.
-
-    Query rows that are one object are represented once and meet layer 0's
-    query half W_q once; each document row meets its document half W_d
-    once. Returns a 1-D array of len(doc_rows) scores from _infer.
-    """
-    firsts, which = _first_appearance(np.fromiter(map(id, query_rows), np.int64,
-                                                  len(query_rows)))
-    queries = [query_rows[i] for i in firsts.tolist()]
-    w_q, w_d = _layer0_halves(params)
-    return _infer(params, represent_rows(params, doc_rows) @ w_d,
-                  np.arange(len(doc_rows)), represent_rows(params, queries) @ w_q, which)
-
-
 def pool_scorer(params, index):
     """scores(queries_terms, pools) of one frozen model over one index's pools.
 
     pools[i] holds index positions of documents, scored against the terms
     queries_terms[i]; scores returns one array per pool, a score per
-    position in pool order, all from one _infer call. The scorer owns a
+    position in pool order, all from one _infer call, and scores.rows takes
+    each query as its term_index_counts row instead. The scorer owns a
     table of D·W_d rows, one per index document, filled lazily: pool by
     pool in call order, the pool's documents not yet in the table are
     represented once each in pool order, in count-matrix blocks
@@ -334,21 +314,21 @@ def pool_scorer(params, index):
     and meets W_q alone; a pool's rows are table[pool] + q·W_q + b0.
 
     So a document's row is computed once per scorer, and can differ in the
-    last bits with the other new documents of the first pool that held it
-    (score_pool of that pool gives the same bits). Once its row is in the
-    table, its score depends only on the query: not on the pool, its
-    order, or the other pools of the call, so one call over many pools
-    gives the bits of one call per pool. The table is the scorer's, not
-    the model's: build a new scorer after the model's weights change. A
-    model whose vocabulary differs from the index's raises ValueError here.
+    last bits with the other new documents of the first pool that held it.
+    Once its row is in the table, its score depends only on the query: not
+    on the pool, its order, or the other pools of the call, so one call
+    over many pools gives the bits of one call per pool. The table is the
+    scorer's, not the model's: build a new scorer after the model's weights
+    change. A model whose vocabulary differs from the index's raises
+    ValueError here.
     """
     check_index_vocabulary(params, index)
     table = np.empty((index.doc_count, params.layers[0].out_dim))
     filled = np.zeros(index.doc_count, dtype=bool)
 
-    def scores(queries_terms, pools):
-        if len(queries_terms) != len(pools):
-            raise ValueError(f"{len(queries_terms)} queries for {len(pools)} pools")
+    def rows(query_rows, pools):
+        if len(query_rows) != len(pools):
+            raise ValueError(f"{len(query_rows)} queries for {len(pools)} pools")
         pools = [np.asarray(pool, dtype=np.intp) for pool in pools]
         if not pools:
             return []
@@ -359,35 +339,30 @@ def pool_scorer(params, index):
                 new = new[np.sort(np.unique(new, return_index=True)[1])]
                 table[new] = represent_rows(params, list(map(index.doc_rows, new))) @ w_d
                 filled[new] = True
-        query_half = np.concatenate([
-            represent_rows(params, [term_index_counts(params.vocabulary, terms)]) @ w_q
-            for terms in queries_terms])
+        query_half = np.concatenate([represent_rows(params, [query]) @ w_q
+                                     for query in query_rows])
         sizes = [pool.size for pool in pools]
         out = _infer(params, table, np.concatenate(pools), query_half,
                      np.arange(len(pools)).repeat(sizes))
         ends = list(itertools.accumulate(sizes))
         return [out[end - size:end] for end, size in zip(ends, sizes)]
 
+    def scores(queries_terms, pools):
+        return rows([term_index_counts(params.vocabulary, terms) for terms in queries_terms],
+                    pools)
+
+    scores.rows = rows
     return scores
 
 
-def score_pool(params, query_terms, doc_rows):
-    """Scores of one query against a pool of (term indices, counts) rows.
-
-    The query is represented once and meets W_q once for the whole pool.
-    The rows must index params.vocabulary, as InvertedIndex.doc_rows does
-    when the model was built on that index (see check_index_vocabulary).
-    Index pools are scored through pool_scorer; this is the reference that
-    represents every row on every call.
-    """
-    query = term_index_counts(params.vocabulary, query_terms)
-    return score_batch(params, [query] * len(doc_rows), doc_rows)
-
-
 def score(params, query_terms, doc_terms):
-    """Pointwise score in (−1, 1) of one (query, document) pair: a one-row pool."""
-    rows = [term_index_counts(params.vocabulary, doc_terms)]
-    return float(score_pool(params, query_terms, rows)[0])
+    """Pointwise score in (−1, 1) of one (query, document) pair, each
+    represented alone: the bits of a one-document pool."""
+    w_q, w_d = _layer0_halves(params)
+    query, doc = (represent_rows(params, [term_index_counts(params.vocabulary, terms)])
+                  for terms in (query_terms, doc_terms))
+    row = np.zeros(1, dtype=np.intp)
+    return float(_infer(params, doc @ w_d, row, query @ w_q, row)[0])
 
 
 def check_index_vocabulary(params, index):
@@ -405,12 +380,8 @@ class _PairColumns(NamedTuple):
 
     slots[0, i] is pair i's query row in table, slots[1, i] and slots[2, i]
     its documents' rows, and sign[i] is +1.0 where s1 > s2, else -1.0. The
-    table holds the queries first, numbered by first appearance of the
-    instances' query_rows object (annotate_pools and read_annotations give
-    every instance of a query one object; equal rows that are distinct
-    objects are simply not merged), then the documents, numbered by first
-    appearance of doc1_id, then doc2_id (an id always has the same index
-    rows).
+    table holds the pair set's queries that have pairs, by query number,
+    then its documents that are in pairs, by index position.
     """
 
     slots: np.ndarray  # (3, n) table rows
@@ -418,54 +389,43 @@ class _PairColumns(NamedTuple):
     table: _RowTable
 
 
-def _pair_columns(instances, n_terms):
-    """The _PairColumns of a list of training instances.
+def _pair_columns(pairs, n_terms):
+    """The _PairColumns of a corpus.PairSet.
 
     Raises ValueError, naming the query or document, if a row holds a term
     index outside 0..n_terms-1: a negative one would silently read the
     last term's weight and embedding.
     """
-    n = len(instances)
-    query_rows = [inst.query_rows for inst in instances]
-    doc_ids = [inst.doc1_id for inst in instances] + [inst.doc2_id for inst in instances]
-    # dict(zip(...)) keeps each key at its first position; a key's rows are alike
-    queries = dict(zip(map(id, query_rows), query_rows))
-    docs = dict(zip(doc_ids, [inst.doc1_rows for inst in instances]
-                    + [inst.doc2_rows for inst in instances]))
-    k = len(queries)
-    query_row = dict(zip(queries, range(k)))
-    doc_row = dict(zip(docs, range(k, k + len(docs))))
-    slots = np.empty((3, n), dtype=np.intp)
-    slots[0] = np.fromiter(map(query_row.__getitem__, map(id, query_rows)), np.intp, n)
-    slots[1:] = np.fromiter(map(doc_row.__getitem__, doc_ids), np.intp, 2 * n).reshape(2, n)
-    sign = np.fromiter((1.0 if inst.s1 > inst.s2 else -1.0 for inst in instances),
-                       np.float64, n)
-    table = _row_table(list(queries.values()) + list(docs.values()))
+    queries, query_slot = np.unique(pairs.query, return_inverse=True)
+    docs, doc_slot = np.unique(np.concatenate([pairs.doc1, pairs.doc2]), return_inverse=True)
+    slots = np.concatenate([query_slot, doc_slot + queries.size]).reshape(3, -1)
+    sign = np.where(pairs.s1 > pairs.s2, 1.0, -1.0)
+    queries, docs = queries.tolist(), docs.tolist()
+    rows = [pairs.query_rows[q] for q in queries] + list(map(pairs.index.doc_rows, docs))
+    table = _row_table(rows)
     if table.term_of.size and (table.term_of[0] < 0 or table.term_of[-1] >= n_terms):
-        for inst in instances:
-            for name, (idx, _) in ((f"query {inst.query_id!r}", inst.query_rows),
-                                   (f"document {inst.doc1_id!r}", inst.doc1_rows),
-                                   (f"document {inst.doc2_id!r}", inst.doc2_rows)):
-                outside = idx[(idx < 0) | (idx >= n_terms)]
-                if outside.size:
-                    raise ValueError(f"{name} holds term index {outside[0]}, "
-                                     f"outside a vocabulary of {n_terms} terms")
+        names = ([f"query {pairs.query_ids[q]!r}" for q in queries]
+                 + [f"document {pairs.index.doc_ids[d]!r}" for d in docs])
+        for name, (idx, _) in zip(names, rows):
+            outside = idx[(idx < 0) | (idx >= n_terms)]
+            if outside.size:
+                raise ValueError(f"{name} holds term index {outside[0]}, "
+                                 f"outside a vocabulary of {n_terms} terms")
     return _PairColumns(slots, sign, table)
 
 
 def compute_loss_and_grads(params, batch, train=False, rng=None):
     """Shared-parameter forward on (q,d1) and (q,d2), hinge loss, gradients.
 
-    batch is a _PairColumns, or a list of instances, which goes through
-    _pair_columns first; the rows must index params.vocabulary. A batch
-    represents each distinct query and each distinct document once: its
-    slots are numbered by first appearance (_first_appearance), the
-    queries first, then the doc1 side, then the doc2 side. The k distinct
-    query rows, then the u distinct document rows, are split into
-    count-matrix blocks (_count_blocks): a block's representations are
-    (C·ω[u]) @ ε[u], and its representation gradients G come back as
-    Cᵀ @ G, summed into A over the batch, so d_embedding = ω·A and
-    d_term_weights is the row sums of ε∘A.
+    batch is a _PairColumns of some pairs; its rows must index
+    params.vocabulary. A batch represents each distinct query and each
+    distinct document once: its slots are numbered by first appearance
+    (_first_appearance), the queries first, then the doc1 side, then the
+    doc2 side. The k distinct query rows, then the u distinct document
+    rows, are split into count-matrix blocks (_count_blocks): a block's
+    representations are (C·ω[u]) @ ε[u], and its representation gradients
+    G come back as Cᵀ @ G, summed into A over the batch, so d_embedding =
+    ω·A and d_term_weights is the row sums of ε∘A.
 
     Layer 0 is split as W0 = [W_q; W_d]: P_q = Q·W_q runs once per query
     and P_d = D·W_d once per document, and each side's pre-activation is
@@ -477,10 +437,6 @@ def compute_loss_and_grads(params, batch, train=False, rng=None):
     layer). Dropout runs only when train=True; forward 1 draws all of its
     masks, then forward 2.
     """
-    if not isinstance(batch, _PairColumns):
-        if not batch:
-            raise ValueError("empty batch")
-        batch = _pair_columns(batch, len(params.vocabulary))
     n = batch.sign.size
     # queries and documents are distinct table rows and the n query slots
     # come first, so numbers 0..k-1 are the batch's queries, k.. its documents
@@ -576,17 +532,17 @@ class TrainResult:
 def train(params, config, instances, epochs, seed):
     """Seeded epoch shuffles, fixed-size batches (last partial kept), Adam.
 
-    The instances become pair columns once (_pair_columns), which checks
-    every term index against the vocabulary before any update; each batch
-    is one compute_loss_and_grads step on its columns, which represents
-    the batch's distinct queries and documents once. Mutates params in
-    place and also returns them. A non-finite loss aborts with
-    TrainingDiverged naming its epoch; params then hold every update
-    before the failed step, and no snapshot is kept. epochs 0 trains
-    nothing; a negative count raises ValueError.
+    The corpus.PairSet instances becomes pair columns once (_pair_columns),
+    which checks every term index against the vocabulary before any
+    update; each batch is one compute_loss_and_grads step on its columns,
+    which represents the batch's distinct queries and documents once.
+    Mutates params in place and also returns them. A non-finite loss
+    aborts with TrainingDiverged naming its epoch; params then hold every
+    update before the failed step, and no snapshot is kept. epochs 0
+    trains nothing; a negative count raises ValueError.
     """
     if not instances:
-        raise ValueError("no training instances")
+        raise ValueError("no training pairs")
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
     columns = _pair_columns(instances, len(params.vocabulary))
@@ -693,6 +649,7 @@ def init_params(config, vocabulary, index, embedding_file=None, seed=0):
 
 
 def save_model(path, params):
+    """Write a checkpoint; returns the SHA-256 hex digest of its bytes."""
     meta = {
         "kind": "rank-model",
         "config": dataclasses.asdict(params.config),
@@ -701,7 +658,7 @@ def save_model(path, params):
     }
     arrays = [("embedding", params.embedding), ("term_weights", params.term_weights)]
     arrays.extend(nn.layers_to_arrays(params.layers))
-    write_container(path, MODEL_MAGIC, MODEL_VERSION, meta, arrays)
+    return write_container(path, MODEL_MAGIC, MODEL_VERSION, meta, arrays)
 
 
 def load_model(path):

@@ -14,6 +14,7 @@ and one that is killed leaves the old file and a temporary sibling.
 """
 
 import contextlib
+import hashlib
 import json
 import os
 import struct
@@ -56,6 +57,7 @@ def write_container(path, magic, version, meta, arrays):
     """Write `meta` (JSON-serializable) plus named arrays to `path`.
 
     arrays: ordered sequence of (name, ndarray) pairs; float64/int64 only.
+    Returns the SHA-256 hex digest of the bytes written.
     """
     if len(magic) != 4:
         raise ValueError("magic must be exactly 4 bytes")
@@ -68,13 +70,13 @@ def write_container(path, magic, version, meta, arrays):
         payloads.append(arr.astype(_DTYPE_TAGS[tag], copy=False).tobytes())
     header = {"meta": meta, "arrays": manifest}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    digest = hashlib.sha256()
     with atomic_write(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<I", version))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for chunk in payloads:
+        for chunk in (magic, struct.pack("<I", version), struct.pack("<Q", len(header_bytes)),
+                      header_bytes, *payloads):
             fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def read_container(path, magic, expect_version):

@@ -3,17 +3,40 @@
 Before training took pair columns, compute_loss_and_grads numbered each
 batch's keys with a dict (group), built count-matrix blocks from lists of
 (term indices, counts) tuples (count_blocks) and read labels per instance.
-This is that step and its train loop, kept as the reference that
-ranker.train must match bit for bit; everything after the blocks uses the
-program's own helpers, so any difference comes from the grouping and the
-blocks.
+This is that step and its train loop, over a PairSet spelled out as one
+RowPair per pair (row_pairs), kept as the reference that ranker.train must
+match bit for bit; everything after the blocks uses the program's own
+helpers, so any difference comes from the grouping and the blocks.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from mimicrank import nn, ranker, seeding
+
+
+class RowPair(NamedTuple):
+    """One pair of a PairSet with its ids and (term indices, counts) rows."""
+
+    query: int  # the pair set's query number
+    query_rows: tuple
+    doc1_id: str
+    doc1_rows: tuple
+    doc2_id: str
+    doc2_rows: tuple
+    s1: float
+    s2: float
+
+
+def row_pairs(pairs):
+    """The RowPair of every pair of a PairSet, in order."""
+    ids, rows = pairs.index.doc_ids, pairs.index.doc_rows
+    return [RowPair(q, pairs.query_rows[q], ids[d1], rows(d1), ids[d2], rows(d2), s1, s2)
+            for q, d1, d2, s1, s2 in zip(pairs.query.tolist(), pairs.doc1.tolist(),
+                                         pairs.doc2.tolist(), pairs.s1.tolist(),
+                                         pairs.s2.tolist())]
 
 
 def group(keys, rows):
@@ -53,13 +76,13 @@ def count_blocks(rows):
 
 
 def loss_and_grads(params, batch, train=False, rng=None):
-    """compute_loss_and_grads over a list of instances, grouped per batch.
+    """compute_loss_and_grads over a list of RowPairs, grouped per batch.
 
-    Queries are grouped by the identity of their query_rows and documents
-    by doc1_id, then doc2_id, in order of first appearance.
+    Queries are grouped by query number and documents by doc1_id, then
+    doc2_id, in order of first appearance.
     """
     n = len(batch)
-    keys = ([id(inst.query_rows) for inst in batch] + [inst.doc1_id for inst in batch]
+    keys = ([("query", inst.query) for inst in batch] + [inst.doc1_id for inst in batch]
             + [inst.doc2_id for inst in batch])
     rows, which = group(keys, [inst.query_rows for inst in batch]
                         + [inst.doc1_rows for inst in batch]
@@ -112,8 +135,9 @@ def loss_and_grads(params, batch, train=False, rng=None):
                   "d_layer_weights": d_layers_w, "d_layer_biases": d_layers_b}
 
 
-def train(params, config, instances, epochs, seed):
-    """ranker.train's loop over lists of instances; returns the epoch losses."""
+def train(params, config, pairs, epochs, seed):
+    """ranker.train's loop over a PairSet's RowPairs; returns the epoch losses."""
+    instances = row_pairs(pairs)
     arrays = ranker._trainable(params)
     state = nn.adam_state(arrays, learning_rate=config.learning_rate)
     epoch_losses = []

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from mimicrank.cli import main
-from mimicrank.corpus import (Document, TrainingInstance, annotate_queries, build_index,
-                              term_index_counts)
+from mimicrank.corpus import Document, PairSet, annotate_queries, build_index, term_index_counts
 from mimicrank.distill import mimic_train, model_labels
 from mimicrank.evaluation import (
     average_precision,
@@ -26,8 +25,8 @@ from mimicrank.evaluation import (
 )
 from mimicrank.pipeline import RunConfig, model_run, run_pipeline
 from mimicrank.private import draw_uniform, laplace_sample
-from mimicrank.ranker import (RankModelConfig, compute_loss_and_grads, init_params,
-                             pool_scorer, train)
+from mimicrank.ranker import (RankModelConfig, _pair_columns, compute_loss_and_grads,
+                             init_params, pool_scorer, train)
 from mimicrank.toydata import mini_collection, synthetic_collection, write_collection
 
 from gradcheck import finite_difference_check
@@ -107,17 +106,19 @@ def test_criterion_1_gradient_check():
         # nudge them off so every sampled coordinate is differentiable
         for layer in params.layers:
             layer.bias += rng.normal(0.0, 0.05, size=layer.bias.shape)
-        batch = []
-        for k in range(int(rng.integers(3, 6))):
+        query_rows, doc1, doc2 = [], [], []
+        for _ in range(int(rng.integers(3, 6))):
             d1, d2 = (int(x) for x in
                       rng.choice(index.doc_count, size=2, replace=False))
-            batch.append(TrainingInstance(
-                query_id=f"q{k}", doc1_id=index.doc_ids[d1],
-                doc2_id=index.doc_ids[d2], s1=1.0 + k, s2=0.5,
-                query_rows=term_index_counts(
-                    index.vocabulary, [str(t) for t in rng.choice(letters, size=3)]),
-                doc1_rows=index.doc_rows(d1), doc2_rows=index.doc_rows(d2),
-            ))
+            doc1.append(d1)
+            doc2.append(d2)
+            query_rows.append(term_index_counts(
+                index.vocabulary, [str(t) for t in rng.choice(letters, size=3)]))
+        n = len(query_rows)
+        batch = _pair_columns(
+            PairSet(index, [f"q{k}" for k in range(n)], query_rows, np.arange(n), doc1,
+                    doc2, 1.0 + np.arange(n), np.full(n, 0.5)),
+            len(index.vocabulary))
 
         loss, grads = compute_loss_and_grads(params, batch)
         assert loss > 0.0, f"case {case}: inactive hinge, nothing to check"

@@ -54,6 +54,35 @@ def test_instance_fields_the_benchmark_reads():
     assert {"query_id", "doc1_id", "doc2_id"} <= fields
 
 
+def test_worker_counts_agree_with_the_pair_set_columns(monkeypatch):
+    # around_annotate_pools counts the pool documents that end up in a pair
+    # from the records it iterates, and around_train the pair epochs from
+    # len(instances): both must match what the PairSet's columns hold
+    worker = load_worker(monkeypatch)
+    collection = mini_collection()
+    index = corpus.build_index(collection.documents)
+    counts = {}
+
+    def count(key, value):
+        counts[key] = counts.get(key, 0) + value
+
+    def label_fn(query, pool, qpos):
+        return np.arange(len(pool), dtype=np.float64) % 7
+
+    pairs, report = worker.around_annotate_pools(
+        corpus.annotate_pools, (index, collection.train_queries[:8], label_fn, 20, 5, 1), {},
+        count)
+    assert isinstance(pairs, corpus.PairSet)
+    query = pairs.query.tolist()
+    used = set(zip(query, pairs.doc1.tolist())) | set(zip(query, pairs.doc2.tolist()))
+    assert counts["pool_docs_used"] == len(used) > 0
+    assert counts["pairs_emitted"] == report.pairs_emitted == len(pairs)
+    params = ranker.init_params(MICRO_TEACHER_CONFIG, index.vocabulary, index, seed=3)
+    worker.around_train(ranker.train, (params, MICRO_TEACHER_CONFIG, pairs),
+                        {"epochs": 2, "seed": 1}, count)
+    assert counts["pair_epochs"] == len(pairs) * 2
+
+
 def test_annotate_pools_labels_each_annotated_query_once_with_its_pool(monkeypatch):
     # label_docs_per_s counts the documents of every label_fn(query, pool,
     # qpos) call annotate_pools makes, so each annotated query must be
@@ -206,7 +235,7 @@ def test_training_forwards_take_one_row_per_batch_instance(monkeypatch):
 
     monkeypatch.setattr(nn, "forward", recorded)
     ranker.train(params, config, batch, epochs=2, seed=1)
-    batch_sizes = [3, 3, 2] * 2  # 8 instances, batches of 3, two epochs
+    batch_sizes = [3, 3, 2] * 2  # 8 pairs, batches of 3, two epochs
     assert all(len(shape) == 2 for shape in shapes)
     assert [shape[0] for shape in shapes] == [size for size in batch_sizes for _ in range(2)]
 
@@ -224,4 +253,4 @@ def test_training_steps_go_through_the_module_attribute(monkeypatch):
 
     monkeypatch.setattr(ranker, "compute_loss_and_grads", recorded)
     ranker.train(params, config, batch, epochs=2, seed=1)
-    assert len(calls) == 3 * 2  # 8 instances in batches of 3, two epochs
+    assert len(calls) == 3 * 2  # 8 pairs in batches of 3, two epochs

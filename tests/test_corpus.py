@@ -1,5 +1,6 @@
 """Index construction, BM25, and annotation behavior."""
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -16,6 +17,7 @@ from mimicrank.corpus import (
     RAW_WORDS_PER_CHUNK,
     Document,
     InvertedIndex,
+    PairSet,
     Query,
     TrainingInstance,
     Vocabulary,
@@ -322,7 +324,7 @@ def test_search_scores_match_direct_evaluation(token_lists, query, data):
 def test_annotate_empty_queryset():
     index = build_index(docs("a b", "c d"))
     instances, report = annotate_queries(index, [], seed=1)
-    assert instances == []
+    assert len(instances) == 0 and list(instances) == []
     assert report.queries_total == 0
 
 
@@ -333,7 +335,7 @@ def test_annotate_two_doc_pool_single_pair():
         index, queries, pool_size=10, pairs_per_query=1, seed=7
     )
     assert len(instances) == 1
-    inst = instances[0]
+    [inst] = instances
     pos = {doc_id: i for i, doc_id in enumerate(index.doc_ids)}
     # labels must match an independent recomputation and the pool's search
     assert inst.s1 == index.bm25_score(["a"], pos[inst.doc1_id])
@@ -373,8 +375,7 @@ def test_annotate_deterministic_across_runs():
     queries = [Query("q1", ("a", "b")), Query("q2", ("c",))]
     first, _ = annotate_queries(index, queries, pool_size=5, pairs_per_query=3, seed=42)
     second, _ = annotate_queries(index, queries, pool_size=5, pairs_per_query=3, seed=42)
-    assert first == second
-    # the index rows take no part in == or hash
+    assert list(first) == list(second)
     assert [hash(inst) for inst in first] == [hash(inst) for inst in second]
 
 
@@ -390,17 +391,23 @@ def test_instances_carry_index_rows(tmp_path):
     path = tmp_path / "ann.tsv"
     write_annotations(path, built)
     read, _ = read_annotations(path, queries, index)
-    assert built and read == built
+    assert len(built) and list(read) == list(built)
     terms = {q.query_id: q.terms for q in queries}
-    doc_pos = {doc_id: d for d, doc_id in enumerate(index.doc_ids)}
-    for inst in built + read:
-        assert rows_equal(inst.query_rows,
-                          term_index_counts(index.vocabulary, terms[inst.query_id]))
-        for doc_id, rows in ((inst.doc1_id, inst.doc1_rows), (inst.doc2_id, inst.doc2_rows)):
-            want = term_index_counts(index.vocabulary, index.doc_terms(doc_pos[doc_id]))
-            assert rows_equal(rows, want)
-            assert not any(a.flags.owndata for a in rows)  # views into the index
-    assert "rows" not in repr(built[0])
+    for pairs in (built, read):
+        # one row per query number, and documents as positions in the index
+        assert pairs.index is index
+        for q in set(pairs.query.tolist()):
+            assert rows_equal(pairs.query_rows[q], term_index_counts(
+                index.vocabulary, terms[pairs.query_ids[q]]))
+        for inst, d1, d2 in zip(pairs, pairs.doc1.tolist(), pairs.doc2.tolist()):
+            assert (index.doc_ids[d1], index.doc_ids[d2]) == (inst.doc1_id, inst.doc2_id)
+            for d in (d1, d2):
+                want = term_index_counts(index.vocabulary, index.doc_terms(d))
+                assert rows_equal(index.doc_rows(d), want)
+                assert not any(a.flags.owndata for a in index.doc_rows(d))  # views
+    assert {f.name for f in dataclasses.fields(TrainingInstance)} == {
+        "query_id", "doc1_id", "doc2_id", "s1", "s2"}
+    assert "rows" not in repr(next(iter(built)))
 
 
 def test_annotate_skips_thin_pools():
@@ -409,7 +416,7 @@ def test_annotate_skips_thin_pools():
     instances, report = annotate_queries(index, queries, pool_size=5, seed=0)
     assert report.queries_skipped == 2  # 1-doc pool and 0-doc pool both skip
     assert report.skipped_query_ids == ["q1", "q2"]
-    assert instances == []
+    assert len(instances) == 0
 
 
 def test_annotate_never_emits_ties():
@@ -577,7 +584,12 @@ def test_index_file_pinned_to_bytes(tmp_path):
 
 def test_training_instance_rejects_ties():
     with pytest.raises(ValueError):
-        TrainingInstance("q", "d1", "d2", 1.0, 1.0, *[term_index_counts(Vocabulary(), ())] * 3)
+        TrainingInstance("q", "d1", "d2", 1.0, 1.0)
+    # a PairSet checks its whole label columns at once
+    index = build_index(docs("a b", "a c"))
+    with pytest.raises(ValueError, match="tied label scores for query 'q2'"):
+        PairSet(index, ["q1", "q2"], [None, None], [0, 1, 1], [0, 0, 1], [1, 1, 0],
+                [2.0, 1.5, 3.0], [1.0, 1.5, 3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +658,10 @@ def test_annotation_file_round_trip(tmp_path):
         assert (rt.doc1_id, rt.doc2_id) == (orig.doc1_id, orig.doc2_id)
         # 6-decimal format bounds the score error
         assert rt.s1 == pytest.approx(orig.s1, abs=5e-7)
-        assert rows_equal(rt.doc1_rows, orig.doc1_rows)
-        assert rows_equal(rt.query_rows, orig.query_rows)
+    np.testing.assert_array_equal(back.doc1, instances.doc1)
+    np.testing.assert_array_equal(back.doc2, instances.doc2)
+    for q, q_back in zip(instances.query.tolist(), back.query.tolist()):
+        assert rows_equal(back.query_rows[q_back], instances.query_rows[q])
 
 
 def test_read_annotations_drops_rounded_ties(tmp_path):

@@ -9,8 +9,10 @@ from mimicrank.corpus import Query, annotate_pools, annotate_queries, write_anno
 from mimicrank.distill import label_agreement, mimic_train, model_labels
 from mimicrank.pipeline import distill_student
 from mimicrank.private import ensemble_labels, teacher_scorers
-from mimicrank.ranker import init_params, pool_scorer, save_model, score_pool, train
+from mimicrank.ranker import init_params, pool_scorer, save_model, train
+from tests.batch_reference import row_pairs
 from tests.conftest import MICRO_STUDENT_CONFIG, MICRO_TEACHER_CONFIG
+from tests.scoring_reference import score_batch, score_pool
 
 
 def mimic(teacher, index, unlabeled, **kwargs):
@@ -31,7 +33,7 @@ def test_zero_teacher_annotates_nothing(micro_collection, micro_index):
         micro_index, micro_collection.unlabeled_queries,
         model_labels(pool_scorer(params, micro_index)), pool_size=10,
         pairs_per_query=5, seed=3)
-    assert instances == []
+    assert len(instances) == 0
     assert report.pairs_emitted == 0
     assert report.ties_discarded > 0
     with pytest.raises(ValueError, match="tied pairs discarded"):
@@ -43,7 +45,7 @@ def test_annotation_signs_match_teacher_preferences(micro_collection, micro_inde
                                                     micro_teacher):
     result = mimic(micro_teacher, micro_index, micro_collection.unlabeled_queries,
                    epochs=0, seed=11, pool_size=15, pairs_per_query=8)
-    instances, report = result.instances, result.annotation
+    instances, report = result.pairs, result.annotation
     assert report.pairs_emitted == len(instances) > 0
     # independent rescoring of every pool, in labeling order, with a fresh
     # scorer of the same checkpoint: the labeler's path, so bit-identical;
@@ -70,7 +72,7 @@ def test_annotate_empty_queryset(micro_index, micro_teacher):
     labels = model_labels(pool_scorer(micro_teacher, micro_index))
     instances, report = annotate_pools(micro_index, [], labels,
                                        pool_size=5, pairs_per_query=3, seed=0)
-    assert instances == []
+    assert len(instances) == 0
     assert report.queries_total == 0
     with pytest.raises(ValueError, match="0 of 0 queries skipped"):
         mimic(micro_teacher, micro_index, [],
@@ -116,10 +118,10 @@ def test_distill_improves_label_agreement_over_training(micro_collection,
     trained = mimic(micro_teacher, micro_index, micro_collection.unlabeled_queries,
                     epochs=8, seed=47, pool_size=12, pairs_per_query=8)
     assert trained.heldout_count > 0
-    assert trained.train_count + trained.heldout_count == len(trained.instances)
+    assert trained.train_count + trained.heldout_count == len(trained.pairs)
     assert 0.0 <= trained.fidelity <= 1.0
-    before = label_agreement(untrained.student, trained.instances)
-    after = label_agreement(trained.student, trained.instances)
+    before = label_agreement(untrained.student, trained.pairs)
+    after = label_agreement(trained.student, trained.pairs)
     assert after > before
     assert trained.epoch_losses[-1] < trained.epoch_losses[0]
 
@@ -189,4 +191,20 @@ def test_label_agreement_counts_model_ties_as_disagreement(micro_collection,
                                     micro_collection.train_queries[:4],
                                     pool_size=10, pairs_per_query=4, seed=61)
     assert label_agreement(zero, instances) == 0.0
-    assert label_agreement(zero, []) is None
+    assert label_agreement(zero, instances.take([])) is None
+
+
+def test_label_agreement_scores_pairs_as_the_batch_reference(micro_collection,
+                                                             micro_index, micro_teacher):
+    # one pool per query through a fresh pool_scorer, against both rows of
+    # every pair scored by the reference, each query rows object once
+    pairs, _ = annotate_queries(micro_index, micro_collection.unlabeled_queries,
+                                pool_size=15, pairs_per_query=8, seed=67)
+    shuffled = pairs.take(np.random.default_rng(5).permutation(len(pairs)))
+    rows = row_pairs(shuffled)
+    queries = [pair.query_rows for pair in rows]
+    scores = score_batch(micro_teacher, queries + queries,
+                         [pair.doc1_rows for pair in rows] + [pair.doc2_rows for pair in rows])
+    s1, s2 = scores[:len(rows)], scores[len(rows):]
+    agree = (s1 != s2) & ((s1 > s2) == (shuffled.s1 > shuffled.s2))
+    assert 0.0 < label_agreement(micro_teacher, shuffled) == agree.mean() < 1.0

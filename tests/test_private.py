@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 import weakref
 from collections import Counter
 
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimicrank import nn, private, ranker
-from mimicrank.corpus import annotate_queries, build_index
+from mimicrank import nn, private, ranker, seeding
+from mimicrank.corpus import PairSet, annotate_queries, build_index
 from mimicrank.distill import mimic_train, model_labels
 from mimicrank.private import (
     NOISE_TAG,
@@ -33,8 +34,9 @@ from mimicrank.private import (
     teacher_scores,
     train_teachers,
 )
-from mimicrank.ranker import init_params, pool_scorer, save_model, score_pool, train
+from mimicrank.ranker import init_params, pool_scorer, save_model, train
 from tests.conftest import MICRO_STUDENT_CONFIG, MICRO_TEACHER_CONFIG
+from tests.scoring_reference import score_pool
 
 
 @pytest.fixture(scope="module")
@@ -76,17 +78,29 @@ def test_privacy_config_validation():
     assert cfg.noise_scale == 0.05
 
 
+def numbered_pairs(n):
+    """A PairSet of n pairs with distinct records: pair k asks query i{k}
+    about two documents; no row is read."""
+    docs = type("Docs", (), {"doc_ids": ["d0", "d1"]})
+    return PairSet(docs, [f"i{k}" for k in range(n)], [None] * n, np.arange(n),
+                   np.zeros(n), np.ones(n), np.arange(n) + 1.0, np.zeros(n))
+
+
+def records(shards):
+    return [list(shard) for shard in shards]
+
+
 def test_partition_sizes():
-    nine = list(range(9))
+    nine = numbered_pairs(9)
     sizes = [len(s) for s in partition_data(nine, 3, seed=0)]
     assert sizes == [3, 3, 3]
-    ten = list(range(10))
+    ten = numbered_pairs(10)
     sizes = [len(s) for s in partition_data(ten, 3, seed=0)]
     assert sizes == [4, 3, 3]
 
 
 def test_partition_disjoint_and_covering():
-    items = [f"i{k}" for k in range(17)]
+    items = numbered_pairs(17)
     shards = partition_data(items, 4, seed=5)
     combined = Counter()
     for shard in shards:
@@ -96,19 +110,25 @@ def test_partition_disjoint_and_covering():
     for i in range(len(flat_sets)):
         for j in range(i + 1, len(flat_sets)):
             assert not flat_sets[i] & flat_sets[j]
+    # shards share the set's tables and take its pairs in permutation order
+    order = seeding.rng(5).permutation(17)
+    for i, shard in enumerate(shards):
+        assert shard.index is items.index and shard.query_ids is items.query_ids
+        assert list(shard) == list(items.take(order[i::4]))
 
 
 def test_partition_deterministic():
-    items = list(range(20))
-    assert partition_data(items, 3, seed=9) == partition_data(items, 3, seed=9)
-    assert partition_data(items, 3, seed=9) != partition_data(items, 3, seed=10)
+    items = numbered_pairs(20)
+    assert records(partition_data(items, 3, seed=9)) == records(partition_data(items, 3, seed=9))
+    assert records(partition_data(items, 3, seed=9)) != records(
+        partition_data(items, 3, seed=10))
 
 
 def test_partition_rejects_more_shards_than_items():
     with pytest.raises(ValueError, match="no data"):
-        partition_data([1, 2], 3, seed=0)
+        partition_data(numbered_pairs(2), 3, seed=0)
     with pytest.raises(ValueError):
-        partition_data([1, 2], 0, seed=0)
+        partition_data(numbered_pairs(2), 0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +475,23 @@ def test_ensemble_save_load_round_trip(tmp_path, micro_ensemble, micro_collectio
     save_ensemble(out, loaded.teachers, loaded.config, teacher_seeds=[73, 74, 75],
                   shard_hashes=["x", "y", "z"])
     assert (out / "manifest.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("damage", ["swapped", "truncated"])
+def test_ensemble_refuses_a_teacher_file_changed_after_saving(tmp_path, micro_ensemble,
+                                                               damage):
+    out = tmp_path / "ensemble"
+    save_ensemble(out, micro_ensemble.teachers, micro_ensemble.config)
+    manifest = load_ensemble(out)[1]
+    assert manifest["teacher_sha256"] == [file_sha256(out / name)
+                                          for name in manifest["teacher_files"]]
+    victim = out / "teacher_01.ckpt"
+    if damage == "swapped":
+        victim.write_bytes((out / "teacher_00.ckpt").read_bytes())
+    else:
+        victim.write_bytes(victim.read_bytes()[:-8])
+    with pytest.raises(ValueError, match=re.escape(f"{victim}: teacher file does not match")):
+        load_ensemble(out)
 
 
 def test_pool_labelers_run_one_forward_per_pool_and_model(

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import errno
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from mimicrank.corpus import (
     Document,
+    PairSet,
     Query,
     TrainingInstance,
     Vocabulary,
@@ -33,15 +35,15 @@ from mimicrank.ranker import (
     load_embedding_file,
     load_model,
     pool_scorer,
-    represent,
     represent_rows,
     save_model,
     score,
-    score_pool,
     train,
 )
 
 import batch_reference
+from batch_reference import row_pairs
+from scoring_reference import represent, score_batch, score_pool
 from conftest import MICRO_TEACHER_CONFIG
 from gradcheck import finite_difference_check
 
@@ -75,23 +77,22 @@ def random_corpus_params(seed, emb_dim=5, hidden=7, n_hidden=2, n_docs=8):
 
 
 def random_instances(index, rng, n):
-    instances = []
-    for k in range(n):
+    """A PairSet of n pairs over index, each with its own random query."""
+    query_rows, doc1, doc2 = [], [], []
+    for _ in range(n):
         d1, d2 = (int(x) for x in rng.choice(index.doc_count, size=2, replace=False))
-        instances.append(
-            TrainingInstance(
-                query_id=f"q{k}",
-                doc1_id=index.doc_ids[d1],
-                doc2_id=index.doc_ids[d2],
-                s1=1.0 + k,
-                s2=0.5,
-                query_rows=term_index_counts(
-                    index.vocabulary, rng.choice(list("abcdefgh"), size=2).tolist()),
-                doc1_rows=index.doc_rows(d1),
-                doc2_rows=index.doc_rows(d2),
-            )
-        )
-    return instances
+        doc1.append(d1)
+        doc2.append(d2)
+        query_rows.append(term_index_counts(
+            index.vocabulary, rng.choice(list("abcdefgh"), size=2).tolist()))
+    return PairSet(index, [f"q{k}" for k in range(n)], query_rows, np.arange(n), doc1, doc2,
+                   1.0 + np.arange(n), np.full(n, 0.5))
+
+
+def loss_and_grads(params, pairs, **kwargs):
+    """compute_loss_and_grads over the pair columns of a whole PairSet."""
+    return compute_loss_and_grads(
+        params, ranker._pair_columns(pairs, len(params.vocabulary)), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +270,18 @@ def test_pool_scorer_matches_score_pool_over_overlapping_pools(
         scorer([("q",)], [[0], [1]])
 
 
+def test_pool_scorer_takes_query_rows_for_their_terms(micro_collection, micro_index,
+                                                      micro_teacher):
+    # scores.rows is the call with each query given as its term_index_counts
+    # row, as held-out agreement scores a PairSet's queries
+    terms = [q.terms for q in micro_collection.eval_queries] + [("zzz",)]
+    pools = [micro_index.search(t, 20)[0] or [0, 1] for t in terms]
+    by_terms = pool_scorer(micro_teacher, micro_index)(terms, pools)
+    by_rows = pool_scorer(micro_teacher, micro_index).rows(
+        [term_index_counts(micro_index.vocabulary, t) for t in terms], pools)
+    assert [a.tobytes() for a in by_rows] == [a.tobytes() for a in by_terms]
+
+
 def test_pool_scorer_checks_the_vocabulary_when_built(micro_collection, micro_index,
                                                       micro_teacher):
     other = build_index(micro_collection.documents[:30])
@@ -400,6 +413,21 @@ def test_score_range_bounded():
         assert -1.0 < score(params, q, d) < 1.0
 
 
+def test_score_equals_the_pool_reference_bitwise(micro_collection, micro_index,
+                                                 micro_teacher):
+    # score represents the query and the document alone and forwards one
+    # row: the bits of score_pool over a one-document pool, also for a
+    # query with no term in the vocabulary
+    queries = [q.terms for q in micro_collection.eval_queries] + [("zzz", "unseen")]
+    for terms in queries:
+        for d in range(0, micro_index.doc_count, 7):
+            doc_terms = micro_index.doc_terms(d)
+            want = score_pool(micro_teacher, terms,
+                              [term_index_counts(micro_index.vocabulary, doc_terms)])
+            assert np.float64(score(micro_teacher, terms, doc_terms)).tobytes() == (
+                want[0].tobytes())
+
+
 # ---------------------------------------------------------------------------
 # Hinge loss
 
@@ -421,11 +449,8 @@ def hinge_loss(instances, pair_scores):
     return float(terms.mean())
 
 
-NO_ROWS = (np.empty(0, dtype=np.int64), np.empty(0))  # the hinge reads only labels
-
-
 def make_instance(s1, s2):
-    return TrainingInstance("q", "d1", "d2", s1, s2, NO_ROWS, NO_ROWS, NO_ROWS)
+    return TrainingInstance("q", "d1", "d2", s1, s2)  # the hinge reads only labels
 
 
 def test_hinge_margin_exactly_met():
@@ -455,9 +480,6 @@ def test_hinge_rejects_label_ties():
     object.__setattr__(bad, "doc2_id", "d2")
     object.__setattr__(bad, "s1", 1.0)
     object.__setattr__(bad, "s2", 1.0)
-    object.__setattr__(bad, "query_rows", NO_ROWS)
-    object.__setattr__(bad, "doc1_rows", NO_ROWS)
-    object.__setattr__(bad, "doc2_rows", NO_ROWS)
     with pytest.raises(ValueError, match="tied"):
         hinge_loss([good, bad], (np.array([0.1, 0.2]), np.array([0.0, 0.1])))
 
@@ -474,13 +496,13 @@ def test_hinge_nonnegative_random():
 def test_training_loss_is_the_hinge_of_the_pair_scores():
     params, batch = count_matrix_batch(2)
     n = len(batch)
-    queries = [inst.query_rows for inst in batch]
-    scores = ranker.score_batch(params, queries + queries,
-                                [inst.doc1_rows for inst in batch]
-                                + [inst.doc2_rows for inst in batch])
-    loss = hinge_loss(batch, (scores[:n], scores[n:]))
+    rows = row_pairs(batch)
+    queries = [pair.query_rows for pair in rows]
+    scores = score_batch(params, queries + queries, [pair.doc1_rows for pair in rows]
+                         + [pair.doc2_rows for pair in rows])
+    loss = hinge_loss(list(batch), (scores[:n], scores[n:]))
     assert loss > 0.0
-    assert compute_loss_and_grads(params, batch)[0] == pytest.approx(loss, rel=0, abs=1e-12)
+    assert loss_and_grads(params, batch)[0] == pytest.approx(loss, rel=0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +515,9 @@ def test_end_to_end_gradient_check():
     batch = random_instances(index, rng, 4)
 
     def loss_fn():
-        return compute_loss_and_grads(params, batch)[0]
+        return loss_and_grads(params, batch)[0]
 
-    loss, grads = compute_loss_and_grads(params, batch)
+    loss, grads = loss_and_grads(params, batch)
     assert loss > 0.0
     plist = [params.embedding, params.term_weights] + [
         a for l in params.layers for a in (l.weights, l.bias)
@@ -512,7 +534,7 @@ def test_gradients_flow_into_all_parameter_groups():
     index, params = random_corpus_params(27)
     rng = np.random.default_rng(5)
     batch = random_instances(index, rng, 6)
-    _, grads = compute_loss_and_grads(params, batch)
+    _, grads = loss_and_grads(params, batch)
     assert np.abs(grads["d_embedding"]).sum() > 0
     assert np.abs(grads["d_term_weights"]).sum() > 0
     for dw in grads["d_layer_weights"]:
@@ -522,10 +544,11 @@ def test_gradients_flow_into_all_parameter_groups():
 def per_row_loss_and_grads(params, batch, train=False, rng=None):
     """Reference for compute_loss_and_grads without a count matrix.
 
-    Each (instance, row) is represented on its own, each side enters the
-    stack as [q ‖ d], and each (instance, row) gradient is scattered back
-    into the embedding and term weights alone.
+    Each (pair, row) of the PairSet batch is represented on its own, each
+    side enters the stack as [q ‖ d], and each (pair, row) gradient is
+    scattered back into the embedding and term weights alone.
     """
+    batch = row_pairs(batch)
     n, m = len(batch), params.config.embedding_dim
     q_rows = [inst.query_rows for inst in batch]
     d1_rows = [inst.doc1_rows for inst in batch]
@@ -589,13 +612,12 @@ def count_matrix_batch(seed, dropout_keep=1.0):
         layer.weights *= 3.0  # keep most hinges active
     pairs = [("a a b", 0, 2), ("c", 2, 0), ("e e f", 1, 3), ("a g", 3, 1),
              ("h h a", 4, 0), ("b d", 0, 4), ("zzz", 2, 3), ("f g a", 3, 2)]
-    batch = [
-        TrainingInstance(f"q{k}", index.doc_ids[d1], index.doc_ids[d2],
-                         float(rng.choice([-1.0, 1.0])) * (k + 1), 0.0,
-                         term_index_counts(index.vocabulary, text.split()),
-                         index.doc_rows(d1), index.doc_rows(d2))
-        for k, (text, d1, d2) in enumerate(pairs)
-    ]
+    n = len(pairs)
+    texts, doc1, doc2 = zip(*pairs)
+    s1 = [float(rng.choice([-1.0, 1.0])) * (k + 1) for k in range(n)]
+    batch = PairSet(index, [f"q{k}" for k in range(n)],
+                    [term_index_counts(index.vocabulary, text.split()) for text in texts],
+                    np.arange(n), doc1, doc2, s1, np.zeros(n))
     return params, batch
 
 
@@ -616,14 +638,14 @@ def test_count_matrix_gradients_match_per_row_reference(seed, block_rows, monkey
     # query/doc1/doc2 boundaries, one block of 64 holds them all
     monkeypatch.setattr(ranker, "_BLOCK_ROWS", block_rows)
     params, batch = count_matrix_batch(seed)
-    got = compute_loss_and_grads(params, batch)
+    got = loss_and_grads(params, batch)
     assert got[0] > 0.0
     assert np.abs(got[1]["d_embedding"]).sum() > 0.0
     assert_same_loss_and_grads(got, per_row_loss_and_grads(params, batch))
-    # single instances and the batch minus its empty-row instances
-    for sub in ([batch[2]], [batch[0]], [inst for inst in batch if "empty" not in
-                                         (inst.doc1_id, inst.doc2_id)]):
-        assert_same_loss_and_grads(compute_loss_and_grads(params, sub),
+    # single pairs and the batch minus its empty-row pairs
+    full = [k for k, inst in enumerate(batch) if "empty" not in (inst.doc1_id, inst.doc2_id)]
+    for sub in (batch.take([2]), batch.take([0]), batch.take(full)):
+        assert_same_loss_and_grads(loss_and_grads(params, sub),
                                    per_row_loss_and_grads(params, sub))
 
 
@@ -660,7 +682,7 @@ def test_count_blocks_grow_with_nonzeros_not_vocabulary():
 
 def test_count_matrix_keeps_the_dropout_mask_stream():
     params, batch = count_matrix_batch(3, dropout_keep=0.7)
-    got = compute_loss_and_grads(params, batch, train=True, rng=np.random.default_rng(5))
+    got = loss_and_grads(params, batch, train=True, rng=np.random.default_rng(5))
     want = per_row_loss_and_grads(params, batch, train=True, rng=np.random.default_rng(5))
     assert got[0] == want[0]
     assert_same_loss_and_grads(got, want)
@@ -688,7 +710,8 @@ def assert_same_rows(got, want):
         np.testing.assert_array_equal(counts, want_counts)
 
 
-# instance k's query is texts[groups[k]]; one group shares one rows object
+# pair k's query is number groups[k], of text texts[groups[k]]; equal texts
+# are distinct queries of equal rows
 @pytest.mark.parametrize("groups, texts", [
     ([0] * 8, ["a a b"]),
     ([2, 0, 2, 1, 2, 2, 1, 2], ["c", "e e f", "f g a"]),
@@ -698,17 +721,17 @@ def assert_same_rows(got, want):
 def test_shared_queries_match_per_row_reference(groups, texts, keep, monkeypatch):
     params, batch = count_matrix_batch(4, dropout_keep=keep)
     shared = [term_index_counts(params.vocabulary, text.split()) for text in texts]
-    batch = [dataclasses.replace(inst, query_rows=shared[g])
-             for inst, g in zip(batch, groups)]
+    batch = PairSet(batch.index, [f"g{g}" for g in range(len(texts))], shared, groups,
+                    batch.doc1, batch.doc2, batch.s1, batch.s2)
     calls = spy_count_blocks(monkeypatch)
     train = keep < 1.0
-    got = compute_loss_and_grads(params, batch, train=train,
-                                 rng=np.random.default_rng(6) if train else None)
-    # one build: each distinct rows object once, equal but distinct objects
+    got = loss_and_grads(params, batch, train=train,
+                         rng=np.random.default_rng(6) if train else None)
+    # one build: each distinct query once, equal rows of distinct queries
     # apart, then the batch's 5 distinct documents, all by first appearance
     docs = {}
     for side in ("1", "2"):
-        for inst in batch:
+        for inst in row_pairs(batch):
             docs.setdefault(getattr(inst, f"doc{side}_id"), getattr(inst, f"doc{side}_rows"))
     assert len(calls) == 1 and len(docs) == 5
     assert_same_rows(calls[0], [shared[g] for g in dict.fromkeys(groups)] + list(docs.values()))
@@ -718,8 +741,8 @@ def test_shared_queries_match_per_row_reference(groups, texts, keep, monkeypatch
     assert_same_loss_and_grads(got, want)
 
 
-# (query, doc1, doc2) per instance: queries index the test's three query
-# texts, documents the five documents of count_matrix_batch, 1 being empty
+# (query, doc1, doc2) per pair: queries number the test's three query
+# texts, documents are positions of count_matrix_batch's five, 1 being empty
 @pytest.mark.parametrize("pairs", [
     [(0, 0, 2), (1, 2, 3), (2, 4, 0), (0, 3, 4)],
     [(0, 3, 0), (1, 2, 3), (2, 3, 4), (1, 0, 2)],
@@ -729,30 +752,24 @@ def test_shared_queries_match_per_row_reference(groups, texts, keep, monkeypatch
 @pytest.mark.parametrize("keep", [1.0, 0.7])
 def test_shared_documents_match_per_row_reference(pairs, keep, monkeypatch):
     params, batch = count_matrix_batch(5, dropout_keep=keep)
-    ids = ["rep", "empty", "x", "y", "z"]
-    index_rows = {}
-    for inst in batch:
-        index_rows[inst.doc1_id], index_rows[inst.doc2_id] = inst.doc1_rows, inst.doc2_rows
+    index = batch.index
+    assert index.doc_ids == ["rep", "empty", "x", "y", "z"]
     queries = [term_index_counts(params.vocabulary, text.split())
                for text in ("a a b", "c", "e e f")]
-
-    def rows(d):  # a fresh copy per slot: documents are grouped by id
-        return tuple(a.copy() for a in index_rows[ids[d]])
-
-    batch = [TrainingInstance(f"q{q}", ids[d1], ids[d2], (-1.0) ** k * (k + 1), 0.0,
-                              queries[q], rows(d1), rows(d2))
-             for k, (q, d1, d2) in enumerate(pairs)]
+    query, doc1, doc2 = zip(*pairs)
+    batch = PairSet(index, ["q0", "q1", "q2"], queries, query, doc1, doc2,
+                    [(-1.0) ** k * (k + 1) for k in range(len(pairs))], np.zeros(len(pairs)))
     calls = spy_count_blocks(monkeypatch)
     train = keep < 1.0
-    got = compute_loss_and_grads(params, batch, train=train,
-                                 rng=np.random.default_rng(7) if train else None)
+    got = loss_and_grads(params, batch, train=train,
+                         rng=np.random.default_rng(7) if train else None)
     # one build: the distinct queries, then the distinct documents, doc1
     # side before doc2 side, each by first appearance
     distinct_queries = dict.fromkeys(q for q, _, _ in pairs)
     distinct_docs = dict.fromkeys([d1 for _, d1, _ in pairs] + [d2 for _, _, d2 in pairs])
     assert len(calls) == 1
     assert_same_rows(calls[0], [queries[q] for q in distinct_queries]
-                     + [index_rows[ids[d]] for d in distinct_docs])
+                     + [index.doc_rows(d) for d in distinct_docs])
     want = per_row_loss_and_grads(params, batch, train=train,
                                   rng=np.random.default_rng(7) if train else None)
     assert got[0] > 0.0
@@ -770,16 +787,15 @@ def separable_setup():
     cfg = RankModelConfig(embedding_dim=4, hidden_layers=1, hidden_size=8,
                           dropout_keep=1.0, learning_rate=1e-2, batch_size=4)
     params = init_params(cfg, index.vocabulary, index, seed=3)
-    inst = TrainingInstance("q", "d0", "d1", 2.0, 1.0,
-                            term_index_counts(index.vocabulary, ("apple",)),
-                            index.doc_rows(0), index.doc_rows(1))
-    return cfg, params, inst
+    pairs = PairSet(index, ["q"], [term_index_counts(index.vocabulary, ("apple",))],
+                    [0], [0], [1], [2.0], [1.0])
+    return cfg, params, pairs
 
 
 def test_train_zero_epochs_is_identity():
-    cfg, params, inst = separable_setup()
+    cfg, params, pairs = separable_setup()
     before = copy.deepcopy(params)
-    result = train(params, cfg, [inst], epochs=0, seed=1)
+    result = train(params, cfg, pairs, epochs=0, seed=1)
     assert result.epoch_losses == []
     assert np.array_equal(params.embedding, before.embedding)
     assert np.array_equal(params.term_weights, before.term_weights)
@@ -799,31 +815,31 @@ def test_train_loss_trace_bit_identical_across_runs():
 
 
 def test_train_separable_instance_converges_monotonically():
-    cfg, params, inst = separable_setup()
-    trace = train(params, cfg, [inst], epochs=60, seed=11).epoch_losses
+    cfg, params, pairs = separable_setup()
+    trace = train(params, cfg, pairs, epochs=60, seed=11).epoch_losses
     assert trace[-1] < 0.05
     for earlier, later in zip(trace, trace[1:]):
         assert later <= earlier + 1e-12
 
 
 def test_train_rejects_empty_instances():
-    cfg, params, _ = separable_setup()
+    cfg, params, pairs = separable_setup()
     with pytest.raises(ValueError):
-        train(params, cfg, [], epochs=1, seed=0)
+        train(params, cfg, pairs.take([]), epochs=1, seed=0)
 
 
 def test_train_rejects_negative_epochs():
     # -2 epochs used to return the untrained model with an empty loss list
-    cfg, params, inst = separable_setup()
+    cfg, params, pairs = separable_setup()
     with pytest.raises(ValueError, match="epochs must be non-negative, got -2"):
-        train(params, cfg, [inst], epochs=-2, seed=0)
+        train(params, cfg, pairs, epochs=-2, seed=0)
 
 
 def test_train_aborts_on_divergence_naming_the_epoch():
-    cfg, params, inst = separable_setup()
+    cfg, params, pairs = separable_setup()
     params.embedding[:] = np.nan
     with pytest.raises(TrainingDiverged) as excinfo:
-        train(params, cfg, [inst], epochs=3, seed=0)
+        train(params, cfg, pairs, epochs=3, seed=0)
     assert excinfo.value.epoch == 0
 
 
@@ -833,38 +849,47 @@ def test_train_rejects_term_indices_outside_the_vocabulary(side, bad):
     # a row index of -1 would read the last term's weight and embedding,
     # and one of |V| or more would fail mid-epoch after earlier updates;
     # train checks every row once, before its first step
-    cfg, params, inst = separable_setup()
+    cfg, params, pairs = separable_setup()
     n_terms = len(params.vocabulary)
     term = {"negative": -1, "vocabulary-size": n_terms, "beyond": n_terms + 7}[bad]
     rows = (np.array([0, term]), np.array([1.0, 2.0]))
-    broken = dataclasses.replace(inst, query_id="q9", doc1_id="d9" if side == "doc1" else "d0",
-                                 doc2_id="d9" if side == "doc2" else "d1",
-                                 **{f"{side}_rows": rows})
+    # pair 2 asks query q9 about d0 and d1, with d9 in place of one on a
+    # document side; the side under test holds the bad rows
+    index, query_rows = pairs.index, pairs.query_rows[0]
+    docs = SimpleNamespace(doc_ids=[*index.doc_ids, "d9"],
+                           doc_rows=[index.doc_rows(0), index.doc_rows(1), rows].__getitem__)
+    broken = PairSet(docs, ["q", "q9"], [query_rows, rows if side == "query" else query_rows],
+                     [0, 0, 1], [0, 0, 2 if side == "doc1" else 0],
+                     [1, 1, 2 if side == "doc2" else 1], [2.0] * 3, [1.0] * 3)
     name = {"query": "query 'q9'", "doc1": "document 'd9'", "doc2": "document 'd9'"}[side]
     before = copy.deepcopy(params)
     with pytest.raises(ValueError, match=f"{name} holds term index {term}, outside a "
                                          f"vocabulary of {n_terms} terms"):
-        train(params, dataclasses.replace(cfg, batch_size=1), [inst, inst, broken],
-              epochs=2, seed=0)
+        train(params, dataclasses.replace(cfg, batch_size=1), broken, epochs=2, seed=0)
     for a, b in zip(ranker._trainable(params), ranker._trainable(before)):
         assert a.tobytes() == b.tobytes()
     with pytest.raises(ValueError, match=name):
-        compute_loss_and_grads(params, [inst, broken])
+        loss_and_grads(params, broken.take([0, 2]))
 
 
 def edge_case_instances(seed):
-    """count_matrix_batch's instances (an empty document row, a query with
-    no indexed term, a document as doc1 and as doc2 of different pairs)
-    plus a query rows object shared by three instances, equal query rows in
-    two distinct objects, and a pair of one document with itself."""
+    """count_matrix_batch's pairs (an empty document row, a query with no
+    indexed term, a document as doc1 and as doc2 of different pairs) plus
+    the documents of its first three pairs again under one shared query,
+    those of the next two under two queries of equal rows, and a pair of
+    one document with itself under the shared query."""
     params, batch = count_matrix_batch(seed)
-    rows = {inst.doc1_id: inst.doc1_rows for inst in batch}
-    shared = term_index_counts(params.vocabulary, "a a b".split())
-    instances = batch + [dataclasses.replace(inst, query_rows=shared) for inst in batch[:3]]
-    instances += [dataclasses.replace(inst, query_rows=term_index_counts(
-        params.vocabulary, "a a b".split())) for inst in batch[3:5]]
-    instances.append(TrainingInstance("qs", "x", "x", 2.0, 1.0, shared, rows["x"], rows["x"]))
-    return params, instances
+    x = batch.index.doc_ids.index("x")
+    again = [0, 1, 2, 3, 4]
+    query_rows = batch.query_rows + [term_index_counts(params.vocabulary, "a a b".split())
+                                     for _ in range(3)]
+    pairs = PairSet(batch.index, batch.query_ids + ["shared", "equal-1", "equal-2"],
+                    query_rows, np.concatenate([batch.query, [8, 8, 8, 9, 10, 8]]),
+                    np.concatenate([batch.doc1, batch.doc1[again], [x]]),
+                    np.concatenate([batch.doc2, batch.doc2[again], [x]]),
+                    np.concatenate([batch.s1, batch.s1[again], [2.0]]),
+                    np.concatenate([batch.s2, batch.s2[again], [1.0]]))
+    return params, pairs
 
 
 @pytest.mark.parametrize("case", [
