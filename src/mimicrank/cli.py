@@ -206,6 +206,14 @@ def _fraction(raw):
     return value
 
 
+def _laplace_scale(raw):
+    """argparse type: a Laplace noise scale, finite and non-negative."""
+    value = float(raw)
+    if not 0.0 <= value < float("inf"):  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {value}")
+    return value
+
+
 def _add_seed(parser):
     parser.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="random seed (default %(default)s)")
@@ -293,7 +301,7 @@ def build_parser():
     p.add_argument("--n-partitions", type=_int_at_least(1), default=None,
                    help="teachers to train (default 3); with --ensemble, "
                         "must match the saved ensemble")
-    p.add_argument("--noise-scale", type=float, default=None,
+    p.add_argument("--noise-scale", type=_laplace_scale, default=None,
                    help="Laplace scale added to each teacher score (default "
                         "0.05); with --ensemble, must match the saved ensemble")
     p.add_argument("--teacher-epochs", type=_int_at_least(0), default=None,

@@ -63,9 +63,8 @@ def label_agreement(params, pairs):
     """Fraction of pairs whose label preference the model reproduces.
 
     Model ties count as disagreement (the model expresses no preference).
-    One call of a fresh pool_scorer scores one pool per query, its pairs'
-    doc1 then doc2 positions, so each distinct document is represented
-    once. None for no pairs.
+    One call of a pool_scorer over the model scores one pool per query,
+    its pairs' doc1 then doc2 positions. None for no pairs.
     """
     if not len(pairs):
         return None

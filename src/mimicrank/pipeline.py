@@ -468,17 +468,17 @@ def model_run(index, queries, scores, pool_size, cutoff):
     return run
 
 
-def _ensemble_run_scorers(scorers, privacy, arrays):
+def _ensemble_run_scorers(scorers, privacy):
     """{run name: scores(queries_terms, pools)} of the teacher_NN, aggregate
     and (at a noise scale above 0) aggregate_noisy runs of one query set
     and pool size, for model_run.
 
     scorers: the ensemble's teacher_scorers; privacy: its PrivacyConfig.
     The runs share one teacher_scores array per pool, which the first of
-    them to score builds with one call per teacher and appends to arrays
-    (an empty list), in pool order. aggregate_noisy draws pool i's noise
-    from seeding.rng(privacy seed, i, EVAL_NOISE_TAG).
+    them to score builds with one call per teacher. aggregate_noisy draws
+    pool i's noise from seeding.rng(privacy seed, i, EVAL_NOISE_TAG).
     """
+    arrays = []
 
     def pool_scores(queries_terms, pools):
         if not arrays:
@@ -627,8 +627,6 @@ def run_pipeline(config, mode, jobs=1):
         report.update(fields)
 
     # run files
-    rank_arrays = []  # each evaluation pool's teacher_scores array, in pate mode
-
     def write_runs():
         def rerank(scores):
             return model_run(index, eval_queries, scores,
@@ -640,8 +638,7 @@ def run_pipeline(config, mode, jobs=1):
         else:
             # one model_run per run file; noise-free, the aggregate sums
             # exactly like teacher_mean
-            for name, scores in _ensemble_run_scorers(scorers, ensemble.config,
-                                                      rank_arrays).items():
+            for name, scores in _ensemble_run_scorers(scorers, ensemble.config).items():
                 runs[name] = rerank(scores)
             runs.setdefault("aggregate_noisy", runs["aggregate"])
         if student is not None:
@@ -674,19 +671,15 @@ def run_pipeline(config, mode, jobs=1):
                 ("student", reports["student"]),
             ]
             # exactness property: the noise-free aggregate must order pairs
-            # exactly like the plain teacher mean. The pools are prefixes of
-            # the rank pools, so the aggregate side reads the rank stage's
-            # arrays, and the mean side, one call per teacher over all the
-            # pools, finds every row in the scorers' tables; a score does
-            # not depend on the pool it is scored in
-            rank_scores = dict(zip((q.terms for q in eval_queries), rank_arrays))
+            # exactly like the plain teacher mean; each side scores the
+            # pools in one call per teacher
             pools = _eval_pairs(index, eval_queries, min(6, config.rank_pool_size))
-            terms = [q for q, _, _ in pools]
-            means = dict(zip(terms, teacher_mean(scorers, terms,
-                                                 [pool for _, pool, _ in pools])))
+            terms, positions = [q for q, _, _ in pools], [pool for _, pool, _ in pools]
+            aggregates = dict(zip(terms, (aggregate_scores(scores, 0.0) for scores in
+                                          teacher_scores(scorers, terms, positions))))
+            means = dict(zip(terms, teacher_mean(scorers, terms, positions)))
             report["agreement_nonnoisy_vs_mean"] = pairwise_agreement(
-                lambda q, pool: aggregate_scores(rank_scores[q][:len(pool)], 0.0),
-                lambda q, pool: means[q], pools)
+                lambda q, pool: aggregates[q], lambda q, pool: means[q], pools)
             report["noisy_vs_nonnoisy"] = {
                 "map_delta": reports["aggregate_noisy"].mean_ap
                 - reports["aggregate"].mean_ap,

@@ -238,12 +238,11 @@ def ensemble_labels(scorers, privacy, tag):
     Returns label_fn(query, pool doc indices, query position) -> score
     array, the labeler protocol of annotate_pools. Each call draws its
     noise from its own stream, seeding.rng(privacy seed, query position,
-    tag), walked over the pool in order, so the noise does not depend on
-    the order in which queries are labeled. The scores can differ in the
-    last bits with the order in which the scorers first see the pool's
-    documents. A private student is distill.mimic_train with
-    ensemble_labels(teacher_scorers(ensemble, index), ensemble.config,
-    NOISE_TAG); pairs whose noisy scores tie are discarded like any other.
+    tag), walked over the pool in order, so neither the noise nor the
+    scores depend on the order in which queries are labeled. A private
+    student is distill.mimic_train with ensemble_labels(teacher_scorers(
+    ensemble, index), ensemble.config, NOISE_TAG); pairs whose noisy scores
+    tie are discarded like any other.
     """
 
     def labels(query, pool, qpos):
@@ -312,15 +311,17 @@ def read_ensemble_manifest(directory):
 
 def load_ensemble(directory):
     """(TeacherEnsemble, manifest dict) of a saved ensemble; a teacher file
-    without the SHA-256 the manifest records for it raises ValueError."""
+    without the SHA-256 the manifest records for it raises ValueError
+    naming the file, and so does a manifest that records none. Each file
+    is read once: the bytes hashed are the bytes loaded."""
     config, manifest = read_ensemble_manifest(directory)
     paths = [Path(directory) / name for name in manifest["teacher_files"]]
-    hashes = manifest.get("teacher_sha256") or [None] * len(paths)
-    for path, recorded in zip(paths, hashes, strict=True):
-        if file_sha256(path) != recorded:
-            raise ValueError(f"{path}: teacher file does not match the SHA-256 "
-                             "its ensemble manifest records")
-    return TeacherEnsemble(teachers=list(map(load_model, paths)), config=config), manifest
+    hashes = manifest.get("teacher_sha256")
+    if not hashes:
+        raise ValueError(f"{Path(directory) / ENSEMBLE_MANIFEST}: records no teacher_sha256")
+    teachers = [load_model(path, sha256=recorded)
+                for path, recorded in zip(paths, hashes, strict=True)]
+    return TeacherEnsemble(teachers=teachers, config=config), manifest
 
 
 def file_sha256(path):

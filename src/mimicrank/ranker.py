@@ -195,9 +195,10 @@ def represent_rows(params, rows):
     Each row is Σ count(t)·ω(t)·ε(t) over its terms; no terms give zeros.
     Rows are InvertedIndex.doc_rows views or term_index_counts output; their
     int64 and float64 counts give the same floats. The rows go through the
-    count-matrix blocks that training uses (_count_blocks), so a row's
-    floats can depend in the last bits on the rows blocked with it; a row
-    represented alone always gives the same floats.
+    count-matrix blocks that training uses (_count_blocks), whose floats
+    can depend in the last bits on the rows blocked together; so a caller
+    that needs a row's bits fixed gives it fixed companions, as pool_scorer
+    does with its index-aligned blocks, or represents it alone.
     """
     return _represent_blocks(params, _count_blocks(_row_table(rows)), len(rows))
 
@@ -307,24 +308,23 @@ def pool_scorer(params, index):
     queries_terms[i]; scores returns one array per pool, a score per
     position in pool order, all from one _infer call, and scores.rows takes
     each query as its term_index_counts row instead. The scorer owns a
-    table of D·W_d rows, one per index document, filled lazily: pool by
-    pool in call order, the pool's documents not yet in the table are
-    represented once each in pool order, in count-matrix blocks
-    (represent_rows), and meet W_d once. Each query is represented alone
-    and meets W_q alone; a pool's rows are table[pool] + q·W_q + b0.
+    table of D·W_d rows, one per index document, filled lazily in blocks
+    of _BLOCK_ROWS consecutive index positions: a call fills the blocks its
+    pools touch that are not filled yet, each with one represent_rows call
+    and one product with W_d. Each query is represented alone and meets W_q
+    alone; a pool's rows are table[pool] + q·W_q + b0.
 
-    So a document's row is computed once per scorer, and can differ in the
-    last bits with the other new documents of the first pool that held it.
-    Once its row is in the table, its score depends only on the query: not
-    on the pool, its order, or the other pools of the call, so one call
-    over many pools gives the bits of one call per pool. The table is the
-    scorer's, not the model's: build a new scorer after the model's weights
-    change. A model whose vocabulary differs from the index's raises
-    ValueError here.
+    A document's row always comes from the same block, so a score depends
+    only on the model, the index, the query and the document, for a fixed
+    BLAS build and thread count: not on the pool, its order, the other
+    pools of the call or the calls before it. The table is the scorer's,
+    not the model's: build a new scorer after the model's weights change.
+    A model whose vocabulary differs from the index's raises ValueError
+    here.
     """
     check_index_vocabulary(params, index)
     table = np.empty((index.doc_count, params.layers[0].out_dim))
-    filled = np.zeros(index.doc_count, dtype=bool)
+    filled = np.zeros(-(-index.doc_count // _BLOCK_ROWS), dtype=bool)
 
     def rows(query_rows, pools):
         if len(query_rows) != len(pools):
@@ -333,17 +333,17 @@ def pool_scorer(params, index):
         if not pools:
             return []
         w_q, w_d = _layer0_halves(params)
-        for pool in pools:
-            new = pool[~filled[pool]]
-            if new.size:
-                new = new[np.sort(np.unique(new, return_index=True)[1])]
-                table[new] = represent_rows(params, list(map(index.doc_rows, new))) @ w_d
-                filled[new] = True
+        docs = np.concatenate(pools)
+        blocks = np.unique(docs // _BLOCK_ROWS)
+        for first in (blocks[~filled[blocks]] * _BLOCK_ROWS).tolist():
+            last = min(first + _BLOCK_ROWS, index.doc_count)
+            table[first:last] = represent_rows(
+                params, list(map(index.doc_rows, range(first, last)))) @ w_d
+        filled[blocks] = True
         query_half = np.concatenate([represent_rows(params, [query]) @ w_q
                                      for query in query_rows])
         sizes = [pool.size for pool in pools]
-        out = _infer(params, table, np.concatenate(pools), query_half,
-                     np.arange(len(pools)).repeat(sizes))
+        out = _infer(params, table, docs, query_half, np.arange(len(pools)).repeat(sizes))
         ends = list(itertools.accumulate(sizes))
         return [out[end - size:end] for end, size in zip(ends, sizes)]
 
@@ -661,8 +661,10 @@ def save_model(path, params):
     return write_container(path, MODEL_MAGIC, MODEL_VERSION, meta, arrays)
 
 
-def load_model(path):
-    meta, arrays = read_container(path, MODEL_MAGIC, MODEL_VERSION)
+def load_model(path, sha256=None):
+    """The model of a checkpoint; given sha256, one whose bytes have
+    another SHA-256 raises ValueError (read_container)."""
+    meta, arrays = read_container(path, MODEL_MAGIC, MODEL_VERSION, sha256)
     for name, array in arrays.items():
         if not np.isfinite(array).all():
             raise ValueError(f"{path}: non-finite {name}")

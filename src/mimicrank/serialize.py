@@ -79,46 +79,54 @@ def write_container(path, magic, version, meta, arrays):
     return digest.hexdigest()
 
 
-def read_container(path, magic, expect_version):
+def read_container(path, magic, expect_version, sha256=None):
     """Read a container written by write_container.
 
     Returns (meta, dict name -> ndarray). A version other than
     expect_version, a file cut short anywhere, a header that is not the
     JSON write_container writes, or bytes after the last array raise
-    ValueError naming the file.
+    ValueError naming the file. The file is read once; given sha256, the
+    SHA-256 hex digest write_container returned, bytes with another
+    digest raise ValueError naming the file before any of them is parsed.
     """
     with open(path, "rb") as fh:
+        data = memoryview(fh.read())
+    if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
+        raise ValueError(f"{path}: file does not match the SHA-256 recorded for it")
+    end = 4
 
-        def read(size, what):
-            buf = fh.read(size)
-            if len(buf) != size:
-                raise ValueError(f"{path}: truncated {what}")
-            return buf
+    def read(size, what):
+        nonlocal end
+        buf = data[end:end + size]
+        if len(buf) != size:
+            raise ValueError(f"{path}: truncated {what}")
+        end += size
+        return buf
 
-        got = fh.read(4)
-        if got != magic:
-            raise ValueError(f"{path}: bad magic {got!r}, expected {magic!r}")
-        (version,) = struct.unpack("<I", read(4, "format version"))
-        if version != expect_version:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        (header_len,) = struct.unpack("<Q", read(8, "header length"))
+    got = bytes(data[:4])
+    if got != magic:
+        raise ValueError(f"{path}: bad magic {got!r}, expected {magic!r}")
+    (version,) = struct.unpack("<I", read(4, "format version"))
+    if version != expect_version:
+        raise ValueError(f"{path}: unsupported format version {version}")
+    (header_len,) = struct.unpack("<Q", read(8, "header length"))
+    try:
+        header = json.loads(str(read(header_len, "header"), "utf-8"))
+        meta, entries = header["meta"], header["arrays"]
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as exc:
+        raise ValueError(f"{path}: malformed header: {exc}") from exc
+    arrays = {}
+    for entry in entries:
         try:
-            header = json.loads(read(header_len, "header").decode("utf-8"))
-            meta, entries = header["meta"], header["arrays"]
-        except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as exc:
-            raise ValueError(f"{path}: malformed header: {exc}") from exc
-        arrays = {}
-        for entry in entries:
-            try:
-                name, dtype = entry["name"], np.dtype(_DTYPE_TAGS[entry["dtype"]])
-                count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: malformed array entry {entry!r}") from exc
-            buf = read(count * dtype.itemsize, f"payload for array {name!r}")
-            arr = np.frombuffer(buf, dtype=dtype).reshape(entry["shape"])
-            arrays[name] = arr.copy()  # writable, native layout
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after the last array")
+            name, dtype = entry["name"], np.dtype(_DTYPE_TAGS[entry["dtype"]])
+            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed array entry {entry!r}") from exc
+        buf = read(count * dtype.itemsize, f"payload for array {name!r}")
+        arr = np.frombuffer(buf, dtype=dtype).reshape(entry["shape"])
+        arrays[name] = arr.copy()  # writable, aligned, native layout
+    if end != len(data):
+        raise ValueError(f"{path}: trailing bytes after the last array")
     return meta, arrays
 
 

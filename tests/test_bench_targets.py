@@ -13,8 +13,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from mimicrank import corpus, nn, pipeline, ranker
+from mimicrank import corpus, distill, nn, pipeline, ranker
 from mimicrank.toydata import mini_collection, write_collection
 from tests.conftest import MICRO_STUDENT_CONFIG, MICRO_TEACHER_CONFIG
 from tests.test_ranker import count_matrix_batch
@@ -218,6 +219,61 @@ def test_pate_rank_work_stays_inside_one_model_run_call_per_run_file(
         for entries in run.values():
             assert all(isinstance(doc_id, str) and isinstance(score, float)
                        for doc_id, score in entries)
+
+
+@pytest.mark.parametrize("mode", ["distill", "pate"])
+def test_mimic_labeling_work_stays_inside_annotate_pools(tmp_path, monkeypatch, mode):
+    # label_docs_per_s divides the documents of the mimic labeling
+    # corpus.annotate_pools calls by their time, and the labelers' scorers
+    # fill their document tables lazily, inside those calls. So from the end
+    # of teacher training to the rank stage, every representation and
+    # forward must happen inside annotate_pools, or inside the student's
+    # ranker.train or distill.label_agreement: a scorer that filled its
+    # table when built would take that work out of the labeling span
+    worker = load_worker(monkeypatch)
+    config = mini_run_config(tmp_path)
+    stage_run, spans, window, work = pipeline._StageRunner.run, [], [], []
+    represent, forward = ranker._represent_blocks, nn.forward
+
+    def staged(self, name, fn):
+        if name == "rank":
+            window.clear()
+        result = stage_run(self, name, fn)
+        if name.startswith("train-teacher"):
+            window.append(name)
+        return result
+
+    def spanned(fn, args, kwargs, count):
+        spans.append(fn.__name__)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spans.pop()
+
+    def watched(fn, kind):
+        def wrapped(*args, **kwargs):
+            if window:
+                work.append((kind, tuple(spans)))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(pipeline._StageRunner, "run", staged)
+    monkeypatch.setattr(ranker, "_represent_blocks", watched(represent, "fill"))
+    monkeypatch.setattr(nn, "forward", watched(forward, "forward"))
+    tracer = worker.Tracer()
+    try:
+        for name, owner, attr in (("corpus.annotate_pools", corpus, "annotate_pools"),
+                                  ("ranker.train", ranker, "train"),
+                                  ("distill.label_agreement", distill, "label_agreement")):
+            tracer.install(name, owner, attr, spanned)
+        pipeline.run_pipeline(config, mode)
+    finally:
+        tracer.uninstall()
+    assert window == []  # the rank stage ran after the teachers were trained
+    labeling = {kind for kind, inside in work if inside == ("annotate_pools",)}
+    assert labeling == {"fill", "forward"}
+    outside = [kind for kind, inside in work if not inside]
+    assert outside == []
 
 
 def test_training_forwards_take_one_row_per_batch_instance(monkeypatch):

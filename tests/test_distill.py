@@ -12,7 +12,7 @@ from mimicrank.private import ensemble_labels, teacher_scorers
 from mimicrank.ranker import init_params, pool_scorer, save_model, train
 from tests.batch_reference import row_pairs
 from tests.conftest import MICRO_STUDENT_CONFIG, MICRO_TEACHER_CONFIG
-from tests.scoring_reference import score_batch, score_pool
+from tests.scoring_reference import score_batch, score_index_pool, score_pool
 
 
 def mimic(teacher, index, unlabeled, **kwargs):
@@ -47,14 +47,17 @@ def test_annotation_signs_match_teacher_preferences(micro_collection, micro_inde
                    epochs=0, seed=11, pool_size=15, pairs_per_query=8)
     instances, report = result.pairs, result.annotation
     assert report.pairs_emitted == len(instances) > 0
-    # independent rescoring of every pool, in labeling order, with a fresh
-    # scorer of the same checkpoint: the labeler's path, so bit-identical;
-    # score_pool, which represents every pool from scratch, within 1e-12
+    # independent rescoring of every pool, against labeling order, with a
+    # fresh scorer of the same checkpoint: the labeler's path, so
+    # bit-identical, as is the index-block reference; score_pool, which
+    # blocks each pool's own rows, within 1e-12
     scorer = pool_scorer(micro_teacher, micro_index)
     rescored = {}
-    for q in micro_collection.unlabeled_queries:
+    for q in micro_collection.unlabeled_queries[::-1]:
         pool, _ = micro_index.search(q.terms, 15)
         scores = scorer([q.terms], [pool])[0]
+        assert np.array_equal(scores, score_index_pool(micro_teacher, micro_index,
+                                                       q.terms, pool))
         np.testing.assert_allclose(
             scores, score_pool(micro_teacher, q.terms,
                                [micro_index.doc_rows(d) for d in pool]),

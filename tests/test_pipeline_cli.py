@@ -13,7 +13,7 @@ import pytest
 import mimicrank
 from mimicrank import pipeline, private, ranker
 from mimicrank.cli import build_parser, main
-from mimicrank.corpus import annotate_pools, load_index, read_queries
+from mimicrank.corpus import load_index, read_queries
 from mimicrank.distill import model_labels
 from mimicrank.evaluation import write_run
 from mimicrank.pipeline import (
@@ -29,7 +29,6 @@ from mimicrank.pipeline import (
     seed_plan,
 )
 from mimicrank.private import (
-    NOISE_TAG,
     PrivacyConfig,
     ensemble_labels,
     load_ensemble,
@@ -363,10 +362,11 @@ def test_pate_rank_stage_scores_each_pool_once_per_model(workspace, tmp_path,
     assert sorted(calls.values()) == [1] * 4
 
 
-def test_pate_agreement_reads_the_rank_stage_scores(workspace, tmp_path, monkeypatch):
-    # the evaluate stage's aggregate side reads the rank stage's teacher
-    # score arrays, so only teacher_mean scores there: each teacher in one
-    # call over every agreement pool, each a prefix of that query's rank pool
+def test_pate_agreement_scores_its_own_pools_once_per_side_and_teacher(
+        workspace, tmp_path, monkeypatch):
+    # the evaluate stage reads no other stage's scores: its aggregate side
+    # (teacher_scores) and its mean side (teacher_mean) each score every
+    # agreement pool in one call per teacher
     pools_scored, calls = Counter(), Counter()
     stages = counting_stages(monkeypatch)
 
@@ -382,8 +382,8 @@ def test_pate_agreement_reads_the_rank_stage_scores(workspace, tmp_path, monkeyp
     eval_queries = read_queries(config.queries_eval)
     agreement_pools = pipeline._eval_pairs(index, eval_queries, 6)
     assert agreement_pools
-    assert sorted(pools_scored.values()) == [len(agreement_pools)] * 3
-    assert sorted(calls.values()) == [1] * 3
+    assert sorted(pools_scored.values()) == [2 * len(agreement_pools)] * 3
+    assert sorted(calls.values()) == [2] * 3
     assert report["agreement_nonnoisy_vs_mean"] == 1.0
 
 
@@ -431,23 +431,14 @@ def test_pate_ensemble_runs_equal_their_labelers_runs(workspace, tmp_path):
     quiet = dataclasses.replace(
         ensemble, config=dataclasses.replace(ensemble.config, noise_scale=0.0))
     queries = read_queries(config.queries_eval)
-
-    def labeled_scorers():
-        # the run's teacher scorers label the unlabeled pools before they
-        # rank, and a document's row is blocked with the first pool that
-        # holds it: replay that labeling, so every row has the run's bits
-        scorers = teacher_scorers(ensemble, index)
-        annotate_pools(index, read_queries(config.queries_unlabeled),
-                       ensemble_labels(scorers, ensemble.config, NOISE_TAG),
-                       config.pool_size, config.pairs_per_query, seed=0)
-        return scorers
-
+    # fresh scorers give the run's bits, although the run's scorers had
+    # labeled the unlabeled pools before they ranked
     labelers = {f"teacher_{i:02d}": model_labels(scorer)
-                for i, scorer in enumerate(labeled_scorers())}
-    labelers["aggregate"] = ensemble_labels(labeled_scorers(), quiet.config,
-                                            EVAL_NOISE_TAG)
-    labelers["aggregate_noisy"] = ensemble_labels(labeled_scorers(), ensemble.config,
-                                                  EVAL_NOISE_TAG)
+                for i, scorer in enumerate(teacher_scorers(ensemble, index))}
+    labelers["aggregate"] = ensemble_labels(teacher_scorers(ensemble, index),
+                                            quiet.config, EVAL_NOISE_TAG)
+    labelers["aggregate_noisy"] = ensemble_labels(teacher_scorers(ensemble, index),
+                                                  ensemble.config, EVAL_NOISE_TAG)
     for name, label_fn in labelers.items():
         # one labeler call per pool, at the pool's query position
         def scores(queries_terms, pools, label_fn=label_fn):
@@ -616,8 +607,9 @@ def test_cli_stage_chain_writes_the_distill_pipeline_artifacts(workspace, tmp_pa
             ("student.ckpt", "distill", "checkpoints/student.ckpt"),
             ("soft.tsv", "distill", "annotations/soft.tsv"),
             ("student.run", "distill", "runs/student.run"),
-            # a distill run's teacher scorer is first filled by labeling, which
-            # can move a score's last bit; a weak run's is filled by ranking
+            # a distill run's teacher scorer labels before it ranks, a weak
+            # run's only ranks, and the CLI's only ranks: the same scores
+            ("teacher.run", "distill", "runs/teacher.run"),
             ("teacher.run", "weak", "runs/teacher.run")):
         assert (cli / mine).read_bytes() == (runs[run] / theirs).read_bytes(), mine
 
@@ -734,22 +726,20 @@ def test_cli_pipeline_rejects_nan_noise_scale(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_pate_rejects_non_finite_noise_scale(workspace, tmp_path, capsys):
-    idx, ann = tmp_path / "index.bin", tmp_path / "ann.tsv"
-    assert main(["build-index", "--corpus", str(workspace / "corpus.jsonl"),
-                 "--out", str(idx)]) == 0
-    assert main(["annotate", "--index", str(idx), "--out", str(ann),
-                 "--queries", str(workspace / "queries_train.tsv")]) == 0
-    capsys.readouterr()
-    code = main(["pate", "--index", str(idx), "--noise-scale", "nan",
-                 "--queries", str(workspace / "queries_unlabeled.tsv"),
-                 "--annotations", str(ann),
-                 "--train-queries", str(workspace / "queries_train.tsv"),
-                 "--out", str(tmp_path / "p")])
-    assert code == 1
-    assert "noise_scale must be finite" in capsys.readouterr().err
-    assert not (tmp_path / "p" / "student.ckpt").exists()
-    assert not (tmp_path / "p").exists()  # checked before --out is made
+def test_cli_pate_rejects_non_finite_noise_scale(tmp_path, capsys):
+    # each used to exit 1 once the index and the annotations were read;
+    # argparse now rejects it as a bad flag, before any path is opened, and
+    # -1 with it (test_cli_rejects_out_of_range_run_settings)
+    out = tmp_path / "p"
+    for value in ("nan", "inf"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exited:
+            main(["pate", "--index", "i", "--queries", "q", "--annotations", "a",
+                  "--train-queries", "t", "--out", str(out), "--noise-scale", value])
+        assert exited.value.code == 2, value
+        assert ("argument --noise-scale: must be finite and non-negative, got "
+                f"{value}") in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_rank_rejects_cutoff_and_pool_size_below_one(tmp_path, capsys):
@@ -838,6 +828,7 @@ def test_cli_rejects_out_of_range_run_settings(tmp_path, capsys):
             (distill_cmd, "--pool-size", "1", "must be at least 2, got 1"),
             (pate, "--pool-size", "0", "must be at least 2, got 0"),
             (pate, "--n-partitions", "0", "must be at least 1, got 0"),
+            (pate, "--noise-scale", "-1", "must be finite and non-negative, got -1.0"),
             (evaluate_cmd, "--k", "0", "must be at least 1, got 0"),
             (annotate, "--seed", "-1", "must be at least 0, got -1"),
             (train_teacher, "--seed", "-1", "must be at least 0, got -1"),

@@ -1,10 +1,12 @@
 """Partitioning, Laplace mechanism, noisy aggregation, private distillation."""
 
 import inspect
+import json
 import math
 import re
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from mimicrank.private import (
 )
 from mimicrank.ranker import init_params, pool_scorer, save_model, train
 from tests.conftest import MICRO_STUDENT_CONFIG, MICRO_TEACHER_CONFIG
-from tests.scoring_reference import score_pool
+from tests.scoring_reference import score_index_pool
 
 
 @pytest.fixture(scope="module")
@@ -313,11 +315,10 @@ def test_noise_free_aggregate_is_exact_mean(micro_collection, micro_index,
     scorers = teacher_scorers(micro_ensemble, micro_index)
     agg = noisy_aggregate(scorers, query.terms, pool, 0.0)
     assert agg.shape == (len(rows),)
-    # left-to-right reference on the pool scores of a first pool, which a
-    # scorer blocks exactly as score_pool does
+    # left-to-right reference on the index-block reference's pool scores
     acc = 0.0
     for t in micro_ensemble.teachers:
-        acc += score_pool(t, query.terms, rows)
+        acc += score_index_pool(t, micro_index, query.terms, pool)
     assert np.array_equal(agg, acc / 3)
     assert np.array_equal(agg, teacher_mean(scorers, [query.terms], [pool])[0])
 
@@ -338,10 +339,10 @@ def test_single_teacher_aggregate_identity(micro_instances, micro_index,
                            base_seed=107,
                            privacy_config=PrivacyConfig(1, 0.0, seed=0))
     query = micro_collection.eval_queries[0]
-    pool, rows = _pool(micro_index, query)
+    pool, _ = _pool(micro_index, query)
     assert np.array_equal(noisy_aggregate(teacher_scorers(ens, micro_index), query.terms,
                                           pool, 0.0),
-                          score_pool(ens.teachers[0], query.terms, rows))
+                          score_index_pool(ens.teachers[0], micro_index, query.terms, pool))
 
 
 def test_noisy_aggregate_reproducible(micro_collection, micro_index,
@@ -378,7 +379,7 @@ def test_noisy_aggregate_draws_document_major(micro_collection, micro_index,
     rng = np.random.default_rng(5)
     noise = [[laplace_sample(0.05, draw_uniform(rng)) for _ in range(3)]
              for _ in rows]
-    clean = [score_pool(t, q, rows) for t in ens.teachers]
+    clean = [score_index_pool(t, micro_index, q, pool) for t in ens.teachers]
     for d in range(len(rows)):
         acc = 0.0
         for i in range(3):
@@ -397,7 +398,7 @@ def test_teacher_scores_columns_and_their_reduction(micro_collection, micro_inde
     scores, = teacher_scores(scorers, [q], [pool])
     assert scores.shape == (len(rows), 3)
     for i, t in enumerate(micro_ensemble.teachers):
-        assert np.array_equal(scores[:, i], score_pool(t, q, rows))
+        assert np.array_equal(scores[:, i], score_index_pool(t, micro_index, q, pool))
     assert np.array_equal(noisy_aggregate(scorers, q, pool, 0.05, np.random.default_rng(5)),
                           aggregate_scores(scores, 0.05, np.random.default_rng(5)))
     assert np.array_equal(aggregate_scores(scores, 0.0), teacher_mean(scorers, [q], [pool])[0])
@@ -490,7 +491,34 @@ def test_ensemble_refuses_a_teacher_file_changed_after_saving(tmp_path, micro_en
         victim.write_bytes((out / "teacher_00.ckpt").read_bytes())
     else:
         victim.write_bytes(victim.read_bytes()[:-8])
-    with pytest.raises(ValueError, match=re.escape(f"{victim}: teacher file does not match")):
+    with pytest.raises(ValueError, match=re.escape(f"{victim}: file does not match the SHA-256")):
+        load_ensemble(out)
+
+
+def test_ensemble_reads_each_teacher_file_once(tmp_path, micro_ensemble, monkeypatch):
+    # the SHA-256 check and the load see the same bytes: one open per file
+    out = tmp_path / "ensemble"
+    save_ensemble(out, micro_ensemble.teachers, micro_ensemble.config)
+    opened, real_open = Counter(), open
+
+    def counting_open(file, *args, **kwargs):
+        opened[Path(file).name] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    ensemble, manifest = load_ensemble(out)
+    assert len(ensemble.teachers) == 3
+    assert {name: opened[name] for name in manifest["teacher_files"]} == {
+        f"teacher_{i:02d}.ckpt": 1 for i in range(3)}
+
+
+def test_ensemble_refuses_a_manifest_without_teacher_hashes(tmp_path, micro_ensemble):
+    out = tmp_path / "ensemble"
+    save_ensemble(out, micro_ensemble.teachers, micro_ensemble.config)
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["teacher_sha256"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="manifest.json: records no teacher_sha256"):
         load_ensemble(out)
 
 

@@ -23,6 +23,7 @@ from mimicrank.corpus import (
 )
 from mimicrank import nn, ranker, serialize
 from mimicrank.pipeline import model_run
+from mimicrank.toydata import mini_collection
 from mimicrank.nn import DenseLayer
 from mimicrank.ranker import (
     RankModelConfig,
@@ -43,7 +44,7 @@ from mimicrank.ranker import (
 
 import batch_reference
 from batch_reference import row_pairs
-from scoring_reference import represent, score_batch, score_pool
+from scoring_reference import represent, score_batch, score_index_pool, score_pool
 from conftest import MICRO_TEACHER_CONFIG
 from gradcheck import finite_difference_check
 
@@ -248,19 +249,17 @@ def test_pool_scorer_matches_score_pool_over_overlapping_pools(
     assert repeats > 0  # later pools hold documents of earlier ones
     scorer = pool_scorer(params, micro_index)
     first = [score_one(scorer, terms, pool) for terms, pool in pools]
-    # a scorer's first pool is blocked exactly as score_pool blocks it, and
-    # both forward through ranker._infer
-    assert np.array_equal(first[0], score_pool(
-        params, pools[0][0], [micro_index.doc_rows(d) for d in pools[0][1]]))
+    # every pool gets the bits of the index-block reference, and score_pool,
+    # which blocks the pool's own rows, within 1e-12
     for (terms, pool), got in zip(pools, first):
+        assert np.array_equal(got, score_index_pool(params, micro_index, terms, pool))
         reference = score_pool(params, terms, [micro_index.doc_rows(d) for d in pool])
         assert got.shape == (len(pool),)
         np.testing.assert_allclose(got, reference, rtol=0.0, atol=1e-12)
     # the table is filled: a second pass repeats the first bit for bit
     for (terms, pool), got in zip(pools, first):
         assert np.array_equal(score_one(scorer, terms, pool), got)
-    # a fresh scorer fills its table pool by pool in call order, so one
-    # call over every pool gives the bits of one call per pool
+    # so does a fresh scorer's one call over every pool
     together = pool_scorer(params, micro_index)(*zip(*pools))
     assert all(np.array_equal(a, b) for a, b in zip(together, first))
     assert score_one(scorer, ("q",), []).shape == (0,)
@@ -302,7 +301,30 @@ def test_pool_scorer_built_after_a_weight_change_sees_it(micro_collection, micro
     after = score_one(pool_scorer(params, micro_index), query.terms, pool)
     assert not np.allclose(after, before)
     np.testing.assert_array_equal(
-        after, score_pool(params, query.terms, [micro_index.doc_rows(d) for d in pool]))
+        after, score_index_pool(params, micro_index, query.terms, pool))
+
+
+def test_pool_scores_do_not_depend_on_the_order_pools_are_scored_in():
+    # a document's row comes from its block of ranker._BLOCK_ROWS index
+    # positions, whichever pool first holds it: two fresh scorers given the
+    # same pools in opposite orders agree bit for bit. 300 documents make 4
+    # full blocks and one of 44, and the pools reach into that last block
+    collection = mini_collection()
+    index = build_index(collection.documents)
+    assert index.doc_count == 300
+    config = RankModelConfig(embedding_dim=300, hidden_layers=1, hidden_size=128,
+                             dropout_keep=1.0)
+    params = init_params(config, index.vocabulary, index, seed=7)
+    queries = collection.eval_queries + collection.unlabeled_queries[:5]
+    pools = [(q.terms, index.search(q.terms, 30)[0]) for q in queries]
+    assert len(pools) == 20 and all(len(pool) == 30 for _, pool in pools)
+    assert any(max(pool) >= 256 for _, pool in pools)
+    forward, backward = pool_scorer(params, index), pool_scorer(params, index)
+    in_order = [score_one(forward, terms, pool) for terms, pool in pools]
+    reversed_order = [score_one(backward, terms, pool) for terms, pool in pools[::-1]][::-1]
+    for (terms, pool), a, b in zip(pools, in_order, reversed_order):
+        assert a.tobytes() == b.tobytes()
+        assert a.tobytes() == score_index_pool(params, index, terms, pool).tobytes()
 
 
 BATCH_CONFIG = RankModelConfig(embedding_dim=16, hidden_layers=2, hidden_size=32,
