@@ -53,27 +53,26 @@ with tempfile.TemporaryDirectory() as directory:
 # pairs to probe agreement on: the annotated pairs, in the BM25 pools they
 # were drawn from; every scorer scores a whole pool at once
 scorers = teacher_scorers(ensemble, index)
-pools = []
+terms, pools, pairs = [], [], []
 for query in collection.train_queries:
     pool, _ = index.search(query.terms, 30)
     at = {index.doc_ids[d]: i for i, d in enumerate(pool)}
-    pairs = [(at[i.doc1_id], at[i.doc2_id])
-             for i in instances if i.query_id == query.query_id]
-    pools.append((query.terms, pool, pairs))
-print("probe pairs:", sum(len(pairs) for _, _, pairs in pools))
+    terms.append(query.terms)
+    pools.append(pool)
+    pairs.append([(at[i.doc1_id], at[i.doc2_id])
+                  for i in instances if i.query_id == query.query_id])
+print("probe pairs:", sum(map(len, pairs)))
 
 # the plain teacher mean of every pool, each teacher scoring all of them at once
-terms = [q for q, _, _ in pools]
-means = dict(zip(terms, teacher_mean(scorers, terms, [pool for _, pool, _ in pools])))
+means = teacher_mean(scorers, terms, pools)
 exact = pairwise_agreement(
-    lambda q, pool: noisy_aggregate(scorers, q, pool, 0.0),
-    lambda q, pool: means[q], pools)
+    [noisy_aggregate(scorers, q, pool, 0.0) for q, pool in zip(terms, pools)], means, pairs)
 print(f"aggregate vs mean, noise 0.0: agreement {exact}")
 
 rng = np.random.default_rng(11)
 noisy = pairwise_agreement(
-    lambda q, pool: noisy_aggregate(scorers, q, pool, privacy.noise_scale, rng),
-    lambda q, pool: means[q], pools)
+    [noisy_aggregate(scorers, q, pool, privacy.noise_scale, rng)
+     for q, pool in zip(terms, pools)], means, pairs)
 print(f"aggregate vs mean, noise {privacy.noise_scale}: agreement {noisy:.4f}")
 
 # the student's pools are labeled by the noisy aggregate of fresh scorers

@@ -265,14 +265,14 @@ class InvertedIndex:
         Returns (doc_indices, scores) ranked by BM25 descending, ties broken
         by ascending doc_id; the scores are bm25_scores', bit-identical to
         bm25_score. Only the hits at or above the k-th score are sorted, so
-        every document tied at the cut competes by doc_id. k None keeps
-        every hit; a k below 1 raises ValueError.
+        every document tied at the cut competes by doc_id. A k below 1
+        raises ValueError.
         """
-        if k is not None and k < 1:
+        if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         scores = self.bm25_scores(query_terms)
         found = np.flatnonzero(scores)
-        if k is not None and k < len(found):
+        if k < len(found):
             hit_scores = scores[found]
             cut = len(found) - k
             found = found[hit_scores >= np.partition(hit_scores, cut)[cut]]

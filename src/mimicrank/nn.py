@@ -5,8 +5,8 @@ caller; training steps mutate them in place, so a store must not be shared
 while a step runs. The passes work in place on arrays they allocate and
 never write to their inputs; forward's cache keeps only each layer's input,
 its boolean dropout mask and the output its activation's derivative reads.
-A caller that computes layer 0's pre-activation itself (to share part of it
-between rows) enters the stack there with forward(..., pre_activation=True).
+The stack always starts at layer 0's pre-activation, which the caller forms
+(the ranker shares parts of it between rows), and backward stops there.
 """
 
 import math
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "tanh", "identity")
+ACTIVATIONS = ("relu", "tanh")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -66,9 +66,7 @@ def _activate(name, z, owned):
     out = z if owned else None
     if name == "relu":
         return np.maximum(z, 0.0, out=out)
-    if name == "tanh":
-        return np.tanh(z, out=out)
-    return z
+    return np.tanh(z, out=out)
 
 
 def init_layers(dims, activations, rng):
@@ -87,97 +85,67 @@ def init_layers(dims, activations, rng):
     return layers
 
 
-def forward(layers, x, dropout_keep=1.0, train=False, rng=None,
-            pre_activation=False):
-    """Run the stack; returns (output, cache for backward).
+def forward(layers, x, dropout_keep=1.0, rng=None):
+    """Run the stack from layer 0's pre-activation; returns (output, cache).
 
-    x may be a vector or a batch (n, ·); the output mirrors the input's
-    rank. Normally x is the stack's input (in_dim of layer 0). With
-    pre_activation=True, x is layer 0's pre-activation x·W0 + b0 (out_dim
-    of layer 0), computed by the caller: layer 0's weights and bias are
-    not used, and backward returns the gradient at that pre-activation.
-    In train mode, inverted dropout runs after every hidden activation
-    (never after the last layer): mask/keep scaling at train time,
-    nothing at inference, so expectations match. dropout_keep=1 draws no
-    masks at all. x is never written to.
+    x is an (n, out_dim of layer 0) batch of layer 0's pre-activation
+    x0·W0 + b0, formed by the caller: layer 0's weights and bias are not
+    used here, and backward returns the gradient at x. Inverted dropout
+    runs after every hidden activation (never after the last layer)
+    exactly when dropout_keep < 1, and then needs rng: mask/keep scaling,
+    so expectations match the pass without dropout, which draws no masks.
+    x is never written to.
 
-    The cache holds, per layer, its input (None for a pre-activation
-    entry), its boolean dropout mask (or None), and the output backward
-    needs for the activation's derivative: tanh's activation before
-    dropout, ReLU's output after dropout (the next layer's input; h > 0
-    wherever the mask kept the unit, and the mask zeroes the rest), and
-    nothing for identity.
+    The cache holds, per layer, its input (None for layer 0), its boolean
+    dropout mask (or None), and the output backward needs for the
+    activation's derivative: tanh's activation before dropout, ReLU's
+    output after dropout (the next layer's input; h > 0 wherever the mask
+    kept the unit, and the mask zeroes the rest).
     """
     if not 0.0 < dropout_keep <= 1.0:
         raise ValueError(f"dropout_keep must be in (0, 1], got {dropout_keep}")
-    use_dropout = train and dropout_keep < 1.0
-    if use_dropout and rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    h = x.reshape(1, -1) if squeeze else x
-    inputs, masks, outputs = [], [], []
-    last = len(layers) - 1
+    if dropout_keep < 1.0 and rng is None:
+        raise ValueError("dropout needs an rng")
+    h = z = np.asarray(x, dtype=np.float64)  # layer 0's z is x itself
+    if h.ndim != 2 or h.shape[1] != layers[0].out_dim:
+        raise ValueError(f"layer 0: pre-activation shape {h.shape} is not "
+                         f"(n, {layers[0].out_dim})")
+    inputs, masks, outputs = [None], [], []
     for i, layer in enumerate(layers):
-        entry = pre_activation and i == 0
-        expected = layer.out_dim if entry else layer.in_dim
-        if h.shape[1] != expected:
-            what = "pre-activation" if entry else "input"
-            raise ValueError(f"layer {i}: {what} dim {h.shape[1]} != expected {expected}")
-        if entry:
-            inputs.append(None)
-            z = h
-        else:
+        if i:
+            if h.shape[1] != layer.in_dim:
+                raise ValueError(f"layer {i}: input dim {h.shape[1]} != expected {layer.in_dim}")
             inputs.append(h)
             z = h @ layer.weights
             z += layer.bias
-        a = _activate(layer.activation, z, owned=not entry)
+        a = _activate(layer.activation, z, owned=i > 0)
         mask = None
-        if use_dropout and i < last:
+        if dropout_keep < 1.0 and i < len(layers) - 1:
             mask = rng.random(a.shape) < dropout_keep
-            if layer.activation == "tanh" or a is h:
-                h = a * mask  # a is kept for the derivative, or is the caller's x
-            else:
-                h = np.multiply(a, mask, out=a)
+            # tanh's activation is kept for its derivative
+            h = np.multiply(a, mask, out=None if layer.activation == "tanh" else a)
             h /= dropout_keep
         else:
             h = a
         masks.append(mask)
-        if layer.activation == "tanh":
-            outputs.append(a)
-        else:
-            outputs.append(h if layer.activation == "relu" else None)
-    cache = {
-        "layers": layers,
-        "inputs": inputs,
-        "masks": masks,
-        "outputs": outputs,
-        "out_shape": h.shape,
-        "dropout_keep": dropout_keep,
-        "squeeze": squeeze,
-    }
-    out = h[0] if squeeze else h
-    return out, cache
+        outputs.append(a if layer.activation == "tanh" else h)
+    return h, {"layers": layers, "inputs": inputs, "masks": masks, "outputs": outputs,
+               "dropout_keep": dropout_keep}
 
 
 def backward(cache, upstream):
-    """Exact reverse-mode gradients for every weight, bias, and the input.
+    """Exact reverse-mode gradients of layers 1 and up, and of forward's x.
 
-    upstream is never written to. After a pre-activation forward, d_input
-    is the gradient at layer 0's pre-activation, and layer 0's weight and
-    bias gradients are None.
+    d_input is the gradient at layer 0's pre-activation; layer 0's weight
+    and bias gradients are None, for the caller that formed the
+    pre-activation to form them. upstream is never written to.
     """
-    layers = cache["layers"]
-    keep = cache["dropout_keep"]
-    upstream = np.asarray(upstream, dtype=np.float64)
-    g = upstream.reshape(1, -1) if cache["squeeze"] else upstream
-    if g.shape != cache["out_shape"]:
-        raise ValueError(
-            f"upstream gradient shape {g.shape} does not match output "
-            f"{cache['out_shape']}"
-        )
-    d_weights = [None] * len(layers)
-    d_biases = [None] * len(layers)
+    layers, keep = cache["layers"], cache["dropout_keep"]
+    g = np.asarray(upstream, dtype=np.float64)
+    if g.shape != cache["outputs"][-1].shape:
+        raise ValueError(f"upstream gradient shape {g.shape} does not match output "
+                         f"{cache['outputs'][-1].shape}")
+    d_weights, d_biases = [None] * len(layers), [None] * len(layers)
     owned = False  # whether g may be written to
     for i in range(len(layers) - 1, -1, -1):
         mask = cache["masks"][i]
@@ -190,20 +158,15 @@ def backward(cache, upstream):
             dz = out * out
             np.subtract(1.0, dz, out=dz)
             dz *= g
-        elif layers[i].activation == "relu":
-            # subgradient 0 at the kink
-            dz = np.multiply(g, out > 0.0, out=g if owned else None)
         else:
-            dz = g
-        if cache["inputs"][i] is None:
-            g = dz
-            break
+            # ReLU; subgradient 0 at the kink
+            dz = np.multiply(g, out > 0.0, out=g if owned else None)
+        if i == 0:
+            return GradientStore(d_weights, d_biases, dz)
         d_weights[i] = cache["inputs"][i].T @ dz
         d_biases[i] = dz.sum(axis=0)
         g = dz @ layers[i].weights.T
         owned = True
-    d_input = g[0] if cache["squeeze"] else g
-    return GradientStore(d_weights, d_biases, d_input)
 
 
 # ---------------------------------------------------------------------------

@@ -501,14 +501,17 @@ def _ensemble_run_scorers(scorers, privacy):
 
 
 def _eval_pairs(index, queries, depth):
-    """Deterministic pools for pairwise_agreement: each query's BM25 top
-    `depth` documents as index positions, paired with their neighbours."""
-    pools = []
+    """Deterministic pools for pairwise_agreement: (query terms, pools,
+    pairs), each query's BM25 top `depth` documents as index positions,
+    paired with their neighbours; queries with fewer than 2 hits are left out."""
+    terms, pools, pairs = [], [], []
     for q in queries:
         pool, _ = index.search(q.terms, depth)
         if len(pool) > 1:
-            pools.append((q.terms, pool, [(i, i + 1) for i in range(len(pool) - 1)]))
-    return pools
+            terms.append(q.terms)
+            pools.append(pool)
+            pairs.append([(i, i + 1) for i in range(len(pool) - 1)])
+    return terms, pools, pairs
 
 
 def _metric_means(report):
@@ -673,13 +676,12 @@ def run_pipeline(config, mode, jobs=1):
             # exactness property: the noise-free aggregate must order pairs
             # exactly like the plain teacher mean; each side scores the
             # pools in one call per teacher
-            pools = _eval_pairs(index, eval_queries, min(6, config.rank_pool_size))
-            terms, positions = [q for q, _, _ in pools], [pool for _, pool, _ in pools]
-            aggregates = dict(zip(terms, (aggregate_scores(scores, 0.0) for scores in
-                                          teacher_scores(scorers, terms, positions))))
-            means = dict(zip(terms, teacher_mean(scorers, terms, positions)))
+            terms, pools, pairs = _eval_pairs(index, eval_queries,
+                                              min(6, config.rank_pool_size))
+            aggregates = [aggregate_scores(scores, 0.0)
+                          for scores in teacher_scores(scorers, terms, pools)]
             report["agreement_nonnoisy_vs_mean"] = pairwise_agreement(
-                lambda q, pool: aggregates[q], lambda q, pool: means[q], pools)
+                aggregates, teacher_mean(scorers, terms, pools), pairs)
             report["noisy_vs_nonnoisy"] = {
                 "map_delta": reports["aggregate_noisy"].mean_ap
                 - reports["aggregate"].mean_ap,

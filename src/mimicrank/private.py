@@ -205,30 +205,20 @@ def teacher_mean(scorers, queries_terms, pools):
     return means
 
 
-def pairwise_agreement(score_a, score_b, pools):
-    """Fraction of document pairs that two pool scorers order alike.
+def pairwise_agreement(scores_a, scores_b, pairs):
+    """Fraction of document pairs that two sets of pool scores order alike.
 
-    pools: (query terms, pool, pairs) triples, where pool holds index
-    positions and pairs holds (i, j) positions into the pool; each
-    scorer(query terms, pool) -> scores runs once per pool. A tie from
-    either scorer counts as disagreement unless both tie. None when there
-    are no pairs.
+    scores_a and scores_b hold one score array per pool, and pairs[k]
+    holds (i, j) positions into pool k. A tie on either side counts as
+    disagreement unless both tie. None when there are no pairs.
     """
     agree = total = 0
-    for query_terms, pool, pairs in pools:
-        a, b = score_a(query_terms, pool), score_b(query_terms, pool)
-        for i, j in pairs:
-            agree += _pref(a[i], a[j]) == _pref(b[i], b[j])
-        total += len(pairs)
+    for a, b, pool_pairs in zip(scores_a, scores_b, pairs, strict=True):
+        i, j = np.array(pool_pairs, dtype=np.intp).reshape(-1, 2).T
+        # a difference of finite floats is 0 exactly when they are equal
+        agree += int((np.sign(a[i] - a[j]) == np.sign(b[i] - b[j])).sum())
+        total += i.size
     return agree / total if total else None
-
-
-def _pref(s1, s2):
-    if s1 > s2:
-        return 1
-    if s1 < s2:
-        return -1
-    return 0
 
 
 def ensemble_labels(scorers, privacy, tag):
@@ -298,29 +288,39 @@ def save_ensemble(directory, teachers, config, teacher_seeds=None, shard_hashes=
 
 
 def read_ensemble_manifest(directory):
-    """(PrivacyConfig, manifest dict) of a saved ensemble; no teacher is loaded."""
-    with open(Path(directory) / ENSEMBLE_MANIFEST, encoding="utf-8") as fh:
+    """(PrivacyConfig, manifest dict) of a saved ensemble; no teacher is
+    loaded. A manifest without a privacy setting raises ValueError naming
+    the manifest."""
+    path = Path(directory) / ENSEMBLE_MANIFEST
+    with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    config = PrivacyConfig(
-        n_partitions=manifest["n_partitions"],
-        noise_scale=manifest["noise_scale"],
-        seed=manifest["seed"],
-    )
+    try:
+        config = PrivacyConfig(
+            n_partitions=manifest["n_partitions"],
+            noise_scale=manifest["noise_scale"],
+            seed=manifest["seed"],
+        )
+    except KeyError as missing:
+        raise ValueError(f"{path}: records no {missing.args[0]}") from None
     return config, manifest
 
 
 def load_ensemble(directory):
     """(TeacherEnsemble, manifest dict) of a saved ensemble; a teacher file
     without the SHA-256 the manifest records for it raises ValueError
-    naming the file, and so does a manifest that records none. Each file
-    is read once: the bytes hashed are the bytes loaded."""
+    naming the file, and a manifest that records no SHA-256, or not one
+    per teacher file, raises ValueError naming the manifest. Each file is
+    read once: the bytes hashed are the bytes loaded."""
     config, manifest = read_ensemble_manifest(directory)
-    paths = [Path(directory) / name for name in manifest["teacher_files"]]
-    hashes = manifest.get("teacher_sha256")
+    where = Path(directory) / ENSEMBLE_MANIFEST
+    files, hashes = manifest.get("teacher_files", []), manifest.get("teacher_sha256")
     if not hashes:
-        raise ValueError(f"{Path(directory) / ENSEMBLE_MANIFEST}: records no teacher_sha256")
-    teachers = [load_model(path, sha256=recorded)
-                for path, recorded in zip(paths, hashes, strict=True)]
+        raise ValueError(f"{where}: records no teacher_sha256")
+    if len(hashes) != len(files):
+        raise ValueError(f"{where}: records {len(hashes)} teacher_sha256 for "
+                         f"{len(files)} teacher_files")
+    teachers = [load_model(Path(directory) / name, sha256=recorded)
+                for name, recorded in zip(files, hashes)]
     return TeacherEnsemble(teachers=teachers, config=config), manifest
 
 

@@ -262,7 +262,7 @@ def _pre_activation(params, doc_half, query_half, which):
     doc_half is D·W_d, one row per scored row, and is written to and
     returned; query_half is Q·W_q, one row per distinct query, and which[i]
     is row i's query. Every model score and training step forms layer 0
-    here and enters the stack with nn.forward(..., pre_activation=True).
+    here and enters the stack, nn.forward, with it.
     """
     doc_half += query_half[which]
     doc_half += params.layers[0].bias
@@ -296,7 +296,7 @@ def _infer(params, doc_half, docs, query_half, queries):
     for first in range(0, len(rows), _FORWARD_ROWS):
         chunk = rows[first:first + _FORWARD_ROWS]
         z = _pre_activation(params, doc_half[docs[chunk]], query_half, queries[chunk])
-        scores, _ = nn.forward(params.layers, z, pre_activation=True)
+        scores, _ = nn.forward(params.layers, z)
         out[first:first + len(chunk)] = scores[:, 0]
     return out[:n]
 
@@ -414,7 +414,7 @@ def _pair_columns(pairs, n_terms):
     return _PairColumns(slots, sign, table)
 
 
-def compute_loss_and_grads(params, batch, train=False, rng=None):
+def compute_loss_and_grads(params, batch, rng=None):
     """Shared-parameter forward on (q,d1) and (q,d2), hinge loss, gradients.
 
     batch is a _PairColumns of some pairs; its rows must index
@@ -434,8 +434,8 @@ def compute_loss_and_grads(params, batch, train=False, rng=None):
     per query and per document (_group_sums) before they meet W_q and
     W_d. Returns (loss, grads) where grads is a dict with d_embedding,
     d_term_weights, d_layer_weights and d_layer_biases (one array per
-    layer). Dropout runs only when train=True; forward 1 draws all of its
-    masks, then forward 2.
+    layer). Dropout runs at params.config.dropout_keep, so a keep rate
+    below 1 needs rng; forward 1 draws all of its masks, then forward 2.
     """
     n = batch.sign.size
     # queries and documents are distinct table rows and the n query slots
@@ -451,11 +451,11 @@ def compute_loss_and_grads(params, batch, train=False, rng=None):
     w_q, w_d = _layer0_halves(params)
     p_q, p_d = q_reps @ w_q, d_reps @ w_d
     query, doc1, doc2 = which[:n], which[n:2 * n] - k, which[2 * n:] - k
-    keep = params.config.dropout_keep if train else 1.0
+    keep = params.config.dropout_keep
     out1, cache1 = nn.forward(params.layers, _pre_activation(params, p_d[doc1], p_q, query),
-                              dropout_keep=keep, train=train, rng=rng, pre_activation=True)
+                              keep, rng)
     out2, cache2 = nn.forward(params.layers, _pre_activation(params, p_d[doc2], p_q, query),
-                              dropout_keep=keep, train=train, rng=rng, pre_activation=True)
+                              keep, rng)
     del p_d
     big_s1, big_s2 = out1[:, 0], out2[:, 0]
 
@@ -557,8 +557,7 @@ def train(params, config, instances, epochs, seed):
         for start in range(0, n, config.batch_size):
             pairs = order[start:start + config.batch_size]
             batch = columns._replace(slots=columns.slots[:, pairs], sign=columns.sign[pairs])
-            loss, grads = compute_loss_and_grads(params, batch, train=True,
-                                                 rng=dropout_rng)
+            loss, grads = compute_loss_and_grads(params, batch, dropout_rng)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}", epoch

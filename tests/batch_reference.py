@@ -75,7 +75,7 @@ def count_blocks(rows):
         yield first, u, counts
 
 
-def loss_and_grads(params, batch, train=False, rng=None):
+def loss_and_grads(params, batch, rng=None):
     """compute_loss_and_grads over a list of RowPairs, grouped per batch.
 
     Queries are grouped by query number and documents by doc1_id, then
@@ -95,13 +95,11 @@ def loss_and_grads(params, batch, train=False, rng=None):
     w_q, w_d = ranker._layer0_halves(params)
     p_q, p_d = q_reps @ w_q, d_reps @ w_d
     query, doc1, doc2 = which[:n], which[n:2 * n] - k, which[2 * n:] - k
-    keep = params.config.dropout_keep if train else 1.0
+    keep = params.config.dropout_keep
     out1, cache1 = nn.forward(params.layers,
-                              ranker._pre_activation(params, p_d[doc1], p_q, query),
-                              dropout_keep=keep, train=train, rng=rng, pre_activation=True)
+                              ranker._pre_activation(params, p_d[doc1], p_q, query), keep, rng)
     out2, cache2 = nn.forward(params.layers,
-                              ranker._pre_activation(params, p_d[doc2], p_q, query),
-                              dropout_keep=keep, train=train, rng=rng, pre_activation=True)
+                              ranker._pre_activation(params, p_d[doc2], p_q, query), keep, rng)
     big_s1, big_s2 = out1[:, 0], out2[:, 0]
 
     sign = np.array([1.0 if inst.s1 > inst.s2 else -1.0 for inst in batch])
@@ -148,7 +146,7 @@ def train(params, config, pairs, epochs, seed):
         total = 0.0
         for start in range(0, n, config.batch_size):
             batch = [instances[i] for i in order[start:start + config.batch_size]]
-            loss, grads = loss_and_grads(params, batch, train=True, rng=dropout_rng)
+            loss, grads = loss_and_grads(params, batch, dropout_rng)
             assert math.isfinite(loss)
             total += loss * len(batch)
             nn.optimizer_step(arrays, ranker._grad_list(grads), state)

@@ -46,6 +46,8 @@ def test_parameters_the_benchmark_binds_by_name():
     assert {"index", "queries", "label_fn"} <= params(corpus.annotate_pools)
     assert {"instances", "epochs"} <= params(ranker.train)
     assert "jobs" in params(pipeline.run_pipeline)
+    # around_forward reads the rows it counts from args[1] or kwargs["x"]
+    assert list(inspect.signature(nn.forward).parameters)[1] == "x"
 
 
 def test_instance_fields_the_benchmark_reads():

@@ -31,21 +31,24 @@ def layer(w, b, act):
 def test_forward_zero_params_tanh_outputs_zero():
     layers = [layer(np.zeros((3, 2)), np.zeros(2), "relu"),
               layer(np.zeros((2, 1)), np.zeros(1), "tanh")]
-    out, _ = forward(layers, np.array([1.0, -2.0, 3.0]))
-    assert out.shape == (1,)
-    assert out[0] == 0.0
+    out, _ = forward(layers, np.array([[1.0, -2.0], [0.5, 3.0]]))
+    assert out.shape == (2, 1)
+    assert not out.any()
 
 
 def test_forward_affine_arithmetic():
-    layers = [layer([[2.0]], [-1.0], "identity")]
-    out, _ = forward(layers, np.array([3.0]))
-    assert out[0] == 5.0
+    # layer 0 applies only its activation to the pre-activation it is given;
+    # layer 1 is relu(h·W1 + b1): relu([-1, 3]) · [2, 5] - 1 = 14
+    layers = [layer(np.zeros((4, 2)), np.zeros(2), "relu"),
+              layer([[2.0], [5.0]], [-1.0], "relu")]
+    out, _ = forward(layers, np.array([[-1.0, 3.0]]))
+    assert out[0, 0] == 14.0
 
 
 def test_forward_infer_is_deterministic():
     rng = np.random.default_rng(0)
     layers = init_layers([4, 3, 1], ["relu", "tanh"], rng)
-    x = rng.normal(size=4)
+    x = rng.normal(size=(5, 3))
     a, _ = forward(layers, x)
     b, _ = forward(layers, x)
     assert np.array_equal(a, b)
@@ -55,29 +58,29 @@ def test_forward_rejects_dim_mismatch_naming_layer():
     layers = [layer(np.zeros((3, 2)), np.zeros(2), "relu"),
               layer(np.zeros((5, 1)), np.zeros(1), "tanh")]
     with pytest.raises(ValueError, match="layer 1"):
-        forward(layers, np.zeros(3))
+        forward(layers, np.zeros((4, 2)))
 
 
 def test_forward_batch_matches_per_row():
     # batch matmul and single-row matmul use different BLAS kernels, so
     # agreement is to rounding error, not bitwise
     rng = np.random.default_rng(1)
-    layers = init_layers([4, 5, 2], ["relu", "identity"], rng)
-    xs = rng.normal(size=(6, 4))
+    layers = init_layers([4, 5, 2], ["relu", "tanh"], rng)
+    xs = rng.normal(size=(6, 5))
     batch_out, _ = forward(layers, xs)
     for i in range(6):
-        row_out, _ = forward(layers, xs[i])
-        assert np.allclose(batch_out[i], row_out, rtol=1e-12, atol=1e-14)
+        row_out, _ = forward(layers, xs[i:i + 1])
+        assert np.allclose(batch_out[i], row_out[0], rtol=1e-12, atol=1e-14)
 
 
 def test_activation_ranges():
     # strict |tanh| < 1 holds while |z| stays below ~19; beyond that float64
     # rounds tanh to exactly 1, so the probe uses unit-scale inputs
     rng = np.random.default_rng(2)
-    relu_net = init_layers([3, 4], ["relu"], rng)
-    tanh_net = init_layers([3, 4], ["tanh"], rng)
+    relu_net = init_layers([3, 4, 4], ["relu", "relu"], rng)
+    tanh_net = init_layers([3, 4, 4], ["tanh", "tanh"], rng)
     for _ in range(50):
-        x = rng.normal(scale=1.0, size=3)
+        x = rng.normal(scale=1.0, size=(1, 4))
         r, _ = forward(relu_net, x)
         t, _ = forward(tanh_net, x)
         assert (r >= 0.0).all()
@@ -91,30 +94,34 @@ def test_activation_ranges():
 def test_backward_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(3)
     layers = init_layers([3, 4, 1], ["relu", "tanh"], rng)
-    _, cache = forward(layers, rng.normal(size=3))
-    store = backward(cache, np.zeros(1))
-    for dw, db in zip(store.d_weights, store.d_biases):
+    _, cache = forward(layers, rng.normal(size=(2, 4)))
+    store = backward(cache, np.zeros((2, 1)))
+    # layer 0's parameter gradients belong to whoever formed its pre-activation
+    assert store.d_weights[0] is None and store.d_biases[0] is None
+    for dw, db in zip(store.d_weights[1:], store.d_biases[1:]):
         assert not dw.any()
         assert not db.any()
     assert not store.d_input.any()
 
 
-def test_backward_scalar_identity_product_rule():
+def test_backward_scalar_product_rule():
+    # a positive pre-activation x passes layer 0's relu unchanged, and
+    # layer 1 is relu(w·x) with w·x > 0
     w = 4.0
     x = 7.0
-    layers = [layer([[w]], [0.0], "identity")]
-    _, cache = forward(layers, np.array([x]))
-    store = backward(cache, np.array([1.0]))
-    assert store.d_weights[0][0, 0] == x
-    assert store.d_input[0] == w
-    assert store.d_biases[0][0] == 1.0
+    layers = [layer([[0.0]], [0.0], "relu"), layer([[w]], [0.0], "relu")]
+    _, cache = forward(layers, np.array([[x]]))
+    store = backward(cache, np.array([[1.0]]))
+    assert store.d_weights[1][0, 0] == x
+    assert store.d_input[0, 0] == w
+    assert store.d_biases[1][0] == 1.0
 
 
 def test_backward_rejects_shape_mismatch():
-    layers = [layer(np.zeros((2, 3)), np.zeros(3), "identity")]
-    _, cache = forward(layers, np.zeros(2))
+    layers = [layer(np.zeros((2, 3)), np.zeros(3), "relu")]
+    _, cache = forward(layers, np.zeros((1, 3)))
     with pytest.raises(ValueError, match="upstream"):
-        backward(cache, np.zeros(2))
+        backward(cache, np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("dims,acts", [
@@ -124,18 +131,22 @@ def test_backward_rejects_shape_mismatch():
     ([6, 7, 5, 4, 1], ["relu", "relu", "relu", "tanh"]),
 ])
 def test_backward_matches_finite_differences(dims, acts):
+    # the pre-activation x is checked like a parameter: it is what layer 0
+    # hands back to the caller that formed it
     rng = np.random.default_rng(hash(tuple(dims)) % (2**32))
     layers = init_layers(dims, acts, rng)
-    x = rng.normal(size=dims[0])
+    x = rng.normal(size=(3, dims[1]))
+    upstream = rng.normal(size=(3, 1))
 
     def loss():
         out, _ = forward(layers, x)
-        return float(out[0])
+        return float((out * upstream).sum())
 
     _, cache = forward(layers, x)
-    store = backward(cache, np.array([1.0]))
-    params = [a for lyr in layers for a in (lyr.weights, lyr.bias)]
-    grads = [a for dw, db in zip(store.d_weights, store.d_biases) for a in (dw, db)]
+    store = backward(cache, upstream)
+    params = [x] + [a for lyr in layers[1:] for a in (lyr.weights, lyr.bias)]
+    grads = [store.d_input] + [a for dw, db in zip(store.d_weights[1:], store.d_biases[1:])
+                               for a in (dw, db)]
     report = finite_difference_check(loss, params, grads, max_coords_per_param=20, seed=9)
     assert report.passed, report
 
@@ -201,34 +212,38 @@ def test_adam_rejects_shape_mismatch():
 
 
 def test_dropout_requires_rng_in_train_mode():
+    # dropout runs exactly when the keep rate is below 1
     layers = [layer(np.eye(2), np.zeros(2), "relu"),
-              layer(np.ones((2, 1)), np.zeros(1), "identity")]
+              layer(np.ones((2, 1)), np.zeros(1), "relu")]
     with pytest.raises(ValueError, match="rng"):
-        forward(layers, np.ones(2), dropout_keep=0.5, train=True)
+        forward(layers, np.ones((1, 2)), dropout_keep=0.5)
 
 
 def test_dropout_never_applied_at_inference():
+    # inference runs at keep 1, which draws no masks: an rng given is untouched
     rng = np.random.default_rng(4)
     layers = init_layers([3, 5, 1], ["relu", "tanh"], rng)
-    x = np.array([1.0, 2.0, 3.0])
-    a, _ = forward(layers, x, dropout_keep=0.5, train=False)
+    x = np.array([[1.0, 2.0, 3.0, -1.0, 0.5]])
+    state = rng.bit_generator.state
+    a, cache = forward(layers, x, rng=rng)
     b, _ = forward(layers, x)
     assert np.array_equal(a, b)
+    assert rng.bit_generator.state == state
+    assert cache["masks"] == [None, None]
 
 
 def test_dropout_preserves_expectation():
     # mean of inverted-dropout outputs must approach the no-dropout output
     keep = 0.8
-    w1 = np.eye(4)
-    layers = [layer(w1, np.zeros(4), "relu"),
-              layer(np.eye(4), np.zeros(4), "identity")]
-    x = np.array([1.0, 2.0, 3.0, 4.0])
+    layers = [layer(np.eye(4), np.zeros(4), "relu"),
+              layer(np.eye(4), np.zeros(4), "relu")]
+    x = np.array([[1.0, 2.0, 3.0, 4.0]])
     clean, _ = forward(layers, x)
     n = 4000
     rng = np.random.default_rng(5)
-    acc = np.zeros(4)
+    acc = np.zeros((1, 4))
     for _ in range(n):
-        out, _ = forward(layers, x, dropout_keep=keep, train=True, rng=rng)
+        out, _ = forward(layers, x, dropout_keep=keep, rng=rng)
         acc += out
     mean = acc / n
     # per-unit variance of v*Bern(p)/p is v^2 (1-p)/p
@@ -242,19 +257,20 @@ def test_dropout_gradients_match_fd_with_frozen_mask():
     dims, acts = [4, 6, 6, 1], ["relu", "relu", "tanh"]
     rng = np.random.default_rng(6)
     layers = init_layers(dims, acts, rng)
-    x = rng.normal(size=4)
+    x = rng.normal(size=(2, 6))
 
     def fixed_rng():
         return np.random.default_rng(123)
 
     def loss():
-        out, _ = forward(layers, x, dropout_keep=0.7, train=True, rng=fixed_rng())
-        return float(out[0])
+        out, _ = forward(layers, x, dropout_keep=0.7, rng=fixed_rng())
+        return float(out.sum())
 
-    _, cache = forward(layers, x, dropout_keep=0.7, train=True, rng=fixed_rng())
-    store = backward(cache, np.array([1.0]))
-    params = [a for lyr in layers for a in (lyr.weights, lyr.bias)]
-    grads = [a for dw, db in zip(store.d_weights, store.d_biases) for a in (dw, db)]
+    _, cache = forward(layers, x, dropout_keep=0.7, rng=fixed_rng())
+    store = backward(cache, np.ones((2, 1)))
+    params = [x] + [a for lyr in layers[1:] for a in (lyr.weights, lyr.bias)]
+    grads = [store.d_input] + [a for dw, db in zip(store.d_weights[1:], store.d_biases[1:])
+                               for a in (dw, db)]
     report = finite_difference_check(loss, params, grads, max_coords_per_param=15, seed=7)
     assert report.passed, report
 
@@ -264,14 +280,14 @@ def test_dropout_gradients_match_fd_with_frozen_mask():
 
 
 def reference_forward(layers, x, keep, rng):
-    """Forward with one fresh array per operation and float dropout masks."""
-    h = x.reshape(1, -1) if x.ndim == 1 else x
+    """The whole stack from its input x, layer 0 included, with one fresh
+    array per operation and float dropout masks."""
+    h = x
     inputs, pre_acts, acts, masks = [], [], [], []
     for i, lyr in enumerate(layers):
         inputs.append(h)
         z = h @ lyr.weights + lyr.bias
-        a = {"relu": lambda: np.maximum(z, 0.0), "tanh": lambda: np.tanh(z),
-             "identity": lambda: z}[lyr.activation]()
+        a = np.maximum(z, 0.0) if lyr.activation == "relu" else np.tanh(z)
         pre_acts.append(z)
         acts.append(a)
         if rng is not None and i < len(layers) - 1:
@@ -285,21 +301,26 @@ def reference_forward(layers, x, keep, rng):
 
 
 def reference_backward(layers, cache, upstream, keep):
+    """Gradients of every layer and of x; also each layer's pre-activation gradient."""
     inputs, pre_acts, acts, masks = cache
     g = upstream
-    d_weights, d_biases = [None] * len(layers), [None] * len(layers)
+    d_weights, d_biases, d_pre = [None] * len(layers), [None] * len(layers), [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         if masks[i] is not None:
             g = g * masks[i] / keep
         z, a = pre_acts[i], acts[i]
-        deriv = {"relu": lambda: (z > 0.0).astype(np.float64),
-                 "tanh": lambda: 1.0 - a * a,
-                 "identity": lambda: np.ones_like(z)}[layers[i].activation]()
+        deriv = (z > 0.0).astype(np.float64) if layers[i].activation == "relu" else 1.0 - a * a
         dz = g * deriv
+        d_pre[i] = dz
         d_weights[i] = inputs[i].T @ dz
         d_biases[i] = dz.sum(axis=0)
         g = dz @ layers[i].weights.T
-    return d_weights, d_biases, g
+    return d_weights, d_biases, g, d_pre
+
+
+def layer_zero(layers, x):
+    """Layer 0's pre-activation x·W0 + b0, formed as the caller of forward forms it."""
+    return x @ layers[0].weights + layers[0].bias
 
 
 def reference_adam_step(params, grads, m_list, v_list, t, lr):
@@ -314,71 +335,65 @@ def reference_adam_step(params, grads, m_list, v_list, t, lr):
         p -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
-@pytest.mark.parametrize("hidden", ["relu", "tanh", "identity"])
+@pytest.mark.parametrize("hidden", ["relu", "tanh"])
 @pytest.mark.parametrize("keep", [1.0, 0.7])
-@pytest.mark.parametrize("rows", [None, 9])
+@pytest.mark.parametrize("rows", [1, 8, 9])  # BLAS kernels differ by row count
 def test_passes_equal_the_plain_arithmetic_bitwise(hidden, keep, rows):
     rng = np.random.default_rng(11)
     layers = init_layers([6, 8, 7, 1], [hidden, hidden, "tanh"], rng)
     for lyr in layers:
         lyr.bias += rng.normal(scale=0.3, size=lyr.bias.shape)
-    shape = (6,) if rows is None else (rows, 6)
-    x = rng.normal(size=shape)
-    upstream = rng.normal(size=(1,) if rows is None else (rows, 1))
-    x_before, upstream_before = x.copy(), upstream.copy()
-    train = keep < 1.0
+    x = rng.normal(size=(rows, 6))
+    z0 = layer_zero(layers, x)
+    upstream = rng.normal(size=(rows, 1))
+    z0_before, upstream_before = z0.copy(), upstream.copy()
+    dropout_rng = np.random.default_rng(4) if keep < 1.0 else None
 
-    out, cache = forward(layers, x, dropout_keep=keep, train=train,
-                         rng=np.random.default_rng(4) if train else None)
+    out, cache = forward(layers, z0, dropout_keep=keep, rng=dropout_rng)
     store = backward(cache, upstream)
     want_out, want_cache = reference_forward(
-        layers, x, keep, np.random.default_rng(4) if train else None)
-    want_dw, want_db, want_dx = reference_backward(
-        layers, want_cache, upstream.reshape(want_out.shape), keep)
+        layers, x, keep, np.random.default_rng(4) if keep < 1.0 else None)
+    want_dw, want_db, _, want_dz = reference_backward(layers, want_cache, upstream, keep)
 
-    assert np.array_equal(out, want_out.reshape(out.shape))
-    assert np.array_equal(store.d_input, want_dx.reshape(x.shape))
-    for got, want in zip(store.d_weights + store.d_biases, want_dw + want_db):
+    assert np.array_equal(out, want_out)
+    assert np.array_equal(store.d_input, want_dz[0])
+    for got, want in zip(store.d_weights[1:] + store.d_biases[1:],
+                         want_dw[1:] + want_db[1:]):
         assert np.array_equal(got, want)
-    assert np.array_equal(x, x_before)
+    assert np.array_equal(z0, z0_before)
     assert np.array_equal(upstream, upstream_before)
 
 
-@pytest.mark.parametrize("first", ["relu", "tanh", "identity"])
+@pytest.mark.parametrize("first", ["relu", "tanh"])
 @pytest.mark.parametrize("keep", [1.0, 0.7])
 def test_pre_activation_entry_equals_the_plain_forward_bitwise(first, keep):
+    # layer 0's own gradients, formed by the caller from the gradient at its
+    # pre-activation, are what the whole-stack arithmetic multiplies out
     rng = np.random.default_rng(12)
     layers = init_layers([5, 6, 4, 1], [first, "relu", "tanh"], rng)
     x = rng.normal(size=(7, 5))
-    z0 = x @ layers[0].weights + layers[0].bias
-    z0_before = z0.copy()
     upstream = rng.normal(size=(7, 1))
-    train = keep < 1.0
+    dropout_rng = np.random.default_rng(8) if keep < 1.0 else None
 
-    def run(inputs, **kwargs):
-        out, cache = forward(layers, inputs, dropout_keep=keep, train=train,
-                             rng=np.random.default_rng(8) if train else None, **kwargs)
-        return out, backward(cache, upstream)
-
-    plain_out, plain = run(x)
-    out, store = run(z0, pre_activation=True)
-    assert np.array_equal(out, plain_out)
-    assert np.array_equal(z0, z0_before)
-    assert store.d_weights[0] is None and store.d_biases[0] is None
-    for got, want in zip(store.d_weights[1:] + store.d_biases[1:],
-                         plain.d_weights[1:] + plain.d_biases[1:]):
-        assert np.array_equal(got, want)
-    # the pre-activation gradient is what the plain pass multiplies out
-    assert np.array_equal(x.T @ store.d_input, plain.d_weights[0])
-    assert np.array_equal(store.d_input.sum(axis=0), plain.d_biases[0])
-    assert np.array_equal(store.d_input @ layers[0].weights.T, plain.d_input)
+    out, cache = forward(layers, layer_zero(layers, x), dropout_keep=keep, rng=dropout_rng)
+    store = backward(cache, upstream)
+    want_out, want_cache = reference_forward(
+        layers, x, keep, np.random.default_rng(8) if keep < 1.0 else None)
+    want_dw, want_db, want_dx, _ = reference_backward(layers, want_cache, upstream, keep)
+    assert np.array_equal(out, want_out)
+    assert np.array_equal(x.T @ store.d_input, want_dw[0])
+    assert np.array_equal(store.d_input.sum(axis=0), want_db[0])
+    assert np.array_equal(store.d_input @ layers[0].weights.T, want_dx)
 
 
 def test_pre_activation_entry_checks_layer_zero_output_dim():
     layers = [layer(np.zeros((3, 2)), np.zeros(2), "relu"),
               layer(np.zeros((2, 1)), np.zeros(1), "tanh")]
-    with pytest.raises(ValueError, match="layer 0: pre-activation dim 3"):
-        forward(layers, np.zeros((4, 3)), pre_activation=True)
+    with pytest.raises(ValueError, match=r"layer 0: pre-activation shape \(4, 3\) is not"):
+        forward(layers, np.zeros((4, 3)))
+    # a vector is not a batch of rows, even of the right length
+    with pytest.raises(ValueError, match=r"layer 0: pre-activation shape \(2,\) is not"):
+        forward(layers, np.zeros(2))
 
 
 def test_adam_equals_the_plain_arithmetic_bitwise_over_steps():

@@ -380,7 +380,7 @@ def test_pate_agreement_scores_its_own_pools_once_per_side_and_teacher(
     report = run_pipeline(config, "pate")
     index = load_index(config.out / "index.bin")
     eval_queries = read_queries(config.queries_eval)
-    agreement_pools = pipeline._eval_pairs(index, eval_queries, 6)
+    _, agreement_pools, _ = pipeline._eval_pairs(index, eval_queries, 6)
     assert agreement_pools
     assert sorted(pools_scored.values()) == [2 * len(agreement_pools)] * 3
     assert sorted(calls.values()) == [2] * 3

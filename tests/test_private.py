@@ -30,6 +30,7 @@ from mimicrank.private import (
     noisy_aggregate,
     pairwise_agreement,
     partition_data,
+    read_ensemble_manifest,
     save_ensemble,
     teacher_mean,
     teacher_scorers,
@@ -422,10 +423,12 @@ def test_teacher_scores_columns_and_their_reduction(micro_collection, micro_inde
 def test_pairwise_agreement_nonnoisy_vs_mean_is_exactly_one(micro_collection,
                                                             micro_index,
                                                             micro_ensemble):
-    pools = []
+    terms, pools, pairs = [], [], []
     for q in micro_collection.eval_queries:
         pool, _ = micro_index.search(q.terms, 6)
-        pools.append((q.terms, pool, [(i, i + 1) for i in range(len(pool) - 1)]))
+        terms.append(q.terms)
+        pools.append(pool)
+        pairs.append([(i, i + 1) for i in range(len(pool) - 1)])
     scorers = teacher_scorers(micro_ensemble, micro_index)
     calls = []
 
@@ -435,26 +438,24 @@ def test_pairwise_agreement_nonnoisy_vs_mean_is_exactly_one(micro_collection,
             return scorer(queries_terms, score_pools)
         return scores
 
-    terms = [q for q, _, _ in pools]
-    means = dict(zip(terms, teacher_mean(list(map(counted, scorers)), terms,
-                                         [pool for _, pool, _ in pools])))
+    means = teacher_mean(list(map(counted, scorers)), terms, pools)
     # one call per teacher, over every pool
-    assert calls == [[len(pool) for _, pool, _ in pools]] * 3
-    agreement = pairwise_agreement(
-        lambda q, pool: noisy_aggregate(scorers, q, pool, 0.0),
-        lambda q, pool: means[q], pools)
-    assert agreement == 1.0
+    assert calls == [list(map(len, pools))] * 3
+    aggregates = [noisy_aggregate(scorers, q, pool, 0.0) for q, pool in zip(terms, pools)]
+    assert pairwise_agreement(aggregates, means, pairs) == 1.0
 
 
 def test_pairwise_agreement_counts_ties_and_opposites():
-    pools = [((), [None] * 3, [(0, 1), (1, 2), (0, 2)])]
+    pairs = [[(0, 1), (1, 2), (0, 2)]]
     a = np.array([0.3, 0.3, 0.1])
     b = np.array([0.2, 0.3, 0.1])
     # (0, 1): tie vs below, (1, 2): both above, (0, 2): both above
-    assert pairwise_agreement(lambda q, r: a, lambda q, r: b, pools) == 2 / 3
-    assert pairwise_agreement(lambda q, r: a, lambda q, r: a, pools) == 1.0
-    assert pairwise_agreement(lambda q, r: a, lambda q, r: b,
-                              [((), [], [])]) is None
+    assert pairwise_agreement([a], [b], pairs) == 2 / 3
+    assert pairwise_agreement([a], [a], pairs) == 1.0
+    # pairs are counted over every pool, in either order within a pair
+    assert pairwise_agreement([a, b[::-1]], [b, b[::-1]], pairs + [[(2, 0)]]) == 3 / 4
+    assert pairwise_agreement([a], [b], [[]]) is None
+    assert pairwise_agreement([], [], []) is None
 
 
 def test_ensemble_save_load_round_trip(tmp_path, micro_ensemble, micro_collection,
@@ -519,6 +520,28 @@ def test_ensemble_refuses_a_manifest_without_teacher_hashes(tmp_path, micro_ense
     del manifest["teacher_sha256"]
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="manifest.json: records no teacher_sha256"):
+        load_ensemble(out)
+
+
+def test_ensemble_refuses_a_manifest_without_its_partition_count(tmp_path, micro_ensemble):
+    out = tmp_path / "ensemble"
+    save_ensemble(out, micro_ensemble.teachers, micro_ensemble.config)
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["n_partitions"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    for read in (read_ensemble_manifest, load_ensemble):
+        with pytest.raises(ValueError, match="manifest.json: records no n_partitions"):
+            read(out)
+
+
+def test_ensemble_refuses_a_manifest_with_a_hash_missing(tmp_path, micro_ensemble):
+    out = tmp_path / "ensemble"
+    save_ensemble(out, micro_ensemble.teachers, micro_ensemble.config)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["teacher_sha256"] = manifest["teacher_sha256"][:2]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="manifest.json: records 2 teacher_sha256 for 3 "
+                                         "teacher_files"):
         load_ensemble(out)
 
 

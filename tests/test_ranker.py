@@ -563,12 +563,13 @@ def test_gradients_flow_into_all_parameter_groups():
         assert np.abs(dw).sum() > 0
 
 
-def per_row_loss_and_grads(params, batch, train=False, rng=None):
+def per_row_loss_and_grads(params, batch, rng=None):
     """Reference for compute_loss_and_grads without a count matrix.
 
     Each (pair, row) of the PairSet batch is represented on its own, each
-    side enters the stack as [q ‖ d], and each (pair, row) gradient is
-    scattered back into the embedding and term weights alone.
+    side's layer 0 is formed whole as [q ‖ d]·W0 + b0, and each (pair,
+    row) gradient is scattered back into the embedding and term weights
+    alone.
     """
     batch = row_pairs(batch)
     n, m = len(batch), params.config.embedding_dim
@@ -586,9 +587,10 @@ def per_row_loss_and_grads(params, batch, train=False, rng=None):
     q_reps = represent_each(q_rows)
     x1 = np.concatenate([q_reps, represent_each(d1_rows)], axis=1)
     x2 = np.concatenate([q_reps, represent_each(d2_rows)], axis=1)
-    keep = params.config.dropout_keep if train else 1.0
-    out1, cache1 = nn.forward(params.layers, x1, dropout_keep=keep, train=train, rng=rng)
-    out2, cache2 = nn.forward(params.layers, x2, dropout_keep=keep, train=train, rng=rng)
+    w0, b0 = params.layers[0].weights, params.layers[0].bias
+    keep = params.config.dropout_keep
+    out1, cache1 = nn.forward(params.layers, x1 @ w0 + b0, keep, rng)
+    out2, cache2 = nn.forward(params.layers, x2 @ w0 + b0, keep, rng)
     sign = np.array([1.0 if inst.s1 > inst.s2 else -1.0 for inst in batch])
     margins = 1.0 - sign * (out1[:, 0] - out2[:, 0])
     active = margins > 0.0
@@ -604,7 +606,8 @@ def per_row_loss_and_grads(params, batch, train=False, rng=None):
             d_embedding[idx] += (counts * params.term_weights[idx])[:, None] * d_rep
             d_term_weights[idx] += counts * (params.embedding[idx] @ d_rep)
 
-    dx1, dx2 = store1.d_input, store2.d_input
+    d0_1, d0_2 = store1.d_input, store2.d_input
+    dx1, dx2 = d0_1 @ w0.T, d0_2 @ w0.T
     for i in range(n):
         scatter(q_rows[i], dx1[i, :m] + dx2[i, :m])
         scatter(d1_rows[i], dx1[i, m:])
@@ -612,8 +615,10 @@ def per_row_loss_and_grads(params, batch, train=False, rng=None):
     return float(np.maximum(0.0, margins).mean()), {
         "d_embedding": d_embedding,
         "d_term_weights": d_term_weights,
-        "d_layer_weights": [a + b for a, b in zip(store1.d_weights, store2.d_weights)],
-        "d_layer_biases": [a + b for a, b in zip(store1.d_biases, store2.d_biases)],
+        "d_layer_weights": [x1.T @ d0_1 + x2.T @ d0_2] + [
+            a + b for a, b in zip(store1.d_weights[1:], store2.d_weights[1:])],
+        "d_layer_biases": [d0_1.sum(axis=0) + d0_2.sum(axis=0)] + [
+            a + b for a, b in zip(store1.d_biases[1:], store2.d_biases[1:])],
     }
 
 
@@ -704,10 +709,26 @@ def test_count_blocks_grow_with_nonzeros_not_vocabulary():
 
 def test_count_matrix_keeps_the_dropout_mask_stream():
     params, batch = count_matrix_batch(3, dropout_keep=0.7)
-    got = loss_and_grads(params, batch, train=True, rng=np.random.default_rng(5))
-    want = per_row_loss_and_grads(params, batch, train=True, rng=np.random.default_rng(5))
+    got = loss_and_grads(params, batch, rng=np.random.default_rng(5))
+    want = per_row_loss_and_grads(params, batch, rng=np.random.default_rng(5))
     assert got[0] == want[0]
     assert_same_loss_and_grads(got, want)
+
+
+def test_training_step_drops_out_at_the_model_keep_rate():
+    # the step's dropout follows params.config.dropout_keep: below 1 it
+    # needs an rng and draws masks from it, at 1 it draws nothing
+    params, batch = count_matrix_batch(3, dropout_keep=0.7)
+    with pytest.raises(ValueError, match="rng"):
+        loss_and_grads(params, batch)
+    rng = np.random.default_rng(5)
+    loss_and_grads(params, batch, rng=rng)
+    assert rng.bit_generator.state != np.random.default_rng(5).bit_generator.state
+    params, batch = count_matrix_batch(3)
+    rng = np.random.default_rng(5)
+    assert_same_loss_and_grads(loss_and_grads(params, batch, rng=rng),
+                               loss_and_grads(params, batch))
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
 
 def spy_count_blocks(monkeypatch):
@@ -746,9 +767,8 @@ def test_shared_queries_match_per_row_reference(groups, texts, keep, monkeypatch
     batch = PairSet(batch.index, [f"g{g}" for g in range(len(texts))], shared, groups,
                     batch.doc1, batch.doc2, batch.s1, batch.s2)
     calls = spy_count_blocks(monkeypatch)
-    train = keep < 1.0
-    got = loss_and_grads(params, batch, train=train,
-                         rng=np.random.default_rng(6) if train else None)
+    got = loss_and_grads(params, batch,
+                         rng=np.random.default_rng(6) if keep < 1.0 else None)
     # one build: each distinct query once, equal rows of distinct queries
     # apart, then the batch's 5 distinct documents, all by first appearance
     docs = {}
@@ -757,8 +777,8 @@ def test_shared_queries_match_per_row_reference(groups, texts, keep, monkeypatch
             docs.setdefault(getattr(inst, f"doc{side}_id"), getattr(inst, f"doc{side}_rows"))
     assert len(calls) == 1 and len(docs) == 5
     assert_same_rows(calls[0], [shared[g] for g in dict.fromkeys(groups)] + list(docs.values()))
-    want = per_row_loss_and_grads(params, batch, train=train,
-                                  rng=np.random.default_rng(6) if train else None)
+    want = per_row_loss_and_grads(params, batch,
+                                  rng=np.random.default_rng(6) if keep < 1.0 else None)
     assert got[0] > 0.0
     assert_same_loss_and_grads(got, want)
 
@@ -782,9 +802,8 @@ def test_shared_documents_match_per_row_reference(pairs, keep, monkeypatch):
     batch = PairSet(index, ["q0", "q1", "q2"], queries, query, doc1, doc2,
                     [(-1.0) ** k * (k + 1) for k in range(len(pairs))], np.zeros(len(pairs)))
     calls = spy_count_blocks(monkeypatch)
-    train = keep < 1.0
-    got = loss_and_grads(params, batch, train=train,
-                         rng=np.random.default_rng(7) if train else None)
+    got = loss_and_grads(params, batch,
+                         rng=np.random.default_rng(7) if keep < 1.0 else None)
     # one build: the distinct queries, then the distinct documents, doc1
     # side before doc2 side, each by first appearance
     distinct_queries = dict.fromkeys(q for q, _, _ in pairs)
@@ -792,8 +811,8 @@ def test_shared_documents_match_per_row_reference(pairs, keep, monkeypatch):
     assert len(calls) == 1
     assert_same_rows(calls[0], [queries[q] for q in distinct_queries]
                      + [index.doc_rows(d) for d in distinct_docs])
-    want = per_row_loss_and_grads(params, batch, train=train,
-                                  rng=np.random.default_rng(7) if train else None)
+    want = per_row_loss_and_grads(params, batch,
+                                  rng=np.random.default_rng(7) if keep < 1.0 else None)
     assert got[0] > 0.0
     assert_same_loss_and_grads(got, want)
 
@@ -1191,6 +1210,21 @@ def test_load_model_rejects_format_version_1(tmp_path):
     meta["config"].update(train_embeddings=True, train_term_weights=True)
     serialize.write_container(path, ranker.MODEL_MAGIC, 1, meta, list(arrays.items()))
     with pytest.raises(ValueError, match="unsupported format version 1"):
+        load_model(path)
+
+
+def test_load_model_refuses_an_identity_layer(tmp_path):
+    # relu and tanh are the only activations; a checkpoint naming another
+    # one is refused, not read as a pass-through layer
+    _, params = random_corpus_params(36)
+    path = tmp_path / "model.ckpt"
+    save_model(path, params)
+    meta, arrays = serialize.read_container(path, ranker.MODEL_MAGIC,
+                                            ranker.MODEL_VERSION)
+    meta["activations"][0] = "identity"
+    serialize.write_container(path, ranker.MODEL_MAGIC, ranker.MODEL_VERSION, meta,
+                              list(arrays.items()))
+    with pytest.raises(ValueError, match="unknown activation 'identity'"):
         load_model(path)
 
 
