@@ -3,10 +3,13 @@
 Everything is float64. Parameter stores are plain numpy arrays owned by the
 caller; training steps mutate them in place, so a store must not be shared
 while a step runs. The passes work in place on arrays they allocate and
-never write to their inputs; forward's cache keeps only each layer's input,
-its boolean dropout mask and the output its activation's derivative reads.
-The stack always starts at layer 0's pre-activation, which the caller forms
-(the ranker shares parts of it between rows), and backward stops there.
+never write to their inputs. Forward's cache keeps only what backward
+reads: each layer's input, the output its activation's derivative reads
+and, for a tanh hidden layer under dropout, its boolean mask (a ReLU
+layer's derivative needs none). Backward drops each of these from the
+cache as it reads it, so a cache serves one backward. The stack always
+starts at layer 0's pre-activation, which the caller forms (the ranker
+shares parts of it between rows), and backward stops there.
 """
 
 import math
@@ -92,15 +95,18 @@ def forward(layers, x, dropout_keep=1.0, rng=None):
     x0·W0 + b0, formed by the caller: layer 0's weights and bias are not
     used here, and backward returns the gradient at x. Inverted dropout
     runs after every hidden activation (never after the last layer)
-    exactly when dropout_keep < 1, and then needs rng: mask/keep scaling,
-    so expectations match the pass without dropout, which draws no masks.
-    x is never written to.
+    exactly when dropout_keep < 1, and then needs rng: each mask is drawn
+    as rng.random(shape) < dropout_keep and the kept units are scaled by
+    1/dropout_keep, so expectations match the pass without dropout, which
+    draws no masks. x is never written to.
 
     The cache holds, per layer, its input (None for layer 0), its boolean
-    dropout mask (or None), and the output backward needs for the
-    activation's derivative: tanh's activation before dropout, ReLU's
-    output after dropout (the next layer's input; h > 0 wherever the mask
-    kept the unit, and the mask zeroes the rest).
+    dropout mask, and the output backward needs for the activation's
+    derivative. A tanh layer's output is its activation before dropout,
+    and its mask is kept. A ReLU layer's output is the one after dropout
+    (the next layer's input) and its mask is None: the mask zeroes every
+    unit it drops, so h > 0 already marks a unit that was kept. The cache
+    is for one backward, which empties it.
     """
     if not 0.0 < dropout_keep <= 1.0:
         raise ValueError(f"dropout_keep must be in (0, 1], got {dropout_keep}")
@@ -119,16 +125,17 @@ def forward(layers, x, dropout_keep=1.0, rng=None):
             z = h @ layer.weights
             z += layer.bias
         a = _activate(layer.activation, z, owned=i > 0)
+        tanh = layer.activation == "tanh"
         mask = None
         if dropout_keep < 1.0 and i < len(layers) - 1:
             mask = rng.random(a.shape) < dropout_keep
             # tanh's activation is kept for its derivative
-            h = np.multiply(a, mask, out=None if layer.activation == "tanh" else a)
+            h = np.multiply(a, mask, out=None if tanh else a)
             h /= dropout_keep
         else:
             h = a
-        masks.append(mask)
-        outputs.append(a if layer.activation == "tanh" else h)
+        masks.append(mask if tanh else None)
+        outputs.append(a if tanh else h)
     return h, {"layers": layers, "inputs": inputs, "masks": masks, "outputs": outputs,
                "dropout_keep": dropout_keep}
 
@@ -139,21 +146,37 @@ def backward(cache, upstream):
     d_input is the gradient at layer 0's pre-activation; layer 0's weight
     and bias gradients are None, for the caller that formed the
     pre-activation to form them. upstream is never written to.
+
+    Each cached array leaves the cache as it is read, so a layer's
+    activations are freed as the pass descends past it and the cache is
+    empty when backward returns; a second backward on it raises
+    ValueError. A dropped ReLU layer's gradient is (g / keep) · (h > 0),
+    bit for bit the masked ((g · mask) / keep) · (h > 0): where h > 0 the
+    mask is 1, and elsewhere both are sign(g)·0 (NaN for a g that is, or
+    overflows to, a non-finite value).
     """
     layers, keep = cache["layers"], cache["dropout_keep"]
+    inputs, masks, outputs = cache["inputs"], cache["masks"], cache["outputs"]
+    if outputs[-1] is None:
+        raise ValueError("this forward cache was consumed by an earlier backward")
     g = np.asarray(upstream, dtype=np.float64)
-    if g.shape != cache["outputs"][-1].shape:
+    if g.shape != outputs[-1].shape:
         raise ValueError(f"upstream gradient shape {g.shape} does not match output "
-                         f"{cache['outputs'][-1].shape}")
+                         f"{outputs[-1].shape}")
     d_weights, d_biases = [None] * len(layers), [None] * len(layers)
     owned = False  # whether g may be written to
     for i in range(len(layers) - 1, -1, -1):
-        mask = cache["masks"][i]
+        mask = masks[i]
         if mask is not None:
             g = g * mask
             g /= keep
             owned = True
-        out = cache["outputs"][i]
+        elif keep < 1.0 and i < len(layers) - 1:
+            # a dropped ReLU layer: h > 0 below zeroes what its mask dropped
+            g = np.divide(g, keep, out=g if owned else None)
+            owned = True
+        out = outputs[i]
+        outputs[i] = masks[i] = None
         if layers[i].activation == "tanh":
             dz = out * out
             np.subtract(1.0, dz, out=dz)
@@ -163,7 +186,8 @@ def backward(cache, upstream):
             dz = np.multiply(g, out > 0.0, out=g if owned else None)
         if i == 0:
             return GradientStore(d_weights, d_biases, dz)
-        d_weights[i] = cache["inputs"][i].T @ dz
+        d_weights[i] = inputs[i].T @ dz
+        inputs[i] = None
         d_biases[i] = dz.sum(axis=0)
         g = dz @ layers[i].weights.T
         owned = True

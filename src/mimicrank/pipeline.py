@@ -1,14 +1,16 @@
 """Config-driven end-to-end runs: index, annotate, train, rank, evaluate.
 
 Every run directory is reproducible from its manifest: the manifest records
-the resolved configuration, its hash, and the seed plan (all component
-seeds are fixed offsets from one master seed). No artifact embeds
-timestamps or machine-local paths, so reruns are byte-identical.
+the resolved configuration, its hash, the seed plan (all component seeds
+are fixed offsets from one master seed), and the numpy and BLAS builds and
+BLAS thread settings that fix the last bits of dense products. No artifact
+embeds timestamps or machine-local paths, so reruns are byte-identical.
 """
 
 import dataclasses
 import hashlib
 import math
+import os
 import platform
 import shutil
 from dataclasses import dataclass
@@ -518,6 +520,18 @@ def _metric_means(report):
     return {key: getattr(report, attr) for key, attr in _METRIC_KEYS}
 
 
+_BLAS_THREAD_SETTINGS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_build():
+    """numpy's BLAS as its build config names it, or None where not exposed."""
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    except (AttributeError, KeyError):
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def run_pipeline(config, mode, jobs=1):
     """Execute one pipeline mode into config.out; returns the report dict.
 
@@ -573,7 +587,12 @@ def run_pipeline(config, mode, jobs=1):
             "model_format": MODEL_VERSION,
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "blas": _blas_build(),
         },
+        # OpenBLAS picks its kernels, and so the last bits of dense
+        # products, by its thread count; nothing installed reports the count
+        # in effect, so the settings that fix it are recorded as found
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_SETTINGS},
     }
     write_json(out / "manifest.json", manifest)
 

@@ -466,11 +466,9 @@ def compute_loss_and_grads(params, batch, rng=None):
 
     d_s1 = np.where(active, -sign, 0.0) / n
     d_s2 = np.where(active, sign, 0.0) / n
-    # each side's activations are freed as soon as its gradients exist
+    # backward releases each side's activations as it reads them
     store1 = nn.backward(cache1, d_s1[:, None])
-    del cache1
     store2 = nn.backward(cache2, d_s2[:, None])
-    del cache2
 
     # side 2's layer gradients are added into side 1's arrays
     d_layers_w, d_layers_b = store1.d_weights, store1.d_biases

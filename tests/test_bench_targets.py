@@ -312,3 +312,21 @@ def test_training_steps_go_through_the_module_attribute(monkeypatch):
     monkeypatch.setattr(ranker, "compute_loss_and_grads", recorded)
     ranker.train(params, config, batch, epochs=2, seed=1)
     assert len(calls) == 3 * 2  # 8 pairs in batches of 3, two epochs
+
+
+def test_backward_and_adam_steps_go_through_the_nn_module_attributes(monkeypatch):
+    # the traced benchmark counts nn.backward.calls and nn.optimizer_step.calls
+    # by patching the nn module's attributes, so a training step must look
+    # both up there: one backward per pair side and one Adam step per batch
+    params, batch = count_matrix_batch(1)
+    config = dataclasses.replace(params.config, batch_size=3)
+    calls = {"backward": 0, "optimizer_step": 0}
+    for name in calls:
+        def recorded(*args, _name=name, _fn=getattr(nn, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(nn, name, recorded)
+    ranker.train(params, config, batch, epochs=2, seed=1)
+    batches = 3 * 2  # 8 pairs in batches of 3, two epochs
+    assert calls == {"backward": 2 * batches, "optimizer_step": batches}

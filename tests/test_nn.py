@@ -318,6 +318,20 @@ def reference_backward(layers, cache, upstream, keep):
     return d_weights, d_biases, g, d_pre
 
 
+def bits(a):
+    """a's float64 bit patterns, which tell -0.0 from 0.0 where == does not."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def signed_upstream(rng, rows):
+    """An upstream gradient with negative entries and exact zeros, so that
+    dropped and dead units carry signed zeros back through the stack."""
+    upstream = rng.normal(size=(rows, 1))
+    upstream[::2] = -np.abs(upstream[::2])
+    upstream[1::3] = 0.0
+    return upstream
+
+
 def layer_zero(layers, x):
     """Layer 0's pre-activation x·W0 + b0, formed as the caller of forward forms it."""
     return x @ layers[0].weights + layers[0].bias
@@ -345,7 +359,7 @@ def test_passes_equal_the_plain_arithmetic_bitwise(hidden, keep, rows):
         lyr.bias += rng.normal(scale=0.3, size=lyr.bias.shape)
     x = rng.normal(size=(rows, 6))
     z0 = layer_zero(layers, x)
-    upstream = rng.normal(size=(rows, 1))
+    upstream = signed_upstream(rng, rows)
     z0_before, upstream_before = z0.copy(), upstream.copy()
     dropout_rng = np.random.default_rng(4) if keep < 1.0 else None
 
@@ -355,13 +369,13 @@ def test_passes_equal_the_plain_arithmetic_bitwise(hidden, keep, rows):
         layers, x, keep, np.random.default_rng(4) if keep < 1.0 else None)
     want_dw, want_db, _, want_dz = reference_backward(layers, want_cache, upstream, keep)
 
-    assert np.array_equal(out, want_out)
-    assert np.array_equal(store.d_input, want_dz[0])
+    assert np.array_equal(bits(out), bits(want_out))
+    assert np.array_equal(bits(store.d_input), bits(want_dz[0]))
     for got, want in zip(store.d_weights[1:] + store.d_biases[1:],
                          want_dw[1:] + want_db[1:]):
-        assert np.array_equal(got, want)
-    assert np.array_equal(z0, z0_before)
-    assert np.array_equal(upstream, upstream_before)
+        assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(bits(z0), bits(z0_before))
+    assert np.array_equal(bits(upstream), bits(upstream_before))
 
 
 @pytest.mark.parametrize("first", ["relu", "tanh"])
@@ -372,7 +386,7 @@ def test_pre_activation_entry_equals_the_plain_forward_bitwise(first, keep):
     rng = np.random.default_rng(12)
     layers = init_layers([5, 6, 4, 1], [first, "relu", "tanh"], rng)
     x = rng.normal(size=(7, 5))
-    upstream = rng.normal(size=(7, 1))
+    upstream = signed_upstream(rng, 7)
     dropout_rng = np.random.default_rng(8) if keep < 1.0 else None
 
     out, cache = forward(layers, layer_zero(layers, x), dropout_keep=keep, rng=dropout_rng)
@@ -380,10 +394,50 @@ def test_pre_activation_entry_equals_the_plain_forward_bitwise(first, keep):
     want_out, want_cache = reference_forward(
         layers, x, keep, np.random.default_rng(8) if keep < 1.0 else None)
     want_dw, want_db, want_dx, _ = reference_backward(layers, want_cache, upstream, keep)
-    assert np.array_equal(out, want_out)
-    assert np.array_equal(x.T @ store.d_input, want_dw[0])
-    assert np.array_equal(store.d_input.sum(axis=0), want_db[0])
-    assert np.array_equal(store.d_input @ layers[0].weights.T, want_dx)
+    assert np.array_equal(bits(out), bits(want_out))
+    assert np.array_equal(bits(x.T @ store.d_input), bits(want_dw[0]))
+    assert np.array_equal(bits(store.d_input.sum(axis=0)), bits(want_db[0]))
+    assert np.array_equal(bits(store.d_input @ layers[0].weights.T), bits(want_dx))
+
+
+def test_signed_upstream_sends_signed_zeros_through_dropped_relu_units():
+    # the bitwise checks above see signed zeros only if some reach them: a
+    # negative upstream row gives -0.0 at the units of a dropped or dead
+    # ReLU layer, and an exact zero row +0.0
+    rng = np.random.default_rng(11)
+    layers = init_layers([6, 8, 7, 1], ["relu", "relu", "tanh"], rng)
+    z0 = layer_zero(layers, rng.normal(size=(9, 6)))
+    _, cache = forward(layers, z0, dropout_keep=0.7, rng=np.random.default_rng(4))
+    dz = backward(cache, signed_upstream(rng, 9)).d_input
+    zeros = dz == 0.0
+    assert np.signbit(dz[zeros]).any() and not np.signbit(dz[zeros]).all()
+
+
+# ---------------------------------------------------------------------------
+# The cache: what forward keeps and backward releases
+
+
+def test_cache_keeps_dropout_masks_of_tanh_hidden_layers_only():
+    # a ReLU layer's output is zero wherever its mask dropped the unit, so
+    # its derivative needs no mask; tanh's is read from its pre-dropout
+    # activation, which the mask does not touch
+    rng = np.random.default_rng(14)
+    layers = init_layers([4, 5, 6, 5, 1], ["relu", "tanh", "relu", "tanh"], rng)
+    _, cache = forward(layers, rng.normal(size=(3, 5)), dropout_keep=0.6, rng=rng)
+    relu_mask, tanh_mask, relu_mask2, last_mask = cache["masks"]
+    assert relu_mask is None and relu_mask2 is None and last_mask is None
+    assert tanh_mask.dtype == np.bool_ and tanh_mask.shape == (3, 6)
+
+
+def test_backward_empties_the_cache_and_refuses_a_second_pass():
+    rng = np.random.default_rng(15)
+    layers = init_layers([4, 5, 6, 5, 1], ["relu", "tanh", "relu", "tanh"], rng)
+    _, cache = forward(layers, rng.normal(size=(3, 5)), dropout_keep=0.6, rng=rng)
+    backward(cache, np.ones((3, 1)))
+    held = [a for name in ("inputs", "masks", "outputs") for a in cache[name]]
+    assert len(held) == 3 * len(layers) and all(a is None for a in held)
+    with pytest.raises(ValueError, match="consumed"):
+        backward(cache, np.ones((3, 1)))
 
 
 def test_pre_activation_entry_checks_layer_zero_output_dim():

@@ -942,13 +942,38 @@ def test_distill_and_pate_commands_take_no_judgments():
         assert not any("qrel" in opt or "judg" in opt for opt in options), name
 
 
-def test_module_entry_point_runs():
-    # pytest's pythonpath setting reaches this process only: hand the child
-    # the directory this process imported mimicrank from
+def child_env(**settings):
+    """This process's environment plus settings, for a child that runs
+    mimicrank: pytest's pythonpath setting reaches this process only, so the
+    child is handed the directory this process imported mimicrank from."""
     package_root = str(Path(mimicrank.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, **settings, "PYTHONPATH": os.pathsep.join(
         filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+
+
+def test_manifest_records_the_blas_thread_settings_it_ran_under(workspace, tmp_path):
+    # the same run in two processes that differ only in OPENBLAS_NUM_THREADS
+    # writes manifests that differ only where they record it
+    manifests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mimicrank", "pipeline", "--mode", "weak",
+             "--config", str(workspace / "run.conf"), "--out", str(out)],
+            capture_output=True, text=True,
+            env=child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS="1"))
+        assert proc.returncode == 0, proc.stderr
+        manifests.append(read_json(out / "manifest.json"))
+    one, two = manifests
+    assert one["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    assert two["blas_threads"] == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}
+    assert {**two, "blas_threads": one["blas_threads"]} == one
+    blas = one["versions"]["blas"]
+    assert blas is None or set(blas) == {"name", "version"}
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "mimicrank", "--help"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "build-index" in proc.stdout and "pipeline" in proc.stdout
