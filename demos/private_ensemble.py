@@ -18,7 +18,6 @@ import numpy as np
 from mimicrank.corpus import annotate_queries, build_index
 from mimicrank.distill import mimic_train
 from mimicrank.private import (
-    NOISE_TAG,
     PrivacyConfig,
     ensemble_labels,
     load_ensemble,
@@ -43,7 +42,7 @@ print("shard sizes:", [len(s) for s in shards])
 model_config = RankModelConfig(embedding_dim=12, hidden_layers=1,
                                hidden_size=16, dropout_keep=1.0,
                                learning_rate=5e-3, batch_size=64)
-privacy = PrivacyConfig(n_partitions=3, noise_scale=0.2, seed=5)
+privacy = PrivacyConfig(noise_scale=0.2, seed=5)
 # the teachers are trained one at a time, each saved as it is done
 with tempfile.TemporaryDirectory() as directory:
     ensemble, _ = load_ensemble(train_teachers(
@@ -76,7 +75,7 @@ noisy = pairwise_agreement(
 print(f"aggregate vs mean, noise {privacy.noise_scale}: agreement {noisy:.4f}")
 
 # the student's pools are labeled by the noisy aggregate of fresh scorers
-labels = ensemble_labels(teacher_scorers(ensemble, index), privacy, NOISE_TAG)
+labels = ensemble_labels(teacher_scorers(ensemble, index), privacy)
 result = mimic_train(labels, model_config, collection.unlabeled_queries,
                      index, epochs=8, seed=13, pool_size=30, pairs_per_query=20)
 print(f"student trained on {result.train_count} noisy-labeled pairs, "

@@ -18,10 +18,10 @@ from .evaluation import evaluate_run, format_metric_table, write_run
 from .pipeline import (
     MODES,
     ConfigError,
+    RunConfig,
     annotate_training_pairs,
     bm25_run,
     distill_student,
-    ensemble_privacy,
     index_corpus,
     model_run,
     parse_config,
@@ -32,7 +32,7 @@ from .pipeline import (
     train_single_teacher,
     train_teacher_ensemble,
 )
-from .private import load_ensemble, read_ensemble_manifest, teacher_scorers
+from .private import load_ensemble, read_ensemble_manifest
 from .ranker import STUDENT_CONFIG, TEACHER_CONFIG, TrainingDiverged, load_model, pool_scorer
 
 EXIT_OK = 0
@@ -44,6 +44,14 @@ def _model_configs(args):
     if args.config is None:
         return TEACHER_CONFIG, STUDENT_CONFIG
     return read_model_configs(args.config)
+
+
+def _scorers(models, model_path, index, index_path):
+    """A pool_scorer per model; a model of another index raises ConfigError naming both."""
+    try:
+        return [pool_scorer(params, index) for params in models]
+    except ValueError as exc:
+        raise ConfigError(f"{model_path} does not fit the index {index_path}: {exc}") from None
 
 
 def cmd_build_index(args):
@@ -85,7 +93,8 @@ def cmd_distill(args):
     index = load_index(args.index)
     _, student_config = _model_configs(args)
     _, fields = distill_student(
-        [pool_scorer(load_model(args.teacher), index)], None, student_config,
+        _scorers([load_model(args.teacher)], args.teacher, index, args.index), None,
+        student_config,
         read_queries(args.queries), index, args.epochs, seed_plan(args.seed),
         args.out, args.annotations_out, pool_size=args.pool_size,
         pairs_per_query=args.pairs_per_query,
@@ -108,8 +117,9 @@ def cmd_pate(args):
             if given is not None:
                 raise ConfigError(f"{flag} applies only with --annotations; the saved"
                                   f" ensemble ({args.ensemble}) is already trained")
-        saved, _ = read_ensemble_manifest(args.ensemble)
-        for flag, given, kept in (("--n-partitions", args.n_partitions, saved.n_partitions),
+        saved, manifest = read_ensemble_manifest(args.ensemble)
+        for flag, given, kept in (("--n-partitions", args.n_partitions,
+                                   manifest["n_partitions"]),
                                   ("--noise-scale", args.noise_scale, saved.noise_scale)):
             if given is not None and given != kept:
                 raise ConfigError(
@@ -118,9 +128,6 @@ def cmd_pate(args):
                 )
     elif args.train_queries is None:
         raise ConfigError("--annotations requires --train-queries")
-    else:
-        given = {"n_partitions": args.n_partitions, "noise_scale": args.noise_scale}
-        privacy = ensemble_privacy(plan, **{k: v for k, v in given.items() if v is not None})
     index = load_index(args.index)
     unlabeled = read_queries(args.queries)
     teacher_config, student_config = _model_configs(args)
@@ -132,14 +139,17 @@ def cmd_pate(args):
     else:
         pairs, _ = read_training_pairs(
             args.annotations, read_queries(args.train_queries), index)
-        epochs = 10 if args.teacher_epochs is None else args.teacher_epochs
+        epochs = RunConfig.teacher_epochs if args.teacher_epochs is None else args.teacher_epochs
+        n_partitions = RunConfig.n_partitions if args.n_partitions is None else args.n_partitions
+        noise_scale = RunConfig.noise_scale if args.noise_scale is None else args.noise_scale
         ensemble, _ = train_teacher_ensemble(
-            pairs, teacher_config, index, epochs, plan, privacy,
+            pairs, teacher_config, index, epochs, plan, n_partitions, noise_scale,
             out / "shards", out / "ensemble", args.embeddings,
         )
 
+    scorers = _scorers(ensemble.teachers, args.ensemble or out / "ensemble", index, args.index)
     _, fields = distill_student(
-        teacher_scorers(ensemble, index), ensemble.config, student_config,
+        scorers, ensemble.config, student_config,
         unlabeled, index, args.student_epochs, plan, out / "student.ckpt",
         pool_size=args.pool_size, pairs_per_query=args.pairs_per_query,
         heldout_fraction=args.heldout_fraction, embedding_file=args.embeddings,
@@ -157,9 +167,8 @@ def cmd_rank(args):
     index = load_index(args.index)
     queries = read_queries(args.queries)
     if args.model:
-        params = load_model(args.model)
-        run = model_run(index, queries, pool_scorer(params, index),
-                        args.pool_size, args.cutoff)
+        [scorer] = _scorers([load_model(args.model)], args.model, index, args.index)
+        run = model_run(index, queries, scorer, args.pool_size, args.cutoff)
     else:
         run = bm25_run(index, queries, args.cutoff)
     write_run(args.out, run, tag=args.tag)

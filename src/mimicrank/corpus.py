@@ -476,6 +476,12 @@ def annotate_queries(index, queries, pool_size=100, pairs_per_query=20, seed=0):
 # File formats
 
 
+def _check_run_id(value, where, what):
+    # run, qrels and annotation lines are split on whitespace
+    if value.split() != [value]:
+        raise ValueError(f"{where}: {what} {value!r} is empty or holds whitespace")
+
+
 def read_corpus(path):
     """Line-delimited JSON records {"id": str or int, "text": str}, UTF-8."""
     documents = []
@@ -491,9 +497,10 @@ def read_corpus(path):
                     raise TypeError(f"text must be a string, got {text!r}")
                 if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
                     raise TypeError(f"id must be a string or an integer, got {doc_id!r}")
-                documents.append(Document(doc_id=str(doc_id), text=text))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed corpus record: {exc}") from exc
+            _check_run_id(str(doc_id), f"{path}:{lineno}", "a document id")
+            documents.append(Document(doc_id=str(doc_id), text=text))
     return documents
 
 
@@ -509,6 +516,7 @@ def read_queries(path):
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: expected query_id<TAB>text")
             qid, text = line.split("\t", 1)
+            _check_run_id(qid, f"{path}:{lineno}", "a query_id")
             if qid in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate query_id {qid!r}")
             seen.add(qid)

@@ -141,8 +141,10 @@ def write_run(path, run, tag):
 
     Scores are printed at round-trip precision, so two printed scores are
     equal only when the floats are, and read_run accepts the doc_id order
-    that pipeline.model_run gave their tie.
+    that pipeline.model_run gave their tie. A tag must hold no whitespace.
     """
+    if tag.split() != [tag]:
+        raise ValueError(f"run tag {tag!r} is empty or holds whitespace")
     with atomic_write(path) as fh:
         for qid, entries in run.items():
             for rank, (doc_id, score) in enumerate(entries, start=1):

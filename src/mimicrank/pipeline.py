@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import __version__, seeding
+from . import __version__
 from .corpus import (
     INDEX_VERSION,
     annotate_pools,
@@ -34,17 +34,14 @@ from .corpus import (
 from .distill import mimic_train, model_labels
 from .evaluation import evaluate, format_metric_table, read_qrels, write_run
 from .private import (
-    NOISE_TAG,
     PrivacyConfig,
-    aggregate_scores,
+    aggregate_agreement,
     ensemble_labels,
+    ensemble_run_scorers,
     file_sha256,
     load_ensemble,
-    pairwise_agreement,
     partition_data,
-    teacher_mean,
     teacher_scorers,
-    teacher_scores,
     train_teachers,
 )
 from .ranker import (
@@ -77,8 +74,6 @@ SEED_OFFSETS = {
     "distill": 4000,
     "privacy_noise": 5000,
 }
-
-EVAL_NOISE_TAG = 8  # per-eval-query noise streams, distinct from annotation's
 
 # (metrics.json key, MetricReport attribute) of each mean in a metrics row
 _METRIC_KEYS = (("map", "mean_ap"), ("p_at_k", "mean_p_at_k"),
@@ -377,25 +372,21 @@ def train_single_teacher(pairs, model_config, index, epochs, plan, path,
     return load_model(path), {"teacher_epoch_losses": losses}
 
 
-def ensemble_privacy(plan, **settings):
-    """PrivacyConfig of a new ensemble: settings (n_partitions, noise_scale)
-    over PrivacyConfig's defaults, its noise seeded by the plan."""
-    return PrivacyConfig(seed=plan["privacy_noise"], **settings)
+def train_teacher_ensemble(pairs, model_config, index, epochs, plan, n_partitions,
+                           noise_scale, shard_dir, ensemble_dir, embedding_file=None):
+    """Shard the pairs n_partitions ways, train one teacher per shard, and
+    save the ensemble at Laplace scale noise_scale.
 
-
-def train_teacher_ensemble(pairs, model_config, index, epochs, plan, privacy,
-                           shard_dir, ensemble_dir, embedding_file=None):
-    """Shard the pairs, train one teacher per shard, and save the ensemble.
-
-    The plan's partition seed deals the shards, each written to shard_dir
-    as shard_NN.tsv and hashed; teacher i is seeded with the plan's
-    teacher_base + i. train_teachers writes each teacher to ensemble_dir
-    as it is trained and keeps none, so the ensemble is read back only
-    once every trained copy is gone. Returns (the ensemble loaded back
-    from ensemble_dir, so that callers consume the persisted artifact,
-    report fields).
+    The plan seeds the shards (partition), each written to shard_dir as
+    shard_NN.tsv and hashed, teacher i (teacher_base + i) and the noise
+    (privacy_noise). train_teachers writes each teacher to ensemble_dir as
+    it is trained and keeps none, so the ensemble is read back only once
+    every trained copy is gone. Returns (the ensemble loaded back from
+    ensemble_dir, so that callers consume the persisted artifact, report
+    fields).
     """
-    shards = partition_data(pairs, privacy.n_partitions, plan["partition"])
+    privacy = PrivacyConfig(noise_scale, seed=plan["privacy_noise"])
+    shards = partition_data(pairs, n_partitions, plan["partition"])
     shard_dir = Path(shard_dir)
     shard_dir.mkdir(exist_ok=True)
     hashes = []
@@ -421,10 +412,7 @@ def distill_student(scorers, privacy, student_config, unlabeled, index, epochs, 
     pairs are written to soft_path if one is given. Returns (student,
     report fields).
     """
-    if privacy is None:
-        label_fn = model_labels(scorers[0])
-    else:
-        label_fn = ensemble_labels(scorers, privacy, NOISE_TAG)
+    label_fn = model_labels(scorers[0]) if privacy is None else ensemble_labels(scorers, privacy)
     result = mimic_train(label_fn, student_config, unlabeled, index, epochs,
                          plan["distill"], **mimic_options)
     if soft_path is not None:
@@ -470,41 +458,9 @@ def model_run(index, queries, scores, pool_size, cutoff):
     return run
 
 
-def _ensemble_run_scorers(scorers, privacy):
-    """{run name: scores(queries_terms, pools)} of the teacher_NN, aggregate
-    and (at a noise scale above 0) aggregate_noisy runs of one query set
-    and pool size, for model_run.
-
-    scorers: the ensemble's teacher_scorers; privacy: its PrivacyConfig.
-    The runs share one teacher_scores array per pool, which the first of
-    them to score builds with one call per teacher. aggregate_noisy draws
-    pool i's noise from seeding.rng(privacy seed, i, EVAL_NOISE_TAG).
-    """
-    arrays = []
-
-    def pool_scores(queries_terms, pools):
-        if not arrays:
-            arrays.extend(teacher_scores(scorers, queries_terms, pools))
-        return arrays
-
-    runs = {
-        f"teacher_{i:02d}": lambda terms, pools, i=i: [
-            scores[:, i] for scores in pool_scores(terms, pools)]
-        for i in range(len(scorers))
-    }
-    runs["aggregate"] = lambda terms, pools: [
-        aggregate_scores(scores, 0.0) for scores in pool_scores(terms, pools)]
-    if privacy.noise_scale > 0:
-        runs["aggregate_noisy"] = lambda terms, pools: [
-            aggregate_scores(scores, privacy.noise_scale,
-                             seeding.rng(privacy.seed, qpos, EVAL_NOISE_TAG))
-            for qpos, scores in enumerate(pool_scores(terms, pools))]
-    return runs
-
-
 def _eval_pairs(index, queries, depth):
-    """Deterministic pools for pairwise_agreement: (query terms, pools,
-    pairs), each query's BM25 top `depth` documents as index positions,
+    """Deterministic pools for private.aggregate_agreement: (query terms,
+    pools, pairs), each query's BM25 top `depth` documents as index positions,
     paired with their neighbours; queries with fewer than 2 hits are left out."""
     terms, pools, pairs = [], [], []
     for q in queries:
@@ -624,10 +580,9 @@ def run_pipeline(config, mode, jobs=1):
     # document at most once in a run
     if mode == "pate":
         ensemble, fields = stages.run("train-teachers", lambda: train_teacher_ensemble(
-            pairs, config.teacher, index, config.teacher_epochs, plan,
-            ensemble_privacy(plan, n_partitions=config.n_partitions,
-                             noise_scale=config.noise_scale),
-            out / "shards", out / "checkpoints" / "ensemble", config.embeddings))
+            pairs, config.teacher, index, config.teacher_epochs, plan, config.n_partitions,
+            config.noise_scale, out / "shards", out / "checkpoints" / "ensemble",
+            config.embeddings))
         scorers = teacher_scorers(ensemble, index)
     else:
         ensemble = None
@@ -660,7 +615,7 @@ def run_pipeline(config, mode, jobs=1):
         else:
             # one model_run per run file; noise-free, the aggregate sums
             # exactly like teacher_mean
-            for name, scores in _ensemble_run_scorers(scorers, ensemble.config).items():
+            for name, scores in ensemble_run_scorers(scorers, ensemble.config).items():
                 runs[name] = rerank(scores)
             runs.setdefault("aggregate_noisy", runs["aggregate"])
         if student is not None:
@@ -693,14 +648,9 @@ def run_pipeline(config, mode, jobs=1):
                 ("student", reports["student"]),
             ]
             # exactness property: the noise-free aggregate must order pairs
-            # exactly like the plain teacher mean; each side scores the
-            # pools in one call per teacher
-            terms, pools, pairs = _eval_pairs(index, eval_queries,
-                                              min(6, config.rank_pool_size))
-            aggregates = [aggregate_scores(scores, 0.0)
-                          for scores in teacher_scores(scorers, terms, pools)]
-            report["agreement_nonnoisy_vs_mean"] = pairwise_agreement(
-                aggregates, teacher_mean(scorers, terms, pools), pairs)
+            # exactly like the plain teacher mean
+            report["agreement_nonnoisy_vs_mean"] = aggregate_agreement(
+                scorers, *_eval_pairs(index, eval_queries, min(6, config.rank_pool_size)))
             report["noisy_vs_nonnoisy"] = {
                 "map_delta": reports["aggregate_noisy"].mean_ap
                 - reports["aggregate"].mean_ap,

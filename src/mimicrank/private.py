@@ -1,15 +1,14 @@
 """Noisy teacher ensembles: partition the data, train independent teachers,
-perturb each teacher's score with Laplace noise, and aggregate by mean:
+perturb each teacher's score with Laplace noise, and aggregate by mean.
+
 ensemble_labels is the labeler with which distill.mimic_train trains a
-student on the aggregated labels only.
-
-The student never sees the partitioned training data; its entire input is
-the noisy aggregate score stream. Aggregation sums teacher contributions
-left to right so the noise-free path is bit-reproducible.
-
-Teachers are trained one at a time straight into an ensemble directory
-(train_teachers through save_ensemble), so training holds one teacher
-however many there are; load_ensemble reads them all back for labeling.
+student on the aggregated labels only: the student never sees the
+partitioned training data. ensemble_run_scorers scores the ensemble's run
+files. Every Laplace draw comes from a noise_stream(privacy, pool
+position, role tag); teacher contributions are summed left to right, so
+the noise-free path is bit-reproducible. An ensemble's size is its number
+of teachers, trained one at a time straight into an ensemble directory
+(train_teachers through save_ensemble) and read back by load_ensemble.
 """
 
 import hashlib
@@ -24,20 +23,19 @@ from . import seeding
 from .ranker import init_params, load_model, pool_scorer, save_model, train
 from .serialize import write_json
 
-NOISE_TAG = 7  # extends (seed, query position) into the per-query noise stream
+# role tags: they extend (privacy seed, pool position) into a noise stream
+NOISE_TAG = 7  # the labels a student learns from
+EVAL_NOISE_TAG = 8  # the aggregate_noisy run, distinct from the labels
 
 ENSEMBLE_MANIFEST = "manifest.json"
 
 
 @dataclass(frozen=True)
 class PrivacyConfig:
-    n_partitions: int = 3
     noise_scale: float = 0.05  # Laplace scale b; 0 disables noise
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_partitions < 1:
-            raise ValueError("n_partitions must be at least 1")
         if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
             raise ValueError(f"noise_scale must be finite and non-negative, "
                              f"got {self.noise_scale!r}")
@@ -49,10 +47,6 @@ class TeacherEnsemble:
     config: PrivacyConfig
 
     def __post_init__(self):
-        if len(self.teachers) != self.config.n_partitions:
-            raise ValueError(
-                f"{len(self.teachers)} teachers != {self.config.n_partitions} partitions"
-            )
         first = self.teachers[0].vocabulary
         for i, t in enumerate(self.teachers[1:], start=1):
             if t.vocabulary != first:
@@ -82,8 +76,6 @@ def train_teachers(shards, model_config, index, epochs, base_seed, privacy_confi
     however many shards there are; the manifest is written last, and a
     failure leaves none. Returns the directory, for load_ensemble.
     """
-    if len(shards) != privacy_config.n_partitions:
-        raise ValueError("shard count != configured partitions")
     for i, shard in enumerate(shards):
         if not shard:
             raise ValueError(f"partition {i} is empty")
@@ -221,25 +213,65 @@ def pairwise_agreement(scores_a, scores_b, pairs):
     return agree / total if total else None
 
 
-def ensemble_labels(scorers, privacy, tag):
+def noise_stream(privacy, qpos, tag):
+    """The generator of one pool's Laplace noise, keyed by the privacy seed,
+    the pool's query position and a role tag (NOISE_TAG or EVAL_NOISE_TAG).
+    Every noise draw comes from a stream made here, and only at a noise
+    scale above 0, so the noise does not depend on the order of pools."""
+    return seeding.rng(privacy.seed, qpos, tag)
+
+
+def ensemble_labels(scorers, privacy):
     """Labeler that scores a whole pool with the noisy aggregate.
 
     scorers: teacher_scorers of the ensemble; privacy: its PrivacyConfig.
     Returns label_fn(query, pool doc indices, query position) -> score
-    array, the labeler protocol of annotate_pools. Each call draws its
-    noise from its own stream, seeding.rng(privacy seed, query position,
-    tag), walked over the pool in order, so neither the noise nor the
-    scores depend on the order in which queries are labeled. A private
-    student is distill.mimic_train with ensemble_labels(teacher_scorers(
-    ensemble, index), ensemble.config, NOISE_TAG); pairs whose noisy scores
-    tie are discarded like any other.
+    array, the labeler protocol of annotate_pools, with the noise of
+    noise_stream(privacy, query position, NOISE_TAG).
     """
-
     def labels(query, pool, qpos):
-        return noisy_aggregate(scorers, query.terms, pool, privacy.noise_scale,
-                               seeding.rng(privacy.seed, qpos, tag))
+        rng = noise_stream(privacy, qpos, NOISE_TAG) if privacy.noise_scale > 0 else None
+        return noisy_aggregate(scorers, query.terms, pool, privacy.noise_scale, rng)
 
     return labels
+
+
+def ensemble_run_scorers(scorers, privacy):
+    """{run name: scores(queries_terms, pools)} of the teacher_NN, aggregate
+    and (at a noise scale above 0) aggregate_noisy runs of one query set
+    and pool size, for pipeline.model_run. The runs share one teacher_scores
+    array per pool, which the first of them to score builds; aggregate_noisy
+    draws pool i's noise from noise_stream(privacy, i, EVAL_NOISE_TAG).
+    """
+    arrays = []
+
+    def pool_scores(queries_terms, pools):
+        if not arrays:
+            arrays.extend(teacher_scores(scorers, queries_terms, pools))
+        return arrays
+
+    runs = {
+        f"teacher_{i:02d}": lambda terms, pools, i=i: [
+            scores[:, i] for scores in pool_scores(terms, pools)]
+        for i in range(len(scorers))
+    }
+    runs["aggregate"] = lambda terms, pools: [
+        aggregate_scores(scores, 0.0) for scores in pool_scores(terms, pools)]
+    if privacy.noise_scale > 0:
+        runs["aggregate_noisy"] = lambda terms, pools: [
+            aggregate_scores(scores, privacy.noise_scale,
+                             noise_stream(privacy, qpos, EVAL_NOISE_TAG))
+            for qpos, scores in enumerate(pool_scores(terms, pools))]
+    return runs
+
+
+def aggregate_agreement(scorers, queries_terms, pools, pairs):
+    """pairwise_agreement of the noise-free aggregate with teacher_mean; each
+    side scores the pools apart, in one call per teacher, so 1.0 means the
+    zero-noise aggregate orders pairs exactly like the plain mean."""
+    aggregates = [aggregate_scores(scores, 0.0)
+                  for scores in teacher_scores(scorers, queries_terms, pools)]
+    return pairwise_agreement(aggregates, teacher_mean(scorers, queries_terms, pools), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +289,10 @@ def save_ensemble(directory, teachers, config, teacher_seeds=None, shard_hashes=
     written after the last, so a directory whose writing failed has no
     manifest and load_ensemble refuses it.
 
-    The manifest records n, noise_scale, seeds, each teacher file's SHA-256
-    and optional shard content hashes; it is written with sorted keys and
-    no timestamps so rewrites are byte-identical.
+    The manifest records n_partitions (the number of teachers), noise_scale,
+    seeds, each teacher file's SHA-256 and optional shard content hashes;
+    it is written with sorted keys and no timestamps so rewrites are
+    byte-identical.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -271,11 +304,9 @@ def save_ensemble(directory, teachers, config, teacher_seeds=None, shard_hashes=
         files.append(f"teacher_{len(files):02d}.ckpt")
         hashes.append(save_model(directory / files[-1], teacher))
         del teacher
-    if len(files) != config.n_partitions:
-        raise ValueError(f"{len(files)} teachers != {config.n_partitions} partitions")
     manifest = {
         "kind": "teacher-ensemble",
-        "n_partitions": config.n_partitions,
+        "n_partitions": len(files),
         "noise_scale": config.noise_scale,
         "seed": config.seed,
         "teacher_seeds": teacher_seeds,
@@ -289,31 +320,30 @@ def save_ensemble(directory, teachers, config, teacher_seeds=None, shard_hashes=
 
 def read_ensemble_manifest(directory):
     """(PrivacyConfig, manifest dict) of a saved ensemble; no teacher is
-    loaded. A manifest without a privacy setting raises ValueError naming
-    the manifest."""
+    loaded. A manifest without a setting read here, or whose n_partitions is
+    not its number of teacher_files, raises ValueError naming the manifest."""
     path = Path(directory) / ENSEMBLE_MANIFEST
     with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     try:
-        config = PrivacyConfig(
-            n_partitions=manifest["n_partitions"],
-            noise_scale=manifest["noise_scale"],
-            seed=manifest["seed"],
-        )
+        count, files = manifest["n_partitions"], manifest["teacher_files"]
+        config = PrivacyConfig(noise_scale=manifest["noise_scale"], seed=manifest["seed"])
     except KeyError as missing:
         raise ValueError(f"{path}: records no {missing.args[0]}") from None
+    if count != len(files):
+        raise ValueError(f"{path}: records n_partitions {count} for {len(files)} teacher_files")
     return config, manifest
 
 
 def load_ensemble(directory):
     """(TeacherEnsemble, manifest dict) of a saved ensemble; a teacher file
     without the SHA-256 the manifest records for it raises ValueError
-    naming the file, and a manifest that records no SHA-256, or not one
-    per teacher file, raises ValueError naming the manifest. Each file is
-    read once: the bytes hashed are the bytes loaded."""
+    naming the file, and a manifest that read_ensemble_manifest refuses, or
+    that records no SHA-256 per teacher file, raises ValueError naming the
+    manifest. Each file is read once: the bytes hashed are the bytes loaded."""
     config, manifest = read_ensemble_manifest(directory)
     where = Path(directory) / ENSEMBLE_MANIFEST
-    files, hashes = manifest.get("teacher_files", []), manifest.get("teacher_sha256")
+    files, hashes = manifest["teacher_files"], manifest.get("teacher_sha256")
     if not hashes:
         raise ValueError(f"{where}: records no teacher_sha256")
     if len(hashes) != len(files):

@@ -635,6 +635,28 @@ def test_read_corpus_rejects_malformed_line(tmp_path, record):
         read_corpus(p)
 
 
+@pytest.mark.parametrize("doc_id", ['""', '"doc 0"', '" d1"', '"d1\\t"', '"d\\n1"'],
+                         ids=["empty", "space", "leading-space", "tab", "newline"])
+def test_read_corpus_rejects_ids_a_run_file_cannot_hold(tmp_path, doc_id):
+    # a run line or a qrels line is split on whitespace, so such an id
+    # would write a run file that read_run rejects, and never be judged
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"id": "d0", "text": "fine"}\n{"id": ' + doc_id + ', "text": "a"}\n',
+                 encoding="utf-8")
+    with pytest.raises(ValueError, match="bad.jsonl:2: a document id .* is empty or "
+                                         "holds whitespace"):
+        read_corpus(p)
+
+
+@pytest.mark.parametrize("qid", ["", "q 1", " q1", "q1 "],
+                         ids=["empty", "space", "leading-space", "trailing-space"])
+def test_read_queries_rejects_ids_a_run_file_cannot_hold(tmp_path, qid):
+    p = tmp_path / "q.tsv"
+    p.write_text(f"q0\ta\n{qid}\tb\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="q.tsv:2: a query_id .* is empty or holds whitespace"):
+        read_queries(p)
+
+
 def test_read_queries_rejects_duplicates_and_missing_tab(tmp_path):
     p = tmp_path / "q.tsv"
     p.write_text("q1\ta\nq1\tb\n", encoding="utf-8")

@@ -202,6 +202,15 @@ def test_read_run_round_trip(tmp_path):
     assert back["q1"] == [("d2", 0.9), ("d1", 0.5)]
 
 
+@pytest.mark.parametrize("tag", ["", "my run", "run\t1", " run"])
+def test_write_run_rejects_a_tag_that_changes_the_field_count(tmp_path, tag):
+    # read_run expects six whitespace-separated fields per line
+    p = tmp_path / "out.run"
+    with pytest.raises(ValueError, match="is empty or holds whitespace"):
+        write_run(p, {"q1": [("d1", 0.5)]}, tag=tag)
+    assert not p.exists()
+
+
 def test_write_run_keeps_near_ties_readable(tmp_path):
     # equal at 6 decimals, unequal as floats: d2 ranks first on score alone
     ranked = [("d2", 0.5000002), ("d1", 0.5000001)]

@@ -11,13 +11,12 @@ from pathlib import Path
 import pytest
 
 import mimicrank
-from mimicrank import pipeline, private, ranker
+from mimicrank import cli, pipeline, private, ranker, seeding
 from mimicrank.cli import build_parser, main
 from mimicrank.corpus import load_index, read_queries
 from mimicrank.distill import model_labels
 from mimicrank.evaluation import write_run
 from mimicrank.pipeline import (
-    EVAL_NOISE_TAG,
     ConfigError,
     RunConfig,
     SEED_OFFSETS,
@@ -29,9 +28,12 @@ from mimicrank.pipeline import (
     seed_plan,
 )
 from mimicrank.private import (
+    EVAL_NOISE_TAG,
+    NOISE_TAG,
     PrivacyConfig,
-    ensemble_labels,
+    ensemble_run_scorers,
     load_ensemble,
+    noisy_aggregate,
     save_ensemble,
     teacher_scorers,
 )
@@ -428,28 +430,69 @@ def test_pate_ensemble_runs_equal_their_labelers_runs(workspace, tmp_path):
     run_pipeline(config, "pate")
     index = load_index(out / "index.bin")
     ensemble, _ = load_ensemble(out / "checkpoints" / "ensemble")
-    quiet = dataclasses.replace(
-        ensemble, config=dataclasses.replace(ensemble.config, noise_scale=0.0))
+    privacy = ensemble.config
     queries = read_queries(config.queries_eval)
     # fresh scorers give the run's bits, although the run's scorers had
-    # labeled the unlabeled pools before they ranked
+    # labeled the unlabeled pools before they ranked; aggregate_noisy draws
+    # pool i's noise from (privacy seed, i, EVAL_NOISE_TAG)
+    scorers = teacher_scorers(ensemble, index)
     labelers = {f"teacher_{i:02d}": model_labels(scorer)
                 for i, scorer in enumerate(teacher_scorers(ensemble, index))}
-    labelers["aggregate"] = ensemble_labels(teacher_scorers(ensemble, index),
-                                            quiet.config, EVAL_NOISE_TAG)
-    labelers["aggregate_noisy"] = ensemble_labels(teacher_scorers(ensemble, index),
-                                                  ensemble.config, EVAL_NOISE_TAG)
+    labelers["aggregate"] = lambda q, pool, qpos: noisy_aggregate(
+        scorers, q.terms, pool, 0.0)
+    labelers["aggregate_noisy"] = lambda q, pool, qpos: noisy_aggregate(
+        scorers, q.terms, pool, privacy.noise_scale,
+        seeding.rng(privacy.seed, qpos, EVAL_NOISE_TAG))
+    run_scorers = ensemble_run_scorers(teacher_scorers(ensemble, index), privacy)
+    assert sorted(run_scorers) == sorted(labelers)
     for name, label_fn in labelers.items():
         # one labeler call per pool, at the pool's query position
         def scores(queries_terms, pools, label_fn=label_fn):
             return [label_fn(q, pool, qpos)
                     for qpos, (q, pool) in enumerate(zip(queries, pools))]
 
-        run = model_run(index, queries, scores, config.rank_pool_size,
-                        config.rank_cutoff)
-        write_run(tmp_path / f"{name}.run", run, tag=name)
-        assert (tmp_path / f"{name}.run").read_bytes() == \
-            (out / "runs" / f"{name}.run").read_bytes(), name
+        for source, scorer in (("labeler", scores), ("run scorer", run_scorers[name])):
+            run = model_run(index, queries, scorer, config.rank_pool_size,
+                            config.rank_cutoff)
+            write_run(tmp_path / f"{name}.run", run, tag=name)
+            assert (tmp_path / f"{name}.run").read_bytes() == \
+                (out / "runs" / f"{name}.run").read_bytes(), (name, source)
+
+
+@pytest.mark.parametrize("noise_scale", [0.05, 0.0])
+def test_pate_draws_noise_once_per_labeled_and_ranked_pool(workspace, tmp_path,
+                                                           monkeypatch, noise_scale):
+    # every Laplace stream of a run comes from private.noise_stream: one per
+    # annotated unlabeled query for the labels, one per evaluation query for
+    # the aggregate_noisy run, and none at noise scale 0
+    drawn, stream = [], private.noise_stream
+
+    def recorded(privacy, qpos, tag):
+        drawn.append((tag, qpos))
+        return stream(privacy, qpos, tag)
+
+    monkeypatch.setattr(private, "noise_stream", recorded)
+    config = base_config(workspace, tmp_path / "pate", noise_scale=noise_scale)
+    report = run_pipeline(config, "pate")
+    if noise_scale == 0.0:
+        assert drawn == []
+        return
+    index = load_index(config.out / "index.bin")
+    annotated = [qpos for qpos, q in enumerate(read_queries(config.queries_unlabeled))
+                 if len(index.search(q.terms, config.pool_size)[0]) > 1]
+    assert len(annotated) == report["soft_annotation"]["queries_annotated"]
+    n_eval = len(read_queries(config.queries_eval))
+    assert drawn == ([(NOISE_TAG, qpos) for qpos in annotated]
+                     + [(EVAL_NOISE_TAG, qpos) for qpos in range(n_eval)])
+
+
+def test_pipeline_and_cli_hold_no_noise_key():
+    # the privacy mechanism lives in private: no other module keys noise
+    for module in (pipeline, cli):
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        assert "seeding" not in vars(module) and "seeding" not in source, module
+        assert not [name for name in vars(module) if "NOISE" in name], module
+        assert "NOISE_TAG" not in source, module
 
 
 def test_pate_single_teacher_without_noise_reduces_to_distill(workspace, tmp_path):
@@ -641,6 +684,20 @@ def test_cli_pate_writes_the_pate_pipeline_artifacts(workspace, tmp_path):
     assert (reused / "student.ckpt").read_bytes() == student
 
 
+def test_cli_rank_rejects_a_tag_a_run_file_cannot_hold(workspace, tmp_path, capsys):
+    # a run line with an empty tag has 5 fields, and one with a spaced tag
+    # more than 6, so evaluate could not read the file back
+    idx, runf = tmp_path / "index.bin", tmp_path / "bm25.run"
+    assert main(["build-index", "--corpus", str(workspace / "corpus.jsonl"),
+                 "--out", str(idx)]) == 0
+    for tag in ("", "my run"):
+        capsys.readouterr()
+        assert main(["rank", "--index", str(idx), "--tag", tag, "--out", str(runf),
+                     "--queries", str(workspace / "queries_eval.tsv")]) == 1, tag
+        assert f"run tag {tag!r} is empty or holds whitespace" in capsys.readouterr().err
+        assert not runf.exists()
+
+
 def test_cli_rank_without_model_uses_bm25(workspace, tmp_path):
     idx = tmp_path / "index.bin"
     runf = tmp_path / "bm25.run"
@@ -653,17 +710,23 @@ def test_cli_rank_without_model_uses_bm25(workspace, tmp_path):
     assert first[1] == "Q0" and first[3] == "1" and first[5] == "bm25"
 
 
-def test_cli_rank_rejects_checkpoint_of_another_index(workspace, tmp_path, capsys):
-    # a model built on ten documents indexes fewer terms than the full
-    # index: ranking with it must fail, not remap terms silently
-    idx, few_idx = tmp_path / "index.bin", tmp_path / "few.bin"
-    few_corpus = tmp_path / "few.jsonl"
+def few_document_index(workspace, tmp_path):
+    """Index file of the mini corpus's first ten documents, which hold fewer
+    terms than the full index."""
+    few_corpus, few_idx = tmp_path / "few.jsonl", tmp_path / "few.bin"
     lines = (workspace / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
     few_corpus.write_text("\n".join(lines[:10]) + "\n", encoding="utf-8")
+    assert main(["build-index", "--corpus", str(few_corpus), "--out", str(few_idx)]) == 0
+    return few_idx
+
+
+def test_cli_rank_rejects_checkpoint_of_another_index(workspace, tmp_path, capsys):
+    # a model built on ten documents indexes fewer terms than the full
+    # index: ranking with it must fail, not remap terms silently, and say
+    # which model and which index disagree
+    idx, few_idx = tmp_path / "index.bin", few_document_index(workspace, tmp_path)
     assert main(["build-index", "--corpus", str(workspace / "corpus.jsonl"),
                  "--out", str(idx)]) == 0
-    assert main(["build-index", "--corpus", str(few_corpus),
-                 "--out", str(few_idx)]) == 0
     few = load_index(few_idx)
     ckpt = tmp_path / "few.ckpt"
     save_model(ckpt, init_params(TINY_TEACHER, few.vocabulary, few, seed=1))
@@ -671,11 +734,33 @@ def test_cli_rank_rejects_checkpoint_of_another_index(workspace, tmp_path, capsy
     code = main(["rank", "--index", str(idx),
                  "--queries", str(workspace / "queries_eval.tsv"),
                  "--model", str(ckpt), "--out", str(tmp_path / "x.run")])
-    assert code != 0
+    assert code == 2
     err = capsys.readouterr().err
+    assert f"{ckpt} does not fit the index {idx}" in err
     assert f"({len(few.vocabulary)} terms)" in err
     assert f"({len(load_index(idx).vocabulary)} terms)" in err
     assert not (tmp_path / "x.run").exists()
+
+
+def test_cli_pate_ensemble_and_distill_name_the_model_and_index_that_differ(
+        workspace, saved_ensemble, tmp_path, capsys):
+    # the saved ensemble and the teacher were built on the full index
+    idx, ensemble = saved_ensemble
+    few_idx = few_document_index(workspace, tmp_path)
+    index, teacher = load_index(idx), tmp_path / "teacher.ckpt"
+    save_model(teacher, init_params(TINY_TEACHER, index.vocabulary, index, seed=1))
+    for argv, model, out, student in (
+            (["pate", "--ensemble", str(ensemble)], ensemble, tmp_path / "p",
+             tmp_path / "p" / "student.ckpt"),
+            (["distill", "--teacher", str(teacher)], teacher, tmp_path / "s.ckpt",
+             tmp_path / "s.ckpt")):
+        capsys.readouterr()
+        assert main(argv + ["--index", str(few_idx), "--out", str(out),
+                            "--queries", str(workspace / "queries_unlabeled.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{model} does not fit the index {few_idx}" in err, argv[0]
+        assert "the model was built on another index" in err, argv[0]
+        assert not student.exists(), argv[0]
 
 
 def test_cli_rebuild_is_byte_stable(workspace, tmp_path):
@@ -860,7 +945,7 @@ def saved_ensemble(workspace, tmp_path_factory):
     index = load_index(idx)
     teachers = [init_params(TINY_TEACHER, index.vocabulary, index, seed=s)
                 for s in range(3)]
-    save_ensemble(base / "ensemble", teachers, PrivacyConfig(n_partitions=3, noise_scale=0.05))
+    save_ensemble(base / "ensemble", teachers, PrivacyConfig(noise_scale=0.05))
     return idx, base / "ensemble"
 
 

@@ -1,5 +1,6 @@
 """Partitioning, Laplace mechanism, noisy aggregation, private distillation."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -17,7 +18,6 @@ from mimicrank import nn, private, ranker, seeding
 from mimicrank.corpus import PairSet, annotate_queries, build_index
 from mimicrank.distill import mimic_train, model_labels
 from mimicrank.private import (
-    NOISE_TAG,
     PrivacyConfig,
     TeacherEnsemble,
     aggregate_scores,
@@ -60,7 +60,7 @@ def micro_ensemble(micro_instances, micro_index, tmp_path_factory):
     shards = partition_data(micro_instances, 3, seed=71)
     return trained_ensemble(tmp_path_factory.mktemp("micro_ensemble"), shards,
                             micro_index, epochs=3, base_seed=73,
-                            privacy_config=PrivacyConfig(3, 0.0, seed=79))
+                            privacy_config=PrivacyConfig(0.0, seed=79))
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +69,15 @@ def micro_ensemble(micro_instances, micro_index, tmp_path_factory):
 
 def test_privacy_config_validation():
     with pytest.raises(ValueError):
-        PrivacyConfig(n_partitions=0)
-    with pytest.raises(ValueError):
         PrivacyConfig(noise_scale=-0.1)
     # NaN fails `scale > 0`, so it used to release the noise-free mean
     for scale in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="noise_scale must be finite"):
             PrivacyConfig(noise_scale=scale)
     cfg = PrivacyConfig()
-    assert cfg.n_partitions == 3
     assert cfg.noise_scale == 0.05
+    # an ensemble's size is its teachers: the config holds the noise only
+    assert [f.name for f in dataclasses.fields(PrivacyConfig)] == ["noise_scale", "seed"]
 
 
 def numbered_pairs(n):
@@ -226,7 +225,7 @@ def test_train_teachers_seeded_and_distinct(micro_instances, micro_index, tmp_pa
     shards = partition_data(micro_instances, 3, seed=71)
     for name in ("a", "b"):
         train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=2,
-                       base_seed=101, privacy_config=PrivacyConfig(3),
+                       base_seed=101, privacy_config=PrivacyConfig(),
                        directory=tmp_path / name)
     for i in range(3):
         name = f"teacher_{i:02d}.ckpt"
@@ -240,7 +239,7 @@ def test_single_teacher_ensemble_equals_plain_training(micro_instances,
                                                        micro_index, tmp_path):
     shards = partition_data(micro_instances, 1, seed=71)
     train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=2, base_seed=103,
-                   privacy_config=PrivacyConfig(1, 0.0, seed=0), directory=tmp_path / "ens")
+                   privacy_config=PrivacyConfig(0.0, seed=0), directory=tmp_path / "ens")
     plain = init_params(MICRO_TEACHER_CONFIG, micro_index.vocabulary,
                         micro_index, seed=103)
     train(plain, MICRO_TEACHER_CONFIG, shards[0], epochs=2, seed=103)
@@ -263,14 +262,14 @@ def test_one_trained_teacher_is_alive_while_each_teacher_trains(
     monkeypatch.setattr(private, "train", counting_train)
     shards = partition_data(micro_instances, 3, seed=71)
     train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, epochs=1, base_seed=73,
-                   privacy_config=PrivacyConfig(3, 0.0, seed=79), directory=tmp_path)
+                   privacy_config=PrivacyConfig(0.0, seed=79), directory=tmp_path)
     assert seen == [1, 1, 1]
 
 
 def test_failed_ensemble_leaves_no_manifest(monkeypatch, micro_instances, micro_index,
                                             tmp_path):
     shards = partition_data(micro_instances, 3, seed=71)
-    config = PrivacyConfig(3, 0.0, seed=79)
+    config = PrivacyConfig(0.0, seed=79)
     run = dict(epochs=1, base_seed=73, privacy_config=config, directory=tmp_path)
     train_teachers(shards, MICRO_TEACHER_CONFIG, micro_index, **run)
     complete = load_ensemble(tmp_path)[0]
@@ -289,17 +288,19 @@ def test_failed_ensemble_leaves_no_manifest(monkeypatch, micro_instances, micro_
     assert not (tmp_path / "manifest.json").exists()
     with pytest.raises(FileNotFoundError):
         load_ensemble(tmp_path)
-    # so does one saved with fewer teachers than its partitions
+    # a save of the complete ensemble writes it again
     save_ensemble(tmp_path, complete.teachers, config)
-    with pytest.raises(ValueError, match="2 teachers != 3 partitions"):
-        save_ensemble(tmp_path, complete.teachers[:2], config)
-    assert not (tmp_path / "manifest.json").exists()
+    assert len(load_ensemble(tmp_path)[0].teachers) == 3
 
 
-def test_ensemble_validates_shape(micro_ensemble):
-    with pytest.raises(ValueError, match="partitions"):
-        TeacherEnsemble(teachers=micro_ensemble.teachers[:2],
-                        config=PrivacyConfig(3, 0.0, 0))
+def test_ensemble_validates_shape(micro_collection, micro_ensemble):
+    # any number of teachers is an ensemble, as long as they index terms alike
+    for n in (1, 2, 3):
+        assert len(TeacherEnsemble(micro_ensemble.teachers[:n], PrivacyConfig()).teachers) == n
+    other = build_index(micro_collection.documents[:30])
+    stranger = init_params(MICRO_TEACHER_CONFIG, other.vocabulary, other, seed=1)
+    with pytest.raises(ValueError, match="teacher 2 vocabulary differs from teacher 0"):
+        TeacherEnsemble(micro_ensemble.teachers[:2] + [stranger], PrivacyConfig())
 
 
 def _pool(micro_index, query, depth=10):
@@ -338,7 +339,7 @@ def test_single_teacher_aggregate_identity(micro_instances, micro_index,
     shards = partition_data(micro_instances, 1, seed=71)
     ens = trained_ensemble(tmp_path, shards, micro_index, epochs=1,
                            base_seed=107,
-                           privacy_config=PrivacyConfig(1, 0.0, seed=0))
+                           privacy_config=PrivacyConfig(0.0, seed=0))
     query = micro_collection.eval_queries[0]
     pool, _ = _pool(micro_index, query)
     assert np.array_equal(noisy_aggregate(teacher_scorers(ens, micro_index), query.terms,
@@ -351,7 +352,7 @@ def test_noisy_aggregate_reproducible(micro_collection, micro_index,
     shards = partition_data(micro_instances, 3, seed=71)
     ens = trained_ensemble(tmp_path, shards, micro_index, epochs=1,
                            base_seed=109,
-                           privacy_config=PrivacyConfig(3, 0.05, seed=0))
+                           privacy_config=PrivacyConfig(0.05, seed=0))
     query = micro_collection.eval_queries[0]
     q, (pool, _) = query.terms, _pool(micro_index, query)
     scorers = teacher_scorers(ens, micro_index)
@@ -372,7 +373,7 @@ def test_noisy_aggregate_draws_document_major(micro_collection, micro_index,
     shards = partition_data(micro_instances, 3, seed=71)
     ens = trained_ensemble(tmp_path, shards, micro_index, epochs=1,
                            base_seed=109,
-                           privacy_config=PrivacyConfig(3, 0.05, seed=0))
+                           privacy_config=PrivacyConfig(0.05, seed=0))
     query = micro_collection.eval_queries[0]
     q, (pool, rows) = query.terms, _pool(micro_index, query)
     got = noisy_aggregate(teacher_scorers(ens, micro_index), q, pool, 0.05,
@@ -534,6 +535,21 @@ def test_ensemble_refuses_a_manifest_without_its_partition_count(tmp_path, micro
             read(out)
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_ensemble_refuses_a_manifest_whose_count_is_not_its_teacher_files(
+        tmp_path, micro_ensemble, count):
+    out = tmp_path / "ensemble"
+    save_ensemble(out, micro_ensemble.teachers, micro_ensemble.config)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["n_partitions"] == len(manifest["teacher_files"]) == 3
+    manifest["n_partitions"] = count
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    problem = f"{out / 'manifest.json'}: records n_partitions {count} for 3 teacher_files"
+    for read in (read_ensemble_manifest, load_ensemble):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            read(out)
+
+
 def test_ensemble_refuses_a_manifest_with_a_hash_missing(tmp_path, micro_ensemble):
     out = tmp_path / "ensemble"
     save_ensemble(out, micro_ensemble.teachers, micro_ensemble.config)
@@ -562,7 +578,7 @@ def test_pool_labelers_run_one_forward_per_pool_and_model(
     for labeler, n_models in (
             (model_labels(pool_scorer(micro_teacher, micro_index)), 1),
             (ensemble_labels(teacher_scorers(micro_ensemble, micro_index),
-                             micro_ensemble.config, NOISE_TAG), 3)):
+                             micro_ensemble.config), 3)):
         rows_per_call.clear()
         for query, pool, qpos in pools:
             assert len(labeler(query, pool, qpos)) == len(pool)
@@ -596,7 +612,7 @@ def test_file_sha256(tmp_path):
 
 def private_mimic(ensemble, index, unlabeled, **kwargs):
     """mimic_train with the ensemble's noisy aggregate as the labels."""
-    labels = ensemble_labels(teacher_scorers(ensemble, index), ensemble.config, NOISE_TAG)
+    labels = ensemble_labels(teacher_scorers(ensemble, index), ensemble.config)
     return mimic_train(labels, MICRO_STUDENT_CONFIG, unlabeled, index, **kwargs)
 
 
@@ -605,7 +621,7 @@ def test_pate_reduces_to_distill_for_single_noiseless_teacher(
     shards = partition_data(micro_instances, 1, seed=71)
     ens = trained_ensemble(tmp_path, shards, micro_index, epochs=2,
                            base_seed=113,
-                           privacy_config=PrivacyConfig(1, 0.0, seed=0))
+                           privacy_config=PrivacyConfig(0.0, seed=0))
     kwargs = dict(pool_size=10, pairs_per_query=5, epochs=2, seed=127)
     private = private_mimic(ens, micro_index, micro_collection.unlabeled_queries,
                             **kwargs)
@@ -623,7 +639,7 @@ def test_pate_reduces_to_distill_for_single_noiseless_teacher(
 def test_pate_noise_changes_labels_not_determinism(micro_instances, micro_index,
                                                    micro_collection, tmp_path):
     shards = partition_data(micro_instances, 3, seed=71)
-    noisy_cfg = PrivacyConfig(3, 0.05, seed=131)
+    noisy_cfg = PrivacyConfig(0.05, seed=131)
     ens = trained_ensemble(tmp_path, shards, micro_index, epochs=2,
                            base_seed=137, privacy_config=noisy_cfg)
     kwargs = dict(pool_size=10, pairs_per_query=5, epochs=1, seed=139)
@@ -641,7 +657,7 @@ def test_pate_student_agrees_with_aggregate(micro_instances, micro_index,
     shards = partition_data(micro_instances, 3, seed=71)
     ens = trained_ensemble(tmp_path, shards, micro_index, epochs=3,
                            base_seed=149,
-                           privacy_config=PrivacyConfig(3, 0.0, seed=0))
+                           privacy_config=PrivacyConfig(0.0, seed=0))
     result = private_mimic(ens, micro_index, micro_collection.unlabeled_queries,
                            pool_size=12, pairs_per_query=8, epochs=8, seed=151)
     assert result.heldout_count > 0
@@ -672,7 +688,7 @@ def test_pate_ignores_deleted_shard_data(tmp_path, micro_instances, micro_index,
         shard_paths.append(p)
     ens = trained_ensemble(tmp_path, shards, micro_index, epochs=1,
                            base_seed=157,
-                           privacy_config=PrivacyConfig(3, 0.05, seed=163))
+                           privacy_config=PrivacyConfig(0.05, seed=163))
     for p in shard_paths:
         p.unlink()
     result = private_mimic(ens, micro_index, micro_collection.unlabeled_queries,
