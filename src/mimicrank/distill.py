@@ -8,7 +8,9 @@ index positions, where the labels come from whatever labeler is plugged
 in. mimic_train is the one path for both variants: model_labels of one
 teacher's pool_scorer gives plain distillation and private.ensemble_labels
 the noisy teacher aggregate, so the two are identical by construction up
-to the labeling function.
+to the labeling function. mimic_train also builds the trained student's
+one pool_scorer: it scores the held-out pairs, and callers rank with it,
+so scoring represents each document at most once for the student.
 """
 
 from dataclasses import dataclass
@@ -29,6 +31,7 @@ TRAIN_TAG = 3
 @dataclass
 class DistillResult:
     student: RankModelParams
+    scorer: object  # the student's pool_scorer, which scored the held-out pairs
     fidelity: float  # held-out sign agreement with the labels; None if no holdout
     annotation: object  # AnnotationReport from the labeling stage
     epoch_losses: list
@@ -59,12 +62,13 @@ def _split_holdout(pairs, fraction, seed):
     return pairs.take(order[n_held:]), pairs.take(order[:n_held])
 
 
-def label_agreement(params, pairs):
-    """Fraction of pairs whose label preference the model reproduces.
+def label_agreement(scorer, pairs):
+    """Fraction of pairs whose label preference a model reproduces.
 
-    Model ties count as disagreement (the model expresses no preference).
-    One call of a pool_scorer over the model scores one pool per query,
-    its pairs' doc1 then doc2 positions. None for no pairs.
+    scorer is the model's pool_scorer over pairs.index. Model ties count
+    as disagreement (the model expresses no preference). One scorer call
+    scores one pool per query, its pairs' doc1 then doc2 positions. None
+    for no pairs.
     """
     if not len(pairs):
         return None
@@ -72,8 +76,7 @@ def label_agreement(params, pairs):
     queries, starts = np.unique(pairs.query[order], return_index=True)
     groups = np.split(order, starts[1:])
     pools = [np.concatenate([pairs.doc1[group], pairs.doc2[group]]) for group in groups]
-    scores = pool_scorer(params, pairs.index).rows(
-        [pairs.query_rows[q] for q in queries.tolist()], pools)
+    scores = scorer.rows([pairs.query_rows[q] for q in queries.tolist()], pools)
     s1, s2 = np.empty(len(pairs)), np.empty(len(pairs))
     for group, pool_scores in zip(groups, scores):
         s1[group], s2[group] = pool_scores[:group.size], pool_scores[group.size:]
@@ -89,7 +92,9 @@ def mimic_train(label_fn, student_config, unlabeled, index, epochs, seed,
     label_fn(query, pool doc indices, query position) -> scores. Every
     sub-stage derives its randomness from `seed` plus a fixed tag, so two
     labelers that return identical scores produce byte-identical students.
-    heldout_fraction must lie in [0, 1).
+    heldout_fraction must lie in [0, 1). The result's scorer is the trained
+    student's pool_scorer over index, and fidelity its label_agreement on
+    the held-out pairs.
     """
     if not 0.0 <= heldout_fraction < 1.0:
         raise ValueError(
@@ -111,10 +116,11 @@ def mimic_train(label_fn, student_config, unlabeled, index, epochs, seed,
     )
     result = train(student, student_config, train_set, epochs,
                    seed=seeding.entropy(seed, TRAIN_TAG))
-    fidelity = label_agreement(student, heldout)
+    scorer = pool_scorer(student, index)
     return DistillResult(
         student=student,
-        fidelity=fidelity,
+        scorer=scorer,
+        fidelity=label_agreement(scorer, heldout),
         annotation=report,
         epoch_losses=result.epoch_losses,
         train_count=len(train_set),

@@ -88,7 +88,7 @@ def init_layers(dims, activations, rng):
     return layers
 
 
-def forward(layers, x, dropout_keep=1.0, rng=None):
+def forward(layers, x, dropout_keep=1.0, rng=None, cache=True):
     """Run the stack from layer 0's pre-activation; returns (output, cache).
 
     x is an (n, out_dim of layer 0) batch of layer 0's pre-activation
@@ -107,24 +107,31 @@ def forward(layers, x, dropout_keep=1.0, rng=None):
     (the next layer's input) and its mask is None: the mask zeroes every
     unit it drops, so h > 0 already marks a unit that was kept. The cache
     is for one backward, which empties it.
+
+    With cache=False, for inference, the cache is None and nothing is
+    kept: each layer's input is freed as soon as its output exists, so
+    the pass holds at most one layer's input and output (and the
+    caller's x). The output bits are those of the caching pass.
     """
     if not 0.0 < dropout_keep <= 1.0:
         raise ValueError(f"dropout_keep must be in (0, 1], got {dropout_keep}")
     if dropout_keep < 1.0 and rng is None:
         raise ValueError("dropout needs an rng")
-    h = z = np.asarray(x, dtype=np.float64)  # layer 0's z is x itself
+    h = np.asarray(x, dtype=np.float64)  # layer 0's pre-activation
     if h.ndim != 2 or h.shape[1] != layers[0].out_dim:
         raise ValueError(f"layer 0: pre-activation shape {h.shape} is not "
                          f"(n, {layers[0].out_dim})")
+    del x  # from here h holds each layer's input, and its output replaces it
     inputs, masks, outputs = [None], [], []
     for i, layer in enumerate(layers):
         if i:
             if h.shape[1] != layer.in_dim:
                 raise ValueError(f"layer {i}: input dim {h.shape[1]} != expected {layer.in_dim}")
-            inputs.append(h)
-            z = h @ layer.weights
-            z += layer.bias
-        a = _activate(layer.activation, z, owned=i > 0)
+            if cache:
+                inputs.append(h)
+            h = h @ layer.weights
+            h += layer.bias
+        a = _activate(layer.activation, h, owned=i > 0)
         tanh = layer.activation == "tanh"
         mask = None
         if dropout_keep < 1.0 and i < len(layers) - 1:
@@ -134,8 +141,11 @@ def forward(layers, x, dropout_keep=1.0, rng=None):
             h /= dropout_keep
         else:
             h = a
-        masks.append(mask if tanh else None)
-        outputs.append(a if tanh else h)
+        if cache:
+            masks.append(mask if tanh else None)
+            outputs.append(a if tanh else h)
+    if not cache:
+        return h, None
     return h, {"layers": layers, "inputs": inputs, "masks": masks, "outputs": outputs,
                "dropout_keep": dropout_keep}
 

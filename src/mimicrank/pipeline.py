@@ -51,6 +51,7 @@ from .ranker import (
     TEACHER_CONFIG,
     init_params,
     load_model,
+    model_arrays,
     pool_scorer,
     save_model,
     train,
@@ -400,6 +401,24 @@ def train_teacher_ensemble(pairs, model_config, index, epochs, plan, n_partition
                                             "shard_hashes": hashes}
 
 
+def _check_saved(path, saved, trained):
+    """Raise ValueError naming path unless the model read back from it
+    equals the trained one bit for bit: config, vocabulary, activations
+    and every array."""
+    def activations(model):
+        return [layer.activation for layer in model.layers]
+
+    for what, a, b in (("config", saved.config, trained.config),
+                       ("vocabulary", saved.vocabulary, trained.vocabulary),
+                       ("activations", activations(saved), activations(trained))):
+        if a != b:
+            raise ValueError(f"{path}: {what} read back differs from the trained model's")
+    # equal activations give both models the same array names, in one order
+    for (name, a), (_, b) in zip(model_arrays(saved), model_arrays(trained)):
+        if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+            raise ValueError(f"{path}: array {name} read back differs from the trained model's")
+
+
 def distill_student(scorers, privacy, student_config, unlabeled, index, epochs, plan,
                     student_path, soft_path=None, **mimic_options):
     """A student trained on the teachers' labels of the unlabeled queries.
@@ -408,9 +427,12 @@ def distill_student(scorers, privacy, student_config, unlabeled, index, epochs, 
     teacher's scores label each pool; with the ensemble's PrivacyConfig its
     noisy aggregate does. mimic_options (pool_size, pairs_per_query,
     heldout_fraction, embedding_file) go to distill.mimic_train. The
-    student is saved to student_path and loaded back, and the labeled
-    pairs are written to soft_path if one is given. Returns (student,
-    report fields).
+    labeled pairs are written to soft_path if one is given. The student is
+    saved to student_path and read back, and a copy read back that is not
+    the trained student bit for bit raises ValueError naming the file.
+    Returns (the trained student's pool_scorer, which scored its held-out
+    pairs, report fields): as the two copies are equal, its scores are
+    those of a scorer over the persisted student.
     """
     label_fn = model_labels(scorers[0]) if privacy is None else ensemble_labels(scorers, privacy)
     result = mimic_train(label_fn, student_config, unlabeled, index, epochs,
@@ -418,14 +440,13 @@ def distill_student(scorers, privacy, student_config, unlabeled, index, epochs, 
     if soft_path is not None:
         write_annotations(soft_path, result.pairs)
     save_model(student_path, result.student)
-    fields = {
+    _check_saved(student_path, load_model(student_path), result.student)
+    return result.scorer, {
         "soft_annotation": dataclasses.asdict(result.annotation),
         "fidelity": result.fidelity,
         "student_epoch_losses": result.epoch_losses,
         "student_pairs": {"train": result.train_count, "heldout": result.heldout_count},
     }
-    del result  # the trained copy goes before the saved one is read back
-    return load_model(student_path), fields
 
 
 def bm25_run(index, queries, cutoff):
@@ -456,6 +477,35 @@ def model_run(index, queries, scores, pool_size, cutoff):
         run[q.query_id] = list(zip(map(index.doc_ids.__getitem__, pool[top].tolist()),
                                    pool_scores[top].tolist()))
     return run
+
+
+def write_runs(index, queries, scorers, privacy, student, pool_size, cutoff, runs_dir):
+    """Every run file of the queries, written to runs_dir; returns {name: run}.
+
+    bm25 is the BM25 ranking cut at cutoff. Each model's run reranks the
+    BM25 pools of pool_size documents (model_run): with privacy None,
+    teacher is the one scorer's; with the ensemble's PrivacyConfig,
+    teacher_NN are each teacher's and aggregate and aggregate_noisy the
+    aggregate's without and with noise (private.ensemble_run_scorers). The
+    student run is the student's pool_scorer's, given one.
+    """
+    def rerank(scores):
+        return model_run(index, queries, scores, pool_size, cutoff)
+
+    runs = {"bm25": bm25_run(index, queries, cutoff)}
+    if privacy is None:
+        runs["teacher"] = rerank(scorers[0])
+    else:
+        # one model_run per run file; noise-free, the aggregate sums
+        # exactly like teacher_mean
+        for name, scores in ensemble_run_scorers(scorers, privacy).items():
+            runs[name] = rerank(scores)
+        runs.setdefault("aggregate_noisy", runs["aggregate"])
+    if student is not None:
+        runs["student"] = rerank(student)
+    for name, run in runs.items():
+        write_run(Path(runs_dir) / f"{name}.run", run, tag=name)
+    return runs
 
 
 def _eval_pairs(index, queries, depth):
@@ -576,8 +626,11 @@ def run_pipeline(config, mode, jobs=1):
     report.update(fields)
 
     # one scorer per loaded teacher, shared by mimic labeling, the rank
-    # stage and the agreement check, so each teacher represents each
-    # document at most once in a run
+    # stage and the agreement check, and one for the student, which
+    # distill_student builds over the trained copy for its held-out
+    # agreement and hands to the rank stage once the saved copy has read
+    # back equal: each scoring model represents each document at most
+    # once in a run
     if mode == "pate":
         ensemble, fields = stages.run("train-teachers", lambda: train_teacher_ensemble(
             pairs, config.teacher, index, config.teacher_epochs, plan, config.n_partitions,
@@ -591,40 +644,21 @@ def run_pipeline(config, mode, jobs=1):
             out / "checkpoints" / "teacher.ckpt", config.embeddings))
         scorers = [pool_scorer(teacher, index)]
     report.update(fields)
+    privacy = None if ensemble is None else ensemble.config
 
-    student = None
+    student = None  # the student's pool_scorer
     if mode != "weak":
         student, fields = stages.run("distill", lambda: distill_student(
-            scorers, None if ensemble is None else ensemble.config, config.student,
-            unlabeled, index, config.student_epochs, plan,
+            scorers, privacy, config.student, unlabeled, index, config.student_epochs, plan,
             out / "checkpoints" / "student.ckpt", out / "annotations" / "soft.tsv",
             pool_size=config.pool_size, pairs_per_query=config.pairs_per_query,
             heldout_fraction=config.heldout_fraction,
             embedding_file=config.embeddings))
         report.update(fields)
 
-    # run files
-    def write_runs():
-        def rerank(scores):
-            return model_run(index, eval_queries, scores,
-                             config.rank_pool_size, config.rank_cutoff)
-
-        runs = {"bm25": bm25_run(index, eval_queries, config.rank_cutoff)}
-        if ensemble is None:
-            runs["teacher"] = rerank(scorers[0])
-        else:
-            # one model_run per run file; noise-free, the aggregate sums
-            # exactly like teacher_mean
-            for name, scores in ensemble_run_scorers(scorers, ensemble.config).items():
-                runs[name] = rerank(scores)
-            runs.setdefault("aggregate_noisy", runs["aggregate"])
-        if student is not None:
-            runs["student"] = rerank(pool_scorer(student, index))
-        for name, run in runs.items():
-            write_run(out / "runs" / f"{name}.run", run, tag=name)
-        return runs
-
-    runs = stages.run("rank", write_runs)
+    runs = stages.run("rank", lambda: write_runs(
+        index, eval_queries, scorers, privacy, student, config.rank_pool_size,
+        config.rank_cutoff, out / "runs"))
 
     # metrics: the sole consumer of qrels on the distill and pate paths
     def evaluate_all():

@@ -199,7 +199,16 @@ def represent_rows(params, rows):
     can depend in the last bits on the rows blocked together; so a caller
     that needs a row's bits fixed gives it fixed companions, as pool_scorer
     does with its index-aligned blocks, or represents it alone.
+
+    A lone row whose indices strictly increase, as both kinds do, is
+    already its own block, with the block path's bits: its indices are
+    the block's terms and its counts the block's one row.
     """
+    if len(rows) == 1:
+        idx, counts = rows[0]
+        if (idx[1:] > idx[:-1]).all():
+            block = (0, idx, np.asarray(counts, dtype=np.float64)[None, :])
+            return _represent_blocks(params, [block], 1)
     return _represent_blocks(params, _count_blocks(_row_table(rows)), len(rows))
 
 
@@ -284,10 +293,11 @@ def _infer(params, doc_half, docs, query_half, queries):
     """Scores in (−1, 1) of the rows doc_half[docs[i]] + query_half[queries[i]] + b0.
 
     doc_half holds D·W_d rows and query_half Q·W_q rows (_pre_activation
-    sums them). Every inference forward runs here, without dropout: the
-    rows are padded with repeats of row 0, whose scores are dropped, and
-    go through the stack in chunks. Row i's score depends only on its
-    pre-activation, for a fixed BLAS build and thread count.
+    sums them). Every inference forward runs here, without dropout and
+    without a cache: the rows are padded with repeats of row 0, whose
+    scores are dropped, and go through the stack in chunks. Row i's score
+    depends only on its pre-activation, for a fixed BLAS build and thread
+    count.
     """
     n = len(docs)
     rows = np.arange(n + -n % _PAD_ROWS)
@@ -295,8 +305,10 @@ def _infer(params, doc_half, docs, query_half, queries):
     out = np.empty(len(rows))
     for first in range(0, len(rows), _FORWARD_ROWS):
         chunk = rows[first:first + _FORWARD_ROWS]
-        z = _pre_activation(params, doc_half[docs[chunk]], query_half, queries[chunk])
-        scores, _ = nn.forward(params.layers, z)
+        scores, _ = nn.forward(
+            params.layers,
+            _pre_activation(params, doc_half[docs[chunk]], query_half, queries[chunk]),
+            cache=False)
         out[first:first + len(chunk)] = scores[:, 0]
     return out[:n]
 
@@ -645,6 +657,12 @@ def init_params(config, vocabulary, index, embedding_file=None, seed=0):
 # Checkpoints
 
 
+def model_arrays(params):
+    """(name, array) of every array a checkpoint holds, in its order."""
+    return [("embedding", params.embedding), ("term_weights", params.term_weights),
+            *nn.layers_to_arrays(params.layers)]
+
+
 def save_model(path, params):
     """Write a checkpoint; returns the SHA-256 hex digest of its bytes."""
     meta = {
@@ -653,9 +671,7 @@ def save_model(path, params):
         "vocabulary": list(params.vocabulary.terms),
         "activations": [layer.activation for layer in params.layers],
     }
-    arrays = [("embedding", params.embedding), ("term_weights", params.term_weights)]
-    arrays.extend(nn.layers_to_arrays(params.layers))
-    return write_container(path, MODEL_MAGIC, MODEL_VERSION, meta, arrays)
+    return write_container(path, MODEL_MAGIC, MODEL_VERSION, meta, model_arrays(params))
 
 
 def load_model(path, sha256=None):

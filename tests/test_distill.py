@@ -123,8 +123,8 @@ def test_distill_improves_label_agreement_over_training(micro_collection,
     assert trained.heldout_count > 0
     assert trained.train_count + trained.heldout_count == len(trained.pairs)
     assert 0.0 <= trained.fidelity <= 1.0
-    before = label_agreement(untrained.student, trained.pairs)
-    after = label_agreement(trained.student, trained.pairs)
+    before = label_agreement(pool_scorer(untrained.student, micro_index), trained.pairs)
+    after = label_agreement(trained.scorer, trained.pairs)
     assert after > before
     assert trained.epoch_losses[-1] < trained.epoch_losses[0]
 
@@ -193,8 +193,9 @@ def test_label_agreement_counts_model_ties_as_disagreement(micro_collection,
     instances, _ = annotate_queries(micro_index,
                                     micro_collection.train_queries[:4],
                                     pool_size=10, pairs_per_query=4, seed=61)
-    assert label_agreement(zero, instances) == 0.0
-    assert label_agreement(zero, instances.take([])) is None
+    scorer = pool_scorer(zero, micro_index)
+    assert label_agreement(scorer, instances) == 0.0
+    assert label_agreement(scorer, instances.take([])) is None
 
 
 def test_label_agreement_scores_pairs_as_the_batch_reference(micro_collection,
@@ -210,4 +211,5 @@ def test_label_agreement_scores_pairs_as_the_batch_reference(micro_collection,
                          [pair.doc1_rows for pair in rows] + [pair.doc2_rows for pair in rows])
     s1, s2 = scores[:len(rows)], scores[len(rows):]
     agree = (s1 != s2) & ((s1 > s2) == (shuffled.s1 > shuffled.s2))
-    assert 0.0 < label_agreement(micro_teacher, shuffled) == agree.mean() < 1.0
+    scorer = pool_scorer(micro_teacher, micro_index)
+    assert 0.0 < label_agreement(scorer, shuffled) == agree.mean() < 1.0

@@ -378,6 +378,25 @@ def test_passes_equal_the_plain_arithmetic_bitwise(hidden, keep, rows):
     assert np.array_equal(bits(upstream), bits(upstream_before))
 
 
+@pytest.mark.parametrize("hidden", ["relu", "tanh"])
+@pytest.mark.parametrize("keep", [1.0, 0.7])
+@pytest.mark.parametrize("rows", [1, 8, 9])
+def test_forward_without_cache_gives_the_caching_output_bits(hidden, keep, rows):
+    rng = np.random.default_rng(16)
+    layers = init_layers([6, 8, 7, 1], [hidden, hidden, "tanh"], rng)
+    z0 = layer_zero(layers, rng.normal(size=(rows, 6)))
+    z0_before = z0.copy()
+
+    def dropout_rng():
+        return np.random.default_rng(4) if keep < 1.0 else None
+
+    want, _ = forward(layers, z0, dropout_keep=keep, rng=dropout_rng())
+    got, cache = forward(layers, z0, dropout_keep=keep, rng=dropout_rng(), cache=False)
+    assert cache is None
+    assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(bits(z0), bits(z0_before))
+
+
 @pytest.mark.parametrize("first", ["relu", "tanh"])
 @pytest.mark.parametrize("keep", [1.0, 0.7])
 def test_pre_activation_entry_equals_the_plain_forward_bitwise(first, keep):

@@ -8,10 +8,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mimicrank
-from mimicrank import cli, pipeline, private, ranker, seeding
+from mimicrank import cli, distill, pipeline, private, ranker, seeding
 from mimicrank.cli import build_parser, main
 from mimicrank.corpus import load_index, read_queries
 from mimicrank.distill import model_labels
@@ -42,6 +43,7 @@ from mimicrank.ranker import (
     STUDENT_CONFIG,
     TEACHER_CONFIG,
     init_params,
+    load_model,
     pool_scorer,
     save_model,
 )
@@ -315,7 +317,8 @@ def test_pate_mode_writes_four_row_report_and_shards(workspace, tmp_path):
 
 
 def counting_scorers(monkeypatch, count):
-    """Make the pipeline's scorers call count(params, pools) before each call."""
+    """Make every scorer of a run, the student's included, call
+    count(params, pools) before each call, by query terms or by rows."""
     def scorer(params, index):
         scores = pool_scorer(params, index)
 
@@ -323,10 +326,15 @@ def counting_scorers(monkeypatch, count):
             count(params, pools)
             return scores(queries_terms, pools)
 
+        def counted_rows(query_rows, pools):
+            count(params, pools)
+            return scores.rows(query_rows, pools)
+
+        counted.rows = counted_rows
         return counted
 
-    monkeypatch.setattr(pipeline, "pool_scorer", scorer)
-    monkeypatch.setattr(private, "pool_scorer", scorer)
+    for module in (pipeline, private, distill):
+        monkeypatch.setattr(module, "pool_scorer", scorer)
 
 
 def counting_stages(monkeypatch):
@@ -391,14 +399,25 @@ def test_pate_agreement_scores_its_own_pools_once_per_side_and_teacher(
 
 def test_pate_run_represents_each_document_once_per_scoring_model(
         workspace, tmp_path, monkeypatch):
-    # one scorer per loaded model serves mimic labeling, the rank stage and
-    # the agreement check, so a model's document rows reach the
-    # representation blocks at most once in the whole run
-    scoring, kept, represented = {}, [], Counter()
-    represent = ranker._represent_blocks
+    # one scorer per model serves mimic labeling, the rank stage and the
+    # agreement check, and the student's one scorer its held-out agreement
+    # and the rank stage, so outside training steps a scoring model's
+    # document rows reach the representation blocks at most once in the
+    # whole run (the student trains as the object that then scores)
+    scoring, kept, represented, training = {}, [], Counter(), []
+    represent, step = ranker._represent_blocks, ranker.compute_loss_and_grads
+
+    def stepped(*args, **kwargs):
+        training.append(True)
+        try:
+            return step(*args, **kwargs)
+        finally:
+            training.pop()
 
     def recorded(params, blocks, n_rows):
         kept.append(params)  # no model is freed, so no id is reused
+        if training:
+            return represent(params, blocks, n_rows)
         blocks = list(blocks)
         for _, u, counts in blocks:
             for row in counts:
@@ -407,6 +426,7 @@ def test_pate_run_represents_each_document_once_per_scoring_model(
         return represent(params, blocks, n_rows)
 
     monkeypatch.setattr(ranker, "_represent_blocks", recorded)
+    monkeypatch.setattr(ranker, "compute_loss_and_grads", stepped)
     counting_scorers(monkeypatch,
                      lambda params, pools: scoring.setdefault(id(params), params))
     out = tmp_path / "pate"
@@ -422,6 +442,46 @@ def test_pate_run_represents_each_document_once_per_scoring_model(
             per_model[model] += 1
     assert len(scoring) == 4  # three teachers, one student
     assert all(per_model[model] > 0 for model in scoring)
+
+
+@pytest.mark.parametrize("mode", ["distill", "pate"])
+def test_student_run_equals_a_run_of_the_saved_student(workspace, tmp_path, mode):
+    # the rank stage ranks with the scorer distill_student built over the
+    # trained student, which must give the bits of a fresh scorer over the
+    # student read back from student.ckpt
+    out = tmp_path / mode
+    config = base_config(workspace, out)
+    run_pipeline(config, mode)
+    index = load_index(out / "index.bin")
+    student = load_model(out / "checkpoints" / "student.ckpt")
+    run = model_run(index, read_queries(config.queries_eval), pool_scorer(student, index),
+                    config.rank_pool_size, config.rank_cutoff)
+    write_run(tmp_path / "student.run", run, tag="student")
+    assert (tmp_path / "student.run").read_bytes() == \
+        (out / "runs" / "student.run").read_bytes()
+
+
+def test_pipeline_rejects_a_student_that_reads_back_changed(workspace, tmp_path,
+                                                            monkeypatch):
+    # the run ranks with the trained student's scorer only because the
+    # saved copy reads back equal: one ulp off in one array stops the run
+    save = pipeline.save_model
+
+    def perturbing(path, params):
+        if Path(path).name == "student.ckpt":
+            embedding = params.embedding.copy()
+            embedding[0, 0] = np.nextafter(embedding[0, 0], np.inf)
+            params = dataclasses.replace(params, embedding=embedding)
+        return save(path, params)
+
+    monkeypatch.setattr(pipeline, "save_model", perturbing)
+    out = tmp_path / "distill"
+    with pytest.raises(ValueError, match=r"student\.ckpt: array embedding"):
+        run_pipeline(base_config(workspace, out), "distill")
+    marker = (out / "FAILED").read_text()
+    assert "stage: distill" in marker
+    assert "student.ckpt" in marker
+    assert not (out / "runs" / "student.run").exists()
 
 
 def test_pate_ensemble_runs_equal_their_labelers_runs(workspace, tmp_path):

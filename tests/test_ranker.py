@@ -198,6 +198,55 @@ def test_represent_linear_in_weights_and_additive(terms1, terms2, c):
     assert np.allclose(combined, split, rtol=1e-9, atol=1e-12)
 
 
+def test_lone_row_is_its_own_block_with_the_block_path_bits(micro_collection,
+                                                            micro_index, monkeypatch):
+    # a query or document represented alone skips _row_table and
+    # _count_blocks, yet still goes through the _represent_blocks attribute
+    params = init_params(MICRO_TEACHER_CONFIG, micro_index.vocabulary, micro_index, seed=3)
+    rows = [term_index_counts(params.vocabulary, q.terms)  # float64 counts
+            for q in micro_collection.unlabeled_queries[:5]]
+    rows += list(map(micro_index.doc_rows, range(5)))  # int64 counts
+    rows += [(np.empty(0, dtype=np.int64), np.empty(0)),
+             (np.array([4]), np.array([3], dtype=np.int64)),
+             (np.array([4]), np.array([3.0]))]
+    want = [ranker._represent_blocks(params, ranker._count_blocks(ranker._row_table([row])), 1)
+            for row in rows]
+    represent_blocks, calls = ranker._represent_blocks, []
+
+    def spied(*args):
+        calls.append(True)
+        return represent_blocks(*args)
+
+    monkeypatch.setattr(ranker, "_represent_blocks", spied)
+    counted = spy_count_blocks(monkeypatch)
+    for row, reps in zip(rows, want):
+        got = represent_rows(params, [row])
+        assert got.shape == reps.shape and got.tobytes() == reps.tobytes()
+    assert len(calls) == len(rows) and counted == []
+    # indices out of order, or repeated, take the block path
+    for idx in ([6, 2], [2, 2]):
+        row = (np.array(idx), np.array([1.0, 2.0]))
+        reps = ranker._represent_blocks(params, ranker._count_blocks(ranker._row_table([row])), 1)
+        counted.clear()
+        assert represent_rows(params, [row]).tobytes() == reps.tobytes()
+        assert len(counted) == 1
+
+
+def test_inference_forwards_keep_no_cache(micro_index, monkeypatch):
+    params = init_params(MICRO_TEACHER_CONFIG, micro_index.vocabulary, micro_index, seed=5)
+    forward, calls = nn.forward, []
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs.get("cache", True))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", recorded)
+    score(params, ("a", "b"), ("b", "c"))
+    scorer = pool_scorer(params, micro_index)
+    scorer([("a",), ("b", "c")], [[0, 1, 2], [3]])
+    assert calls == [False, False]
+
+
 # ---------------------------------------------------------------------------
 # Scoring
 
