@@ -45,20 +45,54 @@ _ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128))
 
 
 def tokenize(text):
-    """Lowercase and split into alphanumeric runs; everything else is a separator.
+    """Lowercase and split into alphanumeric runs; everything else is a separator."""
+    return _tokenize_texts([text])[0]
 
-    Lowercased ASCII text takes a faster path with the same tokens: its
-    separators become spaces and str.split cuts there. The test runs after
-    lowercasing, since some non-ASCII letters lowercase to ASCII ones.
+
+def _tokenize_texts(texts):
+    """Every token of texts in text order, and how many each text gives:
+    the one tokenizing rule, run over all texts in one pass.
+
+    The texts are joined by a space, a separator, so no token spans two.
+    A join that lowercases to ASCII of its own length had each character
+    lowercased to one, whatever its neighbours, so each lowered text keeps
+    its span. It takes the faster path: its separators become spaces,
+    str.split cuts there, and a text's count is the number of tokens that
+    start in its span. The test runs after lowercasing, since some
+    non-ASCII letters lowercase to ASCII ones. Any other text is split by
+    the pattern; several such texts are tokenized one by one.
     """
-    text = text.lower()
-    if text.isascii():
-        return text.translate(_ASCII_SEPARATORS).split()
-    return _TOKEN_RE.findall(text)
+    text = " ".join(texts)
+    length = len(text)
+    text = text.lower()  # one copy of the corpus alive at a time
+    if text.isascii() and len(text) == length:
+        text = text.translate(_ASCII_SEPARATORS)
+        tokens = text.split()
+        if len(texts) == 1:
+            return tokens, [len(tokens)]
+        # each text's span runs up to the next text's start
+        ends = np.cumsum(np.fromiter(map(len, texts), np.int64, len(texts)) + 1)
+        return tokens, count_tokens(text, ends)
+    if len(texts) == 1:
+        tokens = _TOKEN_RE.findall(text)
+        return tokens, [len(tokens)]
+    lists = list(map(tokenize, texts))
+    return list(itertools.chain.from_iterable(lists)), list(map(len, lists))
 
 
-@dataclass(frozen=True)
-class Document:
+def count_tokens(spaced, ends):
+    """How many tokens start in each span of spaced, span i running from
+    ends[i - 1] (0 for the first) up to ends[i], exclusive.
+
+    spaced is ASCII text whose separators are all spaces, so a token
+    starts at each non-space character that follows a space or the start.
+    """
+    token = np.frombuffer(spaced.encode("ascii"), np.uint8) != ord(" ")
+    starts = np.flatnonzero(token & ~np.concatenate(([False], token[:-1])))
+    return np.diff(np.searchsorted(starts, ends), prepend=0)
+
+
+class Document(NamedTuple):
     doc_id: str
     text: str
 
@@ -186,8 +220,10 @@ class InvertedIndex:
         self.avg_doc_length = (
             int(doc_lengths.sum()) / self.doc_count if self.doc_count else 0.0
         )
-        by_doc = np.argsort(postings[:, 0], kind="stable")
-        row_terms = np.repeat(np.arange(len(vocabulary)), np.diff(offsets))[by_doc]
+        term_of = np.repeat(np.arange(len(vocabulary)), np.diff(offsets))
+        # each (doc, term) key is unique: doc-major, terms ascending in a doc
+        by_doc = np.argsort(postings[:, 0] * len(vocabulary) + term_of)
+        row_terms = term_of[by_doc]
         row_tfs = postings[by_doc, 1]
         bounds = np.searchsorted(postings[by_doc, 0], np.arange(self.doc_count + 1)).tolist()
         self._doc_rows = [(row_terms[lo:hi], row_tfs[lo:hi])
@@ -291,7 +327,8 @@ class InvertedIndex:
 def build_index(documents):
     """Tokenize documents and build the inverted index with exact statistics.
 
-    One pass over the token stream numbers each term at its first appearance
+    The corpus is tokenized in one pass (_tokenize_texts). One pass over
+    its token stream numbers each term at its first appearance
     and maps every token to its index; one sort of the term·N + doc keys with
     counts gives the postings, by term and then doc, with their frequencies.
     """
@@ -301,11 +338,11 @@ def build_index(documents):
         if doc_id in seen:
             raise ValueError(f"duplicate doc_id: {doc_id!r}")
         seen.add(doc_id)
-    tokens = [tokenize(doc.text) for doc in documents]
-    doc_lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    tokens, counts = _tokenize_texts([doc.text for doc in documents])
+    doc_lengths = np.array(counts, dtype=np.int64)
     number = defaultdict(itertools.count().__next__)  # unseen term: next index
-    terms = np.fromiter(map(number.__getitem__, itertools.chain.from_iterable(tokens)),
-                        dtype=np.int64, count=int(doc_lengths.sum()))
+    terms = np.fromiter(map(number.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    del tokens  # the corpus's token strings go before the postings sort
     vocabulary = Vocabulary(number)
     docs = np.repeat(np.arange(len(doc_ids)), doc_lengths)
     keys, tfs = np.unique(terms * len(doc_ids) + docs, return_counts=True)
@@ -476,32 +513,72 @@ def annotate_queries(index, queries, pool_size=100, pairs_per_query=20, seed=0):
 # File formats
 
 
-def _check_run_id(value, where, what):
+def _check_run_id(value, path, lineno, what):
     # run, qrels and annotation lines are split on whitespace
     if value.split() != [value]:
-        raise ValueError(f"{where}: {what} {value!r} is empty or holds whitespace")
+        raise ValueError(f"{path}:{lineno}: {what} {value!r} is empty or holds whitespace")
 
 
 def read_corpus(path):
-    """Line-delimited JSON records {"id": str or int, "text": str}, UTF-8."""
-    documents = []
+    """Line-delimited JSON records {"id": str or int, "text": str}, UTF-8.
+
+    The non-blank lines are parsed in one json.loads (_line_values) and
+    their records checked in one loop. Where that parse cannot vouch for
+    each line, each line is parsed alone, so a bad line raises ValueError
+    with its line number and the error of parsing it alone.
+    """
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                doc_id, text = rec["id"], rec["text"]
-                if not isinstance(text, str):
-                    raise TypeError(f"text must be a string, got {text!r}")
-                if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
-                    raise TypeError(f"id must be a string or an integer, got {doc_id!r}")
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed corpus record: {exc}") from exc
-            _check_run_id(str(doc_id), f"{path}:{lineno}", "a document id")
-            documents.append(Document(doc_id=str(doc_id), text=text))
+        stripped = list(map(str.strip, fh.read().split("\n")))
+    lines = list(filter(None, stripped))
+    records = iter(_line_values(lines) or map(json.loads, lines))
+    documents = []
+    for lineno in itertools.compress(itertools.count(1), stripped):  # non-blank lines
+        try:
+            rec = next(records)
+            doc_id, text = rec["id"], rec["text"]
+            if not isinstance(text, str):
+                raise TypeError(f"text must be a string, got {text!r}")
+            if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+                raise TypeError(f"id must be a string or an integer, got {doc_id!r}")
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed corpus record: {exc}") from exc
+        doc_id = str(doc_id)
+        _check_run_id(doc_id, path, lineno, "a document id")
+        documents.append(Document(doc_id, text))
     return documents
+
+
+# +1 for each character that opens a JSON array or object, -1 for each that closes one
+_BRACKET_STEP = np.zeros(256, dtype=np.int64)
+_BRACKET_STEP[list(b"[{")] = 1
+_BRACKET_STEP[list(b"]}")] = -1
+
+
+def _line_values(lines):
+    """Each line's JSON value from one json.loads of them all, or None.
+
+    The lines are parsed as the elements of one array, a comma and a line
+    break between two. None means the array does not parse, or it might
+    not have each line as one element: then some line is not one JSON
+    value by itself. A string cannot span the line break (JSON strings
+    hold no raw control character), so with the string literals cut out,
+    each line is one element exactly when the array has as many elements
+    as lines and is nested one deep, in itself, at every line break.
+    """
+    text = "[" + ",\n".join(lines) + "]"
+    try:
+        values = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    if len(values) != len(lines):
+        return None
+    bare = text
+    if "\\" in bare:  # escapes go first; only strings hold a backslash
+        bare = bare.replace("\\\\", "").replace('\\"', "")
+    # then every other quote-delimited piece is a string
+    code = np.frombuffer("".join(bare.split('"')[::2]).encode(), dtype=np.uint8)
+    depth = np.cumsum(_BRACKET_STEP[code])
+    return values if np.all(depth[code == ord("\n")] == 1) else None
 
 
 def read_queries(path):
@@ -516,7 +593,7 @@ def read_queries(path):
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: expected query_id<TAB>text")
             qid, text = line.split("\t", 1)
-            _check_run_id(qid, f"{path}:{lineno}", "a query_id")
+            _check_run_id(qid, path, lineno, "a query_id")
             if qid in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate query_id {qid!r}")
             seen.add(qid)
@@ -525,13 +602,15 @@ def read_queries(path):
 
 
 def write_annotations(path, pairs):
-    """Tab-separated query_id, doc ids, and scores with 6 decimal places."""
+    """A PairSet's pairs as tab-separated lines: query_id, the two doc ids,
+    and the two scores with 6 decimal places, written from its columns."""
+    doc_id = pairs.index.doc_ids.__getitem__
+    lines = map("{}\t{}\t{}\t{:.6f}\t{:.6f}\n".format,
+                map(pairs.query_ids.__getitem__, pairs.query.tolist()),
+                map(doc_id, pairs.doc1.tolist()), map(doc_id, pairs.doc2.tolist()),
+                pairs.s1.tolist(), pairs.s2.tolist())
     with atomic_write(path) as fh:
-        for inst in pairs:
-            fh.write(
-                f"{inst.query_id}\t{inst.doc1_id}\t{inst.doc2_id}"
-                f"\t{inst.s1:.6f}\t{inst.s2:.6f}\n"
-            )
+        fh.writelines(lines)
 
 
 def read_annotations(path, queries, index):

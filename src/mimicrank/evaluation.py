@@ -5,9 +5,14 @@ even for short runs, nDCG uses raw grades with a log2(rank+1) discount and
 an ideal DCG cut at k, and a query without relevant judgments scores 0.
 """
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .corpus import count_tokens
 from .serialize import atomic_write
 
 
@@ -60,8 +65,14 @@ def ndcg_at_k(ranked_doc_ids, grades, k=20):
 def read_qrels(path):
     """`query_id 0 doc_id grade`, whitespace-separated; grades >= 0.
 
-    Returns dict query_id -> dict doc_id -> grade.
+    Returns dict query_id -> dict doc_id -> grade. An ASCII file that
+    keeps every rule is taken apart in one pass (_qrels_in_one_pass). Any
+    other is read line by line, which raises ValueError naming the first
+    line that breaks a rule.
     """
+    qrels = _qrels_in_one_pass(path)
+    if qrels is not None:
+        return qrels
     qrels = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -84,6 +95,64 @@ def read_qrels(path):
                 )
             per_query[doc_id] = grade
     return qrels
+
+
+# str.split's whitespace among ASCII characters, each mapped to a space
+_ASCII_SPACES = str.maketrans({c: " " for c in map(chr, range(128)) if c.isspace()})
+
+# characters of a qrels file taken apart at a time: beside the dict, one
+# block's fields are what reading holds
+QRELS_BLOCK_CHARS = 1 << 16
+
+
+def _qrels_in_one_pass(path):
+    """read_qrels' dict of an ASCII file that keeps every rule, else None.
+
+    The file is read in blocks of whole lines (_line_blocks). In each, one
+    scan counts each line's fields, which must be 0 or 4, and one split
+    gives them all; each distinct grade is parsed once, and each run of
+    lines of one query adds to its dict. Dicts that end with fewer
+    judgments than there are lines mean a repeated one.
+    """
+    qrels, grade_of, judgments = {}, {}, 0
+    with open(path, encoding="utf-8") as fh:
+        for block in _line_blocks(fh, QRELS_BLOCK_CHARS):
+            if not block.isascii():
+                return None
+            code = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+            line_ends = np.append(np.flatnonzero(code == ord("\n")), len(block))
+            field_counts = count_tokens(block.translate(_ASCII_SPACES), line_ends)
+            if not np.all((field_counts == 0) | (field_counts == 4)):
+                return None
+            fields = block.split()
+            qids, doc_ids, grades = fields[0::4], fields[2::4], fields[3::4]
+            try:
+                grade_of.update((raw, int(raw)) for raw in set(grades) - grade_of.keys())
+            except ValueError:
+                return None
+            grades = list(map(grade_of.__getitem__, grades))
+            run_starts = itertools.compress(itertools.count(1),
+                                            map(operator.ne, qids, qids[1:]))
+            bounds = [0, *run_starts, len(qids)] if qids else []
+            for lo, hi in zip(bounds, bounds[1:]):
+                qrels.setdefault(qids[lo], {}).update(zip(doc_ids[lo:hi], grades[lo:hi]))
+            judgments += len(qids)
+    if min(grade_of.values(), default=0) < 0:
+        return None
+    return qrels if sum(map(len, qrels.values())) == judgments else None
+
+
+def _line_blocks(fh, size):
+    """The text of fh in blocks of whole lines, read about size characters at a time."""
+    rest = ""
+    while chunk := fh.read(size):
+        block = rest + chunk
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield block[:cut]
+        rest = block[cut:]
+    if rest:
+        yield rest
 
 
 def read_run(path):

@@ -522,6 +522,55 @@ def _eval_pairs(index, queries, depth):
     return terms, pools, pairs
 
 
+def evaluate_runs(runs, qrels, k, skip_empty, out_dir, agreement=None):
+    """Every run scored against qrels at cutoff k, with the metrics table
+    written to out_dir as metrics.txt and the metrics as metrics.json;
+    returns (the table, report fields).
+
+    agreement, given for an ensemble's runs (write_runs' teacher_NN,
+    aggregate, aggregate_noisy and student), is the noise-free aggregate's
+    pair agreement with the plain teacher mean, which must order pairs
+    exactly alike; the table then rows the teachers' average, the
+    aggregate without and with noise and the student, and the report
+    fields add the noise's MAP and nDCG deltas. Otherwise the rows are
+    bm25, teacher and the student, if there is one.
+    """
+    reports = {name: evaluate(run, qrels, k=k, skip_empty=skip_empty)
+               for name, run in runs.items()}
+    metrics, fields = {}, {}
+    if agreement is not None:
+        teachers = [rep for name, rep in reports.items() if name.startswith("teacher_")]
+        avg = SimpleNamespace(**{
+            attr: sum(getattr(rep, attr) for rep in teachers) / len(teachers)
+            for _, attr in _METRIC_KEYS
+        })
+        metrics["teachers_avg"] = _metric_means(avg)
+        rows = [
+            ("teachers avg", avg),
+            ("aggregate non-noisy", reports["aggregate"]),
+            ("aggregate noisy", reports["aggregate_noisy"]),
+            ("student", reports["student"]),
+        ]
+        fields["agreement_nonnoisy_vs_mean"] = agreement
+        fields["noisy_vs_nonnoisy"] = {
+            "map_delta": reports["aggregate_noisy"].mean_ap - reports["aggregate"].mean_ap,
+            "ndcg_delta": reports["aggregate_noisy"].mean_ndcg_at_k
+            - reports["aggregate"].mean_ndcg_at_k,
+        }
+    else:
+        rows = [(name, reports[name]) for name in ("bm25", "teacher", "student")
+                if name in reports]
+    table = format_metric_table(rows, k=k)
+    with atomic_write(Path(out_dir) / "metrics.txt") as fh:
+        fh.write(table)
+    for name, rep in reports.items():
+        metrics[name] = {**_metric_means(rep), "query_count": rep.query_count,
+                         "warnings": rep.warnings}
+    write_json(Path(out_dir) / "metrics.json", metrics)
+    fields["metrics"] = metrics
+    return table, fields
+
+
 def _metric_means(report):
     return {key: getattr(report, attr) for key, attr in _METRIC_KEYS}
 
@@ -661,52 +710,17 @@ def run_pipeline(config, mode, jobs=1):
         config.rank_cutoff, out / "runs"))
 
     # metrics: the sole consumer of qrels on the distill and pate paths
-    def evaluate_all():
-        reports = {
-            name: evaluate(run, qrels, k=config.eval_k, skip_empty=config.skip_empty)
-            for name, run in runs.items()
-        }
-        metrics = {}
+    def evaluate_stage():
+        agreement = None
         if ensemble is not None:
-            teachers = [reports[f"teacher_{i:02d}"]
-                        for i in range(len(ensemble.teachers))]
-            avg = SimpleNamespace(**{
-                attr: sum(getattr(rep, attr) for rep in teachers) / len(teachers)
-                for _, attr in _METRIC_KEYS
-            })
-            metrics["teachers_avg"] = _metric_means(avg)
-            rows = [
-                ("teachers avg", avg),
-                ("aggregate non-noisy", reports["aggregate"]),
-                ("aggregate noisy", reports["aggregate_noisy"]),
-                ("student", reports["student"]),
-            ]
-            # exactness property: the noise-free aggregate must order pairs
-            # exactly like the plain teacher mean
-            report["agreement_nonnoisy_vs_mean"] = aggregate_agreement(
+            agreement = aggregate_agreement(
                 scorers, *_eval_pairs(index, eval_queries, min(6, config.rank_pool_size)))
-            report["noisy_vs_nonnoisy"] = {
-                "map_delta": reports["aggregate_noisy"].mean_ap
-                - reports["aggregate"].mean_ap,
-                "ndcg_delta": reports["aggregate_noisy"].mean_ndcg_at_k
-                - reports["aggregate"].mean_ndcg_at_k,
-            }
-        else:
-            rows = [("bm25", reports["bm25"]), ("teacher", reports["teacher"])]
-            if student is not None:
-                rows.append(("student", reports["student"]))
-
-        table = format_metric_table(rows, k=config.eval_k)
-        with atomic_write(out / "metrics.txt") as fh:
-            fh.write(table)
-        for name, rep in reports.items():
-            metrics[name] = {**_metric_means(rep), "query_count": rep.query_count,
-                             "warnings": rep.warnings}
-        write_json(out / "metrics.json", metrics)
-        report["metrics"] = metrics
+        table, fields = evaluate_runs(runs, qrels, config.eval_k, config.skip_empty, out,
+                                      agreement)
+        report.update(fields)
         write_json(out / "report.json", report)
         return table
 
-    table = stages.run("evaluate", evaluate_all)
+    table = stages.run("evaluate", evaluate_stage)
     report["metrics_table"] = table
     return report

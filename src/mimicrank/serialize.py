@@ -57,7 +57,9 @@ def write_container(path, magic, version, meta, arrays):
     """Write `meta` (JSON-serializable) plus named arrays to `path`.
 
     arrays: ordered sequence of (name, ndarray) pairs; float64/int64 only.
-    Returns the SHA-256 hex digest of the bytes written.
+    Each array's own buffer is written and hashed, not a copy of it, unless
+    it must be made contiguous or little-endian first. Returns the SHA-256
+    hex digest of the bytes written.
     """
     if len(magic) != 4:
         raise ValueError("magic must be exactly 4 bytes")
@@ -67,7 +69,7 @@ def write_container(path, magic, version, meta, arrays):
         arr = np.ascontiguousarray(arr)
         tag = _dtype_tag(arr)
         manifest.append({"name": name, "shape": list(arr.shape), "dtype": tag})
-        payloads.append(arr.astype(_DTYPE_TAGS[tag], copy=False).tobytes())
+        payloads.append(arr.astype(_DTYPE_TAGS[tag], copy=False).reshape(-1).view(np.uint8))
     header = {"meta": meta, "arrays": manifest}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     digest = hashlib.sha256()

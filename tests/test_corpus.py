@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import re
 from collections import Counter
@@ -38,6 +39,7 @@ from mimicrank.corpus import (
 from mimicrank import seeding
 from mimicrank.serialize import read_container, write_container
 from mimicrank.toydata import mini_collection, synthetic_collection
+from tests.index_reference import reference_arrays
 
 
 def docs(*texts):
@@ -117,6 +119,45 @@ def test_doc_terms_preserve_multiset():
     for d in range(index.doc_count):
         text = ["b a b", "c a"][d]
         assert Counter(index.doc_terms(d)) == Counter(tokenize(text))
+
+
+def assert_reference_index(documents):
+    index = build_index(documents)
+    terms, postings, offsets, lengths = reference_arrays(documents)
+    assert index.vocabulary.terms == terms
+    assert index.postings.tolist() == postings
+    assert index.offsets.tolist() == offsets
+    assert index.doc_lengths.tolist() == lengths
+    assert index.doc_lengths.dtype == index.postings.dtype == np.int64
+
+
+@pytest.mark.parametrize("texts", [
+    ["Straße café", "naïve Über", "plain ascii"],
+    ["\u212aelvin x", "KELVIN \u212a", "k"],  # the Kelvin sign lowercases to an ASCII k
+    ["ΟΔΟΣ", "ΟΔΟΣ ΟΔΟΣ.", "σοφός", "ΑΣ"],  # a final sigma, lowercased text by text
+    ["İstanbul", "istanbul"],  # İ lowercases to two characters
+    ["a b", " ", "  c  d ", "e\tf\ng", "h\x00i"],  # texts holding the join's space
+    ["", "a", "", "", "b a", ""],
+    ["", ""],
+    ["Ab1", "١٢ x"],  # Arabic-Indic digits are alphanumeric to the pattern
+], ids=["non-ascii", "kelvin", "final-sigma", "dotted-i", "join-space", "empty-texts",
+        "all-empty", "digits"])
+def test_build_index_equals_the_per_document_reference(texts):
+    # the whole corpus is tokenized in one pass; every document must get
+    # the tokens tokenize gives its text alone
+    assert_reference_index(docs(*texts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_MIXED_TEXT, max_size=6))
+def test_build_index_equals_the_per_document_reference_on_mixed_text(texts):
+    assert_reference_index(docs(*texts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(st.characters(max_codepoint=127)), max_size=6))
+def test_build_index_equals_the_per_document_reference_on_ascii_text(texts):
+    assert_reference_index(docs(*texts))
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +689,69 @@ def test_read_corpus_rejects_ids_a_run_file_cannot_hold(tmp_path, doc_id):
         read_corpus(p)
 
 
+def test_read_corpus_reads_blank_lines_crlf_and_integer_ids(tmp_path):
+    p = tmp_path / "corpus.jsonl"
+    p.write_bytes(b'\r\n{"id": 7, "text": "a b"}\r\n  \r\n\t{"id": "d8", "text": ""} \r\n'
+                  b'\n{"id": -3, "text": "\\u00e9 \\"q\\""}')
+    assert read_corpus(p) == [Document("7", "a b"), Document("d8", ""), Document("-3", 'é "q"')]
+    p.write_text("", encoding="utf-8")
+    assert read_corpus(p) == []
+
+
+def _line_alone_error(line):
+    try:
+        json.loads(line)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    raise AssertionError(f"{line!r} parses alone")
+
+
+@pytest.mark.parametrize("record, problem", [
+    ('{"id": "d1", "text": "a"', None),
+    ('{"id": "d1", "text": "a"} x', None),
+    ('{"id": "d1"}', "'text'"),
+    ('{"text": "a"}', "'id'"),
+    ('{"id": "d1", "text": ["a"]}', "text must be a string, got ['a']"),
+    ('{"id": true, "text": "a"}', "id must be a string or an integer, got True"),
+], ids=["bad-json", "extra-data", "no-text", "no-id", "text-list", "id-boolean"])
+def test_read_corpus_message_names_the_line_and_its_fault(tmp_path, record, problem):
+    # bad JSON reads as the error of parsing that line alone
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"id": "d0", "text": "fine"}\n\n' + record + '\n{"id": "d3", "text": "x"}\n',
+                 encoding="utf-8")
+    problem = problem or _line_alone_error(record)
+    with pytest.raises(ValueError) as err:
+        read_corpus(p)
+    assert str(err.value) == f"{p}:3: malformed corpus record: {problem}"
+
+
+def test_read_corpus_message_for_an_id_holding_whitespace(tmp_path):
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"id": "d0", "text": "fine"}\n{"id": "d 1", "text": "a"}\n', encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_corpus(p)
+    assert str(err.value) == f"{p}:2: a document id 'd 1' is empty or holds whitespace"
+
+
+@pytest.mark.parametrize("lines", [
+    # line 1 holds two records and lines 2 and 3 one between them, so the
+    # file's lines parse as an array of three records
+    ['{"id": "a", "text": "x"}, {"id": "b", "text": "y"}',
+     '{"id": "c", "text": "z", "more": [{}', '{}]}'],
+    # brackets and escaped quotes inside strings do not count
+    ['{"id": "a", "text": "]}"}, {"id": "b", "text": "\\"[{"}',
+     '{"id": "c", "text": "\\\\", "more": [[{}', '{}]]}'],
+], ids=["plain", "brackets-in-strings"])
+def test_read_corpus_rejects_lines_that_parse_only_together(tmp_path, lines):
+    p = tmp_path / "bad.jsonl"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert len(json.loads("[" + ",\n".join(lines) + "]")) == len(lines)
+    with pytest.raises(ValueError) as err:
+        read_corpus(p)
+    assert str(err.value) == (f"{p}:1: malformed corpus record: "
+                              f"{_line_alone_error(lines[0])}")
+
+
 @pytest.mark.parametrize("qid", ["", "q 1", " q1", "q1 "],
                          ids=["empty", "space", "leading-space", "trailing-space"])
 def test_read_queries_rejects_ids_a_run_file_cannot_hold(tmp_path, qid):
@@ -685,6 +789,18 @@ def test_annotation_file_round_trip(tmp_path):
     np.testing.assert_array_equal(back.doc2, instances.doc2)
     for q, q_back in zip(instances.query.tolist(), back.query.tolist()):
         assert rows_equal(back.query_rows[q_back], instances.query_rows[q])
+
+
+def test_annotation_lines_are_each_pair_formatted(tmp_path):
+    # written from the columns, one line per pair as its TrainingInstance reads
+    index = build_index(docs("a b", "a c", "b c"))
+    pairs = PairSet(index, ["q1", "q2"], [None, None], [0, 1, 1, 0], [0, 2, 1, 2],
+                    [1, 0, 2, 1], [2.5, -1e-7, 1e9, 0.1234565], [1.0, 3.0, -0.5, 1 / 3])
+    path = tmp_path / "ann.tsv"
+    write_annotations(path, pairs)
+    assert path.read_text(encoding="utf-8") == "".join(
+        f"{p.query_id}\t{p.doc1_id}\t{p.doc2_id}\t{p.s1:.6f}\t{p.s2:.6f}\n" for p in pairs)
+    assert path.read_text(encoding="utf-8").splitlines()[1] == "q2\td2\td0\t-0.000000\t3.000000"
 
 
 def test_read_annotations_drops_rounded_ties(tmp_path):

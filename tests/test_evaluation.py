@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mimicrank import evaluation
 from mimicrank.evaluation import (
     average_precision,
     evaluate,
@@ -191,6 +192,60 @@ def test_read_qrels_rejects_negative_grade(tmp_path):
     p.write_text("q1 0 d1 -1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="negative"):
         read_qrels(p)
+
+
+def test_read_qrels_reads_blank_lines_crlf_and_other_whitespace(tmp_path):
+    p = tmp_path / "qrels.txt"
+    p.write_bytes(b"\r\nq1 0 d1 1\r\n   \r\nq2\t0\td1\t+2\x0c\r\n\n  q1  0 d2 0\nq1 0 d3 1_0")
+    assert read_qrels(p) == {"q1": {"d1": 1, "d2": 0, "d3": 10}, "q2": {"d1": 2}}
+    # a query's judgments keep file order, and queries their first line's
+    assert list(read_qrels(p)) == ["q1", "q2"]
+    assert list(read_qrels(p)["q1"]) == ["d1", "d2", "d3"]
+    # non-ASCII whitespace separates fields too
+    p.write_text("q\u00e9 0\u00a0d1\u2003 1\n", encoding="utf-8")
+    assert read_qrels(p) == {"q\u00e9": {"d1": 1}}
+    p.write_text("", encoding="utf-8")
+    assert read_qrels(p) == {}
+
+
+@pytest.mark.parametrize("block_chars", [1, 7, 16, 1 << 16])
+def test_read_qrels_in_blocks_reads_what_one_text_holds(tmp_path, monkeypatch, block_chars):
+    # blocks split a query's run of lines, a line and a CRLF ending; a query
+    # that comes back later adds to its dict
+    monkeypatch.setattr(evaluation, "QRELS_BLOCK_CHARS", block_chars)
+    rows = [(f"q{i % 3 if i < 20 else 1}", f"d{i}", i % 4) for i in range(30)]
+    p = tmp_path / "qrels.txt"
+    p.write_bytes("".join(f"{q} 0 {d} {g}\r\n" for q, d, g in rows).encode())
+    expected = {}
+    for q, d, g in rows:
+        expected.setdefault(q, {})[d] = g
+    qrels = read_qrels(p)
+    assert qrels == expected and list(qrels) == list(expected)
+    assert all(list(qrels[q]) == list(expected[q]) for q in expected)
+    # a judgment repeated in a later block is still named by its line
+    p.write_text("".join(f"{q} 0 {d} {g}\n" for q, d, g in rows) + "q1 0 d1 2\n",
+                 encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_qrels(p)
+    assert str(err.value) == f"{p}:31: duplicate judgment for (q1, d1)"
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("q1 0 d9", "expected 4 fields, got 3"),
+    ("q1 0 d9 1 x", "expected 4 fields, got 5"),
+    ("q1 0 d9 high", "malformed grade 'high'"),
+    ("q1 0 d9 1.0", "malformed grade '1.0'"),
+    ("q1 0 d9 -1", "negative grade"),
+    ("q1 0 d1 2", "duplicate judgment for (q1, d1)"),
+], ids=["three-fields", "five-fields", "word-grade", "float-grade", "negative-grade",
+        "duplicate"])
+def test_read_qrels_message_names_the_first_line_at_fault(tmp_path, line, problem):
+    p = tmp_path / "qrels.txt"
+    # line 4 is at fault; a later line breaks another rule
+    p.write_text(f"q1 0 d1 1\nq2 0 d1 1\n\n{line}\nq2 0 d1 0 extra\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_qrels(p)
+    assert str(err.value) == f"{p}:4: {problem}"
 
 
 def test_read_run_round_trip(tmp_path):

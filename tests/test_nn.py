@@ -1,5 +1,6 @@
 """Forward/backward correctness, Adam behavior, dropout, checkpoints."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -532,6 +533,23 @@ def test_network_checkpoint_round_trip(tmp_path):
     write_container(path2, b"TEST", 1, {"activations": activations},
                     layers_to_arrays(loaded))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_container_payloads_are_the_arrays_little_endian_bytes(tmp_path):
+    # each array's own buffer is written and hashed: its bytes in C order,
+    # little-endian, whatever its shape or layout
+    grid = np.arange(12.0).reshape(3, 4)
+    arrays = [("grid", grid), ("cols", grid[:, ::2]), ("fortran", np.asfortranarray(grid)),
+              ("empty", np.zeros((0, 3))), ("neg", -np.arange(4, dtype=np.int64))]
+    path = tmp_path / "arrays.ckpt"
+    digest = write_container(path, b"TEST", 1, {}, arrays)
+    data = path.read_bytes()
+    payload = b"".join(a.astype(a.dtype.newbyteorder("<")).tobytes() for _, a in arrays)
+    assert data.endswith(payload)
+    assert digest == hashlib.sha256(data).hexdigest()
+    _, back = read_container(path, b"TEST", 1)
+    for name, a in arrays:
+        assert np.array_equal(back[name], a) and back[name].shape == a.shape
 
 
 def _container_bytes(tmp_path):

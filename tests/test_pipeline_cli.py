@@ -16,7 +16,7 @@ from mimicrank import cli, distill, pipeline, private, ranker, seeding
 from mimicrank.cli import build_parser, main
 from mimicrank.corpus import load_index, read_queries
 from mimicrank.distill import model_labels
-from mimicrank.evaluation import write_run
+from mimicrank.evaluation import evaluate, format_metric_table, write_run
 from mimicrank.pipeline import (
     ConfigError,
     RunConfig,
@@ -314,6 +314,46 @@ def test_pate_mode_writes_four_row_report_and_shards(workspace, tmp_path):
     assert "noisy_vs_nonnoisy" in saved
     ensemble_manifest = read_json(out / "checkpoints" / "ensemble" / "manifest.json")
     assert ensemble_manifest["shard_hashes"] == report["shard_hashes"]
+
+
+def test_evaluate_runs_writes_the_metric_files_and_returns_their_fields(tmp_path):
+    qrels = {"q1": {"d1": 1, "d2": 0}, "q2": {"d3": 2}}
+    runs = {"bm25": {"q1": [("d1", 2.0), ("d2", 1.0)], "q2": [("d4", 1.0), ("d3", 0.5)]},
+            "teacher": {"q1": [("d2", 0.9), ("d1", 0.1)], "q2": [("d3", 0.7)]}}
+    table, fields = pipeline.evaluate_runs(runs, qrels, 2, False, tmp_path)
+    reports = {name: evaluate(run, qrels, k=2) for name, run in runs.items()}
+    assert table == (tmp_path / "metrics.txt").read_text() == format_metric_table(
+        list(reports.items()), k=2)
+    assert fields == {"metrics": read_json(tmp_path / "metrics.json")}
+    assert fields["metrics"]["bm25"] == {"map": 0.75, "p_at_k": 0.5,
+                                         "ndcg_at_k": reports["bm25"].mean_ndcg_at_k,
+                                         "query_count": 2, "warnings": []}
+    assert fields["metrics"]["teacher"]["map"] == 0.75
+
+
+def test_evaluate_runs_tables_an_ensemble_and_reports_the_noise(tmp_path):
+    qrels = {"q1": {"d1": 1, "d2": 1}}
+    ranked = {"d1 d2": [("d1", 1.0), ("d2", 0.5), ("d3", 0.1)],
+              "d3 first": [("d3", 1.0), ("d1", 0.5), ("d2", 0.1)],
+              "d3 last": [("d1", 1.0), ("d3", 0.5), ("d2", 0.1)]}
+    runs = {"bm25": ranked["d1 d2"], "teacher_00": ranked["d3 first"],
+            "teacher_01": ranked["d1 d2"], "aggregate": ranked["d1 d2"],
+            "aggregate_noisy": ranked["d3 last"], "student": ranked["d3 first"]}
+    runs = {name: {"q1": run} for name, run in runs.items()}
+    table, fields = pipeline.evaluate_runs(runs, qrels, 3, False, tmp_path, agreement=0.75)
+    assert [" ".join(row.split()[:-3]) for row in table.splitlines()[2:]] == [
+        "teachers avg", "aggregate non-noisy", "aggregate noisy", "student"]
+    metrics = read_json(tmp_path / "metrics.json")
+    assert fields["metrics"] == metrics
+    assert set(metrics) == {"teachers_avg", *runs}
+    assert metrics["teachers_avg"]["map"] == (metrics["teacher_00"]["map"]
+                                              + metrics["teacher_01"]["map"]) / 2
+    assert fields["agreement_nonnoisy_vs_mean"] == 0.75
+    assert fields["noisy_vs_nonnoisy"] == {
+        "map_delta": metrics["aggregate_noisy"]["map"] - metrics["aggregate"]["map"],
+        "ndcg_delta": metrics["aggregate_noisy"]["ndcg_at_k"]
+        - metrics["aggregate"]["ndcg_at_k"]}
+    assert fields["noisy_vs_nonnoisy"]["map_delta"] < 0
 
 
 def counting_scorers(monkeypatch, count):
