@@ -12,7 +12,7 @@ Run with: python3 demos/distill_student.py  (about a minute)
 from mimicrank.corpus import annotate_queries, build_index
 from mimicrank.distill import mimic_train, model_labels
 from mimicrank.evaluation import evaluate, format_metric_table
-from mimicrank.pipeline import bm25_run, model_run
+from mimicrank.pipeline import bm25_pools, bm25_rankings, bm25_run, model_run
 from mimicrank.ranker import RankModelConfig, init_params, pool_scorer, train
 from mimicrank.toydata import synthetic_collection
 
@@ -41,14 +41,15 @@ print(f"student trained on {result.train_count} teacher-labeled pairs, "
       f"{result.heldout_count} held out")
 print(f"held-out label agreement: {result.fidelity:.4f}")
 
+# every run cuts one BM25 search per evaluation query
+queries = collection.eval_queries
+rankings = bm25_rankings(index, queries, depth=100)
+pools = bm25_pools(rankings, pool_size=100)
 runs = {
-    "bm25": bm25_run(index, collection.eval_queries, cutoff=100),
-    "teacher": model_run(index, collection.eval_queries,
-                         pool_scorer(teacher, index),
-                         pool_size=100, cutoff=100),
-    "student": model_run(index, collection.eval_queries,
-                         pool_scorer(result.student, index),
-                         pool_size=100, cutoff=100),
+    "bm25": bm25_run(index, queries, rankings, cutoff=100),
+    "teacher": model_run(index, queries, pool_scorer(teacher, index), pools, cutoff=100),
+    "student": model_run(index, queries, pool_scorer(result.student, index), pools,
+                         cutoff=100),
 }
 rows = [(name, evaluate(run, collection.qrels)) for name, run in runs.items()]
 print()

@@ -11,7 +11,7 @@ Run with: python3 demos/train_weak_ranker.py  (about a minute)
 
 from mimicrank.corpus import annotate_queries, build_index
 from mimicrank.evaluation import evaluate, format_metric_table
-from mimicrank.pipeline import bm25_run, model_run
+from mimicrank.pipeline import bm25_pools, bm25_rankings, bm25_run, model_run
 from mimicrank.ranker import RankModelConfig, init_params, pool_scorer, train
 from mimicrank.toydata import synthetic_collection
 
@@ -33,11 +33,13 @@ result = train(params, config, instances, epochs=20, seed=7)
 print(f"hinge loss per epoch: {result.epoch_losses[0]:.4f} (first) "
       f"-> {result.epoch_losses[-1]:.4f} (last)")
 
+# both runs cut one BM25 search per evaluation query
+queries = collection.eval_queries
+rankings = bm25_rankings(index, queries, depth=100)
 runs = {
-    "bm25": bm25_run(index, collection.eval_queries, cutoff=100),
-    "weak teacher": model_run(index, collection.eval_queries,
-                              pool_scorer(params, index), pool_size=100,
-                              cutoff=100),
+    "bm25": bm25_run(index, queries, rankings, cutoff=100),
+    "weak teacher": model_run(index, queries, pool_scorer(params, index),
+                              bm25_pools(rankings, pool_size=100), cutoff=100),
 }
 rows = [(name, evaluate(run, collection.qrels)) for name, run in runs.items()]
 print()

@@ -20,6 +20,8 @@ from .pipeline import (
     ConfigError,
     RunConfig,
     annotate_training_pairs,
+    bm25_pools,
+    bm25_rankings,
     bm25_run,
     distill_student,
     index_corpus,
@@ -168,9 +170,11 @@ def cmd_rank(args):
     queries = read_queries(args.queries)
     if args.model:
         [scorer] = _scorers([load_model(args.model)], args.model, index, args.index)
-        run = model_run(index, queries, scorer, args.pool_size, args.cutoff)
+        pools = bm25_pools(bm25_rankings(index, queries, args.pool_size), args.pool_size)
+        run = model_run(index, queries, scorer, pools, args.cutoff)
     else:
-        run = bm25_run(index, queries, args.cutoff)
+        run = bm25_run(index, queries, bm25_rankings(index, queries, args.cutoff),
+                       args.cutoff)
     write_run(args.out, run, tag=args.tag)
     print(f"ranked {len(run)} queries -> {args.out}")
 

@@ -236,11 +236,13 @@ class MetricReport:
 
 
 def evaluate(run, qrels, k=20, skip_empty=False):
-    """Metrics for every query present in both run and qrels.
+    """Metrics for every query ranked in run and present in qrels.
 
-    Run-only queries are skipped with a warning. skip_empty additionally
-    drops queries whose judgments contain no relevant document (they
-    otherwise score 0 and count toward the means).
+    Run-only queries are skipped with a warning. So is a query whose
+    ranking is empty: a run file cannot hold it, and a run must score
+    alike before and after write_run. skip_empty additionally drops queries
+    whose judgments contain no relevant document (they otherwise score 0
+    and count toward the means).
     """
     warnings = []
     run_only = [qid for qid in run if qid not in qrels]
@@ -252,6 +254,9 @@ def evaluate(run, qrels, k=20, skip_empty=False):
     per_query = {}
     for qid, entries in run.items():
         if qid not in qrels:
+            continue
+        if not entries:
+            warnings.append(f"query {qid} skipped: no ranked documents")
             continue
         grades = qrels[qid]
         if skip_empty and not any(g >= 1 for g in grades.values()):

@@ -449,27 +449,46 @@ def distill_student(scorers, privacy, student_config, unlabeled, index, epochs, 
     }
 
 
-def bm25_run(index, queries, cutoff):
-    run = {}
-    for q in queries:
-        doc_idxs, scores = index.search(q.terms, cutoff)
-        run[q.query_id] = [(index.doc_ids[d], s) for d, s in zip(doc_idxs, scores)]
-    return run
+def bm25_rankings(index, queries, depth):
+    """Each query's BM25 top depth, as index.search gives it: (doc positions,
+    scores). search(terms, k) is the first k entries of search(terms, K)
+    for every k <= K, so one ranking at the largest depth serves every cut."""
+    return [index.search(q.terms, depth) for q in queries]
 
 
-def model_run(index, queries, scores, pool_size, cutoff):
-    """BM25 recall pools re-ranked by one model's scores, cut at cutoff.
+def _check_cut(k):
+    """Raise the ValueError of index.search for a cut k below 1, which as a
+    slice would count from a ranking's end."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
 
-    Each query's pool is searched here, and all pools are scored in one
-    call of scores(queries' terms, pools) -> one score array per pool, the
-    protocol of ranker.pool_scorer. A pool is ordered by score descending,
-    ties by ascending doc_id (index.id_rank); a cutoff below 1 raises
+
+def bm25_pools(rankings, pool_size):
+    """model_run's pools: the first pool_size documents of each ranking."""
+    _check_cut(pool_size)
+    return [np.asarray(docs[:pool_size], dtype=np.intp) for docs, _ in rankings]
+
+
+def bm25_run(index, queries, rankings, cutoff):
+    """The run of the queries' BM25 rankings (bm25_rankings), each cut at cutoff."""
+    _check_cut(cutoff)
+    return {q.query_id: [(index.doc_ids[d], s) for d, s in zip(docs[:cutoff], scores[:cutoff])]
+            for q, (docs, scores) in zip(queries, rankings)}
+
+
+def model_run(index, queries, scores, pools, cutoff):
+    """Each query's pool re-ranked by one model's scores, cut at cutoff.
+
+    pools[i] holds the index positions of query i's candidates (bm25_pools).
+    All pools are scored in one call of scores(queries' terms, pools) -> one
+    score array per pool, the protocol of ranker.pool_scorer. A pool is
+    ordered by score descending, ties by ascending doc_id (index.id_rank),
+    and an empty pool gives an empty ranking; a cutoff below 1 raises
     ValueError.
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be at least 1, got {cutoff}")
-    pools = [np.asarray(index.search(q.terms, pool_size)[0], dtype=np.intp)
-             for q in queries]
+    pools = [np.asarray(pool, dtype=np.intp) for pool in pools]
     run = {}
     pools_scores = scores([q.terms for q in queries], pools)
     for q, pool, pool_scores in zip(queries, pools, pools_scores):
@@ -479,20 +498,24 @@ def model_run(index, queries, scores, pool_size, cutoff):
     return run
 
 
-def write_runs(index, queries, scorers, privacy, student, pool_size, cutoff, runs_dir):
+def write_runs(index, queries, rankings, scorers, privacy, student, pool_size, cutoff,
+               runs_dir):
     """Every run file of the queries, written to runs_dir; returns {name: run}.
 
-    bm25 is the BM25 ranking cut at cutoff. Each model's run reranks the
-    BM25 pools of pool_size documents (model_run): with privacy None,
+    rankings are the queries' BM25 rankings (bm25_rankings) at depth
+    max(pool_size, cutoff). bm25 is each cut at cutoff. Each model's run
+    reranks their first pool_size documents (model_run): with privacy None,
     teacher is the one scorer's; with the ensemble's PrivacyConfig,
     teacher_NN are each teacher's and aggregate and aggregate_noisy the
     aggregate's without and with noise (private.ensemble_run_scorers). The
     student run is the student's pool_scorer's, given one.
     """
-    def rerank(scores):
-        return model_run(index, queries, scores, pool_size, cutoff)
+    pools = bm25_pools(rankings, pool_size)
 
-    runs = {"bm25": bm25_run(index, queries, cutoff)}
+    def rerank(scores):
+        return model_run(index, queries, scores, pools, cutoff)
+
+    runs = {"bm25": bm25_run(index, queries, rankings, cutoff)}
     if privacy is None:
         runs["teacher"] = rerank(scorers[0])
     else:
@@ -508,13 +531,14 @@ def write_runs(index, queries, scorers, privacy, student, pool_size, cutoff, run
     return runs
 
 
-def _eval_pairs(index, queries, depth):
+def _eval_pairs(queries, rankings, depth):
     """Deterministic pools for private.aggregate_agreement: (query terms,
-    pools, pairs), each query's BM25 top `depth` documents as index positions,
-    paired with their neighbours; queries with fewer than 2 hits are left out."""
+    pools, pairs), the first `depth` documents of each query's BM25 ranking
+    (bm25_rankings) as index positions, paired with their neighbours;
+    queries with fewer than 2 hits are left out."""
     terms, pools, pairs = [], [], []
-    for q in queries:
-        pool, _ = index.search(q.terms, depth)
+    for q, (docs, _) in zip(queries, rankings):
+        pool = docs[:depth]
         if len(pool) > 1:
             terms.append(q.terms)
             pools.append(pool)
@@ -705,16 +729,23 @@ def run_pipeline(config, mode, jobs=1):
             embedding_file=config.embeddings))
         report.update(fields)
 
-    runs = stages.run("rank", lambda: write_runs(
-        index, eval_queries, scorers, privacy, student, config.rank_pool_size,
-        config.rank_cutoff, out / "runs"))
+    # one BM25 search per evaluation query, cut by the bm25 run, every
+    # model run and the agreement pools
+    def rank_stage():
+        rankings = bm25_rankings(index, eval_queries,
+                                 max(config.rank_pool_size, config.rank_cutoff))
+        return rankings, write_runs(
+            index, eval_queries, rankings, scorers, privacy, student,
+            config.rank_pool_size, config.rank_cutoff, out / "runs")
+
+    rankings, runs = stages.run("rank", rank_stage)
 
     # metrics: the sole consumer of qrels on the distill and pate paths
     def evaluate_stage():
         agreement = None
         if ensemble is not None:
-            agreement = aggregate_agreement(
-                scorers, *_eval_pairs(index, eval_queries, min(6, config.rank_pool_size)))
+            agreement = aggregate_agreement(scorers, *_eval_pairs(
+                eval_queries, rankings, min(6, config.rank_pool_size)))
         table, fields = evaluate_runs(runs, qrels, config.eval_k, config.skip_empty, out,
                                       agreement)
         report.update(fields)

@@ -23,7 +23,7 @@ from mimicrank.evaluation import (
     ndcg_at_k,
     precision_at_k,
 )
-from mimicrank.pipeline import RunConfig, model_run, run_pipeline
+from mimicrank.pipeline import RunConfig, bm25_pools, bm25_rankings, model_run, run_pipeline
 from mimicrank.private import draw_uniform, laplace_sample
 from mimicrank.ranker import (RankModelConfig, _pair_columns, compute_loss_and_grads,
                              init_params, pool_scorer, train)
@@ -254,10 +254,10 @@ def test_criterion_4_distillation_fidelity():
 
     assert result.fidelity >= 0.85, result.fidelity
 
-    teacher_run = model_run(index, coll.eval_queries,
-                            pool_scorer(teacher, index), 100, 30)
-    student_run = model_run(index, coll.eval_queries,
-                            pool_scorer(result.student, index), 100, 30)
+    pools = bm25_pools(bm25_rankings(index, coll.eval_queries, 100), 100)
+    teacher_run = model_run(index, coll.eval_queries, pool_scorer(teacher, index), pools, 30)
+    student_run = model_run(index, coll.eval_queries, pool_scorer(result.student, index),
+                            pools, 30)
     teacher_map = evaluate(teacher_run, coll.qrels).mean_ap
     student_map = evaluate(student_run, coll.qrels).mean_ap
     assert teacher_map > 0.0

@@ -173,15 +173,15 @@ def test_pate_rank_work_stays_inside_one_model_run_call_per_run_file(
     # looked up through the module, and return {query_id: [(doc_id, score)]}
     config = mini_run_config(tmp_path)
     model_run, runs, searches = pipeline.model_run, [], []
-    # each call searches its own pools, and the scorers fill their document
-    # tables lazily, so every search, representation and forward of the
-    # rank stage's model runs must happen inside model_run calls too
+    # the scorers fill their document tables lazily, so every
+    # representation and forward of the rank stage's model runs must happen
+    # inside model_run calls too; the stage searches each evaluation query
+    # once, outside them, and every run cuts those rankings
     stage_run, stages, ranking, rank_work = pipeline._StageRunner.run, [], [], []
     represent, forward, search = ranker._represent_blocks, nn.forward, corpus.InvertedIndex.search
 
     def recorded(*args, **kwargs):
         ranking.append(True)
-        searches.append(0)
         try:
             runs.append(model_run(*args, **kwargs))
         finally:
@@ -200,8 +200,8 @@ def test_pate_rank_work_stays_inside_one_model_run_call_per_run_file(
         return wrapped
 
     def searched(self, *args, **kwargs):
-        if ranking:
-            searches[-1] += 1
+        if stages[-1] == "rank":
+            searches.append(bool(ranking))
         return search(self, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "model_run", recorded)
@@ -215,7 +215,7 @@ def test_pate_rank_work_stays_inside_one_model_run_call_per_run_file(
     run_files = sorted(p.stem for p in (config.out / "runs").glob("*.run"))
     assert len(runs) == len(run_files) - 1 == 6  # all but bm25.run
     n_queries = len(corpus.read_queries(config.queries_eval))
-    assert searches == [n_queries] * 6
+    assert searches == [False] * n_queries
     for run in runs:
         assert run and all(isinstance(qid, str) for qid in run)
         for entries in run.values():

@@ -359,6 +359,26 @@ def test_search_scores_match_direct_evaluation(token_lists, query, data):
     assert np.all(index.impacts > 0)  # so a hit is exactly a score above 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from("abcd"), max_size=5), min_size=1, max_size=12),
+    st.lists(st.sampled_from("abcdyz"), max_size=6),
+    st.data(),
+)
+def test_search_at_a_smaller_k_is_a_prefix(token_lists, query, data):
+    # the rank stage searches once at the largest depth and cuts it for the
+    # bm25 run, the model runs' pools and the agreement pools: equal
+    # documents tie, shuffled ids part doc_id order from index order, and
+    # the query repeats terms and holds some out of the vocabulary
+    ids = data.draw(st.permutations(range(len(token_lists))))
+    index = build_index(
+        [Document(f"d{i}", " ".join(toks)) for i, toks in zip(ids, token_lists)])
+    big = data.draw(st.integers(min_value=1, max_value=len(token_lists) + 2))
+    small = data.draw(st.integers(min_value=1, max_value=big))
+    docs, scores = index.search(query, big)
+    assert index.search(query, small) == (docs[:small], scores[:small])
+
+
 # ---------------------------------------------------------------------------
 # Annotation
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimicrank import evaluation
+from mimicrank.corpus import Document, Query, build_index
 from mimicrank.evaluation import (
     average_precision,
     evaluate,
@@ -18,6 +19,7 @@ from mimicrank.evaluation import (
     read_run,
     write_run,
 )
+from mimicrank.pipeline import bm25_rankings, bm25_run
 
 # ---------------------------------------------------------------------------
 # Brute-force reference implementations (kept deliberately naive and
@@ -363,6 +365,23 @@ def test_evaluate_skip_empty():
     skipped = evaluate(run, qrels, skip_empty=True)
     assert skipped.query_count == 1
     assert skipped.mean_ap == pytest.approx(1.0)
+
+
+def test_a_query_without_hits_scores_alike_in_memory_and_read_back(tmp_path):
+    # q2 matches no document, so its BM25 ranking is empty and its run file
+    # has no line for it; evaluate leaves it out of both, naming it once
+    index = build_index([Document("d1", "apple banana"), Document("d2", "banana cherry"),
+                         Document("d3", "cherry date")])
+    queries = [Query("q1", ("apple",)), Query("q2", ("zzz",))]
+    qrels = {"q1": {"d1": 1}, "q2": {"d2": 1}}
+    run = bm25_run(index, queries, bm25_rankings(index, queries, 10), 10)
+    write_run(tmp_path / "bm25.run", run, tag="bm25")
+    in_memory, read_back = evaluate(run, qrels), evaluate(read_run(tmp_path / "bm25.run"), qrels)
+    for report in (in_memory, read_back):
+        assert (report.mean_ap, report.query_count) == (1.0, 1)
+        assert report.per_query == {"q1": {"ap": 1.0, "p_at_k": 0.05, "ndcg_at_k": 1.0}}
+    assert [w for w in in_memory.warnings if "q2" in w] == \
+        ["query q2 skipped: no ranked documents"]
 
 
 def test_evaluate_empty_run_file(tmp_path):

@@ -21,6 +21,8 @@ from mimicrank.pipeline import (
     ConfigError,
     RunConfig,
     SEED_OFFSETS,
+    bm25_pools,
+    bm25_rankings,
     config_hash,
     model_run,
     parse_config,
@@ -430,7 +432,8 @@ def test_pate_agreement_scores_its_own_pools_once_per_side_and_teacher(
     report = run_pipeline(config, "pate")
     index = load_index(config.out / "index.bin")
     eval_queries = read_queries(config.queries_eval)
-    _, agreement_pools, _ = pipeline._eval_pairs(index, eval_queries, 6)
+    _, agreement_pools, _ = pipeline._eval_pairs(
+        eval_queries, bm25_rankings(index, eval_queries, 6), 6)
     assert agreement_pools
     assert sorted(pools_scored.values()) == [2 * len(agreement_pools)] * 3
     assert sorted(calls.values()) == [2] * 3
@@ -494,8 +497,10 @@ def test_student_run_equals_a_run_of_the_saved_student(workspace, tmp_path, mode
     run_pipeline(config, mode)
     index = load_index(out / "index.bin")
     student = load_model(out / "checkpoints" / "student.ckpt")
-    run = model_run(index, read_queries(config.queries_eval), pool_scorer(student, index),
-                    config.rank_pool_size, config.rank_cutoff)
+    queries = read_queries(config.queries_eval)
+    pools = bm25_pools(bm25_rankings(index, queries, config.rank_pool_size),
+                       config.rank_pool_size)
+    run = model_run(index, queries, pool_scorer(student, index), pools, config.rank_cutoff)
     write_run(tmp_path / "student.run", run, tag="student")
     assert (tmp_path / "student.run").read_bytes() == \
         (out / "runs" / "student.run").read_bytes()
@@ -532,6 +537,8 @@ def test_pate_ensemble_runs_equal_their_labelers_runs(workspace, tmp_path):
     ensemble, _ = load_ensemble(out / "checkpoints" / "ensemble")
     privacy = ensemble.config
     queries = read_queries(config.queries_eval)
+    pools = bm25_pools(bm25_rankings(index, queries, config.rank_pool_size),
+                       config.rank_pool_size)
     # fresh scorers give the run's bits, although the run's scorers had
     # labeled the unlabeled pools before they ranked; aggregate_noisy draws
     # pool i's noise from (privacy seed, i, EVAL_NOISE_TAG)
@@ -552,8 +559,7 @@ def test_pate_ensemble_runs_equal_their_labelers_runs(workspace, tmp_path):
                     for qpos, (q, pool) in enumerate(zip(queries, pools))]
 
         for source, scorer in (("labeler", scores), ("run scorer", run_scorers[name])):
-            run = model_run(index, queries, scorer, config.rank_pool_size,
-                            config.rank_cutoff)
+            run = model_run(index, queries, scorer, pools, config.rank_cutoff)
             write_run(tmp_path / f"{name}.run", run, tag=name)
             assert (tmp_path / f"{name}.run").read_bytes() == \
                 (out / "runs" / f"{name}.run").read_bytes(), (name, source)

@@ -22,7 +22,7 @@ from mimicrank.corpus import (
     term_index_counts,
 )
 from mimicrank import nn, ranker, serialize
-from mimicrank.pipeline import model_run
+from mimicrank.pipeline import bm25_pools, bm25_rankings, model_run
 from mimicrank.toydata import mini_collection
 from mimicrank.nn import DenseLayer
 from mimicrank.ranker import (
@@ -1027,6 +1027,11 @@ def fixed_scores(by_doc_id, index):
         np.array([by_doc_id[index.doc_ids[d]] for d in pool]) for pool in pools]
 
 
+def searched_pools(index, queries, pool_size):
+    """Each query's BM25 top pool_size, as the rank stage pools them."""
+    return bm25_pools(bm25_rankings(index, queries, pool_size), pool_size)
+
+
 def one_term_index(doc_ids):
     """An index whose documents all hold the term x, at differing counts."""
     return build_index([Document(doc_id, " ".join(["x"] * (1 + i % 3) + ["y"] * (i % 2)))
@@ -1038,21 +1043,32 @@ def one_term_index(doc_ids):
                     unique=True),
        data=st.data())
 def test_model_run_orders_like_rank_by_scores(ids, data):
-    # model_run ranks a pool with one lexsort on (-score, doc-id rank); with
-    # ties forced and -0.0 against 0.0 it must give rank_by_scores' order
+    # model_run ranks each pool with one lexsort on (-score, doc-id rank);
+    # with ties forced and -0.0 against 0.0, pools of unequal sizes in any
+    # order, an empty one among them and a cutoff above some pool sizes,
+    # each query must get its own pool's lexsort order and rank_by_scores'
     index = one_term_index(ids)
     values = st.sampled_from([-1.0, -0.25, -0.0, 0.0, 0.25, 1.0])
     by_doc_id = dict(zip(ids, data.draw(st.lists(values, min_size=len(ids),
                                                  max_size=len(ids)))))
     cutoff = data.draw(st.integers(1, len(ids) + 1))
-    queries = [Query("q1", ("x",)), Query("q2", ("y",))]
-    run = model_run(index, queries, fixed_scores(by_doc_id, index), len(ids), cutoff)
-    for q in queries:
-        pool, _ = index.search(q.terms, len(ids))
-        want = rank_by_scores([(index.doc_ids[d], by_doc_id[index.doc_ids[d]])
-                               for d in pool], cutoff)
+    pools = data.draw(st.lists(st.lists(st.integers(0, len(ids) - 1), unique=True),
+                               max_size=4))
+    pools.insert(data.draw(st.integers(0, len(pools))), [])
+    pools += searched_pools(index, [Query("q1", ("x",)), Query("q2", ("y",))], len(ids))
+    queries = [Query(f"q{i}", ("x",)) for i in range(len(pools))]
+    run = model_run(index, queries, fixed_scores(by_doc_id, index), pools, cutoff)
+    assert list(run) == [q.query_id for q in queries]
+    for q, pool in zip(queries, pools):
+        pool = np.asarray(pool, dtype=np.intp)
+        pool_scores = np.array([by_doc_id[index.doc_ids[d]] for d in pool.tolist()])
+        top = np.lexsort((index.id_rank[pool], -pool_scores))[:cutoff]
+        want = [(index.doc_ids[d], s) for d, s in zip(pool[top].tolist(),
+                                                      pool_scores[top].tolist())]
         assert [(d, repr(s)) for d, s in run[q.query_id]] == \
             [(d, repr(s)) for d, s in want]
+        assert [d for d, _ in want] == [d for d, _ in rank_by_scores(want, None)]
+        assert len(want) == min(len(pool), cutoff)
 
 
 def test_model_run_rejects_cutoff_below_one():
@@ -1060,13 +1076,16 @@ def test_model_run_rejects_cutoff_below_one():
     for cutoff in (0, -1, -3):
         with pytest.raises(ValueError, match="cutoff must be at least 1"):
             model_run(index, [Query("q", ("x",))],
-                      fixed_scores({"a": 0.5, "b": 0.7, "c": 0.1}, index), 3, cutoff)
+                      fixed_scores({"a": 0.5, "b": 0.7, "c": 0.1}, index), [[0, 1, 2]],
+                      cutoff)
 
 
 def test_rank_single_candidate():
     index = build_index([Document("dX", "b c"), Document("dY", "e f")])
     params = init_params(BATCH_CONFIG, index.vocabulary, index, seed=29)
-    run = model_run(index, [Query("q", ("b",))], pool_scorer(params, index), 10, 10)
+    queries = [Query("q", ("b",))]
+    run = model_run(index, queries, pool_scorer(params, index),
+                    searched_pools(index, queries, 10), 10)
     assert [doc_id for doc_id, _ in run["q"]] == ["dX"]
 
 
@@ -1076,7 +1095,9 @@ def test_rank_zero_params_sorts_by_doc_id():
     for layer in params.layers:
         layer.weights[:] = 0.0
         layer.bias[:] = 0.0
-    run = model_run(index, [Query("q", ("x",))], pool_scorer(params, index), 10, 10)
+    queries = [Query("q", ("x",))]
+    run = model_run(index, queries, pool_scorer(params, index),
+                    searched_pools(index, queries, 10), 10)
     assert [doc_id for doc_id, _ in run["q"]] == ["da", "dm", "dz"]
     assert all(s == 0.0 for _, s in run["q"])
 
@@ -1088,8 +1109,9 @@ def test_rank_input_order_invariance():
     runs = []
     for order in (ids, ids[::-1]):
         index = one_term_index(order)
-        runs.append(model_run(index, [Query("q", ("x",))],
-                              fixed_scores(by_doc_id, index), 10, 10))
+        queries = [Query("q", ("x",))]
+        runs.append(model_run(index, queries, fixed_scores(by_doc_id, index),
+                              searched_pools(index, queries, 10), 10))
     assert runs[0] == runs[1]
     assert [d for d, _ in runs[0]["q"]] == ["d5", "d1", "d3", "d2", "d4"]
 
@@ -1097,7 +1119,9 @@ def test_rank_input_order_invariance():
 def test_rank_cutoff():
     index = one_term_index([f"d{i}" for i in range(5)])
     params = init_params(BATCH_CONFIG, index.vocabulary, index, seed=32)
-    run = model_run(index, [Query("q", ("x",))], pool_scorer(params, index), 10, 3)
+    queries = [Query("q", ("x",))]
+    run = model_run(index, queries, pool_scorer(params, index),
+                    searched_pools(index, queries, 10), 3)
     assert len(run["q"]) == 3
 
 
